@@ -43,7 +43,6 @@ from .flow import (
     FlowState,
     LineBundleFlow,
     Trajectory,
-    flow_rhs,
     rk4_step,
     run_fixed,
     run_flow,
@@ -54,9 +53,6 @@ from .geometry import (
     bandlimited_noise,
     build_torus,
     complex_hessian,
-    d_z,
-    d_zbar,
-    grad_z,
     volume_integral,
 )
 from .harness import (

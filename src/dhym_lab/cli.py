@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
     lines = []
     all_pass = True
 
-    tolerances = {"u_sq": 1e-4, "grad_sq": 1e-4, "Theta": 1e-3, "ThetaP": 1e-3}
+    tolerances = {"u_sq": 1e-4, "grad_sq": 1e-4, "Theta": 1e-4, "ThetaP": 1e-3}
     for which, tol in tolerances.items():
         rep = diagnostics.verify_evolution_identity(which, traj, mid_t)
         ok = rep.residual_rel <= tol

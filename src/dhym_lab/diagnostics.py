@@ -129,80 +129,15 @@ class IdentityReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# derivative stacks
-
-
-def derivative_stacks(geom: TorusGeometry, u: np.ndarray, third: bool = True,
-                      pure_third: bool = False) -> SimpleNamespace:
-    """Spectral derivative arrays of a real scalar field.
-
-    du[..., i]      = u_i
-    H[..., i, j]    = u_{i jbar}           (Hermitian)
-    S[..., i, p]    = u_{i p}              (symmetric)
-    T[..., i, j, k] = u_{i jbar k}         (symmetric in i, k; with `third`)
-    P[..., i, p, k] = u_{i p k}            (fully symmetric; with `pure_third`)
-    """
-    n = geom.n
-    uh = geom.fft(np.asarray(u, dtype=np.float64))
-    zm = [geom.dz_multiplier(i) for i in range(n)]
-    zb = [geom.dzbar_multiplier(j) for j in range(n)]
-    shape = geom.shape
-
-    du = np.empty(shape + (n,), dtype=np.complex128)
-    for i in range(n):
-        du[..., i] = geom.ifft(zm[i] * uh)
-
-    H = np.empty(shape + (n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            e = geom.ifft(zm[i] * zb[j] * uh)
-            H[..., i, j] = e
-            if j != i:
-                H[..., j, i] = e.conj()
-
-    S = np.empty(shape + (n, n), dtype=np.complex128)
-    for i in range(n):
-        for p in range(i, n):
-            e = geom.ifft(zm[i] * zm[p] * uh)
-            S[..., i, p] = e
-            if p != i:
-                S[..., p, i] = e
-
-    out = SimpleNamespace(du=du, H=H, S=S, T=None, P=None)
-    if third:
-        T = np.empty(shape + (n, n, n), dtype=np.complex128)
-        for j in range(n):
-            for i in range(n):
-                for k in range(i, n):
-                    e = geom.ifft(zm[i] * zb[j] * zm[k] * uh)
-                    T[..., i, j, k] = e
-                    if k != i:
-                        T[..., k, j, i] = e
-        out.T = T
-    if pure_third:
-        P = np.empty(shape + (n, n, n), dtype=np.complex128)
-        for i in range(n):
-            for p in range(i, n):
-                for k in range(p, n):
-                    e = geom.ifft(zm[i] * zm[p] * zm[k] * uh)
-                    for perm in {(i, p, k), (i, k, p), (p, i, k),
-                                 (p, k, i), (k, i, p), (k, p, i)}:
-                        P[(...,) + perm] = e
-        out.P = P
-    return out
-
-
 def tensor_norms(geom: TorusGeometry, u: np.ndarray) -> TensorNorms:
     """The four tensor norms of u and their sups, all metric-contracted."""
-    st = derivative_stacks(geom, u, third=True)
+    uh = geom.fft(np.asarray(u, dtype=np.float64))
+    du, H, S, T = (geom.deriv(uh, word) for word in ("z", "zZ", "zz", "zZz"))
     G = geom.g_inv
-    grad_sq = np.einsum("ji,...i,...j->...", G, st.du, st.du.conj()).real
-    Theta = np.einsum("ji,lk,...il,...kj->...", G, G, st.H, st.H).real
-    ThetaP = np.einsum("ji,qp,...ip,...jq->...", G, G, st.S, st.S.conj()).real
-    Gamma = np.einsum(
-        "ai,jb,ck,...ijk,...abc->...", G, G, G, st.T, st.T.conj()
-    ).real
+    grad_sq = np.einsum("ji,...i,...j->...", G, du, du.conj()).real
+    Theta = np.einsum("ji,lk,...il,...kj->...", G, G, H, H).real
+    ThetaP = np.einsum("ji,qp,...ip,...jq->...", G, G, S, S.conj()).real
+    Gamma = np.einsum("ai,jb,ck,...ijk,...abc->...", G, G, G, T, T.conj()).real
     hess_sup = float(np.sqrt((Theta + ThetaP).max()))
     return TensorNorms(
         grad_sq=grad_sq,
@@ -217,15 +152,19 @@ def tensor_norms(geom: TorusGeometry, u: np.ndarray) -> TensorNorms:
     )
 
 
-def q_functional(geom: TorusGeometry, u: np.ndarray, u0_at_p: float,
-                 qcfg: QConfig | None = None):
-    """Pointwise Q = Theta + Theta' + K1 |grad u|^2 + K2/2 (u - u0(p))^2."""
+def _q_field(tn: TensorNorms, u: np.ndarray, u0_at_p: float,
+             qcfg: QConfig | None) -> np.ndarray:
     qcfg = qcfg or QConfig()
-    tn = tensor_norms(geom, u)
-    Q = (
+    return (
         tn.Theta + tn.ThetaP + qcfg.K1 * tn.grad_sq
         + 0.5 * qcfg.K2 * (np.asarray(u) - u0_at_p) ** 2
     )
+
+
+def q_functional(geom: TorusGeometry, u: np.ndarray, u0_at_p: float,
+                 qcfg: QConfig | None = None):
+    """Pointwise Q = Theta + Theta' + K1 |grad u|^2 + K2/2 (u - u0(p))^2."""
+    Q = _q_field(tensor_norms(geom, u), u, u0_at_p, qcfg)
     return Q, float(Q.max())
 
 
@@ -239,7 +178,7 @@ def build_record(geom: TorusGeometry, base, hat_theta: float, t: float,
         theta = pf.theta
     udot = theta - hat_theta
     tn = tensor_norms(geom, u)
-    _, q_sup = q_functional(geom, u, u0_at_p, qcfg)
+    q_sup = float(_q_field(tn, u, u0_at_p, qcfg).max())
     Z = volume_integral(geom, pf.zeta)
     return DiagnosticsRecord(
         t=float(t),
@@ -301,64 +240,31 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
 # evolution identities (flat case)
 
 
-def _eta_derivative(geom: TorusGeometry, eta: np.ndarray) -> np.ndarray:
-    """dEta[..., p, a, b] = d/dz_p eta_{a bbar}, spectrally, entrywise."""
-    n = geom.n
-    eh = geom.fft(eta)
-    out = np.empty(geom.shape + (n, n, n), dtype=np.complex128)
-    for p in range(n):
-        m = geom.dz_multiplier(p)[..., np.newaxis, np.newaxis]
-        out[..., p, :, :] = geom.ifft(m * eh)
-    return out
-
-
-def _psi_fourth(geom: TorusGeometry, psi_hat, kinds: str) -> np.ndarray:
-    """Fourth-derivative stack of the base potential, multiplier products.
-
-    kinds = "zZzZ" gives D[..., i, l, p, q] = d_i d_lbar d_p d_qbar psi;
-    kinds = "zzzZ" gives D[..., i, p, k, l] = d_i d_p d_k d_lbar psi.
-    """
-    n = geom.n
-    out = np.zeros(geom.shape + (n,) * 4, dtype=np.complex128)
-    if psi_hat is None:
-        return out
-    mults = {
-        "z": [geom.dz_multiplier(i) for i in range(n)],
-        "Z": [geom.dzbar_multiplier(i) for i in range(n)],
-    }
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    m = (mults[kinds[0]][a] * mults[kinds[1]][b]
-                         * mults[kinds[2]][c] * mults[kinds[3]][d])
-                    out[..., a, b, c, d] = geom.ifft(m * psi_hat)
-    return out
-
-
 def _sample_context(geom: TorusGeometry, base, u: np.ndarray,
                     pure_third: bool = False) -> SimpleNamespace:
-    """Everything the identity right-hand sides need at one sample."""
-    st = derivative_stacks(geom, u, third=True, pure_third=pure_third)
+    """Everything the identity right-hand sides need at one sample.
+
+    du = u_i, H = u_{i jbar}, S = u_{i p}, T = u_{i jbar k} and, with
+    `pure_third`, P = u_{i p k}, on trailing index axes in that order.
+    """
+    uh = geom.fft(np.asarray(u, dtype=np.float64))
+    du, H, S, T = (geom.deriv(uh, word) for word in ("z", "zZ", "zz", "zZz"))
+    P = geom.deriv(uh, "zzz") if pure_third else None
     F_hat = _base_field(geom, base)
-    F = F_hat + st.H
+    F = F_hat + H
     pf = phase_fields(geom, F)
     psi = getattr(base, "psi", None)
     psi_hat = geom.fft(np.asarray(psi, dtype=np.float64)) if psi is not None else None
-
-    n = geom.n
-    dFhat = np.zeros(geom.shape + (n, n, n), dtype=np.complex128)
-    if psi_hat is not None:
-        zm = [geom.dz_multiplier(i) for i in range(n)]
-        zb = [geom.dzbar_multiplier(i) for i in range(n)]
-        for i in range(n):
-            for p in range(n):
-                for q in range(n):
-                    dFhat[..., i, p, q] = geom.ifft(zm[i] * zm[p] * zb[q] * psi_hat)
+    # dFhat[..., i, p, q] = d_i Fhat_{p qbar} = psi_{i p qbar}
+    if psi_hat is None:
+        dFhat = np.zeros(geom.shape + (geom.n,) * 3, dtype=np.complex128)
+    else:
+        dFhat = geom.deriv(psi_hat, "zzZ")
     # dF[..., i, p, q] = d_i F_{p qbar}; the Hessian part is u_{p qbar i}
-    dF = dFhat + np.moveaxis(st.T, -1, -3)
+    dF = dFhat + np.moveaxis(T, -1, -3)
     return SimpleNamespace(
-        st=st, F=F, pf=pf, psi_hat=psi_hat, dFhat=dFhat, dF=dF,
+        du=du, H=H, S=S, T=T, P=P,
+        F=F, pf=pf, psi_hat=psi_hat, dFhat=dFhat, dF=dF,
         eta_inv=pf.eta_inv, theta=pf.theta,
     )
 
@@ -385,45 +291,50 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: SimpleNamespace,
                   hat_theta: float, u: np.ndarray) -> np.ndarray:
     G = geom.g_inv
     Hinv = ctx.eta_inv
-    st = ctx.st
     if which == "u_sq":
-        lap_u = np.einsum("...qp,...pq->...", Hinv, st.H).real
-        grad_part = np.einsum("...qp,...p,...q->...", Hinv, st.du, st.du.conj()).real
+        lap_u = np.einsum("...qp,...pq->...", Hinv, ctx.H).real
+        grad_part = np.einsum("...qp,...p,...q->...", Hinv, ctx.du, ctx.du.conj()).real
         return 2.0 * np.asarray(u) * (ctx.theta - hat_theta - lap_u) - 2.0 * grad_part
 
     if which == "grad_sq":
-        A = np.einsum("...qp,ji,...ip,...jq->...", Hinv, G, st.S, st.S.conj())
-        B = np.einsum("...qp,ji,...iq,...pj->...", Hinv, G, st.H, st.H)
-        C = np.einsum("...qp,ji,...ipq,...j->...", Hinv, G, ctx.dFhat, st.du.conj())
+        A = np.einsum("...qp,ji,...ip,...jq->...", Hinv, G, ctx.S, ctx.S.conj())
+        B = np.einsum("...qp,ji,...iq,...pj->...", Hinv, G, ctx.H, ctx.H)
+        C = np.einsum("...qp,ji,...ipq,...j->...", Hinv, G, ctx.dFhat, ctx.du.conj())
         return -(A + B).real + 2.0 * C.real
 
-    dEta = _eta_derivative(geom, ctx.pf.eta)
+    dEta = geom.deriv(geom.fft(ctx.pf.eta), "z")  # d_p eta_{a bbar} at [..., p, a, b]
     # (d/dzbar_l eta)_{a bbar} = conj((d/dz_l eta)_{b abar})
     dEtaBar = np.conj(np.swapaxes(dEta, -1, -2))
 
     if which == "Theta":
-        T1 = np.einsum("...lk,ji,qp,...ilp,...jkq->...",
-                       Hinv, G, G, st.T, st.T.conj())
-        T2 = np.einsum("...lk,ji,qp,...liq,...kjp->...",
-                       Hinv, G, G, st.T.conj(), st.T)
+        T1 = np.einsum("...qp,ji,lk,...ilp,...jkq->...",
+                       Hinv, G, G, ctx.T, ctx.T.conj())
+        T2 = np.einsum("...qp,ji,lk,...liq,...kjp->...",
+                       Hinv, G, G, ctx.T.conj(), ctx.T)
         mix = np.einsum("ji,lk,...bp,...qa,...lab,...ipq,...kj->...",
-                        G, G, Hinv, Hinv, dEtaBar, ctx.dF, st.H)
-        ddFh = _psi_fourth(geom, ctx.psi_hat, "zZzZ")
-        hat = np.einsum("ji,lk,...qp,...kj,...ilpq->...",
-                        G, G, Hinv, st.H, ddFh)
-        return -(T1 + T2).real - 2.0 * mix.real + 2.0 * hat.real
+                        G, G, Hinv, Hinv, dEtaBar, ctx.dF, ctx.H)
+        rhs = -(T1 + T2).real - 2.0 * mix.real
+        if ctx.psi_hat is not None:
+            ddFh = geom.deriv(ctx.psi_hat, "zZzZ")
+            hat = np.einsum("ji,lk,...qp,...kj,...ilpq->...",
+                            G, G, Hinv, ctx.H, ddFh)
+            rhs += 2.0 * hat.real
+        return rhs
 
     if which == "ThetaP":
         e1 = np.einsum("...lk,ji,qp,...ipk,...jql->...",
-                       Hinv, G, G, st.P, st.P.conj())
+                       Hinv, G, G, ctx.P, ctx.P.conj())
         e2 = np.einsum("...lk,ji,qp,...ilp,...jkq->...",
-                       Hinv, G, G, st.T, st.T.conj())
+                       Hinv, G, G, ctx.T, ctx.T.conj())
         mix = np.einsum("ji,qp,...bk,...la,...pab,...ikl,...jq->...",
-                        G, G, Hinv, Hinv, dEta, ctx.dF, st.S.conj())
-        ddFh = _psi_fourth(geom, ctx.psi_hat, "zzzZ")
-        hat = np.einsum("ji,qp,...lk,...ipkl,...jq->...",
-                        G, G, Hinv, ddFh, st.S.conj())
-        return -(e1 + e2).real - 2.0 * mix.real + 2.0 * hat.real
+                        G, G, Hinv, Hinv, dEta, ctx.dF, ctx.S.conj())
+        rhs = -(e1 + e2).real - 2.0 * mix.real
+        if ctx.psi_hat is not None:
+            ddFh = geom.deriv(ctx.psi_hat, "zzzZ")
+            hat = np.einsum("ji,qp,...lk,...ipkl,...jq->...",
+                            G, G, Hinv, ddFh, ctx.S.conj())
+            rhs += 2.0 * hat.real
+        return rhs
 
     raise ValueError(f"unknown evolution identity {which!r}")
 
@@ -512,20 +423,11 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
     )
 
     # (ii): second derivatives of the full curvature, d_i d_jbar F_{p qbar}
-    n = geom.n
-    uh4 = geom.fft(np.asarray(u_hat, dtype=np.float64))
-    zm = [geom.dz_multiplier(i) for i in range(n)]
-    zb = [geom.dzbar_multiplier(i) for i in range(n)]
-    ddF = _psi_fourth(geom, ctx.psi_hat, "zZzZ").copy()
-    for i in range(n):
-        for l in range(n):
-            for p in range(n):
-                for q in range(n):
-                    ddF[..., i, l, p, q] += geom.ifft(
-                        zm[i] * zb[l] * zm[p] * zb[q] * uh4
-                    )
+    ddF = geom.deriv(geom.fft(np.asarray(u_hat, dtype=np.float64)), "zZzZ")
+    if ctx.psi_hat is not None:
+        ddF += geom.deriv(ctx.psi_hat, "zZzZ")
     lhs = np.einsum("...qp,...ijpq->...ij", Hinv, ddF)
-    dEta = _eta_derivative(geom, ctx.pf.eta)
+    dEta = geom.deriv(geom.fft(ctx.pf.eta), "z")
     dFbar = np.conj(np.swapaxes(ctx.dF, -1, -2))  # d_jbar F_{p qbar} at [..., j, p, q]
     rhs = np.einsum("...tp,...qs,...ist,...jpq->...ij", Hinv, Hinv, dEta, dFbar)
     resid = float(np.abs(lhs - rhs).max())

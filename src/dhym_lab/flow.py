@@ -36,7 +36,6 @@ __all__ = [
     "LineBundleFlow",
     "FlowDiverged",
     "stable_dt",
-    "flow_rhs",
     "rk4_step",
     "run_flow",
     "run_fixed",
@@ -183,12 +182,6 @@ class Trajectory:
     @property
     def t_final(self) -> float:
         return self.final.t if self.final is not None else 0.0
-
-
-def flow_rhs(geom: TorusGeometry, base: BaseCurvature, hat_theta: float,
-             u: np.ndarray) -> np.ndarray:
-    """theta(F_hat + complex_hessian(u)) - hat_theta."""
-    return LineBundleFlow(geom, base, hat_theta).rhs(u)
 
 
 def rk4_step(state: FlowState, dt: float) -> FlowState:

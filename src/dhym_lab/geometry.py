@@ -11,7 +11,10 @@ conj(M[..., p, q]) pointwise).
 
 All derivatives are Fourier-spectral.  For the mode exp(i*(m.x + l.y)) the
 multiplier of d/dz_j is (i*m_j + l_j)/2 and of d/dzbar_j is (i*m_j - l_j)/2,
-which realizes d/dz = (d/dx - i d/dy)/2 per complex axis.
+which realizes d/dz = (d/dx - i d/dy)/2 per complex axis.  One kernel,
+`TorusGeometry.deriv`, builds every derivative tensor from a spectrum and a
+derivative word: a string of 'z' (d/dz_j) and 'Z' (d/dzbar_j), one letter
+per index, so "zZz" gives u_{i jbar k} on three trailing axes of length n.
 
 The Kahler metric is a constant Hermitian positive-definite matrix g, so the
 volume form is det(g) dx dy and covariant derivatives coincide with
@@ -20,8 +23,10 @@ coordinate derivatives (the connection coefficients vanish).
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -29,9 +34,6 @@ import scipy.fft as sfft
 __all__ = [
     "TorusGeometry",
     "build_torus",
-    "d_z",
-    "d_zbar",
-    "grad_z",
     "complex_hessian",
     "volume_integral",
     "bandlimited_noise",
@@ -120,6 +122,52 @@ class TorusGeometry:
         l = self.wavevector(self.n + j)
         return 0.5 * (1j * m - l)
 
+    @cached_property
+    def _letter_multipliers(self) -> dict:
+        # the per-axis multipliers are small broadcast arrays; building them
+        # costs more than a transform at small N, so it is done once
+        return {"z": [self.dz_multiplier(j) for j in range(self.n)],
+                "Z": [self.dzbar_multiplier(j) for j in range(self.n)]}
+
+    def deriv(self, f_hat: np.ndarray, word: str) -> np.ndarray:
+        """Derivative tensor of a field from its spectrum and a derivative word.
+
+        The word has one letter per derivative, 'z' for d/dz_j and 'Z' for
+        d/dzbar_j; the result carries one axis of length n per letter, right
+        after the grid axes and ahead of any trailing axes the field has, so
+        deriv(fft(u), "zZz")[..., i, j, k] = u_{i jbar k}.  Derivatives
+        commute, so one inverse transform serves every index permutation
+        among equal letters.  The word "zZ" is taken of a real field (the
+        complex Hessian, Hermitian): its lower triangle is the conjugate of
+        the upper one.
+        """
+        if not word or set(word) - {"z", "Z"}:
+            raise ValueError(f"derivative word must be letters 'z' and 'Z', got {word!r}")
+        n = self.n
+        grid = (slice(None),) * (2 * n)
+        pad = (1,) * (f_hat.ndim - 2 * n)  # trailing axes of the field
+        mults = {c: [m.reshape(m.shape + pad) for m in ms]
+                 for c, ms in self._letter_multipliers.items()}
+        groups = [[k for k, c in enumerate(word) if c == letter] for letter in "zZ"]
+        out = np.empty(self.shape + (n,) * len(word) + f_hat.shape[2 * n:], dtype=np.complex128)
+        for idx in itertools.product(range(n), repeat=len(word)):
+            # the orbit representative sorts the indices within each letter
+            rep = list(idx)
+            for pos in groups:
+                for k, j in zip(pos, sorted(idx[k] for k in pos)):
+                    rep[k] = j
+            rep = tuple(rep)
+            if word == "zZ" and idx[0] > idx[1]:
+                out[grid + idx] = out[grid + idx[::-1]].conj()
+            elif rep != idx:
+                out[grid + idx] = out[grid + rep]
+            else:
+                m = mults[word[0]][idx[0]]
+                for c, j in zip(word[1:], idx[1:]):
+                    m = m * mults[c][j]
+                out[grid + idx] = self.ifft(m * f_hat)
+        return out
+
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Forward transform over the 2n grid axes (trailing axes pass through)."""
         axes = tuple(range(2 * self.n))
@@ -179,25 +227,6 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
     )
 
 
-def d_z(geom: TorusGeometry, f: np.ndarray, j: int) -> np.ndarray:
-    """Holomorphic derivative d/dz_j of a scalar field (0-based j)."""
-    return geom.ifft(geom.dz_multiplier(j) * geom.fft(f))
-
-
-def d_zbar(geom: TorusGeometry, f: np.ndarray, j: int) -> np.ndarray:
-    """Anti-holomorphic derivative d/dzbar_j of a scalar field (0-based j)."""
-    return geom.ifft(geom.dzbar_multiplier(j) * geom.fft(f))
-
-
-def grad_z(geom: TorusGeometry, u: np.ndarray) -> np.ndarray:
-    """All holomorphic derivatives u_i, stacked on a trailing axis of length n."""
-    uh = geom.fft(u)
-    out = np.empty(geom.shape + (geom.n,), dtype=np.complex128)
-    for i in range(geom.n):
-        out[..., i] = geom.ifft(geom.dz_multiplier(i) * uh)
-    return out
-
-
 def complex_hessian(geom: TorusGeometry, u: np.ndarray) -> np.ndarray:
     """Complex Hessian u_{i jbar} = d/dz_i d/dzbar_j u of a real field.
 
@@ -205,17 +234,7 @@ def complex_hessian(geom: TorusGeometry, u: np.ndarray) -> np.ndarray:
     entries equal one quarter of the ordinary Laplacian in the (x_j, y_j)
     plane, so they are real for real input.
     """
-    uh = geom.fft(np.asarray(u, dtype=np.float64))
-    n = geom.n
-    out = np.empty(geom.shape + (n, n), dtype=np.complex128)
-    for i in range(n):
-        zi = geom.dz_multiplier(i)
-        for j in range(i, n):
-            entry = geom.ifft(zi * geom.dzbar_multiplier(j) * uh)
-            out[..., i, j] = entry
-            if j != i:
-                out[..., j, i] = entry.conj()
-    return out
+    return geom.deriv(geom.fft(np.asarray(u, dtype=np.float64)), "zZ")
 
 
 def volume_integral(geom: TorusGeometry, f: np.ndarray):
@@ -261,9 +280,17 @@ def bandlimited_noise(geom: TorusGeometry, k_band: int, amplitude: float, seed: 
     return f * (amplitude / peak)
 
 
-def check_hermitian_field(M: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise if a matrix field is not pointwise Hermitian to relative tol."""
-    scale = np.abs(M).max()
-    dev = np.abs(M - M.conj().swapaxes(-1, -2)).max()
-    if dev > tol * max(scale, 1.0):
-        raise ValueError("non-Hermitian curvature input")
+def check_hermitian_field(M: np.ndarray, tol: float = 1e-12,
+                          label: str = "curvature input") -> None:
+    """Raise if a matrix (field) is not pointwise Hermitian to relative tol.
+
+    The message names the checked quantity and, for a field of matrices,
+    the grid point of the largest deviation.
+    """
+    dev = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-1, -2))
+    if dev.max() > tol * max(1.0, float(np.abs(M).max())):
+        where = ""
+        if dev.ndim:
+            point = np.unravel_index(int(np.argmax(dev)), dev.shape)
+            where = f" at grid point {tuple(int(i) for i in point)}"
+        raise ValueError(f"non-Hermitian {label}{where}")

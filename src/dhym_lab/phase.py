@@ -87,8 +87,7 @@ def pointwise_phase(F, g) -> PhasePointData:
     F = _as_matrix(F, "curvature")
     g = _as_matrix(g, "metric")
     check_hermitian_field(F)
-    if np.abs(g - np.conj(np.swapaxes(g, -1, -2))).max() > 1e-12 * max(1.0, np.abs(g).max()):
-        raise ValueError("metric not positive definite")
+    check_hermitian_field(g, label="metric")
     eigs_g = np.linalg.eigvalsh(g)
     if eigs_g.min() <= 0.0:
         raise ValueError("metric not positive definite")
@@ -113,11 +112,7 @@ def phase_fields(geom: TorusGeometry, F: np.ndarray) -> PhaseFields:
     across points.
     """
     F = np.asarray(F, dtype=np.complex128)
-    dev = np.abs(F - np.conj(np.swapaxes(F, -1, -2))).max(axis=(-1, -2))
-    worst = float(dev.max())
-    if worst > 1e-12 * max(1.0, float(np.abs(F).max())):
-        where = tuple(int(i) for i in np.unravel_index(int(np.argmax(dev)), dev.shape))
-        raise ValueError(f"non-Hermitian curvature input at grid point {where}")
+    check_hermitian_field(F)
     lam = eigenvalue_field(geom, F)
     theta = np.arctan(lam).sum(axis=-1)
     zeta = np.prod(1.0 + 1j * lam, axis=-1)

@@ -164,6 +164,18 @@ class TestEvolutionIdentities:
         slope = np.log2(res[0] / res[1])
         assert 1.6 <= slope <= 2.4
 
+    def test_theta_refinement_n2(self, torus2):
+        # n = 2 exercises the metric contractions of the Theta gradient terms
+        # that n = 1 cannot tell apart
+        base = dl.BaseCurvature.proportional(torus2, 1.0)
+        res = []
+        for dt_s in (1e-3, 5e-4):
+            traj = _identity_trajectory(torus2, base, dt_s, seed=1, n_steps=2)
+            rep = dl.verify_evolution_identity("Theta", traj, list(traj.samples)[1].t)
+            res.append(rep.residual_rel)
+        assert res[0] < 1e-7
+        assert res[0] / res[1] >= 3.0
+
     def test_nonconstant_base_terms_retained(self):
         # a nonconstant background exercises the base-curvature derivative
         # terms of the Theta and Theta' identities

@@ -30,27 +30,28 @@ class TestBaseCurvature:
 
 class TestFlowRhs:
     def test_stationary_is_zero(self, torus1, base1):
-        rhs = dl.flow_rhs(torus1, base1, np.arctan(1.0), np.zeros(torus1.shape))
+        rhs = dl.LineBundleFlow(torus1, base1, np.arctan(1.0)).rhs(np.zeros(torus1.shape))
         assert np.abs(rhs).max() < 1e-15
 
     def test_single_mode_closed_form(self, torus1, base1):
         # lambda(x) = 1 + Lap(u)/4 = 1 - 0.025 cos(x)
         u = 0.1 * cos_axis(torus1, 0)
-        rhs = dl.flow_rhs(torus1, base1, np.pi / 4, u)
+        rhs = dl.LineBundleFlow(torus1, base1, np.pi / 4).rhs(u)
         x = np.broadcast_to(np.cos(torus1.axis_coordinate(0)), torus1.shape)
         expect = np.arctan(1.0 - 0.025 * x) - np.pi / 4
         assert np.abs(rhs - expect).max() < 1e-14
         assert rhs.max() == pytest.approx(np.arctan(1.025) - np.pi / 4, abs=1e-13)
 
     def test_hat_theta_override_shifts_constant(self, torus1, base1):
-        rhs = dl.flow_rhs(torus1, base1, np.arctan(1.0) + np.pi, np.zeros(torus1.shape))
+        flow = dl.LineBundleFlow(torus1, base1, np.arctan(1.0) + np.pi)
+        rhs = flow.rhs(np.zeros(torus1.shape))
         assert np.abs(rhs + np.pi).max() < 1e-14
 
     def test_matches_general_path(self, torus2):
         # the n>1 eigenvalue route and an explicit arctan-sum agree
         base = dl.BaseCurvature.proportional(torus2, 0.5)
         u = dl.bandlimited_noise(torus2, 2, 0.3, 5)
-        rhs = dl.flow_rhs(torus2, base, 0.0, u)
+        rhs = dl.LineBundleFlow(torus2, base, 0.0).rhs(u)
         F = base.field() + dl.complex_hessian(torus2, u)
         lam = dl.eigenvalue_field(torus2, F)
         assert np.abs(rhs - np.arctan(lam).sum(-1)).max() < 1e-13

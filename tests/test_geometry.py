@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,25 +41,29 @@ class TestBuildTorus:
         assert torus2.shape == (16,) * 4
 
 
+def _dz(geom, u, j):
+    return geom.deriv(geom.fft(u), "z")[..., j]
+
+
 class TestDerivatives:
     def test_dz_cosine(self, torus1):
         u = cos_axis(torus1, 0)
         expect = -0.5 * np.broadcast_to(np.sin(torus1.axis_coordinate(0)), torus1.shape)
-        assert np.abs(dl.d_z(torus1, u, 0) - expect).max() < 1e-14
+        assert np.abs(_dz(torus1, u, 0) - expect).max() < 1e-14
 
     def test_dzbar_cosine(self, torus1):
         u = cos_axis(torus1, 0)
         expect = -0.5 * np.broadcast_to(np.sin(torus1.axis_coordinate(0)), torus1.shape)
-        assert np.abs(dl.d_zbar(torus1, u, 0) - expect).max() < 1e-14
+        assert np.abs(torus1.deriv(torus1.fft(u), "Z")[..., 0] - expect).max() < 1e-14
 
     def test_dz_constant(self, torus1):
-        assert np.abs(dl.d_z(torus1, np.ones(torus1.shape), 0)).max() < 1e-15
+        assert np.abs(_dz(torus1, np.ones(torus1.shape), 0)).max() < 1e-15
 
     def test_dz_y_dependence(self, torus1):
         # d/dz of cos(y) is (i/2) sin(y)
         u = cos_axis(torus1, 1)
         expect = 0.5j * np.broadcast_to(np.sin(torus1.axis_coordinate(1)), torus1.shape)
-        assert np.abs(dl.d_z(torus1, u, 0) - expect).max() < 1e-14
+        assert np.abs(_dz(torus1, u, 0) - expect).max() < 1e-14
 
     def test_spectral_roundtrip(self, torus2):
         rng = np.random.default_rng(0)
@@ -110,6 +116,59 @@ class TestComplexHessian:
         for j in range(torus2.n):
             val = dl.volume_integral(torus2, H[..., j, j])
             assert abs(val) < 1e-11 * (1 + np.abs(u).max())
+
+
+def _one_letter_at_a_time(geom, u, word):
+    """Oracle: yield (idx, entry), each letter its own fft -> multiply -> ifft.
+
+    Entries come in index order; the derivatives of the shared index prefix
+    are kept and reused.
+    """
+    path, prev = [u], ()
+    for idx in itertools.product(range(geom.n), repeat=len(word)):
+        k = next((a for a, (i, j) in enumerate(zip(idx, prev)) if i != j), len(prev))
+        del path[k + 1:]
+        for letter, j in zip(word[k:], idx[k:]):
+            mult = geom.dz_multiplier(j) if letter == "z" else geom.dzbar_multiplier(j)
+            path.append(geom.ifft(mult * geom.fft(path[-1])))
+        prev = idx
+        yield idx, path[-1]
+
+
+class TestDerivativeKernel:
+    WORDS = ("z", "zZ", "zz", "zZz", "zzz", "zzZ", "zZzZ", "zzzZ")
+
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
+    def test_every_word_matches_one_letter_oracle(self, n, N):
+        geom = dl.build_torus(n, N, np.eye(n))
+        u = dl.bandlimited_noise(geom, 2, 1.0, 20 + n)
+        uh = geom.fft(u)
+        for word in self.WORDS:
+            D = geom.deriv(uh, word)
+            assert D.shape == geom.shape + (n,) * len(word)
+            scale = np.abs(D).max()
+            for idx, expect in _one_letter_at_a_time(geom, u, word):
+                err = np.abs(D[(Ellipsis,) + idx] - expect).max()
+                assert err <= 1e-12 * scale, (word, idx)
+            del D
+
+    def test_trailing_field_axes_follow_derivative_axes(self, torus2):
+        rng = np.random.default_rng(3)
+        eta = rng.standard_normal(torus2.shape + (2, 2)) + 0j
+        dEta = torus2.deriv(torus2.fft(eta), "z")
+        assert dEta.shape == torus2.shape + (2, 2, 2)
+        expect = dict(_one_letter_at_a_time(torus2, eta[..., 1, 0], "z"))[(1,)]
+        assert np.abs(dEta[..., 1, 1, 0] - expect).max() < 1e-12 * np.abs(expect).max()
+
+    def test_hessian_word_is_hermitian(self, torus2):
+        u = dl.bandlimited_noise(torus2, 3, 1.0, 8)
+        H = torus2.deriv(torus2.fft(u), "zZ")
+        assert (H[..., 1, 0] == H[..., 0, 1].conj()).all()
+
+    @pytest.mark.parametrize("word", ["", "zx", "dz"])
+    def test_bad_word_rejected(self, torus1, word):
+        with pytest.raises(ValueError, match="derivative word"):
+            torus1.deriv(torus1.fft(np.zeros(torus1.shape)), word)
 
 
 class TestVolumeIntegral:
@@ -171,10 +230,15 @@ class TestWorkerCap:
         monkeypatch.setenv("DHYM_THREADS", "2")
         assert _workers() == 2
 
-    def test_worker_count_does_not_change_results(self, torus1, monkeypatch):
+    def test_worker_count_does_not_change_results(self, torus1, torus2, monkeypatch):
         f = dl.bandlimited_noise(torus1, 3, 1.0, 2)
-        monkeypatch.setenv("DHYM_THREADS", "1")
-        a = dl.complex_hessian(torus1, f)
-        monkeypatch.setenv("DHYM_THREADS", "4")
-        b = dl.complex_hessian(torus1, f)
-        assert (a == b).all()
+        f2 = dl.bandlimited_noise(torus2, 3, 1.0, 2)
+        fields = ("grad_sq", "Theta", "ThetaP", "Gamma")
+        results = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("DHYM_THREADS", threads)
+            results.append([dl.complex_hessian(torus1, f)] + [
+                getattr(dl.tensor_norms(geom, u), name)
+                for geom, u in ((torus1, f), (torus2, f2)) for name in fields])
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()

@@ -43,6 +43,16 @@ class TestPointwisePhase:
         with pytest.raises(ValueError, match="not positive definite"):
             dl.pointwise_phase(np.eye(2), np.diag([1.0, -1.0]))
 
+    def test_non_hermitian_metric_rejected(self):
+        with pytest.raises(ValueError, match="non-Hermitian metric"):
+            dl.pointwise_phase(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_non_hermitian_metric_batch_names_point(self):
+        g = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+        g[3, 0, 1] = 0.5
+        with pytest.raises(ValueError, match=r"non-Hermitian metric at grid point \(3,\)"):
+            dl.pointwise_phase(np.zeros((5, 2, 2)), g)
+
     def test_non_hermitian_curvature_rejected(self):
         with pytest.raises(ValueError, match="non-Hermitian"):
             dl.pointwise_phase(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
