@@ -25,8 +25,8 @@ u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
 def residuals(dt_s):
     traj = dl.run_fixed(geom, base, hat, u0, dt=dt_s, n_steps=8, sample_every=1)
     t_mid = list(traj.samples)[4].t
-    return {w: dl.verify_evolution_identity(w, traj, t_mid).residual_rel
-            for w in ("u_sq", "grad_sq", "Theta", "ThetaP")}
+    return {rep.identity: rep.residual_rel
+            for rep in dl.verify_evolution_identities(traj, t_mid)}
 
 
 r1 = residuals(1e-3)

@@ -32,6 +32,7 @@ from .diagnostics import (
     oscillation_decay,
     q_functional,
     tensor_norms,
+    verify_evolution_identities,
     verify_evolution_identity,
     verify_linearization,
 )

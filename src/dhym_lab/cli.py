@@ -20,6 +20,7 @@ from .cohomology import cohomology_invariants
 from .config_io import (
     ConfigError,
     RunConfig,
+    _entry,
     parse_config,
     parse_sweep_config,
     read_snapshot,
@@ -27,7 +28,7 @@ from .config_io import (
     write_diagnostics,
     write_snapshot,
 )
-from .flow import run_flow, run_fixed, stable_dt
+from .flow import LineBundleFlow, Trajectory, run_flow, run_fixed, stable_dt
 from .harness import SweepConfig, generate_reference, stability_sweep
 from .phase import pointwise_phase
 
@@ -90,15 +91,10 @@ def _verify_config_trajectory(cfg: RunConfig):
     hat_theta = cfg.hat_theta_value(geom, base)
     u0 = cfg.initial_field(geom)
     dt = min(1e-3, stable_dt(geom, cfg.time["dt_safety"]))
-    traj = run_fixed(geom, base, hat_theta, u0, dt=dt, n_steps=8, sample_every=1)
-    return traj
+    return run_fixed(geom, base, hat_theta, u0, dt=dt, n_steps=8, sample_every=1)
 
 
 def _load_run_trajectory(run_dir: Path):
-    from collections import deque
-
-    from .flow import FlowSample, LineBundleFlow, Trajectory
-
     cfg = parse_config(run_dir / "effective-config.json")
     geom = cfg.geometry()
     base = cfg.base(geom)
@@ -107,17 +103,11 @@ def _load_run_trajectory(run_dir: Path):
     if len(snaps) < 3:
         raise ValueError("insufficient trajectory sampling: need all-samples snapshots")
     flow = LineBundleFlow(geom, base, hat_theta)
-    traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta, samples=deque())
-    u0_at_p = None
+    traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta)
     for snap in snaps:
         u, header = read_snapshot(snap)
         u = u.real.astype(np.float64)
-        if u0_at_p is None:
-            u0_at_p = float(u[(0,) * (2 * geom.n)])
-        theta = flow.theta(u)
-        traj.samples.append(FlowSample(t=header["t"], u=u, udot=theta - hat_theta, theta=theta))
-        traj.records.append(diagnostics.build_record(
-            geom, base, hat_theta, header["t"], u, theta=theta, u0_at_p=u0_at_p))
+        traj.record(header["t"], u, flow.theta(u))
     return traj
 
 
@@ -131,8 +121,8 @@ def _cmd_verify(args) -> int:
     all_pass = True
 
     tolerances = {"u_sq": 1e-4, "grad_sq": 1e-4, "Theta": 1e-4, "ThetaP": 1e-3}
-    for which, tol in tolerances.items():
-        rep = diagnostics.verify_evolution_identity(which, traj, mid_t)
+    for rep in diagnostics.verify_evolution_identities(traj, mid_t, tuple(tolerances)):
+        tol = tolerances[rep.identity]
         ok = rep.residual_rel <= tol
         all_pass &= ok
         lines.append({**rep.to_dict(), "tolerance": tol, "pass": ok})
@@ -236,12 +226,9 @@ def _cmd_hat_theta(args) -> int:
     return 0
 
 
-def _parse_entry(e):
-    if isinstance(e, (int, float)):
-        return complex(e)
-    if isinstance(e, list) and len(e) == 2:
-        return complex(e[0], e[1])
-    raise ValueError(f"matrix entry must be a number or [re, im] pair, got {e!r}")
+def _matrix_of(rows, where: str) -> np.ndarray:
+    return np.array([[complex(*_entry(e, f"{where}[{i}][{j}]")) for j, e in enumerate(row)]
+                     for i, row in enumerate(rows)])
 
 
 def _cmd_phase_table(args) -> int:
@@ -251,8 +238,7 @@ def _cmd_phase_table(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            rows = json.loads(line)
-            M = np.array([[_parse_entry(e) for e in row] for row in rows])
+            M = _matrix_of(json.loads(line), f"{args.input}:{lineno}")
             if M.shape[0] != M.shape[1]:
                 raise ValueError(f"line {lineno}: matrix is not square")
             if matrices and M.shape != matrices[0].shape:
@@ -263,8 +249,7 @@ def _cmd_phase_table(args) -> int:
     n = matrices[0].shape[0]
     if args.metric:
         with open(args.metric) as fh:
-            rows = json.load(fh)
-        g = np.array([[_parse_entry(e) for e in row] for row in rows])
+            g = _matrix_of(json.load(fh), args.metric)
     else:
         g = np.eye(n)
     header = ",".join(

@@ -14,6 +14,7 @@ bytes; time series go to CSV with full round-trip float formatting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ _TIME_DEFAULTS = {
 }
 _OUTPUT_DEFAULTS = {"dir": ".", "snapshots": "none"}
 _SNAPSHOT_MODES = ("none", "final", "all-samples")
+_SNAPSHOT_DTYPES = {"f64le": np.dtype("<f8"), "c128le": np.dtype("<c16")}
 
 
 class ConfigError(ValueError):
@@ -66,6 +68,8 @@ def _require_keys(obj: dict, path: str, required: tuple, optional: tuple) -> Non
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(obj).__name__}")
+    if not math.isfinite(obj):
+        raise ConfigError(path, f"expected a finite number, got {obj!r}")
     return float(obj)
 
 
@@ -78,7 +82,7 @@ def _integer(obj, path: str) -> int:
 def _entry(obj, path: str) -> list:
     """Normalize a matrix entry to an [re, im] pair."""
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return [float(obj), 0.0]
+        return [_number(obj, path), 0.0]
     if isinstance(obj, list) and len(obj) == 2:
         return [_number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]")]
     raise ConfigError(path, "matrix entry must be a number or an [re, im] pair")
@@ -92,7 +96,7 @@ def _matrix(obj, n: int, path: str, hermitian_name: str) -> list:
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"{path}[{i}]", f"expected {n} entries")
         rows.append([_entry(row[j], f"{path}[{i}][{j}]") for j in range(n)])
-    M = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
+    M = _as_complex(rows)
     if np.abs(M - M.conj().T).max() > 1e-12 * max(1.0, np.abs(M).max()):
         raise ConfigError(path, f"{hermitian_name} matrix is not Hermitian")
     return rows
@@ -299,13 +303,16 @@ def parse_config_data(data: dict, source: str = "$") -> RunConfig:
     )
 
 
-def parse_config(path) -> RunConfig:
+def _load_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("$", f"invalid JSON: {exc}") from exc
-    return parse_config_data(data)
+
+
+def parse_config(path) -> RunConfig:
+    return parse_config_data(_load_json(path))
 
 
 def write_config(config: RunConfig, path) -> None:
@@ -341,8 +348,7 @@ class SweepSpec:
 
 
 def parse_sweep_config(path) -> SweepSpec:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     _require_keys(
         data, "$",
         ("dimension", "resolution", "metric", "base_curvature", "sweep"),
@@ -380,10 +386,8 @@ def write_snapshot(values: np.ndarray, name: str, t: float,
                    geom: TorusGeometry, path) -> None:
     """One JSON header line, then raw little-endian field bytes."""
     values = np.ascontiguousarray(values)
-    if np.iscomplexobj(values):
-        dtype, raw = "c128le", values.astype("<c16")
-    else:
-        dtype, raw = "f64le", values.astype("<f8")
+    dtype = "c128le" if np.iscomplexobj(values) else "f64le"
+    raw = values.astype(_SNAPSHOT_DTYPES[dtype])
     header = {
         "name": name,
         "t": float(t),
@@ -409,6 +413,12 @@ def read_snapshot(path):
             raw = fh.read()
     except OSError as exc:
         raise OSError(f"failed to read snapshot {path}: {exc}") from exc
-    np_dtype = "<c16" if header["dtype"] == "c128le" else "<f8"
+    np_dtype = _SNAPSHOT_DTYPES.get(header.get("dtype"))
+    if np_dtype is None:
+        raise ValueError(f"snapshot {path}: unknown dtype {header.get('dtype')!r}")
+    expected = math.prod(header["shape"]) * np_dtype.itemsize
+    if len(raw) != expected:
+        raise ValueError(f"snapshot {path}: payload has {len(raw)} bytes, "
+                         f"its header needs {expected}")
     values = np.frombuffer(raw, dtype=np_dtype).reshape(header["shape"])
     return values.copy(), header

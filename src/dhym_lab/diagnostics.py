@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .geometry import TorusGeometry, complex_hessian, volume_integral
-from .phase import phase_fields
+from .phase import eta_pair, phase_fields
 
 __all__ = [
     "QConfig",
@@ -42,6 +42,7 @@ __all__ = [
     "build_record",
     "verify_linearization",
     "verify_evolution_identity",
+    "verify_evolution_identities",
     "dhym_point_identities",
     "maximum_principle_monitor",
     "oscillation_decay",
@@ -105,6 +106,7 @@ class TensorNorms:
     ThetaP_sup: float
     Gamma_sup: float
     hess_sup: float  # sup_x sqrt(Theta(x) + Theta'(x))
+    H: np.ndarray  # the complex Hessian u_{i jbar} the norms were built from
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,7 @@ def tensor_norms(geom: TorusGeometry, u: np.ndarray) -> TensorNorms:
         ThetaP_sup=float(ThetaP.max()),
         Gamma_sup=float(Gamma.max()),
         hess_sup=hess_sup,
+        H=H,
     )
 
 
@@ -171,13 +174,12 @@ def q_functional(geom: TorusGeometry, u: np.ndarray, u0_at_p: float,
 def build_record(geom: TorusGeometry, base, hat_theta: float, t: float,
                  u: np.ndarray, theta: np.ndarray | None = None,
                  u0_at_p: float = 0.0, qcfg: QConfig | None = None) -> DiagnosticsRecord:
-    """Assemble the per-sample scalar diagnostics."""
-    F = base.field() + complex_hessian(geom, u)
-    pf = phase_fields(geom, F)
+    """Assemble the per-sample scalar diagnostics from one transform of u."""
+    tn = tensor_norms(geom, u)
+    pf = phase_fields(geom, base.field() + tn.H)
     if theta is None:
         theta = pf.theta
     udot = theta - hat_theta
-    tn = tensor_norms(geom, u)
     q_sup = float(_q_field(tn, u, u0_at_p, qcfg).max())
     Z = volume_integral(geom, pf.zeta)
     return DiagnosticsRecord(
@@ -208,11 +210,6 @@ def _base_field(geom: TorusGeometry, base) -> np.ndarray:
     return np.asarray(base, dtype=np.complex128)
 
 
-def _theta_of(geom: TorusGeometry, F_hat: np.ndarray, u: np.ndarray) -> tuple:
-    pf = phase_fields(geom, F_hat + complex_hessian(geom, u))
-    return pf.theta, pf.eta_inv
-
-
 def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
                          phi: np.ndarray, eps: float) -> float:
     """Relative sup-norm error of the central-difference phase derivative.
@@ -226,9 +223,9 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
     phi = np.asarray(phi, dtype=np.float64)
     if not np.any(phi):
         return 0.0
-    tp, _ = _theta_of(geom, F_hat, u + eps * phi)
-    tm, _ = _theta_of(geom, F_hat, u - eps * phi)
-    _, eta_inv = _theta_of(geom, F_hat, u)
+    tp, tm = (phase_fields(geom, F_hat + complex_hessian(geom, u + step * phi)).theta
+              for step in (eps, -eps))
+    _, eta_inv = eta_pair(F_hat + complex_hessian(geom, u), geom.g, geom.g_inv)
     numeric = (tp - tm) / (2.0 * eps)
     Hphi = complex_hessian(geom, phi)
     analytic = np.einsum("...qp,...pq->...", eta_inv, Hphi).real
@@ -240,19 +237,18 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
 # evolution identities (flat case)
 
 
-def _sample_context(geom: TorusGeometry, base, u: np.ndarray,
-                    pure_third: bool = False) -> SimpleNamespace:
-    """Everything the identity right-hand sides need at one sample.
+def _sample_context(geom: TorusGeometry, base, u: np.ndarray) -> SimpleNamespace:
+    """What the identity right-hand sides read at one sample.
 
-    du = u_i, H = u_{i jbar}, S = u_{i p}, T = u_{i jbar k} and, with
-    `pure_third`, P = u_{i p k}, on trailing index axes in that order.
+    uh is the spectrum of u; du = u_i, H = u_{i jbar}, S = u_{i p} and
+    T = u_{i jbar k} carry trailing index axes in that order; theta, eta and
+    eta_inv belong to the curvature F = F_hat + H.
     """
     uh = geom.fft(np.asarray(u, dtype=np.float64))
     du, H, S, T = (geom.deriv(uh, word) for word in ("z", "zZ", "zz", "zZz"))
-    P = geom.deriv(uh, "zzz") if pure_third else None
-    F_hat = _base_field(geom, base)
-    F = F_hat + H
-    pf = phase_fields(geom, F)
+    F = _base_field(geom, base) + H
+    theta = phase_fields(geom, F).theta
+    eta, eta_inv = eta_pair(F, geom.g, geom.g_inv)
     psi = getattr(base, "psi", None)
     psi_hat = geom.fft(np.asarray(psi, dtype=np.float64)) if psi is not None else None
     # dFhat[..., i, p, q] = d_i Fhat_{p qbar} = psi_{i p qbar}
@@ -263,28 +259,14 @@ def _sample_context(geom: TorusGeometry, base, u: np.ndarray,
     # dF[..., i, p, q] = d_i F_{p qbar}; the Hessian part is u_{p qbar i}
     dF = dFhat + np.moveaxis(T, -1, -3)
     return SimpleNamespace(
-        du=du, H=H, S=S, T=T, P=P,
-        F=F, pf=pf, psi_hat=psi_hat, dFhat=dFhat, dF=dF,
-        eta_inv=pf.eta_inv, theta=pf.theta,
+        uh=uh, du=du, H=H, S=S, T=T, psi_hat=psi_hat, dFhat=dFhat, dF=dF,
+        eta=eta, eta_inv=eta_inv, theta=theta,
     )
 
 
 def _laplace_eta(geom: TorusGeometry, eta_inv: np.ndarray, f: np.ndarray) -> np.ndarray:
     Hf = complex_hessian(geom, np.asarray(f, dtype=np.float64))
     return np.einsum("...qp,...pq->...", eta_inv, Hf).real
-
-
-def _quantity(geom: TorusGeometry, which: str, u: np.ndarray) -> np.ndarray:
-    if which == "u_sq":
-        return np.asarray(u) ** 2
-    tn = tensor_norms(geom, u)
-    if which == "grad_sq":
-        return tn.grad_sq
-    if which == "Theta":
-        return tn.Theta
-    if which == "ThetaP":
-        return tn.ThetaP
-    raise ValueError(f"unknown evolution identity {which!r}")
 
 
 def _identity_rhs(geom: TorusGeometry, which: str, ctx: SimpleNamespace,
@@ -302,7 +284,7 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: SimpleNamespace,
         C = np.einsum("...qp,ji,...ipq,...j->...", Hinv, G, ctx.dFhat, ctx.du.conj())
         return -(A + B).real + 2.0 * C.real
 
-    dEta = geom.deriv(geom.fft(ctx.pf.eta), "z")  # d_p eta_{a bbar} at [..., p, a, b]
+    dEta = geom.deriv(geom.fft(ctx.eta), "z")  # d_p eta_{a bbar} at [..., p, a, b]
     # (d/dzbar_l eta)_{a bbar} = conj((d/dz_l eta)_{b abar})
     dEtaBar = np.conj(np.swapaxes(dEta, -1, -2))
 
@@ -321,22 +303,20 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: SimpleNamespace,
             rhs += 2.0 * hat.real
         return rhs
 
-    if which == "ThetaP":
-        e1 = np.einsum("...lk,ji,qp,...ipk,...jql->...",
-                       Hinv, G, G, ctx.P, ctx.P.conj())
-        e2 = np.einsum("...lk,ji,qp,...ilp,...jkq->...",
-                       Hinv, G, G, ctx.T, ctx.T.conj())
-        mix = np.einsum("ji,qp,...bk,...la,...pab,...ikl,...jq->...",
-                        G, G, Hinv, Hinv, dEta, ctx.dF, ctx.S.conj())
-        rhs = -(e1 + e2).real - 2.0 * mix.real
-        if ctx.psi_hat is not None:
-            ddFh = geom.deriv(ctx.psi_hat, "zzzZ")
-            hat = np.einsum("ji,qp,...lk,...ipkl,...jq->...",
-                            G, G, Hinv, ddFh, ctx.S.conj())
-            rhs += 2.0 * hat.real
-        return rhs
-
-    raise ValueError(f"unknown evolution identity {which!r}")
+    # ThetaP
+    P = geom.deriv(ctx.uh, "zzz")  # u_{i p k}
+    e1 = np.einsum("...lk,ji,qp,...ipk,...jql->...", Hinv, G, G, P, P.conj())
+    e2 = np.einsum("...lk,ji,qp,...ilp,...jkq->...",
+                   Hinv, G, G, ctx.T, ctx.T.conj())
+    mix = np.einsum("ji,qp,...bk,...la,...pab,...ikl,...jq->...",
+                    G, G, Hinv, Hinv, dEta, ctx.dF, ctx.S.conj())
+    rhs = -(e1 + e2).real - 2.0 * mix.real
+    if ctx.psi_hat is not None:
+        ddFh = geom.deriv(ctx.psi_hat, "zzzZ")
+        hat = np.einsum("ji,qp,...lk,...ipkl,...jq->...",
+                        G, G, Hinv, ddFh, ctx.S.conj())
+        rhs += 2.0 * hat.real
+    return rhs
 
 
 def _bracket(trajectory, t: float):
@@ -354,33 +334,59 @@ def _bracket(trajectory, t: float):
     return samples[j - 1], samples[j], samples[j + 1], float(dt_p)
 
 
-def verify_evolution_identity(which: str, trajectory, t: float) -> IdentityReport:
-    """Check one flat-case evolution identity at trajectory time t.
+_IDENTITY_NAMES = ("u_sq", "grad_sq", "Theta", "ThetaP")
 
-    The left side is the central time difference of the quantity minus its
-    spectral eta-Laplacian at the bracketing center; the right side is
-    assembled from the stored sample there.  The discrepancy shrinks as
-    O(dt^2) under sample-spacing refinement.
+
+def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> list:
+    """Check flat-case evolution identities at trajectory time t.
+
+    Returns one IdentityReport per name, in order.  The left side is the
+    central time difference of the quantity minus its spectral
+    eta-Laplacian at the bracketing center; the right side is assembled
+    from the stored sample there.  The bracket, the tensor norms of its
+    three samples and the center's derived fields are built once for all
+    names.  The discrepancy shrinks as O(dt^2) under sample-spacing
+    refinement.
     """
+    names = tuple(names)
+    for which in names:
+        if which not in _IDENTITY_NAMES:
+            raise ValueError(f"unknown evolution identity {which!r}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"repeated evolution identity in {names!r}")
     geom = trajectory.geometry
     prev, mid, nxt, dt_s = _bracket(trajectory, t)
-    q_prev = _quantity(geom, which, prev.u)
-    q_mid = _quantity(geom, which, mid.u)
-    q_next = _quantity(geom, which, nxt.u)
-    ctx = _sample_context(geom, trajectory.base, mid.u, pure_third=(which == "ThetaP"))
-    lhs = (q_next - q_prev) / (2.0 * dt_s) - _laplace_eta(geom, ctx.eta_inv, q_mid)
-    rhs = _identity_rhs(geom, which, ctx, trajectory.hat_theta, mid.u)
-    resid = float(np.abs(lhs - rhs).max())
-    rhs_norm = float(np.abs(rhs).max())
-    return IdentityReport(
-        identity=which,
-        t=float(mid.t),
-        lhs_norm=float(np.abs(lhs).max()),
-        rhs_norm=rhs_norm,
-        residual_rel=resid / (1.0 + rhs_norm),
-        dt_used=dt_s,
-        resolution=geom.N,
-    )
+    # keep only the named fields, not whole TensorNorms, and drop each once used:
+    # it bounds the peak memory beside the context
+    quantities = []
+    for s in (prev, mid, nxt):
+        tn = tensor_norms(geom, s.u) if set(names) - {"u_sq"} else None
+        quantities.append({w: np.asarray(s.u) ** 2 if w == "u_sq" else getattr(tn, w)
+                           for w in names})
+        del tn
+    ctx = _sample_context(geom, trajectory.base, mid.u)
+    reports = []
+    for which in names:
+        q_prev, q_mid, q_next = (q.pop(which) for q in quantities)
+        lhs = (q_next - q_prev) / (2.0 * dt_s) - _laplace_eta(geom, ctx.eta_inv, q_mid)
+        rhs = _identity_rhs(geom, which, ctx, trajectory.hat_theta, mid.u)
+        resid = float(np.abs(lhs - rhs).max())
+        rhs_norm = float(np.abs(rhs).max())
+        reports.append(IdentityReport(
+            identity=which,
+            t=float(mid.t),
+            lhs_norm=float(np.abs(lhs).max()),
+            rhs_norm=rhs_norm,
+            residual_rel=resid / (1.0 + rhs_norm),
+            dt_used=dt_s,
+            resolution=geom.N,
+        ))
+    return reports
+
+
+def verify_evolution_identity(which: str, trajectory, t: float) -> IdentityReport:
+    """Check one flat-case evolution identity; see verify_evolution_identities."""
+    return verify_evolution_identities(trajectory, t, (which,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +429,11 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
     )
 
     # (ii): second derivatives of the full curvature, d_i d_jbar F_{p qbar}
-    ddF = geom.deriv(geom.fft(np.asarray(u_hat, dtype=np.float64)), "zZzZ")
+    ddF = geom.deriv(ctx.uh, "zZzZ")
     if ctx.psi_hat is not None:
         ddF += geom.deriv(ctx.psi_hat, "zZzZ")
     lhs = np.einsum("...qp,...ijpq->...ij", Hinv, ddF)
-    dEta = geom.deriv(geom.fft(ctx.pf.eta), "z")
+    dEta = geom.deriv(geom.fft(ctx.eta), "z")
     dFbar = np.conj(np.swapaxes(ctx.dF, -1, -2))  # d_jbar F_{p qbar} at [..., j, p, q]
     rhs = np.einsum("...tp,...qs,...ist,...jpq->...ij", Hinv, Hinv, dEta, dFbar)
     resid = float(np.abs(lhs - rhs).max())

@@ -152,10 +152,6 @@ class FlowState:
     theta: np.ndarray = field(default=None, repr=False)
     residual_sup: float = 0.0
 
-    @property
-    def udot(self) -> np.ndarray:
-        return self.theta - self.flow.hat_theta
-
 
 @dataclass(frozen=True, eq=False)
 class FlowSample:
@@ -178,10 +174,26 @@ class Trajectory:
     steps: int = 0
     dt_final: float = 0.0
     final: FlowState | None = None
+    # u at the Q base point of the first recorded sample (grid index 0)
+    u0_at_p: float | None = field(default=None, init=False)
 
     @property
     def t_final(self) -> float:
         return self.final.t if self.final is not None else 0.0
+
+    def record(self, t: float, u: np.ndarray, theta: np.ndarray) -> None:
+        """Store a field sample and its diagnostics record; a repeated t is skipped."""
+        if self.records and self.records[-1].t == t:
+            return
+        if self.u0_at_p is None:
+            self.u0_at_p = float(u[(0,) * (2 * self.geometry.n)])
+        self.samples.append(FlowSample(
+            t=t, u=u.copy(), udot=theta - self.hat_theta, theta=theta.copy(),
+        ))
+        self.records.append(diagnostics.build_record(
+            self.geometry, self.base, self.hat_theta, t, u,
+            theta=theta, u0_at_p=self.u0_at_p,
+        ))
 
 
 def rk4_step(state: FlowState, dt: float) -> FlowState:
@@ -241,18 +253,6 @@ class FlowConfig:
             raise ValueError("sample_every must be >= 1")
 
 
-def _record(traj: Trajectory, state: FlowState, u0_at_p: float) -> None:
-    if traj.records and traj.records[-1].t == state.t:
-        return
-    traj.samples.append(FlowSample(
-        t=state.t, u=state.u.copy(), udot=state.udot.copy(), theta=state.theta.copy(),
-    ))
-    traj.records.append(diagnostics.build_record(
-        traj.geometry, traj.base, traj.hat_theta, state.t, state.u,
-        theta=state.theta, u0_at_p=u0_at_p,
-    ))
-
-
 def run_flow(config: FlowConfig) -> Trajectory:
     """Integrate until the phase residual drops below tolerance.
 
@@ -263,13 +263,12 @@ def run_flow(config: FlowConfig) -> Trajectory:
     geom = config.geometry
     flow = LineBundleFlow(geom, config.base, config.hat_theta)
     state = flow.initial_state(config.u0)
-    u0_at_p = float(state.u[(0,) * (2 * geom.n)])
     traj = Trajectory(
         geometry=geom, base=config.base, hat_theta=config.hat_theta,
         samples=deque(maxlen=config.keep_fields),
     )
     dt = stable_dt(geom, config.dt_safety)
-    _record(traj, state, u0_at_p)
+    traj.record(state.t, state.u, state.theta)
     halvings = 0
     while True:
         if state.residual_sup < config.residual_tol:
@@ -291,8 +290,8 @@ def run_flow(config: FlowConfig) -> Trajectory:
         state = new_state
         traj.steps += 1
         if traj.steps % config.sample_every == 0:
-            _record(traj, state, u0_at_p)
-    _record(traj, state, u0_at_p)
+            traj.record(state.t, state.u, state.theta)
+    traj.record(state.t, state.u, state.theta)
     traj.final = state
     traj.dt_final = dt
     return traj
@@ -304,18 +303,17 @@ def run_fixed(geom: TorusGeometry, base: BaseCurvature, hat_theta: float,
     """Fixed-step integration with dense sampling, for verification runs."""
     flow = LineBundleFlow(geom, base, hat_theta)
     state = flow.initial_state(u0)
-    u0_at_p = float(state.u[(0,) * (2 * geom.n)])
     traj = Trajectory(
         geometry=geom, base=base, hat_theta=hat_theta,
         samples=deque(maxlen=keep_fields), status="completed",
     )
-    _record(traj, state, u0_at_p)
+    traj.record(state.t, state.u, state.theta)
     for k in range(n_steps):
         state = rk4_step(state, dt)
         traj.steps += 1
         if (k + 1) % sample_every == 0:
-            _record(traj, state, u0_at_p)
-    _record(traj, state, u0_at_p)
+            traj.record(state.t, state.u, state.theta)
+    traj.record(state.t, state.u, state.theta)
     traj.final = state
     traj.dt_final = dt
     return traj

@@ -48,9 +48,11 @@ def _workers() -> int:
     grid reductions use numpy's pairwise summation.
     """
     env = os.environ.get("DHYM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdigit() or int(env) < 1:
+        raise ValueError(f"DHYM_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +209,7 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
     g = g.astype(np.complex128)
     if g.shape != (n, n):
         raise ValueError(f"metric must be {n}x{n}, got {g.shape}")
-    if not np.allclose(g, g.conj().T, rtol=0.0, atol=1e-14 * max(1.0, np.abs(g).max())):
-        raise ValueError("metric not Hermitian")
+    check_hermitian_field(g, tol=1e-14, label="metric")
     eigs = np.linalg.eigvalsh(g)
     if eigs.min() <= 0.0:
         raise ValueError("metric not positive definite")
@@ -284,13 +285,15 @@ def check_hermitian_field(M: np.ndarray, tol: float = 1e-12,
                           label: str = "curvature input") -> None:
     """Raise if a matrix (field) is not pointwise Hermitian to relative tol.
 
-    The message names the checked quantity and, for a field of matrices,
-    the grid point of the largest deviation.
+    A non-finite entry fails the check.  The message names the checked
+    quantity and, for a field of matrices, the grid point of the largest
+    deviation.
     """
     dev = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-1, -2))
-    if dev.max() > tol * max(1.0, float(np.abs(M).max())):
+    if not dev.max() <= tol * max(1.0, float(np.abs(M).max())):
         where = ""
         if dev.ndim:
             point = np.unravel_index(int(np.argmax(dev)), dev.shape)
             where = f" at grid point {tuple(int(i) for i in point)}"
-        raise ValueError(f"non-Hermitian {label}{where}")
+        what = "non-Hermitian" if np.isfinite(dev).all() else "non-finite"
+        raise ValueError(f"{what} {label}{where}")

@@ -25,6 +25,7 @@ __all__ = [
     "pointwise_phase",
     "phase_fields",
     "eigenvalue_field",
+    "eta_pair",
     "hypercritical_classify",
 ]
 
@@ -46,12 +47,10 @@ class PhasePointData:
 
 @dataclass(frozen=True, eq=False)
 class PhaseFields:
-    """Pointwise phase data assembled over the grid."""
+    """Pointwise phase data assembled over the grid (eta is left to eta_pair)."""
 
     theta: np.ndarray
     zeta: np.ndarray
-    eta: np.ndarray
-    eta_inv: np.ndarray
     lambda_min: np.ndarray
     lambda_max: np.ndarray
 
@@ -73,7 +72,8 @@ def _lambdas(F: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(W)
 
 
-def _eta_pair(F: np.ndarray, g: np.ndarray, g_inv: np.ndarray):
+def eta_pair(F: np.ndarray, g: np.ndarray, g_inv: np.ndarray):
+    """The metric eta = g + F g^{-1} F and its inverse, pointwise over leading axes."""
     eta = g + F @ g_inv @ F
     return eta, np.linalg.inv(eta)
 
@@ -95,7 +95,7 @@ def pointwise_phase(F, g) -> PhasePointData:
     lam = _lambdas(F, np.linalg.inv(L))
     theta = np.arctan(lam).sum(axis=-1)
     zeta = np.prod(1.0 + 1j * lam, axis=-1)
-    eta, eta_inv = _eta_pair(F, g, np.linalg.inv(g))
+    eta, eta_inv = eta_pair(F, g, np.linalg.inv(g))
     return PhasePointData(lam=lam, theta=theta, zeta=zeta, eta=eta, eta_inv=eta_inv)
 
 
@@ -116,12 +116,9 @@ def phase_fields(geom: TorusGeometry, F: np.ndarray) -> PhaseFields:
     lam = eigenvalue_field(geom, F)
     theta = np.arctan(lam).sum(axis=-1)
     zeta = np.prod(1.0 + 1j * lam, axis=-1)
-    eta, eta_inv = _eta_pair(F, geom.g, geom.g_inv)
     return PhaseFields(
         theta=theta,
         zeta=zeta,
-        eta=eta,
-        eta_inv=eta_inv,
         lambda_min=lam[..., 0],
         lambda_max=lam[..., -1],
     )

@@ -6,11 +6,20 @@ import pytest
 
 import dhym_lab as dl
 from conftest import cos_axis
+from dhym_lab.config_io import modes_field
+from dhym_lab.diagnostics import build_record
 
 
 @pytest.fixture(scope="module")
 def base1(torus1):
     return dl.BaseCurvature.proportional(torus1, 1.0)
+
+
+def psi_base(geom):
+    """F_hat = omega + ddbar psi with psi = 0.1 cos(x_1 + y_n), mixing the axes."""
+    m = [1] + [0] * (2 * geom.n - 2) + [1]
+    psi = modes_field(geom, [{"m": m, "amplitude": 0.1}])
+    return dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
 
 
 class TestTensorNorms:
@@ -96,6 +105,23 @@ class TestQFunctional:
     def test_positivity_validation(self):
         with pytest.raises(ValueError, match="positive"):
             dl.QConfig(K1=-1.0)
+
+
+class TestBuildRecord:
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
+    def test_one_transform_gives_the_separately_built_fields(self, n, N):
+        geom = dl.build_torus(n, N, np.eye(n))
+        base = psi_base(geom)
+        u = dl.bandlimited_noise(geom, 2, 0.05, 3)
+        rec = build_record(geom, base, 0.7, 0.25, u)
+        tn = dl.tensor_norms(geom, u)
+        pf = dl.phase_fields(geom, base.field() + dl.complex_hessian(geom, u))
+        Z = dl.volume_integral(geom, pf.zeta)
+        assert (rec.grad_sq_sup, rec.Theta_sup, rec.ThetaP_sup, rec.Gamma_sup,
+                rec.hess_sup) == (tn.grad_sq_sup, tn.Theta_sup, tn.ThetaP_sup,
+                                  tn.Gamma_sup, tn.hess_sup)
+        assert (rec.Z_re, rec.Z_im) == (Z.real, Z.imag)
+        assert (rec.theta_max, rec.theta_min) == (pf.theta.max(), pf.theta.min())
 
 
 class TestVerifyLinearization:
@@ -186,6 +212,33 @@ class TestEvolutionIdentities:
             traj = _identity_trajectory(geom, base, 1e-3)
             rep = dl.verify_evolution_identity(which, traj, list(traj.samples)[4].t)
             assert rep.residual_rel < 1e-4, which
+
+    def test_shared_bracket_matches_single_identities(self):
+        geom = dl.build_torus(2, 8, np.eye(2))
+        traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
+        t = list(traj.samples)[1].t
+        together = dl.verify_evolution_identities(traj, t)
+        assert [r.identity for r in together] == ["u_sq", "grad_sq", "Theta", "ThetaP"]
+        for rep in together:
+            alone = dl.verify_evolution_identities(traj, t, (rep.identity,))[0]
+            assert rep.to_dict() == alone.to_dict()
+            assert dl.verify_evolution_identity(rep.identity, traj, t) == alone
+
+    def test_unknown_identity_rejected_before_any_transform(self, torus1, base1,
+                                                            monkeypatch):
+        traj = dl.run_fixed(torus1, base1, float(np.arctan(1.0)),
+                            0.05 * cos_axis(torus1, 0), dt=1e-3, n_steps=2,
+                            sample_every=1)
+
+        def no_transform(self, f):
+            raise AssertionError("transform before the names were checked")
+
+        monkeypatch.setattr(dl.TorusGeometry, "fft", no_transform)
+        t = list(traj.samples)[1].t
+        with pytest.raises(ValueError, match="unknown evolution identity 'Gamma'"):
+            dl.verify_evolution_identities(traj, t, ("u_sq", "Gamma"))
+        with pytest.raises(ValueError, match="repeated evolution identity"):
+            dl.verify_evolution_identities(traj, t, ("Theta", "Theta"))
 
     def test_insufficient_sampling(self, torus1, base1):
         traj = dl.run_fixed(torus1, base1, float(np.arctan(1.0)),

@@ -24,6 +24,14 @@ class TestBuildTorus:
         with pytest.raises(ValueError, match="not positive definite"):
             dl.build_torus(2, 8, np.diag([1.0, -2.0]))
 
+    def test_non_hermitian_metric_rejected(self):
+        with pytest.raises(ValueError, match="non-Hermitian metric"):
+            dl.build_torus(2, 8, np.array([[1.0, 0.1j], [0.1j, 1.0]]))
+
+    def test_nan_metric_rejected(self):
+        with pytest.raises(ValueError, match="non-finite metric"):
+            dl.build_torus(2, 8, np.diag([1.0, np.nan]))
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             dl.build_torus(1, 12, [1])
@@ -81,6 +89,16 @@ class TestDerivatives:
         lap = torus1.ifft(-(m**2 + l**2) * uh).real
         hess = dl.complex_hessian(torus1, u)[..., 0, 0].real
         assert np.abs(hess - lap / 4).max() < 1e-12 * (1 + np.abs(lap).max())
+
+
+class TestHermitianCheck:
+    def test_nan_fails_and_names_point(self):
+        from dhym_lab.geometry import check_hermitian_field
+
+        M = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
+        M[2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite curvature input at grid point \(2,\)"):
+            check_hermitian_field(M)
 
 
 class TestComplexHessian:
@@ -229,6 +247,14 @@ class TestWorkerCap:
 
         monkeypatch.setenv("DHYM_THREADS", "2")
         assert _workers() == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_env_var_named(self, monkeypatch, value):
+        from dhym_lab.geometry import _workers
+
+        monkeypatch.setenv("DHYM_THREADS", value)
+        with pytest.raises(ValueError, match="DHYM_THREADS"):
+            _workers()
 
     def test_worker_count_does_not_change_results(self, torus1, torus2, monkeypatch):
         f = dl.bandlimited_noise(torus1, 3, 1.0, 2)

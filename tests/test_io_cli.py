@@ -56,6 +56,19 @@ class TestParseConfig:
         with pytest.raises(dl.ConfigError, match="constant"):
             parse_config_data(doc)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_named(self, value):
+        doc = minimal_config(base_curvature={"constant": [[value]]})
+        with pytest.raises(dl.ConfigError, match=r"base_curvature\.constant\[0\]\[0\]: "
+                                                 "expected a finite number"):
+            parse_config_data(doc)
+
+    def test_sweep_config_invalid_json_at_root(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text('{"dimension": 1,')
+        with pytest.raises(dl.ConfigError, match=r"at \$: invalid JSON"):
+            dl.parse_sweep_config(path)
+
     def test_mode_band_limit(self):
         doc = minimal_config(initial={"type": "modes",
                                       "modes": [{"m": [20, 0], "amplitude": 0.1}]})
@@ -152,6 +165,23 @@ class TestSnapshots:
         assert (values == f).all()
         assert header["dtype"] == "c128le"
 
+    def test_unknown_dtype_rejected(self, tmp_path, torus1):
+        path = tmp_path / "f.snap"
+        dl.write_snapshot(np.zeros(torus1.shape), "u", 0.0, torus1, path)
+        head, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(head.replace(b'"f64le"', b'"f32le"') + b"\n" + payload)
+        with pytest.raises(ValueError, match="f.snap: unknown dtype 'f32le'"):
+            dl.read_snapshot(path)
+
+    def test_truncated_payload_names_byte_counts(self, tmp_path, torus1):
+        path = tmp_path / "f.snap"
+        dl.write_snapshot(np.zeros(torus1.shape), "u", 0.0, torus1, path)
+        path.write_bytes(path.read_bytes()[:-8])
+        need = torus1.num_points * 8
+        with pytest.raises(ValueError, match=f"f.snap: payload has {need - 8} bytes, "
+                                             f"its header needs {need}"):
+            dl.read_snapshot(path)
+
     def test_write_then_write_is_bit_identical(self, tmp_path, torus1):
         f = dl.bandlimited_noise(torus1, 2, 1.0, 9)
         p1, p2 = tmp_path / "a.snap", tmp_path / "b.snap"
@@ -222,6 +252,22 @@ class TestCli:
         out = str(tmp_path / "verify.jsonl")
         assert cli_main(["verify", "--run-dir", str(tmp_path / "run"), "--out", out]) == 0
 
+    def test_run_dir_records_equal_simulate_csv(self, tmp_path):
+        from dhym_lab.cli import _load_run_trajectory
+
+        cfg = self.write_config(tmp_path, minimal_config(
+            base_curvature={"constant": [[1.0]], "potential": {
+                "modes": [{"m": [1, 1], "amplitude": 0.1}]}},
+            initial={"type": "noise", "k_band": 2, "seed": 3, "target_hess_sup": 0.05},
+            time={"t_max": 0.05, "sample_every": 2},
+            outputs={"dir": str(tmp_path / "run"), "snapshots": "all-samples"}))
+        assert cli_main(["simulate", "--config", cfg]) == 2
+        run = tmp_path / "run"
+        rows = (run / "diagnostics.csv").read_text().splitlines()[1:]
+        traj = _load_run_trajectory(run)
+        assert len(rows) >= 3
+        assert [r.csv_row() for r in traj.records] == rows
+
     def test_sweep_cli(self, tmp_path):
         doc = {
             "dimension": 1, "resolution": 32, "metric": [[1.0]],
@@ -281,6 +327,13 @@ class TestCli:
         assert vals[0] == pytest.approx(lam[0])
         assert vals[1] == pytest.approx(lam[1])
         assert vals[2] == pytest.approx(np.arctan(lam).sum())
+
+    def test_phase_table_boolean_entry_rejected(self, tmp_path):
+        inp = tmp_path / "mats.jsonl"
+        inp.write_text("[[1.0]]\n[[true]]\n")
+        out = tmp_path / "t.csv"
+        assert cli_main(["phase-table", "--input", str(inp), "--output", str(out)]) == 1
+        assert not out.exists()
 
     def test_phase_table_size_mismatch_rejected(self, tmp_path):
         inp = tmp_path / "mats.jsonl"
