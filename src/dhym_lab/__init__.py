@@ -44,6 +44,7 @@ from .flow import (
     FlowState,
     LineBundleFlow,
     Trajectory,
+    etdrk4_step,
     rk4_step,
     run_fixed,
     run_flow,

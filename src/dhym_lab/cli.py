@@ -71,9 +71,11 @@ def _cmd_simulate(args) -> int:
         "status": traj.status,
         "t_final": traj.final.t,
         "steps": traj.steps,
+        "steps_rejected": traj.steps_rejected,
         "residual_sup": traj.final.residual_sup,
         "hat_theta": flow_cfg.hat_theta,
         "dt_final": traj.dt_final,
+        "dt_changes": [list(change) for change in traj.dt_changes],
         "Z_initial": [first.Z_re, first.Z_im],
         "Z_final": [last.Z_re, last.Z_im],
         "records": len(traj.records),
@@ -227,6 +229,12 @@ def _cmd_hat_theta(args) -> int:
 
 
 def _matrix_of(rows, where: str) -> np.ndarray:
+    """A square matrix from a JSON list of rows of numbers or [re, im] pairs."""
+    if not isinstance(rows, list) or not rows:
+        raise ConfigError(where, "expected a square matrix as a nonempty list of rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != len(rows):
+            raise ConfigError(f"{where}[{i}]", f"expected a row of {len(rows)} entries")
     return np.array([[complex(*_entry(e, f"{where}[{i}][{j}]")) for j, e in enumerate(row)]
                      for i, row in enumerate(rows)])
 
@@ -239,8 +247,6 @@ def _cmd_phase_table(args) -> int:
             if not line:
                 continue
             M = _matrix_of(json.loads(line), f"{args.input}:{lineno}")
-            if M.shape[0] != M.shape[1]:
-                raise ValueError(f"line {lineno}: matrix is not square")
             if matrices and M.shape != matrices[0].shape:
                 raise ValueError(f"line {lineno}: matrix size differs from the first line")
             matrices.append(M)

@@ -1,17 +1,37 @@
 """Time integration of the line bundle mean curvature flow.
 
 The state is the real potential u on the grid; the velocity is
-theta(F_hat + complex_hessian(u)) - hat_theta.  Stepping is classical
-explicit RK4 with a time step fixed a priori from the diffusion bound of
-the linearization: the eta-Laplacian has coefficients dominated by g^{-1}
-(eta >= g pointwise), so
+theta(F_hat + complex_hessian(u)) - hat_theta.
+
+`run_flow` steps with ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).
+The velocity splits into the linearization L of the flow at the constant
+background F0, whose Fourier symbol is sum_pq (eta0^{-1})_qp mz_p mZ_q with
+eta0 = g + F0 g^{-1} F0 (mz, mZ the d/dz and d/dzbar multipliers), and the
+remainder N(u) = theta(F_hat + complex_hessian(u)) - hat_theta - L u.  L is
+integrated exactly, so the step is not bound by diffusion; without a
+potential psi the scheme is exact for the linearized flow.  The
+phi-function coefficients come from the contour-integral method of Kassam
+& Trefethen (SIAM J. Sci. Comput. 26(4), 2005), rebuilt whenever the step
+size changes.
+
+The sample interval is ds = sample_every * stable_dt(geometry, dt_safety).
+One step is ds, clipped so that it lands on the next sample time k*ds and
+on t_max; records sit at k*ds.  Convergence is checked after every step,
+so the time to tolerance is resolved to the step.  Divergence (a
+non-finite stage or update, or a residual jump no parabolic step can
+produce) halves the step and retries from the last accepted state; the
+step doubles back toward ds after each recorded sample, and more than ten
+consecutive halvings classify the run as a suspected blow-up.  Every change
+of the step size is logged in the trajectory with its time and reason.
+
+`run_fixed` keeps classical explicit RK4 at a fixed step, the oracle the
+ETDRK4 stepper is checked against.  Its stable step comes from the
+diffusion bound of the linearization: the eta-Laplacian has coefficients
+dominated by g^{-1} (eta >= g pointwise), so
 
     dt = sigma / (n * lambda_max(g^{-1}) * (N/2)^2 / 2),  sigma in (0, 1].
 
-Divergence (NaN in a stage, or a residual jump no parabolic step can
-produce) triggers halving of dt and a retry from the last accepted state;
-ten consecutive failures classify the run as a suspected blow-up.  The
-target angle hat_theta is frozen for the whole run.
+The target angle hat_theta is frozen for the whole run.
 """
 
 from __future__ import annotations
@@ -25,7 +45,7 @@ import scipy.fft as sfft
 
 from . import diagnostics
 from .geometry import TorusGeometry, check_hermitian_field, complex_hessian
-from .phase import eigenvalue_field
+from .phase import eigenvalue_field, eta_pair
 
 __all__ = [
     "BaseCurvature",
@@ -37,6 +57,7 @@ __all__ = [
     "FlowDiverged",
     "stable_dt",
     "rk4_step",
+    "etdrk4_step",
     "run_flow",
     "run_fixed",
 ]
@@ -98,13 +119,21 @@ def stable_dt(geom: TorusGeometry, sigma: float) -> float:
     return sigma / (geom.n * lam_max_ginv * (geom.N / 2) ** 2 / 2.0)
 
 
+_CONTOUR_POINTS = 32  # contour points of the ETDRK4 phi-functions
+
+
 class LineBundleFlow:
-    """Right-hand-side evaluator with a fast scalar path for n = 1."""
+    """Right-hand-side evaluator with a fast scalar path for n = 1.
+
+    At n = 1 fields are transformed with rfft2 and the phase is a scalar
+    arctan; otherwise with `TorusGeometry.fft` and batched eigenvalues.
+    """
 
     def __init__(self, geometry: TorusGeometry, base: BaseCurvature, hat_theta: float):
         self.geometry = geometry
         self.base = base
         self.hat_theta = float(hat_theta)
+        self._etd = None  # (h, ETDRK4 coefficients) of the last step size
         if geometry.n == 1:
             N = geometry.N
             m2 = (sfft.fftfreq(N) * N) ** 2
@@ -114,20 +143,82 @@ class LineBundleFlow:
             self._inv_g = float(1.0 / geometry.g[0, 0].real)
         else:
             self._fhat = base.field()
-            self._linv = geometry.chol_inv
 
-    def theta(self, u: np.ndarray) -> np.ndarray:
+    def spectrum(self, f: np.ndarray) -> np.ndarray:
+        """Transform of a real grid field (rfft2 at n = 1, the full FFT otherwise)."""
         if self.geometry.n == 1:
-            lam = self._fhat + sfft.irfft2(self._mult * sfft.rfft2(u), s=u.shape)
+            return sfft.rfft2(f)
+        return self.geometry.fft(np.asarray(f, dtype=np.float64))
+
+    def field(self, fh: np.ndarray) -> np.ndarray:
+        """The real grid field of a spectrum from `spectrum`."""
+        if self.geometry.n == 1:
+            return sfft.irfft2(fh, s=self.geometry.shape)
+        return self.geometry.ifft(fh).real
+
+    def phase(self, uh: np.ndarray) -> np.ndarray:
+        """Phase field theta(F_hat + complex_hessian(u)) from the spectrum of u."""
+        if self.geometry.n == 1:
+            lam = self._fhat + sfft.irfft2(self._mult * uh, s=self.geometry.shape)
             if self._inv_g != 1.0:
                 lam *= self._inv_g
             return np.arctan(lam)
-        F = self._fhat + complex_hessian(self.geometry, u)
+        F = self._fhat + self.geometry.deriv(uh, "zZ")
         lam = eigenvalue_field(self.geometry, F)
         return np.arctan(lam).sum(axis=-1)
 
+    def theta(self, u: np.ndarray) -> np.ndarray:
+        return self.phase(self.spectrum(u))
+
     def rhs(self, u: np.ndarray) -> np.ndarray:
         return self.theta(u) - self.hat_theta
+
+    @cached_property
+    def linear_symbol(self) -> np.ndarray:
+        """Fourier symbol of the flow linearized at the constant background F0.
+
+        Real and nonpositive, on the grid of `spectrum`: the sum over p, q of
+        (eta0^{-1})_qp mz_p mZ_q with eta0 = g + F0 g^{-1} F0.
+        """
+        geom = self.geometry
+        _, eta_inv = eta_pair(self.base.F0, geom.g, geom.g_inv)
+        if geom.n == 1:
+            return eta_inv[0, 0].real * self._mult
+        symbol = np.zeros(geom.shape)
+        for p in range(geom.n):
+            for q in range(geom.n):
+                mult = geom.dz_multiplier(p) * geom.dzbar_multiplier(q)
+                symbol = symbol + (eta_inv[q, p] * mult).real
+        return symbol
+
+    def etd_coefficients(self, h: float) -> tuple:
+        """ETDRK4 coefficients (E, E2, Q, f1, f2, f3) of step h.
+
+        The phi-functions are contour means over _CONTOUR_POINTS points of the
+        upper unit half circle around each h * L (L is real, so the real part
+        of the half-circle mean is the full-circle mean); one point is
+        accumulated at a time.  Only the coefficients of the last h are kept.
+        """
+        if self._etd is not None and self._etd[0] == h:
+            return self._etd[1]
+        self._etd = None  # release the old coefficients before building new ones
+        hL = h * self.linear_symbol
+        acc = [np.zeros_like(hL) for _ in range(4)]
+        for k in range(_CONTOUR_POINTS):
+            z = hL + np.exp(1j * np.pi * (k + 0.5) / _CONTOUR_POINTS)
+            ez, z3 = np.exp(z), z ** 3
+            acc[0] += ((np.exp(z / 2.0) - 1.0) / z).real
+            acc[1] += ((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3).real
+            acc[2] += ((2.0 + z + ez * (z - 2.0)) / z3).real
+            acc[3] += ((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3).real
+        Q, f1, f2, f3 = ((h / _CONTOUR_POINTS) * a for a in acc)
+        coefficients = (np.exp(hL), np.exp(hL / 2.0), Q, f1, f2, f3)
+        self._etd = (h, coefficients)
+        return coefficients
+
+    def remainder(self, uh: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Spectrum of N(u) = theta - hat_theta - L u, from u's spectrum and phase."""
+        return self.spectrum(theta - self.hat_theta) - self.linear_symbol * uh
 
     def initial_state(self, u0: np.ndarray) -> "FlowState":
         u0 = np.asarray(u0, dtype=np.float64)
@@ -172,7 +263,10 @@ class Trajectory:
     samples: deque = field(default_factory=deque)
     status: str = "running"
     steps: int = 0
+    steps_rejected: int = 0
     dt_final: float = 0.0
+    # each change of the step size: (t, h_old, h_new, reason)
+    dt_changes: list = field(default_factory=list)
     final: FlowState | None = None
     # u at the Q base point of the first recorded sample (grid index 0)
     u0_at_p: float | None = field(default=None, init=False)
@@ -196,6 +290,22 @@ class Trajectory:
         ))
 
 
+def _accept(state: FlowState, h: float, u_new: np.ndarray) -> FlowState:
+    """The state after a step to u_new, or FlowDiverged if it is not finite or
+    its phase residual grew more than a parabolic step can produce."""
+    if not np.isfinite(u_new).all():
+        raise FlowDiverged("step diverged: non-finite update")
+    flow = state.flow
+    theta_new = flow.theta(u_new)
+    residual_new = float(np.abs(theta_new - flow.hat_theta).max())
+    if residual_new > 2.0 * state.residual_sup + 1e-12 * (1.0 + abs(flow.hat_theta)):
+        raise FlowDiverged(
+            f"step diverged: residual grew {state.residual_sup:.3e} -> {residual_new:.3e}"
+        )
+    return FlowState(flow=flow, t=state.t + h, u=u_new, theta=theta_new,
+                     residual_sup=residual_new)
+
+
 def rk4_step(state: FlowState, dt: float) -> FlowState:
     """One classical RK4 step; raises FlowDiverged on instability.
 
@@ -215,22 +325,41 @@ def rk4_step(state: FlowState, dt: float) -> FlowState:
             raise FlowDiverged(f"step diverged: non-finite stage {stage_no}")
         stages.append(k)
     k1, k2, k3, k4 = stages
-    u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(u_new).all():
-        raise FlowDiverged("step diverged: non-finite update")
-    theta_new = flow.theta(u_new)
-    residual_new = float(np.abs(theta_new - flow.hat_theta).max())
-    if residual_new > 2.0 * state.residual_sup + 1e-12 * (1.0 + abs(flow.hat_theta)):
-        raise FlowDiverged(
-            f"step diverged: residual grew {state.residual_sup:.3e} -> {residual_new:.3e}"
-        )
-    return FlowState(flow=flow, t=state.t + dt, u=u_new, theta=theta_new,
-                     residual_sup=residual_new)
+    return _accept(state, dt, u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def etdrk4_step(state: FlowState, h: float) -> FlowState:
+    """One ETDRK4 step of size h (Cox & Matthews); raises FlowDiverged on
+    instability, with the same checks as `rk4_step`."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    flow = state.flow
+    E, E2, Q, f1, f2, f3 = flow.etd_coefficients(h)
+
+    def stage(wh, stage_no):
+        theta = flow.phase(wh)
+        if not np.isfinite(theta).all():
+            raise FlowDiverged(f"step diverged: non-finite stage {stage_no}")
+        return flow.remainder(wh, theta)
+
+    v = flow.spectrum(state.u)
+    Nv = flow.remainder(v, state.theta)
+    a = E2 * v + Q * Nv
+    Na = stage(a, 2)
+    b = E2 * v + Q * Na
+    Nb = stage(b, 3)
+    c = E2 * a + Q * (2.0 * Nb - Nv)
+    Nc = stage(c, 4)
+    return _accept(state, h, flow.field(E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc))
 
 
 @dataclass
 class FlowConfig:
-    """Flow run parameters; hat_theta is frozen for the whole run."""
+    """Flow run parameters; hat_theta is frozen for the whole run.
+
+    run_flow records a sample every sample_every * stable_dt(geometry,
+    dt_safety) time units, which is also its ETDRK4 step.
+    """
 
     geometry: TorusGeometry
     base: BaseCurvature
@@ -254,11 +383,11 @@ class FlowConfig:
 
 
 def run_flow(config: FlowConfig) -> Trajectory:
-    """Integrate until the phase residual drops below tolerance.
+    """Integrate with ETDRK4 until the phase residual drops below tolerance.
 
     Status is 'converged' (sup |theta - hat_theta| < residual_tol),
-    'timeout' (t reached t_max) or 'blowup' (ten consecutive step failures);
-    the last accepted state is always reported.
+    'timeout' (t reached t_max) or 'blowup' (more than ten consecutive
+    step failures); the last accepted state is always reported.
     """
     geom = config.geometry
     flow = LineBundleFlow(geom, config.base, config.hat_theta)
@@ -267,7 +396,9 @@ def run_flow(config: FlowConfig) -> Trajectory:
         geometry=geom, base=config.base, hat_theta=config.hat_theta,
         samples=deque(maxlen=config.keep_fields),
     )
-    dt = stable_dt(geom, config.dt_safety)
+    ds = config.sample_every * stable_dt(geom, config.dt_safety)
+    h = ds
+    k = 1  # the next sample time is k * ds
     traj.record(state.t, state.u, state.theta)
     halvings = 0
     while True:
@@ -277,11 +408,18 @@ def run_flow(config: FlowConfig) -> Trajectory:
         if state.t >= config.t_max * (1.0 - 1e-12):
             traj.status = "timeout"
             break
+        target = min(k * ds, config.t_max)
+        gap = target - state.t
+        lands = gap <= h * (1.0 + 1e-9)
+        # a landing step within rounding of h keeps h, so its coefficients are reused
+        step = gap if lands and gap < h * (1.0 - 1e-9) else h
         try:
-            new_state = rk4_step(state, min(dt, config.t_max - state.t))
-        except FlowDiverged:
+            new_state = etdrk4_step(state, step)
+        except FlowDiverged as exc:
             halvings += 1
-            dt *= 0.5
+            traj.steps_rejected += 1
+            traj.dt_changes.append((state.t, h, 0.5 * step, str(exc)))
+            h = 0.5 * step
             if halvings > 10:
                 traj.status = "blowup"
                 break
@@ -289,11 +427,19 @@ def run_flow(config: FlowConfig) -> Trajectory:
         halvings = 0
         state = new_state
         traj.steps += 1
-        if traj.steps % config.sample_every == 0:
+        if not lands:
+            continue
+        state.t = target
+        if target == k * ds:
             traj.record(state.t, state.u, state.theta)
+            k += 1
+            if h < ds:
+                grown = min(2.0 * h, ds)
+                traj.dt_changes.append((state.t, h, grown, "regrowth after a sample"))
+                h = grown
     traj.record(state.t, state.u, state.theta)
     traj.final = state
-    traj.dt_final = dt
+    traj.dt_final = h
     return traj
 
 

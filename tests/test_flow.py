@@ -199,16 +199,65 @@ class TestRunFlow:
     def test_blowup_status_after_persistent_divergence(self, torus1, base1, monkeypatch):
         import dhym_lab.flow as flow_mod
 
-        def always_diverges(state, dt):
+        def always_diverges(state, h):
             raise flow_mod.FlowDiverged("step diverged: forced")
 
-        monkeypatch.setattr(flow_mod, "rk4_step", always_diverges)
+        monkeypatch.setattr(flow_mod, "etdrk4_step", always_diverges)
         u0 = 0.1 * cos_axis(torus1, 0)
         cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
                             hat_theta=float(np.arctan(1.0)), t_max=1.0)
         traj = flow_mod.run_flow(cfg)
         assert traj.status == "blowup"
         assert np.array_equal(traj.final.u, u0)  # last valid state reported
+
+    def test_forced_divergence_logs_halving_then_regrowth(self, torus1, base1, monkeypatch):
+        import dhym_lab.flow as flow_mod
+
+        real_step = flow_mod.etdrk4_step
+        calls = []
+
+        def fails_third_call(state, h):
+            calls.append(h)
+            if len(calls) == 3:
+                raise flow_mod.FlowDiverged("step diverged: forced")
+            return real_step(state, h)
+
+        monkeypatch.setattr(flow_mod, "etdrk4_step", fails_third_call)
+        u0 = 0.1 * cos_axis(torus1, 0)
+        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
+                            hat_theta=float(np.arctan(1.0)), dt_safety=0.5,
+                            t_max=0.25, sample_every=4)
+        traj = flow_mod.run_flow(cfg)
+        ds = 4 * dl.stable_dt(torus1, 0.5)
+        assert traj.status == "timeout"
+        assert traj.steps_rejected == 1
+        assert traj.steps == 17  # sixteen sample intervals, the third in two halves
+        assert traj.dt_changes == [
+            (2 * ds, ds, ds / 2, "step diverged: forced"),
+            (3 * ds, ds / 2, ds, "regrowth after a sample"),
+        ]
+        assert calls[2:5] == [ds, ds / 2, ds / 2]
+        assert [r.t for r in traj.records] == [k * ds for k in range(17)]
+        assert traj.dt_final == ds
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_records_independent_of_thread_count(self, n, tmp_path, monkeypatch):
+        geom = dl.build_torus(n, 32 if n == 1 else 8, np.eye(n))
+        psi = 0.2 * cos_axis(geom, 0)
+        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5][:n]), psi=psi)
+        u0 = dl.bandlimited_noise(geom, 2, 1.0, 5)
+        u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
+        cfg = dl.FlowConfig(geometry=geom, base=base, u0=u0,
+                            hat_theta=dl.winding_hat_theta(geom, base.field()),
+                            t_max=0.5, sample_every=2)
+        outputs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("DHYM_THREADS", threads)
+            traj = dl.run_flow(cfg)
+            path = tmp_path / f"diagnostics-{threads}.csv"
+            dl.write_diagnostics(traj.records, path)
+            outputs.append((path.read_bytes(), traj.final.u.tobytes()))
+        assert outputs[0] == outputs[1]
 
     def test_config_validation(self, torus1, base1):
         with pytest.raises(ValueError, match="dt_safety"):
@@ -223,3 +272,87 @@ class TestRunFlow:
         state = flow.initial_state(0.05 * cos_axis(torus1, 0))
         state = dl.rk4_step(state, 1e-3)
         assert np.abs(state.theta - flow.theta(state.u)).max() == 0.0
+
+
+class TestEtdrk4:
+    """The ETDRK4 stepper of run_flow against fixed-step RK4, the oracle."""
+
+    README_RUN = {
+        "dimension": 1, "resolution": 64, "metric": [[1.0]],
+        "base_curvature": {"constant": [[1.0]], "potential": {
+            "modes": [{"m": [1, 0], "amplitude": 0.2, "phase": 0.0}]}},
+        "initial": {"type": "noise", "k_band": 2, "seed": 7, "target_hess_sup": 0.05},
+        "time": {"t_max": 1.0, "dt_safety": 0.5, "residual_tol": 1e-10, "sample_every": 100},
+    }
+    N2_RUN = {
+        "dimension": 2, "resolution": 8, "metric": [[1.0, 0.0], [0.0, 1.0]],
+        "base_curvature": {"constant": [[1.0, 0.0], [0.0, 0.5]], "potential": {"modes": [
+            {"m": [1, 0, 0, 0], "amplitude": 0.2},
+            {"m": [0, 1, 1, 0], "amplitude": 0.1, "phase": 0.3}]}},
+        "initial": {"type": "noise", "k_band": 2, "seed": 7, "target_hess_sup": 0.05},
+        "time": {"t_max": 0.5, "dt_safety": 0.5, "residual_tol": 1e-10, "sample_every": 2},
+    }
+
+    @pytest.mark.parametrize("doc", [README_RUN, N2_RUN], ids=["n1-readme", "n2-N8"])
+    def test_samples_match_fine_rk4(self, doc):
+        from dhym_lab.config_io import parse_config_data
+
+        cfg = parse_config_data(doc).flow_config()
+        traj = dl.run_flow(cfg)
+        refine = 2  # RK4 at half the stable step, sampled at the same times
+        dt = dl.stable_dt(cfg.geometry, cfg.dt_safety) / refine
+        ref = dl.run_fixed(cfg.geometry, cfg.base, cfg.hat_theta, cfg.u0, dt=dt,
+                           n_steps=int(round(cfg.t_max / dt)),
+                           sample_every=cfg.sample_every * refine)
+        etd, rk4 = list(traj.samples), list(ref.samples)
+        assert traj.status == "timeout"
+        assert len(etd) == len(rk4) >= 9
+        for a, b in zip(etd, rk4):
+            assert a.t == pytest.approx(b.t, rel=1e-12)
+            d = a.u - b.u
+            assert np.abs(d - d.mean()).max() <= 1e-9
+
+    def test_fourth_order_with_remainder(self):
+        geom = dl.build_torus(1, 16, [1.0])
+        base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=0.2 * cos_axis(geom, 0))
+        hat = dl.winding_hat_theta(geom, base.field())
+        flow = dl.LineBundleFlow(geom, base, hat)
+        zero = np.zeros(geom.shape)
+        # the psi background leaves a remainder the linear part does not absorb
+        assert np.abs(flow.remainder(flow.spectrum(zero), flow.theta(zero))).max() > 1e-3
+        u0 = dl.bandlimited_noise(geom, 2, 1.0, 9)
+        u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
+        T = 2.0
+
+        def final(h):
+            state = flow.initial_state(u0)
+            for _ in range(int(round(T / h))):
+                state = dl.etdrk4_step(state, h)
+            return state.u
+
+        ref = final(T / 64)
+        e1 = np.abs(final(0.5) - ref).max()
+        e2 = np.abs(final(0.25) - ref).max()
+        assert 12.0 <= e1 / e2 <= 20.0
+
+    def test_records_at_sample_times_as_many_as_rk4(self, torus1, base1):
+        u0 = dl.bandlimited_noise(torus1, 2, 1.0, 3)
+        u0 *= 0.05 / dl.tensor_norms(torus1, u0).hess_sup
+        dt = dl.stable_dt(torus1, 0.5)
+        t_max = 131 * dt  # 16 sample intervals of 8 steps, then 3 steps to t_max
+        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
+                            hat_theta=float(np.arctan(1.0)), dt_safety=0.5,
+                            t_max=t_max, sample_every=8)
+        traj = dl.run_flow(cfg)
+        rk4 = dl.run_fixed(torus1, base1, cfg.hat_theta, u0, dt=dt, n_steps=131,
+                           sample_every=8)
+        ds = 8 * dt
+        assert traj.status == "timeout"
+        assert len(traj.records) == len(rk4.records) == 18
+        assert [r.t for r in traj.records] == [k * ds for k in range(17)] + [t_max]
+        assert traj.steps == 17
+
+    def test_step_refused_when_nonpositive(self, torus1, base1):
+        state = dl.LineBundleFlow(torus1, base1, 0.0).initial_state(np.zeros(torus1.shape))
+        with pytest.raises(ValueError):
+            dl.etdrk4_step(state, 0.0)

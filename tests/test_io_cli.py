@@ -207,6 +207,8 @@ class TestCli:
             assert (run / name).exists(), name
         report = json.loads((run / "report.json").read_text())
         assert report["status"] == "converged"
+        assert report["steps_rejected"] == 0
+        assert report["dt_changes"] == []
 
     def test_simulate_timeout_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, minimal_config(
@@ -333,6 +335,21 @@ class TestCli:
         inp.write_text("[[1.0]]\n[[true]]\n")
         out = tmp_path / "t.csv"
         assert cli_main(["phase-table", "--input", str(inp), "--output", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["input", "metric"])
+    @pytest.mark.parametrize("text", ["3", "[1.0]"])
+    def test_phase_table_non_matrix_rejected(self, tmp_path, capsys, where, text):
+        inp = tmp_path / "mats.jsonl"
+        inp.write_text(text + "\n" if where == "input" else "[[1.0]]\n")
+        metric = tmp_path / "g.json"
+        metric.write_text(text if where == "metric" else "[[1.0]]")
+        out = tmp_path / "t.csv"
+        assert cli_main(["phase-table", "--input", str(inp), "--output", str(out),
+                         "--metric", str(metric)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(inp if where == "input" else metric) in err
         assert not out.exists()
 
     def test_phase_table_size_mismatch_rejected(self, tmp_path):
