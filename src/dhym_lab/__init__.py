@@ -68,7 +68,7 @@ from .harness import (
 from .phase import (
     PhaseFields,
     PhasePointData,
-    eigenvalue_field,
+    characteristic_field,
     hypercritical_classify,
     phase_fields,
     pointwise_phase,

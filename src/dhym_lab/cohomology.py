@@ -5,10 +5,18 @@ curvature: adding a complex Hessian to F leaves Z unchanged (up to
 discretization error far below the working tolerances).  The lifted angle
 hat_theta is the continuous argument of the curve
 
-    t |-> integral of prod_j (t + i lambda_j(x)) over the torus,
+    t |-> integral of prod_j (t + i lambda_j(x)) = vol * sum_k i^k <e_k> t^(n-k),
 
-tracked from t_start down to t = 1, where it coincides with an argument of
+with <e_k> the grid means of the characteristic coefficients of the
+curvature (`phase.characteristic_field`, no eigenvalues).  It is tracked
+from t_start down to t = 1, where it coincides with an argument of
 Z.  The lift fixes the 2*pi branch that a principal argument cannot.
+
+The unwrap is anchored at the principal argument at t_start.  With
+Lambda = max_x sqrt(e_1^2 - 2 e_2) >= max |lambda_j|, every point's argument
+for t >= t_start lies within n arctan(Lambda / t_start) < pi/2 of zero, and
+so does the mean's: the anchor is the lift.  The default start is
+max(1e4, 4 n Lambda); an explicit t_start that breaks the bound raises.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TorusGeometry, volume_integral
-from .phase import eigenvalue_field
+from .phase import characteristic_field, phase_fields
 
 __all__ = [
     "CohomologyInvariants",
@@ -38,39 +46,17 @@ class CohomologyInvariants:
 
 def compute_Z(geom: TorusGeometry, F: np.ndarray) -> complex:
     """Z = integral of zeta(F) against the volume form."""
-    lam = eigenvalue_field(geom, F)
-    zeta = np.prod(1.0 + 1j * lam, axis=-1)
-    return complex(volume_integral(geom, zeta))
+    return complex(volume_integral(geom, phase_fields(geom, F).zeta))
 
 
-def _mean_symmetric(geom: TorusGeometry, lam: np.ndarray) -> np.ndarray:
-    """Grid means of the elementary symmetric polynomials e_0..e_n of lambda."""
-    n = geom.n
-    axes = tuple(range(lam.ndim - 1))
-    if n == 1:
-        e = [np.ones(lam.shape[:-1]), lam[..., 0]]
-    elif n == 2:
-        e = [
-            np.ones(lam.shape[:-1]),
-            lam[..., 0] + lam[..., 1],
-            lam[..., 0] * lam[..., 1],
-        ]
-    else:
-        l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
-        e = [
-            np.ones(lam.shape[:-1]),
-            l0 + l1 + l2,
-            l0 * l1 + l0 * l2 + l1 * l2,
-            l0 * l1 * l2,
-        ]
-    return np.array([ek.mean(axis=axes) if axes else ek for ek in e])
-
-
-def _winding(geom: TorusGeometry, lam: np.ndarray, t_start: float, n_steps: int):
-    # Z(t) = vol * sum_k i^k <e_k(lambda)> t^(n-k): the whole sweep costs
-    # one pass over the grid for the coefficients.
-    n = geom.n
-    coeff = _mean_symmetric(geom, lam) * (1j ** np.arange(n + 1)) * geom.vol
+def _winding(geom: TorusGeometry, F: np.ndarray, t_start: float | None, n_steps: int):
+    n, e = geom.n, characteristic_field(geom, F)
+    coeff = np.array([e[0]] + [geom.mean(ek) for ek in e[1:]]) * (1j ** np.arange(n + 1)) * geom.vol
+    # sum_j lambda_j^2 = e_1^2 - 2 e_2 bounds every |lambda_j|
+    sum_sq = e[1] ** 2 - 2.0 * (e[2] if n > 1 else 0.0)
+    lam_bound = float(np.sqrt(np.maximum(sum_sq, 0.0)).max())
+    if t_start is None:
+        t_start = max(1e4, 4.0 * n * lam_bound)
     ts = np.geomspace(t_start, 1.0, n_steps)
     powers = ts[:, None] ** (n - np.arange(n + 1))[None, :]
     Zs = powers @ coeff
@@ -82,9 +68,9 @@ def _winding(geom: TorusGeometry, lam: np.ndarray, t_start: float, n_steps: int)
     jumps = np.minimum(jumps, 2 * np.pi - jumps)  # wrapped increment size
     if jumps.size and jumps.max() > np.pi / 2:
         raise RuntimeError("winding under-resolved, increase n_steps")
-    # Unwrap anchored at the principal argument at t_start; for t_start large
-    # the true lift is already inside (-pi, pi), so no start offset remains
-    # (arg Z(t_start) ~ n * lambda_max / t_start).
+    if n * np.arctan(lam_bound / t_start) >= np.pi / 2:
+        raise RuntimeError(f"winding start t_start={t_start:g} too small for max|lambda| "
+                           f"<= {lam_bound:.6g}; use t_start >= {4.0 * n * lam_bound:.6g}")
     lifted = np.unwrap(args)
     return ts, Zs, float(lifted[-1])
 
@@ -92,27 +78,26 @@ def _winding(geom: TorusGeometry, lam: np.ndarray, t_start: float, n_steps: int)
 def winding_hat_theta(
     geom: TorusGeometry,
     F: np.ndarray,
-    t_start: float = 1e4,
+    t_start: float | None = None,
     n_steps: int = 4096,
 ) -> float:
     """Lifted angle of Z obtained by tracking the winding from t_start to 1.
 
-    For F = c*omega this returns n*arctan(c) exactly (up to rounding).
+    t_start defaults to max(1e4, 4 n max|lambda|).  For F = c*omega this
+    returns n*arctan(c) exactly (up to rounding).
     """
-    lam = eigenvalue_field(geom, F)
-    _, _, lift = _winding(geom, lam, t_start, n_steps)
+    _, _, lift = _winding(geom, F, t_start, n_steps)
     return lift
 
 
 def cohomology_invariants(
     geom: TorusGeometry,
     F: np.ndarray,
-    t_start: float = 1e4,
+    t_start: float | None = None,
     n_steps: int = 4096,
 ) -> CohomologyInvariants:
     """Z, lifted hat_theta, volume, and the sampled winding path."""
-    lam = eigenvalue_field(geom, F)
-    ts, Zs, lift = _winding(geom, lam, t_start, n_steps)
+    ts, Zs, lift = _winding(geom, F, t_start, n_steps)
     return CohomologyInvariants(
         Z=complex(Zs[-1]),
         hat_theta=lift,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import CSV_COLUMNS
 from .flow import BaseCurvature, FlowConfig
-from .geometry import TorusGeometry, bandlimited_noise, build_torus
+from .geometry import TorusGeometry, bandlimited_noise, build_torus, check_hermitian_field
 
 __all__ = [
     "ConfigError",
@@ -96,9 +96,10 @@ def _matrix(obj, n: int, path: str, hermitian_name: str) -> list:
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"{path}[{i}]", f"expected {n} entries")
         rows.append([_entry(row[j], f"{path}[{i}][{j}]") for j in range(n)])
-    M = _as_complex(rows)
-    if np.abs(M - M.conj().T).max() > 1e-12 * max(1.0, np.abs(M).max()):
-        raise ConfigError(path, f"{hermitian_name} matrix is not Hermitian")
+    try:
+        check_hermitian_field(_as_complex(rows))
+    except ValueError:
+        raise ConfigError(path, f"{hermitian_name} matrix is not Hermitian") from None
     return rows
 
 

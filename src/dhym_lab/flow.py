@@ -45,7 +45,7 @@ import scipy.fft as sfft
 
 from . import diagnostics
 from .geometry import TorusGeometry, check_hermitian_field, complex_hessian
-from .phase import eigenvalue_field, eta_pair
+from .phase import eta_pair, phase_fields
 
 __all__ = [
     "BaseCurvature",
@@ -126,7 +126,7 @@ class LineBundleFlow:
     """Right-hand-side evaluator with a fast scalar path for n = 1.
 
     At n = 1 fields are transformed with rfft2 and the phase is a scalar
-    arctan; otherwise with `TorusGeometry.fft` and batched eigenvalues.
+    arctan; otherwise with `TorusGeometry.fft` and `phase_fields`.
     """
 
     def __init__(self, geometry: TorusGeometry, base: BaseCurvature, hat_theta: float):
@@ -163,9 +163,7 @@ class LineBundleFlow:
             if self._inv_g != 1.0:
                 lam *= self._inv_g
             return np.arctan(lam)
-        F = self._fhat + self.geometry.deriv(uh, "zZ")
-        lam = eigenvalue_field(self.geometry, F)
-        return np.arctan(lam).sum(axis=-1)
+        return phase_fields(self.geometry, self._fhat + self.geometry.deriv(uh, "zZ")).theta
 
     def theta(self, u: np.ndarray) -> np.ndarray:
         return self.phase(self.spectrum(u))
@@ -226,20 +224,22 @@ class LineBundleFlow:
             raise ValueError("initial potential shape does not match the grid")
         if not np.isfinite(u0).all():
             raise ValueError("initial potential contains non-finite entries")
-        theta = self.theta(u0)
+        uh = self.spectrum(u0)
+        theta = self.phase(uh)
         return FlowState(
-            flow=self, t=0.0, u=u0, theta=theta,
+            flow=self, t=0.0, u=u0, uh=uh, theta=theta,
             residual_sup=float(np.abs(theta - self.hat_theta).max()),
         )
 
 
 @dataclass(eq=False)
 class FlowState:
-    """One accepted point of the flow with its cached phase field."""
+    """One accepted point of the flow: u, its spectrum uh and the phase from uh."""
 
     flow: LineBundleFlow = field(repr=False)
     t: float = 0.0
     u: np.ndarray = field(default=None, repr=False)
+    uh: np.ndarray = field(default=None, repr=False)
     theta: np.ndarray = field(default=None, repr=False)
     residual_sup: float = 0.0
 
@@ -249,7 +249,6 @@ class FlowSample:
     t: float
     u: np.ndarray
     udot: np.ndarray
-    theta: np.ndarray
 
 
 @dataclass
@@ -281,9 +280,7 @@ class Trajectory:
             return
         if self.u0_at_p is None:
             self.u0_at_p = float(u[(0,) * (2 * self.geometry.n)])
-        self.samples.append(FlowSample(
-            t=t, u=u.copy(), udot=theta - self.hat_theta, theta=theta.copy(),
-        ))
+        self.samples.append(FlowSample(t=t, u=u.copy(), udot=theta - self.hat_theta))
         self.records.append(diagnostics.build_record(
             self.geometry, self.base, self.hat_theta, t, u,
             theta=theta, u0_at_p=self.u0_at_p,
@@ -296,13 +293,14 @@ def _accept(state: FlowState, h: float, u_new: np.ndarray) -> FlowState:
     if not np.isfinite(u_new).all():
         raise FlowDiverged("step diverged: non-finite update")
     flow = state.flow
-    theta_new = flow.theta(u_new)
+    uh_new = flow.spectrum(u_new)
+    theta_new = flow.phase(uh_new)
     residual_new = float(np.abs(theta_new - flow.hat_theta).max())
     if residual_new > 2.0 * state.residual_sup + 1e-12 * (1.0 + abs(flow.hat_theta)):
         raise FlowDiverged(
             f"step diverged: residual grew {state.residual_sup:.3e} -> {residual_new:.3e}"
         )
-    return FlowState(flow=flow, t=state.t + h, u=u_new, theta=theta_new,
+    return FlowState(flow=flow, t=state.t + h, u=u_new, uh=uh_new, theta=theta_new,
                      residual_sup=residual_new)
 
 
@@ -342,7 +340,7 @@ def etdrk4_step(state: FlowState, h: float) -> FlowState:
             raise FlowDiverged(f"step diverged: non-finite stage {stage_no}")
         return flow.remainder(wh, theta)
 
-    v = flow.spectrum(state.u)
+    v = state.uh
     Nv = flow.remainder(v, state.theta)
     a = E2 * v + Q * Nv
     Na = stage(a, 2)

@@ -67,8 +67,6 @@ class TorusGeometry:
     g_inv : inverse of g
     det_g : determinant of g (real, positive)
     vol : total volume det(g) * (2*pi)^(2n)
-    chol : lower Cholesky factor L of g (g = L L^H)
-    chol_inv : L^{-1}, used to reduce the generalized eigenproblem
     """
 
     n: int
@@ -77,8 +75,6 @@ class TorusGeometry:
     g_inv: np.ndarray = field(repr=False)
     det_g: float
     vol: float
-    chol: np.ndarray = field(repr=False)
-    chol_inv: np.ndarray = field(repr=False)
 
     @property
     def shape(self) -> tuple:
@@ -215,7 +211,6 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
         raise ValueError("metric not positive definite")
     det_g = float(np.linalg.det(g).real)
     vol = det_g * (2.0 * np.pi) ** (2 * n)
-    chol = np.linalg.cholesky(g)
     return TorusGeometry(
         n=n,
         N=N,
@@ -223,8 +218,6 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
         g_inv=np.linalg.inv(g),
         det_g=det_g,
         vol=vol,
-        chol=chol,
-        chol_inv=np.linalg.inv(chol),
     )
 
 

@@ -6,6 +6,12 @@ F v = lambda g v, the phase theta = sum_j arctan(lambda_j), the complex
 volume ratio zeta = prod_j (1 + i lambda_j), and the Hermitian metric
 eta = g + F g^{-1} F whose inverse drives the flow's linearization.
 
+On the grid no eigenvalue is computed: zeta = sum_k i^k e_k with e_k the
+elementary symmetric functions of the lambda_j (`characteristic_field`).
+For n <= 3, theta lies in (-3 pi/2, 3 pi/2) and Re zeta < 0 forces
+sign(theta) = sign(e_1), so theta = arctan(Im zeta / Re zeta) +
+pi sign(e_1) [Re zeta < 0].  `pointwise_phase` keeps `eigvalsh` as the oracle.
+
 Everything here is a pure function of its inputs and safe to call from any
 number of workers.  All operations broadcast over leading batch axes, so a
 whole grid (or a random ensemble) is processed in one call.
@@ -14,6 +20,8 @@ whole grid (or a random ensemble) is processed in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 
@@ -24,7 +32,7 @@ __all__ = [
     "PhaseFields",
     "pointwise_phase",
     "phase_fields",
-    "eigenvalue_field",
+    "characteristic_field",
     "eta_pair",
     "hypercritical_classify",
 ]
@@ -47,12 +55,23 @@ class PhasePointData:
 
 @dataclass(frozen=True, eq=False)
 class PhaseFields:
-    """Pointwise phase data assembled over the grid (eta is left to eta_pair)."""
+    """Grid phase data from e_0..e_n; zeta and theta are built when first read."""
 
-    theta: np.ndarray
-    zeta: np.ndarray
-    lambda_min: np.ndarray
-    lambda_max: np.ndarray
+    e: list
+
+    @cached_property
+    def zeta(self) -> np.ndarray:
+        # zeta = sum_k i^k e_k, and i^k runs through 1, i, -1, -i
+        e, sign = self.e, (1.0, 1.0, -1.0, -1.0)
+        return (sum((sign[k % 4] * e[k] for k in range(2, len(e), 2)), e[0])
+                + 1j * sum((sign[k % 4] * e[k] for k in range(3, len(e), 2)), e[1]))
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            theta = np.arctan(self.zeta.imag / self.zeta.real)
+        np.add(theta, np.copysign(np.pi, self.e[1]), out=theta, where=self.zeta.real < 0)
+        return theta
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -62,14 +81,6 @@ def _as_matrix(a, name: str) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square matrices, got shape {a.shape}")
     return a
-
-def _lambdas(F: np.ndarray, chol_inv: np.ndarray) -> np.ndarray:
-    """Generalized eigenvalues of (F, g) via the Cholesky reduction g = L L^H."""
-    if F.shape[-1] == 1:
-        lam = (F[..., 0, 0].real) * (chol_inv[..., 0, 0].real ** 2)
-        return lam[..., np.newaxis]
-    W = chol_inv @ F @ np.conj(np.swapaxes(chol_inv, -1, -2))
-    return np.linalg.eigvalsh(W)
 
 
 def eta_pair(F: np.ndarray, g: np.ndarray, g_inv: np.ndarray):
@@ -88,40 +99,51 @@ def pointwise_phase(F, g) -> PhasePointData:
     g = _as_matrix(g, "metric")
     check_hermitian_field(F)
     check_hermitian_field(g, label="metric")
-    eigs_g = np.linalg.eigvalsh(g)
-    if eigs_g.min() <= 0.0:
+    if np.linalg.eigvalsh(g).min() <= 0.0:
         raise ValueError("metric not positive definite")
-    L = np.linalg.cholesky(g)
-    lam = _lambdas(F, np.linalg.inv(L))
+    L_inv = np.linalg.inv(np.linalg.cholesky(g))
+    lam = np.linalg.eigvalsh(L_inv @ F @ np.conj(np.swapaxes(L_inv, -1, -2)))
     theta = np.arctan(lam).sum(axis=-1)
     zeta = np.prod(1.0 + 1j * lam, axis=-1)
     eta, eta_inv = eta_pair(F, g, np.linalg.inv(g))
     return PhasePointData(lam=lam, theta=theta, zeta=zeta, eta=eta, eta_inv=eta_inv)
 
 
-def eigenvalue_field(geom: TorusGeometry, F: np.ndarray) -> np.ndarray:
-    """Eigenvalue field (ascending) of a Hermitian curvature field against g."""
-    return _lambdas(F, geom.chol_inv)
+def characteristic_field(geom: TorusGeometry, F: np.ndarray) -> list:
+    """Elementary symmetric functions [e_0, ..., e_n] of the eigenvalues of (F, g).
+
+    e_0 is the scalar 1.0, e_k for k >= 1 a real grid field.  They come
+    from the power sums p_k = tr(A^k) of A = g^{-1} F by Newton's
+    identities k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i.
+    """
+    idx = range(geom.n)
+
+    def product(X, Y):
+        return [[reduce(add, (X[i][q] * Y[q][j] for q in idx)) for j in idx] for i in idx]
+
+    # A is an n x n table of grid fields, so each product streams over whole
+    # fields instead of looping over tiny matrices
+    A = product(geom.g_inv, [[F[..., q, j] for j in idx] for q in idx])
+    Ak, p = A, [reduce(add, (A[i][i] for i in idx)).real]
+    for k in idx[1:]:
+        # p_(k+1) = tr(A^k A) takes the diagonal only; A^(k+1) only if a later p needs it
+        p.append(reduce(add, (Ak[i][q] * A[q][i] for i in idx for q in idx)).real)
+        Ak = product(Ak, A) if k + 1 < geom.n else None
+    e = [1.0, p[0]]
+    for k in range(2, geom.n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
+    return e
 
 
 def phase_fields(geom: TorusGeometry, F: np.ndarray) -> PhaseFields:
     """Apply the pointwise phase construction over the whole grid.
 
-    F has shape grid + (n, n) and must be Hermitian at every point; the
-    metric is the geometry's constant g, so the Cholesky factor is reused
-    across points.
+    F has shape grid + (n, n) and must be Hermitian at every point; zeta
+    and theta come from `characteristic_field` (see the module docstring).
     """
     F = np.asarray(F, dtype=np.complex128)
     check_hermitian_field(F)
-    lam = eigenvalue_field(geom, F)
-    theta = np.arctan(lam).sum(axis=-1)
-    zeta = np.prod(1.0 + 1j * lam, axis=-1)
-    return PhaseFields(
-        theta=theta,
-        zeta=zeta,
-        lambda_min=lam[..., 0],
-        lambda_max=lam[..., -1],
-    )
+    return PhaseFields(characteristic_field(geom, F))
 
 
 def hypercritical_classify(theta, n: int) -> str:

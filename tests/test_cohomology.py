@@ -77,8 +77,8 @@ class TestWinding:
         g2 = dl.build_torus(1, 32, [s])
         psi = 0.2 * cos_axis(g1, 0)
         F = proportional_field(g1, 1.0) + dl.complex_hessian(g1, psi)
-        lam1 = dl.eigenvalue_field(g1, F)
-        lam2 = dl.eigenvalue_field(g2, F)
+        lam1 = dl.pointwise_phase(F, g1.g).lam
+        lam2 = dl.pointwise_phase(F, g2.g).lam
         assert np.abs(lam2 - lam1 / s).max() < 1e-12
         lift1 = dl.winding_hat_theta(g1, F)
         lift2 = dl.winding_hat_theta(g2, F)
@@ -86,6 +86,20 @@ class TestWinding:
         expect = np.angle((1 + 1j * lam2[..., 0]).mean())
         assert lift2 == pytest.approx(expect, abs=1e-9)
         assert lift2 < lift1
+
+    def test_large_curvature_keeps_branch_n3(self):
+        # F = 1e5 omega at n = 3: arg Z(1e4) = 3 arctan(10) is already past pi,
+        # so a start fixed at t = 1e4 unwraps onto the branch 2 pi below
+        geom = dl.build_torus(3, 8, np.eye(3))
+        F = proportional_field(geom, 1e5)
+        assert dl.winding_hat_theta(geom, F) == pytest.approx(3 * np.arctan(1e5), abs=1e-9)
+        inv = dl.cohomology_invariants(geom, F, n_steps=64)
+        assert inv.winding_samples[0][0] == pytest.approx(4 * 3 * np.sqrt(3) * 1e5)
+
+    def test_explicit_start_below_branch_bound_raises(self):
+        geom = dl.build_torus(3, 8, np.eye(3))
+        with pytest.raises(RuntimeError, match="t_start=10000 too small"):
+            dl.winding_hat_theta(geom, proportional_field(geom, 1e5), t_start=1e4)
 
     def test_path_crossing_zero_raises(self):
         # eigenvalue pattern lambda = (s(x), s(x)) with mean-zero s gives the

@@ -349,8 +349,7 @@ class TestHarnackMonitor:
         k = len(samples) // 2
         bad_udot = samples[k].udot.copy()
         bad_udot[0, 0] = samples[0].udot.max() + 1.0  # breaks positivity of xi
-        samples[k] = dl.FlowSample(t=samples[k].t, u=samples[k].u,
-                                   udot=bad_udot, theta=samples[k].theta)
+        samples[k] = dl.FlowSample(t=samples[k].t, u=samples[k].u, udot=bad_udot)
         fake = SimpleNamespace(samples=samples, records=small_flow_run.records,
                                hat_theta=small_flow_run.hat_theta)
         rep = dl.harnack_monitor(fake, m=1)

@@ -48,12 +48,12 @@ class TestFlowRhs:
         assert np.abs(rhs + np.pi).max() < 1e-14
 
     def test_matches_general_path(self, torus2):
-        # the n>1 eigenvalue route and an explicit arctan-sum agree
+        # the n>1 route and the eigenvalue arctan-sum of the oracle agree
         base = dl.BaseCurvature.proportional(torus2, 0.5)
         u = dl.bandlimited_noise(torus2, 2, 0.3, 5)
         rhs = dl.LineBundleFlow(torus2, base, 0.0).rhs(u)
         F = base.field() + dl.complex_hessian(torus2, u)
-        lam = dl.eigenvalue_field(torus2, F)
+        lam = dl.pointwise_phase(F, torus2.g).lam
         assert np.abs(rhs - np.arctan(lam).sum(-1)).max() < 1e-13
 
 
@@ -266,6 +266,23 @@ class TestRunFlow:
         with pytest.raises(ValueError, match="t_max"):
             dl.FlowConfig(geometry=torus1, base=base1, u0=np.zeros(torus1.shape),
                           hat_theta=0.0, t_max=-1.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_step_starts_from_the_state_spectrum(self, n, monkeypatch):
+        # the state carries the spectrum its phase came from; the ETDRK4 step
+        # starts from it instead of transforming u again
+        geom = dl.build_torus(n, 16 if n == 1 else 8, np.eye(n))
+        base = dl.BaseCurvature.proportional(geom, 1.0)
+        flow = dl.LineBundleFlow(geom, base, n * float(np.arctan(1.0)))
+        state = flow.initial_state(dl.bandlimited_noise(geom, 2, 0.01, 3))
+        seen = []
+        spectrum = flow.spectrum
+        monkeypatch.setattr(flow, "spectrum", lambda f: seen.append(f) or spectrum(f))
+        new = dl.etdrk4_step(state, 0.05)
+        assert not any(f is state.u for f in seen)
+        for s in (state, new):
+            assert s.uh.tobytes() == spectrum(s.u).tobytes()
+            assert s.theta.tobytes() == flow.phase(s.uh).tobytes()
 
     def test_phase_cache_matches_state(self, torus1, base1):
         flow = dl.LineBundleFlow(torus1, base1, float(np.arctan(1.0)))

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -34,6 +35,21 @@ class TestParseConfig:
                              base_curvature={"constant": [[1.0, 0.0], [0.0, 1.0]]})
         with pytest.raises(dl.ConfigError, match="metric"):
             parse_config_data(doc)
+
+    @pytest.mark.parametrize("key,name", [("metric", "metric"),
+                                          ("base_curvature.constant", "constant curvature")])
+    def test_non_hermitian_matrix_message(self, key, name):
+        bad = [[1.0, [0.0, 0.5]], [[0.0, 0.4], 1.0]]
+        doc = minimal_config(dimension=2, metric=[[1.0, 0.0], [0.0, 1.0]],
+                             base_curvature={"constant": [[1.0, 0.0], [0.0, 1.0]]})
+        if key == "metric":
+            doc["metric"] = bad
+        else:
+            doc["base_curvature"]["constant"] = bad
+        with pytest.raises(dl.ConfigError) as info:
+            parse_config_data(doc)
+        assert info.value.path == f"$.{key}"
+        assert str(info.value) == f"config error at $.{key}: {name} matrix is not Hermitian"
 
     def test_non_pd_metric(self):
         with pytest.raises(dl.ConfigError, match="metric not positive definite"):
@@ -253,6 +269,32 @@ class TestCli:
         assert cli_main(["simulate", "--config", cfg]) == 2  # tiny horizon: timeout
         out = str(tmp_path / "verify.jsonl")
         assert cli_main(["verify", "--run-dir", str(tmp_path / "run"), "--out", out]) == 0
+
+    def test_outputs_independent_of_thread_count(self, tmp_path, monkeypatch):
+        # the simulate run directory and both verify reports, byte for byte
+        run_cfg = self.write_config(tmp_path, minimal_config(
+            base_curvature={"constant": [[1.0]], "potential": {
+                "modes": [{"m": [1, 0], "amplitude": 0.2}]}},
+            initial={"type": "noise", "k_band": 2, "seed": 3, "target_hess_sup": 0.05},
+            time={"t_max": 0.05, "sample_every": 2},
+            outputs={"dir": str(tmp_path / "run"), "snapshots": "all-samples"}), "run.json")
+        n2_cfg = self.write_config(tmp_path, minimal_config(
+            dimension=2, resolution=8, metric=[[1.0, 0.0], [0.0, 1.0]],
+            base_curvature={"constant": [[1.0, 0.0], [0.0, 0.5]], "potential": {
+                "modes": [{"m": [1, 0, 0, 0], "amplitude": 0.2}]}},
+            initial={"type": "noise", "k_band": 2, "seed": 4, "target_hess_sup": 0.05}), "n2.json")
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DHYM_THREADS", threads)
+            run = tmp_path / "run"
+            shutil.rmtree(run, ignore_errors=True)
+            assert cli_main(["simulate", "--config", run_cfg]) == 2
+            assert cli_main(["verify", "--run-dir", str(run), "--out", str(tmp_path / "v1")]) == 0
+            assert cli_main(["verify", "--config", n2_cfg, "--out", str(tmp_path / "v2")]) == 0
+            files = {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+            outputs.append((files, (tmp_path / "v1").read_bytes(), (tmp_path / "v2").read_bytes()))
+        assert len(outputs[0][0]) >= 5
+        assert outputs[0] == outputs[1]
 
     def test_run_dir_records_equal_simulate_csv(self, tmp_path):
         from dhym_lab.cli import _load_run_trajectory

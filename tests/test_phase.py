@@ -144,11 +144,42 @@ class TestPhaseFields:
             lam = scipy.linalg.eigh(flatF[k], geom.g, eigvals_only=True)
             assert np.arctan(lam).sum() == pytest.approx(flat_theta[k], abs=1e-12)
 
-    def test_eigenvalue_ordering(self, torus2):
-        u = dl.bandlimited_noise(torus2, 3, 1.0, 23)
-        F = np.broadcast_to(torus2.g, torus2.shape + (2, 2)) + dl.complex_hessian(torus2, u)
-        pf = dl.phase_fields(torus2, F)
-        assert (pf.lambda_min <= pf.lambda_max).all()
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**31 - 1),
+           st.sampled_from([3.0, 30.0]), st.floats(-20.0, 20.0))
+    def test_matches_eigenvalue_oracle_property(self, n, seed, scale, shift):
+        # the characteristic-polynomial path against eigvalsh, on a batch of
+        # points; a shift of +-20 g pushes |theta| past pi at n = 3
+        rng = np.random.default_rng(seed)
+        g = random_metric(rng, 1, n)[0]
+        F = random_hermitian(rng, 32, n, scale) + shift * g
+        pf = dl.phase_fields(dl.build_torus(n, 8, g), F)
+        d = dl.pointwise_phase(F, g)
+        tol = 1e-14 * (1.0 + scale) ** 2
+        assert np.abs(pf.theta - d.theta).max() <= tol
+        assert (np.abs(pf.zeta - d.zeta) / np.abs(d.zeta)).max() <= tol
+
+    def test_branch_beyond_pi_n3(self):
+        rng = np.random.default_rng(3)
+        g = random_metric(rng, 1, 3)[0]
+        F = random_hermitian(rng, 64, 3, 3.0)
+        for sign in (1.0, -1.0):
+            Fs = F + sign * 20.0 * g
+            theta = dl.phase_fields(dl.build_torus(3, 8, g), Fs).theta
+            expect = dl.pointwise_phase(Fs, g).theta
+            assert (sign * expect > np.pi).all()
+            assert np.abs(theta - expect).max() < 1e-13
+
+    def test_characteristic_coefficients(self, torus2):
+        # e_1 = tr(g^-1 F) and e_2 = det(g^-1 F) at n = 2
+        g = np.array([[2.0, 0.3j], [-0.3j, 1.0]])
+        geom = dl.build_torus(2, 8, g)
+        F = random_hermitian(np.random.default_rng(5), 16, 2)
+        e = dl.characteristic_field(geom, F)
+        A = np.linalg.inv(g) @ F
+        assert e[0] == 1.0
+        assert np.abs(e[1] - np.trace(A, axis1=-2, axis2=-1).real).max() < 1e-13
+        assert np.abs(e[2] - np.linalg.det(A).real).max() < 1e-13
 
     def test_pointwise_error_carries_grid_location(self, torus2):
         F = np.broadcast_to(torus2.g, torus2.shape + (2, 2)).copy()
