@@ -11,9 +11,15 @@ stationary points, and monitors the convergence mechanisms: maximum
 principle, oscillation contraction, and Harnack quotients.
 
 Index conventions follow geometry.py: a matrix field M[..., p, q] holds the
-coefficient with holomorphic index p and anti-holomorphic index q, the
-inverse metric contraction g^{i jbar} corresponds to g_inv[j, i], and the
-eta-inverse contraction eta^{p qbar} corresponds to eta_inv[..., q, p].
+coefficient with holomorphic index p and anti-holomorphic index q.  Every
+tensor is contracted in the g-orthonormal frame (`TorusGeometry.to_frame`),
+where the metric is the identity: a g^{i jbar} contraction pairs index i
+of one factor with index j of the other directly, a norm is the sum of
+|T|^2 over the tensor's index axes, and the only field left to contract is
+the frame eta-inverse, eta^{p qbar} at eta_inv[..., q, p], with
+eta = I + F F for the frame curvature F.  Only the reports of
+`dhym_point_identities`, which take a supremum over the components of a
+free index, keep that index in coordinates.
 
 Time derivatives for identity checks use second-order central differences
 of stored trajectory samples, never integrator internals, so the verifier
@@ -22,14 +28,16 @@ is independent of the time stepper.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
 from .geometry import TorusGeometry, complex_hessian, volume_integral
-from .phase import eta_pair, phase_fields
+from .phase import PhaseFields, eta_pair, frame_characteristic, phase_fields
 
 __all__ = [
     "QConfig",
@@ -86,13 +94,7 @@ class DiagnosticsRecord:
     mean_u: float
 
     def csv_row(self) -> str:
-        vals = [
-            self.t, self.residual_sup, self.theta_max, self.theta_min,
-            self.grad_sq_sup, self.Theta_sup, self.ThetaP_sup, self.Gamma_sup,
-            self.Q_sup, self.hess_sup, self.Z_re, self.Z_im, self.osc_udot,
-            self.mean_u,
-        ]
-        return ",".join(repr(float(v)) for v in vals)
+        return ",".join(repr(float(v)) for v in dataclasses.astuple(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +108,7 @@ class TensorNorms:
     ThetaP_sup: float
     Gamma_sup: float
     hess_sup: float  # sup_x sqrt(Theta(x) + Theta'(x))
-    H: np.ndarray  # the complex Hessian u_{i jbar} the norms were built from
+    H: np.ndarray  # the complex Hessian u_{i jbar} the norms were built from, in the frame
 
 
 @dataclass(frozen=True)
@@ -120,39 +122,28 @@ class IdentityReport:
     resolution: int
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "t": self.t,
-            "lhs_norm": self.lhs_norm,
-            "rhs_norm": self.rhs_norm,
-            "residual_rel": self.residual_rel,
-            "dt_used": self.dt_used,
-            "resolution": self.resolution,
-        }
+        return dataclasses.asdict(self)
+
+
+def _report(identity: str, lhs, rhs, t: float, dt_used: float, resolution: int) -> IdentityReport:
+    """Sup norms of both sides and the residual sup |lhs - rhs| / (1 + sup |rhs|)."""
+    rhs_norm = float(np.abs(rhs).max())
+    return IdentityReport(identity, t, float(np.abs(lhs).max()), rhs_norm,
+                          float(np.abs(lhs - rhs).max()) / (1.0 + rhs_norm), dt_used, resolution)
+
+
+def _frame_deriv(geom: TorusGeometry, f_hat: np.ndarray, word: str) -> np.ndarray:
+    return geom.to_frame(geom.deriv(f_hat, word), word)
 
 
 def tensor_norms(geom: TorusGeometry, u: np.ndarray) -> TensorNorms:
-    """The four tensor norms of u and their sups, all metric-contracted."""
+    """The four tensor norms of u and their sups, taken in the frame."""
     uh = geom.fft(np.asarray(u, dtype=np.float64))
-    du, H, S, T = (geom.deriv(uh, word) for word in ("z", "zZ", "zz", "zZz"))
-    G = geom.g_inv
-    grad_sq = np.einsum("ji,...i,...j->...", G, du, du.conj()).real
-    Theta = np.einsum("ji,lk,...il,...kj->...", G, G, H, H).real
-    ThetaP = np.einsum("ji,qp,...ip,...jq->...", G, G, S, S.conj()).real
-    Gamma = np.einsum("ai,jb,ck,...ijk,...abc->...", G, G, G, T, T.conj()).real
-    hess_sup = float(np.sqrt((Theta + ThetaP).max()))
-    return TensorNorms(
-        grad_sq=grad_sq,
-        Theta=Theta,
-        ThetaP=ThetaP,
-        Gamma=Gamma,
-        grad_sq_sup=float(grad_sq.max()),
-        Theta_sup=float(Theta.max()),
-        ThetaP_sup=float(ThetaP.max()),
-        Gamma_sup=float(Gamma.max()),
-        hess_sup=hess_sup,
-        H=H,
-    )
+    du, H, S, T = (_frame_deriv(geom, uh, word) for word in ("z", "zZ", "zz", "zZz"))
+    fields = [(X.real ** 2 + X.imag ** 2).sum(axis=tuple(range(2 * geom.n, X.ndim)))
+              for X in (du, H, S, T)]  # grad_sq, Theta, ThetaP, Gamma
+    return TensorNorms(*fields, *(float(f.max()) for f in fields),
+                       hess_sup=float(np.sqrt((fields[1] + fields[2]).max())), H=H)
 
 
 def _q_field(tn: TensorNorms, u: np.ndarray, u0_at_p: float,
@@ -176,7 +167,7 @@ def build_record(geom: TorusGeometry, base, hat_theta: float, t: float,
                  u0_at_p: float = 0.0, qcfg: QConfig | None = None) -> DiagnosticsRecord:
     """Assemble the per-sample scalar diagnostics from one transform of u."""
     tn = tensor_norms(geom, u)
-    pf = phase_fields(geom, base.field() + tn.H)
+    pf = PhaseFields(frame_characteristic(geom.to_frame(base.field(), "zZ") + tn.H))
     if theta is None:
         theta = pf.theta
     udot = theta - hat_theta
@@ -225,9 +216,9 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
         return 0.0
     tp, tm = (phase_fields(geom, F_hat + complex_hessian(geom, u + step * phi)).theta
               for step in (eps, -eps))
-    _, eta_inv = eta_pair(F_hat + complex_hessian(geom, u), geom.g, geom.g_inv)
+    _, eta_inv = eta_pair(geom.to_frame(F_hat + complex_hessian(geom, u), "zZ"))
     numeric = (tp - tm) / (2.0 * eps)
-    Hphi = complex_hessian(geom, phi)
+    Hphi = geom.to_frame(complex_hessian(geom, phi), "zZ")
     analytic = np.einsum("...qp,...pq->...", eta_inv, Hphi).real
     scale = np.abs(analytic).max()
     return float(np.abs(numeric - analytic).max() / scale)
@@ -237,41 +228,44 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
 # evolution identities (flat case)
 
 
-def _sample_context(geom: TorusGeometry, base, u: np.ndarray) -> SimpleNamespace:
+class _SampleContext(SimpleNamespace):
+    """What the identity right-hand sides read at one sample; see `_sample_context`."""
+
+    @cached_property
+    def dEta(self):
+        # d_i eta_{a bbar} at [..., a, b, i]: built on first read, so only the
+        # identities that need it hold it; i stays in coordinates
+        return np.moveaxis(self.geom.deriv(self.geom.fft(self.eta), "z"), -3, -1)
+
+
+def _sample_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
     """What the identity right-hand sides read at one sample.
 
-    uh is the spectrum of u; du = u_i, H = u_{i jbar}, S = u_{i p} and
-    T = u_{i jbar k} carry trailing index axes in that order; theta, eta and
-    eta_inv belong to the curvature F = F_hat + H.
+    uh is the spectrum of u; du = u_i, H = u_{i jbar}, S = u_{i p},
+    T = u_{i jbar k}, dFhat = d_i Fhat_{p qbar} and dF = d_i F_{p qbar} are
+    frame tensors with their index axes in that order; theta, eta and
+    eta_inv belong to the frame curvature F = Fhat + H.
     """
     uh = geom.fft(np.asarray(u, dtype=np.float64))
-    du, H, S, T = (geom.deriv(uh, word) for word in ("z", "zZ", "zz", "zZz"))
-    F = _base_field(geom, base) + H
-    theta = phase_fields(geom, F).theta
-    eta, eta_inv = eta_pair(F, geom.g, geom.g_inv)
+    du, H, S, T = (_frame_deriv(geom, uh, word) for word in ("z", "zZ", "zz", "zZz"))
+    F = geom.to_frame(_base_field(geom, base), "zZ") + H
+    eta, eta_inv = eta_pair(F)
     psi = getattr(base, "psi", None)
     psi_hat = geom.fft(np.asarray(psi, dtype=np.float64)) if psi is not None else None
-    # dFhat[..., i, p, q] = d_i Fhat_{p qbar} = psi_{i p qbar}
     if psi_hat is None:
         dFhat = np.zeros(geom.shape + (geom.n,) * 3, dtype=np.complex128)
     else:
-        dFhat = geom.deriv(psi_hat, "zzZ")
-    # dF[..., i, p, q] = d_i F_{p qbar}; the Hessian part is u_{p qbar i}
-    dF = dFhat + np.moveaxis(T, -1, -3)
-    return SimpleNamespace(
-        uh=uh, du=du, H=H, S=S, T=T, psi_hat=psi_hat, dFhat=dFhat, dF=dF,
-        eta=eta, eta_inv=eta_inv, theta=theta,
+        dFhat = _frame_deriv(geom, psi_hat, "zzZ")  # psi_{i p qbar}
+    # the Hessian part of dF[..., i, p, q] is u_{p qbar i}
+    return _SampleContext(
+        geom=geom, uh=uh, du=du, H=H, S=S, T=T, psi_hat=psi_hat, dFhat=dFhat,
+        dF=dFhat + np.moveaxis(T, -1, -3), eta=eta, eta_inv=eta_inv,
+        theta=PhaseFields(frame_characteristic(F)).theta,
     )
 
 
-def _laplace_eta(geom: TorusGeometry, eta_inv: np.ndarray, f: np.ndarray) -> np.ndarray:
-    Hf = complex_hessian(geom, np.asarray(f, dtype=np.float64))
-    return np.einsum("...qp,...pq->...", eta_inv, Hf).real
-
-
-def _identity_rhs(geom: TorusGeometry, which: str, ctx: SimpleNamespace,
+def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
                   hat_theta: float, u: np.ndarray) -> np.ndarray:
-    G = geom.g_inv
     Hinv = ctx.eta_inv
     if which == "u_sq":
         lap_u = np.einsum("...qp,...pq->...", Hinv, ctx.H).real
@@ -279,42 +273,40 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: SimpleNamespace,
         return 2.0 * np.asarray(u) * (ctx.theta - hat_theta - lap_u) - 2.0 * grad_part
 
     if which == "grad_sq":
-        A = np.einsum("...qp,ji,...ip,...jq->...", Hinv, G, ctx.S, ctx.S.conj())
-        B = np.einsum("...qp,ji,...iq,...pj->...", Hinv, G, ctx.H, ctx.H)
-        C = np.einsum("...qp,ji,...ipq,...j->...", Hinv, G, ctx.dFhat, ctx.du.conj())
+        A = np.einsum("...qp,...ip,...iq->...", Hinv, ctx.S, ctx.S.conj())
+        B = np.einsum("...qp,...iq,...pi->...", Hinv, ctx.H, ctx.H)
+        C = np.einsum("...qp,...ipq,...i->...", Hinv, ctx.dFhat, ctx.du.conj())
         return -(A + B).real + 2.0 * C.real
 
-    dEta = geom.deriv(geom.fft(ctx.eta), "z")  # d_p eta_{a bbar} at [..., p, a, b]
-    # (d/dzbar_l eta)_{a bbar} = conj((d/dz_l eta)_{b abar})
-    dEtaBar = np.conj(np.swapaxes(dEta, -1, -2))
+    dEta = geom.to_frame(ctx.dEta, "z")  # d_p eta_{a bbar} at [..., a, b, p]
+    # each mix contracts the eta-inverse pair first: the factors keep their order
 
     if which == "Theta":
-        T1 = np.einsum("...qp,ji,lk,...ilp,...jkq->...",
-                       Hinv, G, G, ctx.T, ctx.T.conj())
-        T2 = np.einsum("...qp,ji,lk,...liq,...kjp->...",
-                       Hinv, G, G, ctx.T.conj(), ctx.T)
-        mix = np.einsum("ji,lk,...bp,...qa,...lab,...ipq,...kj->...",
-                        G, G, Hinv, Hinv, dEtaBar, ctx.dF, ctx.H)
+        T1 = np.einsum("...qp,...ilp,...ilq->...", Hinv, ctx.T, ctx.T.conj())
+        T2 = np.einsum("...qp,...liq,...lip->...", Hinv, ctx.T.conj(), ctx.T)
+        # (d/dzbar_l eta)_{a bbar} = conj((d/dz_l eta)_{b abar}) = conj(dEta[..., b, a, l])
+        mix = np.einsum("...pql,...ipq,...li->...",
+                        np.einsum("...bp,...qa,...bal->...pql", Hinv, Hinv, dEta.conj()),
+                        ctx.dF, ctx.H)
         rhs = -(T1 + T2).real - 2.0 * mix.real
         if ctx.psi_hat is not None:
-            ddFh = geom.deriv(ctx.psi_hat, "zZzZ")
-            hat = np.einsum("ji,lk,...qp,...kj,...ilpq->...",
-                            G, G, Hinv, ctx.H, ddFh)
+            hat = np.einsum("...qp,...li,...ilpq->...", Hinv, ctx.H,
+                            _frame_deriv(geom, ctx.psi_hat, "zZzZ"))
             rhs += 2.0 * hat.real
         return rhs
 
     # ThetaP
-    P = geom.deriv(ctx.uh, "zzz")  # u_{i p k}
-    e1 = np.einsum("...lk,ji,qp,...ipk,...jql->...", Hinv, G, G, P, P.conj())
-    e2 = np.einsum("...lk,ji,qp,...ilp,...jkq->...",
-                   Hinv, G, G, ctx.T, ctx.T.conj())
-    mix = np.einsum("ji,qp,...bk,...la,...pab,...ikl,...jq->...",
-                    G, G, Hinv, Hinv, dEta, ctx.dF, ctx.S.conj())
+    P = _frame_deriv(geom, ctx.uh, "zzz")  # u_{i p k}
+    e1 = np.einsum("...lk,...ipk,...ipl->...", Hinv, P, P.conj())
+    del P  # bounds the peak memory, like the inner einsums below
+    e2 = np.einsum("...lk,...ilp,...ikp->...", Hinv, ctx.T, ctx.T.conj())
+    mix = np.einsum("...klp,...ikl,...ip->...",
+                    np.einsum("...bk,...la,...abp->...klp", Hinv, Hinv, dEta),
+                    ctx.dF, ctx.S.conj())
     rhs = -(e1 + e2).real - 2.0 * mix.real
     if ctx.psi_hat is not None:
-        ddFh = geom.deriv(ctx.psi_hat, "zzzZ")
-        hat = np.einsum("ji,qp,...lk,...ipkl,...jq->...",
-                        G, G, Hinv, ddFh, ctx.S.conj())
+        hat = np.einsum("...lk,...ipkl,...ip->...", Hinv,
+                        _frame_deriv(geom, ctx.psi_hat, "zzzZ"), ctx.S.conj())
         rhs += 2.0 * hat.real
     return rhs
 
@@ -368,19 +360,10 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
     reports = []
     for which in names:
         q_prev, q_mid, q_next = (q.pop(which) for q in quantities)
-        lhs = (q_next - q_prev) / (2.0 * dt_s) - _laplace_eta(geom, ctx.eta_inv, q_mid)
+        lap = np.einsum("...qp,...pq->...", ctx.eta_inv, _frame_deriv(geom, geom.fft(q_mid), "zZ"))
+        lhs = (q_next - q_prev) / (2.0 * dt_s) - lap.real
         rhs = _identity_rhs(geom, which, ctx, trajectory.hat_theta, mid.u)
-        resid = float(np.abs(lhs - rhs).max())
-        rhs_norm = float(np.abs(rhs).max())
-        reports.append(IdentityReport(
-            identity=which,
-            t=float(mid.t),
-            lhs_norm=float(np.abs(lhs).max()),
-            rhs_norm=rhs_norm,
-            residual_rel=resid / (1.0 + rhs_norm),
-            dt_used=dt_s,
-            resolution=geom.N,
-        ))
+        reports.append(_report(which, lhs, rhs, float(mid.t), dt_s, geom.N))
     return reports
 
 
@@ -415,38 +398,22 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
             f"not a dHYM point: residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
     Hinv = ctx.eta_inv
+    # the reports take sups over components, so the free indices i, j stay in
+    # coordinates: dF[..., i, p, q] = d_i F_{p qbar} and ddF[..., i, j, p, q] =
+    # d_i d_jbar F_{p qbar} carry only (p, q) in the frame
+    pot_hat = ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat  # F = F0 + ddbar(psi + u)
+    dF = geom.to_frame(geom.deriv(pot_hat, "zzZ"), "zZ")
     # (i): the phase gradient contraction, one complex field per direction i
-    first = np.einsum("...qp,...ipq->...i", Hinv, ctx.dF)
-    first_sup = float(np.abs(first).max())
-    rep1 = IdentityReport(
-        identity="dhym_first_derivative",
-        t=math.nan,
-        lhs_norm=first_sup,
-        rhs_norm=0.0,
-        residual_rel=first_sup,
-        dt_used=0.0,
-        resolution=geom.N,
-    )
+    first = np.einsum("...qp,...ipq->...i", Hinv, dF)
+    rep1 = _report("dhym_first_derivative", first, 0.0, math.nan, 0.0, geom.N)
 
     # (ii): second derivatives of the full curvature, d_i d_jbar F_{p qbar}
-    ddF = geom.deriv(ctx.uh, "zZzZ")
-    if ctx.psi_hat is not None:
-        ddF += geom.deriv(ctx.psi_hat, "zZzZ")
+    ddF = geom.to_frame(geom.deriv(pot_hat, "zZzZ"), "zZ")
     lhs = np.einsum("...qp,...ijpq->...ij", Hinv, ddF)
-    dEta = geom.deriv(geom.fft(ctx.eta), "z")
-    dFbar = np.conj(np.swapaxes(ctx.dF, -1, -2))  # d_jbar F_{p qbar} at [..., j, p, q]
-    rhs = np.einsum("...tp,...qs,...ist,...jpq->...ij", Hinv, Hinv, dEta, dFbar)
-    resid = float(np.abs(lhs - rhs).max())
-    rhs_norm = float(np.abs(rhs).max())
-    rep2 = IdentityReport(
-        identity="dhym_second_derivative",
-        t=math.nan,
-        lhs_norm=float(np.abs(lhs).max()),
-        rhs_norm=rhs_norm,
-        residual_rel=resid / (1.0 + rhs_norm),
-        dt_used=0.0,
-        resolution=geom.N,
-    )
+    # d_jbar F_{p qbar} = conj(dF[..., j, q, p])
+    rhs = np.einsum("...pqi,...jqp->...ij",
+                    np.einsum("...tp,...qs,...sti->...pqi", Hinv, Hinv, ctx.dEta), dF.conj())
+    rep2 = _report("dhym_second_derivative", lhs, rhs, math.nan, 0.0, geom.N)
     return rep1, rep2
 
 

@@ -45,7 +45,7 @@ import scipy.fft as sfft
 
 from . import diagnostics
 from .geometry import TorusGeometry, check_hermitian_field, complex_hessian
-from .phase import eta_pair, phase_fields
+from .phase import PhaseFields, eta_pair, frame_characteristic
 
 __all__ = [
     "BaseCurvature",
@@ -115,7 +115,7 @@ class BaseCurvature:
 
 def stable_dt(geom: TorusGeometry, sigma: float) -> float:
     """Explicit step from the diffusion bound of the linearization."""
-    lam_max_ginv = float(np.linalg.eigvalsh(geom.g_inv).max())
+    lam_max_ginv = 1.0 / geom.g_eig_min
     return sigma / (geom.n * lam_max_ginv * (geom.N / 2) ** 2 / 2.0)
 
 
@@ -126,7 +126,7 @@ class LineBundleFlow:
     """Right-hand-side evaluator with a fast scalar path for n = 1.
 
     At n = 1 fields are transformed with rfft2 and the phase is a scalar
-    arctan; otherwise with `TorusGeometry.fft` and `phase_fields`.
+    arctan; otherwise with `TorusGeometry.fft` and the frame curvature.
     """
 
     def __init__(self, geometry: TorusGeometry, base: BaseCurvature, hat_theta: float):
@@ -142,7 +142,7 @@ class LineBundleFlow:
             self._fhat = base.field()[..., 0, 0].real.copy()
             self._inv_g = float(1.0 / geometry.g[0, 0].real)
         else:
-            self._fhat = base.field()
+            self._fhat = geometry.to_frame(base.field(), "zZ")
 
     def spectrum(self, f: np.ndarray) -> np.ndarray:
         """Transform of a real grid field (rfft2 at n = 1, the full FFT otherwise)."""
@@ -163,7 +163,9 @@ class LineBundleFlow:
             if self._inv_g != 1.0:
                 lam *= self._inv_g
             return np.arctan(lam)
-        return phase_fields(self.geometry, self._fhat + self.geometry.deriv(uh, "zZ")).theta
+        # Hermitian by construction, so unchecked
+        F = self._fhat + self.geometry.to_frame(self.geometry.deriv(uh, "zZ"), "zZ")
+        return PhaseFields(frame_characteristic(F)).theta
 
     def theta(self, u: np.ndarray) -> np.ndarray:
         return self.phase(self.spectrum(u))
@@ -176,18 +178,17 @@ class LineBundleFlow:
         """Fourier symbol of the flow linearized at the constant background F0.
 
         Real and nonpositive, on the grid of `spectrum`: the sum over p, q of
-        (eta0^{-1})_qp mz_p mZ_q with eta0 = g + F0 g^{-1} F0.
+        (eta0^{-1})_qp mz_p mZ_q with eta0 = g + F0 g^{-1} F0, taken in the frame.
         """
         geom = self.geometry
-        _, eta_inv = eta_pair(self.base.F0, geom.g, geom.g_inv)
-        if geom.n == 1:
-            return eta_inv[0, 0].real * self._mult
-        symbol = np.zeros(geom.shape)
-        for p in range(geom.n):
-            for q in range(geom.n):
-                mult = geom.dz_multiplier(p) * geom.dzbar_multiplier(q)
-                symbol = symbol + (eta_inv[q, p] * mult).real
-        return symbol
+        n = geom.n
+        _, eta_inv = eta_pair(geom.to_frame(self.base.F0, "zZ"))
+        if n == 1:  # in the frame the symbol of the Hessian is mz mZ / g
+            return eta_inv[0, 0].real * self._inv_g * self._mult
+        # the d/dz_p and d/dzbar_q multipliers, each stacked on a trailing axis
+        mz, mZ = (geom.to_frame(np.stack(np.broadcast_arrays(*map(m, range(n))), axis=-1), c)
+                  for m, c in ((geom.dz_multiplier, "z"), (geom.dzbar_multiplier, "Z")))
+        return np.einsum("qp,...p,...q->...", eta_inv, mz, mZ).real
 
     def etd_coefficients(self, h: float) -> tuple:
         """ETDRK4 coefficients (E, E2, Q, f1, f2, f3) of step h.

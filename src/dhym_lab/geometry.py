@@ -19,14 +19,21 @@ per index, so "zZz" gives u_{i jbar k} on three trailing axes of length n.
 The Kahler metric is a constant Hermitian positive-definite matrix g, so the
 volume form is det(g) dx dy and covariant derivatives coincide with
 coordinate derivatives (the connection coefficients vanish).
+
+The metric is read here only.  `build_torus` factors g = L L^H and keeps
+the frame P = L^{-1} (None for g = I); `TorusGeometry.to_frame` takes a
+tensor to the g-orthonormal frame, P on each holomorphic index and conj(P)
+on each anti-holomorphic one (a matrix field F becomes P F P^H).  There g is
+the identity: a g-contraction is a plain sum over an index pair and |T|_g^2
+is the sum of |T|^2 over the tensor's index axes.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.fft as sfft
@@ -64,7 +71,8 @@ class TorusGeometry:
     n : complex dimension (1..3)
     N : grid points per real axis (power of two, >= 8)
     g : constant n x n Hermitian positive-definite metric matrix
-    g_inv : inverse of g
+    frame : L^{-1} for the Cholesky factor g = L L^H, or None if g = I
+    g_eig_min : smallest eigenvalue of g
     det_g : determinant of g (real, positive)
     vol : total volume det(g) * (2*pi)^(2n)
     """
@@ -72,7 +80,8 @@ class TorusGeometry:
     n: int
     N: int
     g: np.ndarray
-    g_inv: np.ndarray = field(repr=False)
+    frame: np.ndarray | None
+    g_eig_min: float
     det_g: float
     vol: float
 
@@ -166,6 +175,20 @@ class TorusGeometry:
                 out[grid + idx] = self.ifft(m * f_hat)
         return out
 
+    def to_frame(self, X: np.ndarray, word: str) -> np.ndarray:
+        """Tensor X in the g-orthonormal frame, one letter per trailing index axis.
+
+        Each 'z' axis is multiplied by the frame P = L^{-1} and each 'Z' axis
+        by conj(P), so a matrix field F with the word "zZ" becomes P F P^H;
+        leading axes (grid, batch or none) pass through.  For g = I, X is
+        returned as it is.
+        """
+        if self.frame is None:
+            return X
+        M = reduce(np.kron, [self.frame if c == "z" else self.frame.conj() for c in word])
+        # the word axes merge into one of length n^k, so one product serves all of them
+        return (X.reshape(-1, M.shape[0]) @ M.T).reshape(X.shape)
+
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Forward transform over the 2n grid axes (trailing axes pass through)."""
         axes = tuple(range(2 * self.n))
@@ -211,14 +234,9 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
         raise ValueError("metric not positive definite")
     det_g = float(np.linalg.det(g).real)
     vol = det_g * (2.0 * np.pi) ** (2 * n)
-    return TorusGeometry(
-        n=n,
-        N=N,
-        g=g,
-        g_inv=np.linalg.inv(g),
-        det_g=det_g,
-        vol=vol,
-    )
+    frame = None if np.array_equal(g, np.eye(n)) else np.linalg.inv(np.linalg.cholesky(g))
+    return TorusGeometry(n=n, N=N, g=g, frame=frame, g_eig_min=float(eigs.min()),
+                         det_g=det_g, vol=vol)
 
 
 def complex_hessian(geom: TorusGeometry, u: np.ndarray) -> np.ndarray:

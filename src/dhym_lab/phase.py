@@ -6,9 +6,13 @@ F v = lambda g v, the phase theta = sum_j arctan(lambda_j), the complex
 volume ratio zeta = prod_j (1 + i lambda_j), and the Hermitian metric
 eta = g + F g^{-1} F whose inverse drives the flow's linearization.
 
-On the grid no eigenvalue is computed: zeta = sum_k i^k e_k with e_k the
-elementary symmetric functions of the lambda_j (`characteristic_field`).
-For n <= 3, theta lies in (-3 pi/2, 3 pi/2) and Re zeta < 0 forces
+On the grid everything is taken in the g-orthonormal frame of
+`TorusGeometry.to_frame`: the frame curvature F~ = P F P^H (g = L L^H,
+P = L^{-1}) is Hermitian with eigenvalues lambda_j, and eta becomes
+eta~ = I + F~^2 (`eta_pair`).  No eigenvalue is computed:
+zeta = sum_k i^k e_k with e_k the elementary symmetric functions of the
+lambda_j, from the power sums tr(F~^k) (`frame_characteristic`).  For
+n <= 3, theta lies in (-3 pi/2, 3 pi/2) and Re zeta < 0 forces
 sign(theta) = sign(e_1), so theta = arctan(Im zeta / Re zeta) +
 pi sign(e_1) [Re zeta < 0].  `pointwise_phase` keeps `eigvalsh` as the oracle.
 
@@ -33,6 +37,7 @@ __all__ = [
     "pointwise_phase",
     "phase_fields",
     "characteristic_field",
+    "frame_characteristic",
     "eta_pair",
     "hypercritical_classify",
 ]
@@ -83,9 +88,10 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def eta_pair(F: np.ndarray, g: np.ndarray, g_inv: np.ndarray):
-    """The metric eta = g + F g^{-1} F and its inverse, pointwise over leading axes."""
-    eta = g + F @ g_inv @ F
+def eta_pair(F: np.ndarray):
+    """eta = I + F F, the frame form of g + F g^{-1} F, and its inverse for a
+    frame curvature F, pointwise over leading axes."""
+    eta = np.eye(F.shape[-1]) + F @ F
     return eta, np.linalg.inv(eta)
 
 
@@ -105,41 +111,46 @@ def pointwise_phase(F, g) -> PhasePointData:
     lam = np.linalg.eigvalsh(L_inv @ F @ np.conj(np.swapaxes(L_inv, -1, -2)))
     theta = np.arctan(lam).sum(axis=-1)
     zeta = np.prod(1.0 + 1j * lam, axis=-1)
-    eta, eta_inv = eta_pair(F, g, np.linalg.inv(g))
-    return PhasePointData(lam=lam, theta=theta, zeta=zeta, eta=eta, eta_inv=eta_inv)
+    eta = g + F @ np.linalg.solve(g, F)
+    return PhasePointData(lam=lam, theta=theta, zeta=zeta, eta=eta, eta_inv=np.linalg.inv(eta))
 
 
-def characteristic_field(geom: TorusGeometry, F: np.ndarray) -> list:
-    """Elementary symmetric functions [e_0, ..., e_n] of the eigenvalues of (F, g).
+def frame_characteristic(F: np.ndarray) -> list:
+    """Elementary symmetric functions [e_0, ..., e_n] of the eigenvalues of the
+    Hermitian matrix field F, unchecked (a frame curvature, `TorusGeometry.to_frame`).
 
-    e_0 is the scalar 1.0, e_k for k >= 1 a real grid field.  They come
-    from the power sums p_k = tr(A^k) of A = g^{-1} F by Newton's
-    identities k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i.
+    e_0 is the scalar 1.0, e_k for k >= 1 a real field, from the power sums
+    p_k = tr(F^k) by Newton's identities k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i.
     """
-    idx = range(geom.n)
-
-    def product(X, Y):
-        return [[reduce(add, (X[i][q] * Y[q][j] for q in idx)) for j in idx] for i in idx]
-
-    # A is an n x n table of grid fields, so each product streams over whole
+    n = F.shape[-1]
+    idx = range(n)
+    # F is an n x n table of grid fields, so each product streams over whole
     # fields instead of looping over tiny matrices
-    A = product(geom.g_inv, [[F[..., q, j] for j in idx] for q in idx])
-    Ak, p = A, [reduce(add, (A[i][i] for i in idx)).real]
+    A = [[F[..., i, j] for j in idx] for i in idx]
+    Ak, p = A, [np.trace(F, axis1=-2, axis2=-1).real]
     for k in idx[1:]:
         # p_(k+1) = tr(A^k A) takes the diagonal only; A^(k+1) only if a later p needs it
         p.append(reduce(add, (Ak[i][q] * A[q][i] for i in idx for q in idx)).real)
-        Ak = product(Ak, A) if k + 1 < geom.n else None
+        if k + 1 < n:
+            Ak = [[reduce(add, (Ak[i][q] * A[q][j] for q in idx)) for j in idx] for i in idx]
     e = [1.0, p[0]]
-    for k in range(2, geom.n + 1):
+    for k in range(2, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
     return e
+
+
+def characteristic_field(geom: TorusGeometry, F: np.ndarray) -> list:
+    """[e_0, ..., e_n] of the eigenvalues of (F, g) for a coordinate curvature F:
+    those of its frame curvature (`frame_characteristic`)."""
+    return frame_characteristic(geom.to_frame(F, "zZ"))
 
 
 def phase_fields(geom: TorusGeometry, F: np.ndarray) -> PhaseFields:
     """Apply the pointwise phase construction over the whole grid.
 
-    F has shape grid + (n, n) and must be Hermitian at every point; zeta
-    and theta come from `characteristic_field` (see the module docstring).
+    F has shape grid + (n, n) in coordinates and must be Hermitian at every
+    point; zeta and theta come from `characteristic_field` (see the module
+    docstring).
     """
     F = np.asarray(F, dtype=np.complex128)
     check_hermitian_field(F)

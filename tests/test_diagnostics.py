@@ -15,6 +15,9 @@ def base1(torus1):
     return dl.BaseCurvature.proportional(torus1, 1.0)
 
 
+NON_DIAGONAL_G = np.array([[2.0, 0.3j], [-0.3j, 1.0]])
+
+
 def psi_base(geom):
     """F_hat = omega + ddbar psi with psi = 0.1 cos(x_1 + y_n), mixing the axes."""
     m = [1] + [0] * (2 * geom.n - 2) + [1]
@@ -201,6 +204,26 @@ class TestEvolutionIdentities:
             res.append(rep.residual_rel)
         assert res[0] < 1e-7
         assert res[0] / res[1] >= 3.0
+
+    def test_theta_refinement_n2_non_diagonal_metric(self):
+        # a conjugated frame index shows only under a metric that is not diagonal
+        geom = dl.build_torus(2, 16, NON_DIAGONAL_G)
+        base = dl.BaseCurvature.proportional(geom, 1.0)
+        res = []
+        for dt_s in (1e-3, 5e-4):
+            traj = _identity_trajectory(geom, base, dt_s, seed=1, n_steps=2)
+            rep = dl.verify_evolution_identity("Theta", traj, list(traj.samples)[1].t)
+            res.append(rep.residual_rel)
+        assert res[0] < 1e-7
+        assert res[0] / res[1] >= 3.0
+
+    def test_all_identities_non_diagonal_metric_n2(self):
+        # the CLI's tolerances, on a base with a mixing potential
+        geom = dl.build_torus(2, 16, NON_DIAGONAL_G)
+        traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
+        tolerances = {"u_sq": 1e-4, "grad_sq": 1e-4, "Theta": 1e-4, "ThetaP": 1e-3}
+        for rep in dl.verify_evolution_identities(traj, list(traj.samples)[1].t):
+            assert rep.residual_rel <= tolerances[rep.identity], rep.to_dict()
 
     def test_nonconstant_base_terms_retained(self):
         # a nonconstant background exercises the base-curvature derivative

@@ -56,6 +56,24 @@ class TestFlowRhs:
         lam = dl.pointwise_phase(F, torus2.g).lam
         assert np.abs(rhs - np.arctan(lam).sum(-1)).max() < 1e-13
 
+    def test_own_curvature_is_not_checked(self, monkeypatch):
+        # F_hat + ddbar u is Hermitian by construction: the n >= 2 phase runs
+        # no Hermitian check, here under a non-diagonal metric
+        geom = dl.build_torus(2, 8, np.array([[2.0, 0.3j], [-0.3j, 1.0]]))
+        base = dl.BaseCurvature.proportional(geom, 0.5)
+        flow = dl.LineBundleFlow(geom, base, 0.0)
+        u = dl.bandlimited_noise(geom, 2, 0.3, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Hermitian check on the flow's own curvature")
+
+        for module in (dl.geometry, dl.phase, dl.flow):
+            monkeypatch.setattr(module, "check_hermitian_field", refuse, raising=False)
+        theta = flow.phase(flow.spectrum(u))
+        monkeypatch.undo()
+        lam = dl.pointwise_phase(base.field() + dl.complex_hessian(geom, u), geom.g).lam
+        assert np.abs(theta - np.arctan(lam).sum(-1)).max() < 1e-13
+
 
 class TestRk4Step:
     def test_stationary_fixed(self, torus1, base1):

@@ -259,12 +259,14 @@ class TestWorkerCap:
     def test_worker_count_does_not_change_results(self, torus1, torus2, monkeypatch):
         f = dl.bandlimited_noise(torus1, 3, 1.0, 2)
         f2 = dl.bandlimited_noise(torus2, 3, 1.0, 2)
+        # a non-diagonal metric, so the norms go through the frame
+        framed = dl.build_torus(2, 16, np.array([[2.0, 0.3j], [-0.3j, 1.0]]))
         fields = ("grad_sq", "Theta", "ThetaP", "Gamma")
         results = []
         for threads in ("1", "4"):
             monkeypatch.setenv("DHYM_THREADS", threads)
             results.append([dl.complex_hessian(torus1, f)] + [
                 getattr(dl.tensor_norms(geom, u), name)
-                for geom, u in ((torus1, f), (torus2, f2)) for name in fields])
+                for geom, u in ((torus1, f), (torus2, f2), (framed, f2)) for name in fields])
         for a, b in zip(*results):
             assert a.tobytes() == b.tobytes()
