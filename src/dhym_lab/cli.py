@@ -93,10 +93,11 @@ def _verify_config_trajectory(cfg: RunConfig):
     hat_theta = cfg.hat_theta_value(geom, base)
     u0 = cfg.initial_field(geom)
     dt = min(1e-3, stable_dt(geom, cfg.time["dt_safety"]))
-    return run_fixed(geom, base, hat_theta, u0, dt=dt, n_steps=8, sample_every=1)
+    return run_fixed(geom, base, hat_theta, u0, dt=dt, n_steps=8, sample_every=1,
+                     norms=False)
 
 
-def _load_run_trajectory(run_dir: Path):
+def _load_run_trajectory(run_dir: Path, norms: bool = True):
     cfg = parse_config(run_dir / "effective-config.json")
     geom = cfg.geometry()
     base = cfg.base(geom)
@@ -105,7 +106,7 @@ def _load_run_trajectory(run_dir: Path):
     if len(snaps) < 3:
         raise ValueError("insufficient trajectory sampling: need all-samples snapshots")
     flow = LineBundleFlow(geom, base, hat_theta)
-    traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta)
+    traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta, norms=norms)
     for snap in snaps:
         u, header = read_snapshot(snap)
         u = u.real.astype(np.float64)
@@ -114,8 +115,9 @@ def _load_run_trajectory(run_dir: Path):
 
 
 def _cmd_verify(args) -> int:
+    # the checks read no tensor column, so both paths record phase-only
     if args.run_dir:
-        traj = _load_run_trajectory(Path(args.run_dir))
+        traj = _load_run_trajectory(Path(args.run_dir), norms=False)
     else:
         traj = _verify_config_trajectory(parse_config(args.config))
     mid_t = traj.samples[len(traj.samples) // 2].t

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS
+from .diagnostics import CSV_COLUMNS, TENSOR_COLUMNS
 from .flow import BaseCurvature, FlowConfig
 from .geometry import TorusGeometry, bandlimited_noise, build_torus, check_hermitian_field
 
@@ -377,6 +377,11 @@ def write_diagnostics(records, path) -> None:
     """Time-series CSV, one row per sample, round-trip float formatting."""
     if not records:
         raise ValueError("nothing to write: no diagnostics records")
+    for r in records:
+        for name in TENSOR_COLUMNS:
+            if math.isnan(getattr(r, name)):
+                raise ValueError(f"record at t={r.t!r} has no {name}: "
+                                 "a phase-only record cannot be written")
     lines = [CSV_COLUMNS]
     lines.extend(r.csv_row() for r in records)
     with open(path, "w") as fh:

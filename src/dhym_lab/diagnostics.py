@@ -21,6 +21,12 @@ eta = I + F F for the frame curvature F.  Only the reports of
 `dhym_point_identities`, which take a supremum over the components of a
 free index, keep that index in coordinates.
 
+`build_record` builds a full record by default.  With norms=False it builds
+a phase-only one: the frame Hessian alone gives theta, zeta and the scalar
+columns, bit for bit those of a full record, and the TENSOR_COLUMNS are
+NaN.  `verify` records this way, because none of its checks reads a tensor
+column; `write_diagnostics` refuses such records.
+
 Time derivatives for identity checks use second-order central differences
 of stored trajectory samples, never integrator internals, so the verifier
 is independent of the time stepper.
@@ -45,6 +51,7 @@ __all__ = [
     "TensorNorms",
     "IdentityReport",
     "CSV_COLUMNS",
+    "TENSOR_COLUMNS",
     "tensor_norms",
     "q_functional",
     "build_record",
@@ -61,6 +68,8 @@ CSV_COLUMNS = (
     "t,residual_sup,theta_max,theta_min,grad_sq_sup,Theta_sup,ThetaP_sup,"
     "Gamma_sup,Q_sup,hess_sup,Z_re,Z_im,osc_udot,mean_u"
 )
+# the columns built from the tensor norms: NaN in a phase-only record
+TENSOR_COLUMNS = ("grad_sq_sup", "Theta_sup", "ThetaP_sup", "Gamma_sup", "Q_sup", "hess_sup")
 
 
 @dataclass(frozen=True)
@@ -136,14 +145,19 @@ def _frame_deriv(geom: TorusGeometry, f_hat: np.ndarray, word: str) -> np.ndarra
     return geom.to_frame(geom.deriv(f_hat, word), word)
 
 
-def tensor_norms(geom: TorusGeometry, u: np.ndarray) -> TensorNorms:
-    """The four tensor norms of u and their sups, taken in the frame."""
-    uh = geom.fft(np.asarray(u, dtype=np.float64))
-    du, H, S, T = (_frame_deriv(geom, uh, word) for word in ("z", "zZ", "zz", "zZz"))
+def _norms_of(geom: TorusGeometry, du, H, S, T) -> TensorNorms:
+    """The four tensor norms and their sups from the frame tensors u_i, u_{i jbar},
+    u_{i p} and u_{i jbar k}."""
     fields = [(X.real ** 2 + X.imag ** 2).sum(axis=tuple(range(2 * geom.n, X.ndim)))
               for X in (du, H, S, T)]  # grad_sq, Theta, ThetaP, Gamma
     return TensorNorms(*fields, *(float(f.max()) for f in fields),
                        hess_sup=float(np.sqrt((fields[1] + fields[2]).max())), H=H)
+
+
+def tensor_norms(geom: TorusGeometry, u: np.ndarray) -> TensorNorms:
+    """The four tensor norms of u and their sups, taken in the frame."""
+    uh = geom.fft(np.asarray(u, dtype=np.float64))
+    return _norms_of(geom, *(_frame_deriv(geom, uh, word) for word in ("z", "zZ", "zz", "zZz")))
 
 
 def _q_field(tn: TensorNorms, u: np.ndarray, u0_at_p: float,
@@ -164,26 +178,34 @@ def q_functional(geom: TorusGeometry, u: np.ndarray, u0_at_p: float,
 
 def build_record(geom: TorusGeometry, base, hat_theta: float, t: float,
                  u: np.ndarray, theta: np.ndarray | None = None,
-                 u0_at_p: float = 0.0, qcfg: QConfig | None = None) -> DiagnosticsRecord:
-    """Assemble the per-sample scalar diagnostics from one transform of u."""
-    tn = tensor_norms(geom, u)
-    pf = PhaseFields(frame_characteristic(geom.to_frame(base.field(), "zZ") + tn.H))
+                 u0_at_p: float = 0.0, qcfg: QConfig | None = None,
+                 norms: bool = True) -> DiagnosticsRecord:
+    """Assemble the per-sample scalar diagnostics from one transform of u.
+
+    With norms=False the record is phase-only: it builds the frame Hessian
+    alone, and its TENSOR_COLUMNS are NaN.
+    """
+    if norms:
+        tn = tensor_norms(geom, u)
+        H = tn.H
+    else:
+        H = _frame_deriv(geom, geom.fft(np.asarray(u, dtype=np.float64)), "zZ")
+    pf = PhaseFields(frame_characteristic(geom.to_frame(base.field(), "zZ") + H))
     if theta is None:
         theta = pf.theta
     udot = theta - hat_theta
-    q_sup = float(_q_field(tn, u, u0_at_p, qcfg).max())
+    if norms:
+        tensor_sups = (tn.grad_sq_sup, tn.Theta_sup, tn.ThetaP_sup, tn.Gamma_sup,
+                       float(_q_field(tn, u, u0_at_p, qcfg).max()), tn.hess_sup)
+    else:
+        tensor_sups = (math.nan,) * len(TENSOR_COLUMNS)
     Z = volume_integral(geom, pf.zeta)
     return DiagnosticsRecord(
         t=float(t),
         residual_sup=float(np.abs(udot).max()),
         theta_max=float(theta.max()),
         theta_min=float(theta.min()),
-        grad_sq_sup=tn.grad_sq_sup,
-        Theta_sup=tn.Theta_sup,
-        ThetaP_sup=tn.ThetaP_sup,
-        Gamma_sup=tn.Gamma_sup,
-        Q_sup=q_sup,
-        hess_sup=tn.hess_sup,
+        **dict(zip(TENSOR_COLUMNS, tensor_sups)),
         Z_re=float(Z.real),
         Z_im=float(Z.imag),
         osc_udot=float(udot.max() - udot.min()),
@@ -229,7 +251,8 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
 
 
 class _SampleContext(SimpleNamespace):
-    """What the identity right-hand sides read at one sample; see `_sample_context`."""
+    """What the identity right-hand sides read at one sample; see `_phase_context`
+    and `_sample_context`."""
 
     @cached_property
     def dEta(self):
@@ -237,31 +260,44 @@ class _SampleContext(SimpleNamespace):
         # identities that need it hold it; i stays in coordinates
         return np.moveaxis(self.geom.deriv(self.geom.fft(self.eta), "z"), -3, -1)
 
+    def dFhat(self):
+        # d_i Fhat_{p qbar} = psi_{i p qbar}, a frame tensor: built on each call, so
+        # the context does not hold it beside the Theta and Theta' transients
+        geom = self.geom
+        if self.psi_hat is None:
+            return np.zeros(geom.shape + (geom.n,) * 3, dtype=np.complex128)
+        return _frame_deriv(geom, self.psi_hat, "zzZ")
 
-def _sample_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
-    """What the identity right-hand sides read at one sample.
 
-    uh is the spectrum of u; du = u_i, H = u_{i jbar}, S = u_{i p},
-    T = u_{i jbar k}, dFhat = d_i Fhat_{p qbar} and dF = d_i F_{p qbar} are
-    frame tensors with their index axes in that order; theta, eta and
+def _phase_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
+    """The phase part of a sample's context: what `dhym_point_identities` reads.
+
+    uh and psi_hat are the spectra of u and of the base potential (None
+    without one), H = u_{i jbar} is a frame tensor, and theta, eta and
     eta_inv belong to the frame curvature F = Fhat + H.
     """
     uh = geom.fft(np.asarray(u, dtype=np.float64))
-    du, H, S, T = (_frame_deriv(geom, uh, word) for word in ("z", "zZ", "zz", "zZz"))
+    H = _frame_deriv(geom, uh, "zZ")
     F = geom.to_frame(_base_field(geom, base), "zZ") + H
     eta, eta_inv = eta_pair(F)
     psi = getattr(base, "psi", None)
     psi_hat = geom.fft(np.asarray(psi, dtype=np.float64)) if psi is not None else None
-    if psi_hat is None:
-        dFhat = np.zeros(geom.shape + (geom.n,) * 3, dtype=np.complex128)
-    else:
-        dFhat = _frame_deriv(geom, psi_hat, "zzZ")  # psi_{i p qbar}
+    return _SampleContext(geom=geom, uh=uh, H=H, psi_hat=psi_hat, eta=eta, eta_inv=eta_inv,
+                          theta=PhaseFields(frame_characteristic(F)).theta)
+
+
+def _sample_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
+    """What the identity right-hand sides read at one sample.
+
+    The phase context (`_phase_context`) plus du = u_i, S = u_{i p},
+    T = u_{i jbar k} and dF = d_i F_{p qbar}, frame tensors with their index
+    axes in that order.
+    """
+    ctx = _phase_context(geom, base, u)
+    ctx.du, ctx.S, ctx.T = (_frame_deriv(geom, ctx.uh, word) for word in ("z", "zz", "zZz"))
     # the Hessian part of dF[..., i, p, q] is u_{p qbar i}
-    return _SampleContext(
-        geom=geom, uh=uh, du=du, H=H, S=S, T=T, psi_hat=psi_hat, dFhat=dFhat,
-        dF=dFhat + np.moveaxis(T, -1, -3), eta=eta, eta_inv=eta_inv,
-        theta=PhaseFields(frame_characteristic(F)).theta,
-    )
+    ctx.dF = ctx.dFhat() + np.moveaxis(ctx.T, -1, -3)
+    return ctx
 
 
 def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
@@ -275,7 +311,7 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
     if which == "grad_sq":
         A = np.einsum("...qp,...ip,...iq->...", Hinv, ctx.S, ctx.S.conj())
         B = np.einsum("...qp,...iq,...pi->...", Hinv, ctx.H, ctx.H)
-        C = np.einsum("...qp,...ipq,...i->...", Hinv, ctx.dFhat, ctx.du.conj())
+        C = np.einsum("...qp,...ipq,...i->...", Hinv, ctx.dFhat(), ctx.du.conj())
         return -(A + B).real + 2.0 * C.real
 
     dEta = geom.to_frame(ctx.dEta, "z")  # d_p eta_{a bbar} at [..., a, b, p]
@@ -337,7 +373,8 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
     eta-Laplacian at the bracketing center; the right side is assembled
     from the stored sample there.  The bracket, the tensor norms of its
     three samples and the center's derived fields are built once for all
-    names.  The discrepancy shrinks as O(dt^2) under sample-spacing
+    names; the center's derivative tensors serve both its norms and its
+    right sides.  The discrepancy shrinks as O(dt^2) under sample-spacing
     refinement.
     """
     names = tuple(names)
@@ -348,15 +385,18 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
         raise ValueError(f"repeated evolution identity in {names!r}")
     geom = trajectory.geometry
     prev, mid, nxt, dt_s = _bracket(trajectory, t)
-    # keep only the named fields, not whole TensorNorms, and drop each once used:
-    # it bounds the peak memory beside the context
-    quantities = []
-    for s in (prev, mid, nxt):
-        tn = tensor_norms(geom, s.u) if set(names) - {"u_sq"} else None
-        quantities.append({w: np.asarray(s.u) ** 2 if w == "u_sq" else getattr(tn, w)
-                           for w in names})
-        del tn
+    norms = bool(set(names) - {"u_sq"})
+
+    def named(u, tn):
+        # only the named fields, not the whole TensorNorms: it bounds the peak memory
+        return {w: np.asarray(u) ** 2 if w == "u_sq" else getattr(tn, w) for w in names}
+
+    # prev and nxt before the context, so their derivative tensors are freed by then;
+    # the center's norms come from the context's own du, H, S and T
+    quantities = [named(s.u, tensor_norms(geom, s.u) if norms else None) for s in (prev, nxt)]
     ctx = _sample_context(geom, trajectory.base, mid.u)
+    quantities.insert(1, named(mid.u, _norms_of(geom, ctx.du, ctx.H, ctx.S, ctx.T)
+                               if norms else None))
     reports = []
     for which in names:
         q_prev, q_mid, q_next = (q.pop(which) for q in quantities)
@@ -389,7 +429,7 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
     """
     from .cohomology import winding_hat_theta
 
-    ctx = _sample_context(geom, base, u_hat)
+    ctx = _phase_context(geom, base, u_hat)
     if hat_theta is None:
         hat_theta = winding_hat_theta(geom, _base_field(geom, base))
     residual = float(np.abs(ctx.theta - hat_theta).max())

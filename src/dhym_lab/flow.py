@@ -254,7 +254,13 @@ class FlowSample:
 
 @dataclass
 class Trajectory:
-    """Diagnostics records plus a ring of full field samples."""
+    """Diagnostics records plus a ring of full field samples.
+
+    With norms=False every record is phase-only (`diagnostics.build_record`):
+    its tensor columns are NaN and `write_diagnostics` refuses it.  `verify`
+    records this way, because its checks read only t, theta, Z and the
+    samples.
+    """
 
     geometry: TorusGeometry
     base: BaseCurvature
@@ -270,6 +276,7 @@ class Trajectory:
     final: FlowState | None = None
     # u at the Q base point of the first recorded sample (grid index 0)
     u0_at_p: float | None = field(default=None, init=False)
+    norms: bool = True  # full records; False for phase-only ones
 
     @property
     def t_final(self) -> float:
@@ -284,7 +291,7 @@ class Trajectory:
         self.samples.append(FlowSample(t=t, u=u.copy(), udot=theta - self.hat_theta))
         self.records.append(diagnostics.build_record(
             self.geometry, self.base, self.hat_theta, t, u,
-            theta=theta, u0_at_p=self.u0_at_p,
+            theta=theta, u0_at_p=self.u0_at_p, norms=self.norms,
         ))
 
 
@@ -444,13 +451,14 @@ def run_flow(config: FlowConfig) -> Trajectory:
 
 def run_fixed(geom: TorusGeometry, base: BaseCurvature, hat_theta: float,
               u0: np.ndarray, dt: float, n_steps: int, sample_every: int = 1,
-              keep_fields: int | None = None) -> Trajectory:
-    """Fixed-step integration with dense sampling, for verification runs."""
+              keep_fields: int | None = None, norms: bool = True) -> Trajectory:
+    """Fixed-step integration with dense sampling, for verification runs;
+    norms=False records phase-only (see `Trajectory`)."""
     flow = LineBundleFlow(geom, base, hat_theta)
     state = flow.initial_state(u0)
     traj = Trajectory(
         geometry=geom, base=base, hat_theta=hat_theta,
-        samples=deque(maxlen=keep_fields), status="completed",
+        samples=deque(maxlen=keep_fields), status="completed", norms=norms,
     )
     traj.record(state.t, state.u, state.theta)
     for k in range(n_steps):

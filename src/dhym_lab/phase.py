@@ -127,7 +127,7 @@ def frame_characteristic(F: np.ndarray) -> list:
     # F is an n x n table of grid fields, so each product streams over whole
     # fields instead of looping over tiny matrices
     A = [[F[..., i, j] for j in idx] for i in idx]
-    Ak, p = A, [np.trace(F, axis1=-2, axis2=-1).real]
+    Ak, p = A, [reduce(add, (A[i][i].real for i in idx))]
     for k in idx[1:]:
         # p_(k+1) = tr(A^k A) takes the diagonal only; A^(k+1) only if a later p needs it
         p.append(reduce(add, (Ak[i][q] * A[q][i] for i in idx for q in idx)).real)

@@ -7,7 +7,7 @@ import pytest
 import dhym_lab as dl
 from conftest import cos_axis
 from dhym_lab.config_io import modes_field
-from dhym_lab.diagnostics import build_record
+from dhym_lab.diagnostics import TENSOR_COLUMNS, build_record
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,24 @@ class TestBuildRecord:
                                   tn.Gamma_sup, tn.hess_sup)
         assert (rec.Z_re, rec.Z_im) == (Z.real, Z.imag)
         assert (rec.theta_max, rec.theta_min) == (pf.theta.max(), pf.theta.min())
+
+
+    @pytest.mark.parametrize("n,N,g", [(1, 16, [2.0]), (2, 8, NON_DIAGONAL_G)])
+    def test_phase_only_record_equals_full_record(self, n, N, g):
+        # the columns a phase-only record keeps are bit for bit a full record's
+        geom = dl.build_torus(n, N, g)
+        base = psi_base(geom)
+        u = dl.bandlimited_noise(geom, 2, 0.05, 3)
+        theta = dl.LineBundleFlow(geom, base, 0.7).theta(u)
+        for given in (None, theta):
+            full = build_record(geom, base, 0.7, 0.25, u, theta=given, u0_at_p=0.01)
+            phase_only = build_record(geom, base, 0.7, 0.25, u, theta=given, u0_at_p=0.01,
+                                      norms=False)
+            for name, value in dataclasses.asdict(phase_only).items():
+                if name in TENSOR_COLUMNS:
+                    assert np.isnan(value) and np.isfinite(getattr(full, name)), name
+                else:
+                    assert value == getattr(full, name), name
 
 
 class TestVerifyLinearization:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import dhym_lab as dl
+from dhym_lab import diagnostics
 from dhym_lab.cli import main as cli_main
 from dhym_lab.config_io import parse_config_data
 
@@ -145,6 +147,20 @@ class TestDiagnosticsCsv:
         row = lines[1].split(",")
         assert len(row) == len(dl.CSV_COLUMNS.split(","))
         assert float(row[0]) == 0.0
+
+    def test_phase_only_record_refused(self, tmp_path, torus1):
+        base = dl.BaseCurvature.proportional(torus1, 1.0)
+        u = dl.bandlimited_noise(torus1, 2, 0.05, 3)
+        full = diagnostics.build_record(torus1, base, 0.7, 0.25, u)
+        phase_only = diagnostics.build_record(torus1, base, 0.7, 0.5, u, norms=False)
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match=r"t=0\.5 has no grad_sq_sup"):
+            dl.write_diagnostics([full, phase_only], path)
+        assert not path.exists()
+        # one NaN column is enough
+        partial = dataclasses.replace(full, Q_sup=float("nan"))
+        with pytest.raises(ValueError, match=r"t=0\.25 has no Q_sup"):
+            dl.write_diagnostics([partial], path)
 
     def test_empty_records_error(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to write"):
@@ -311,6 +327,63 @@ class TestCli:
         traj = _load_run_trajectory(run)
         assert len(rows) >= 3
         assert [r.csv_row() for r in traj.records] == rows
+
+    @staticmethod
+    def spy_records(monkeypatch, force_full):
+        """Wrap build_record: collect each call's norms switch, and optionally
+        force full records."""
+        build_record, seen = diagnostics.build_record, []
+
+        def spy(*args, norms=True, **kwargs):
+            seen.append(norms)
+            return build_record(*args, norms=norms or force_full, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "build_record", spy)
+        return seen
+
+    def test_verify_records_phase_only_with_unchanged_report(self, tmp_path, monkeypatch):
+        # both verify paths record phase-only, and their reports are byte-identical
+        # to the ones of runs forced to full records
+        run_cfg = self.write_config(tmp_path, minimal_config(
+            base_curvature={"constant": [[1.0]], "potential": {
+                "modes": [{"m": [1, 0], "amplitude": 0.2}]}},
+            initial={"type": "noise", "k_band": 2, "seed": 3, "target_hess_sup": 0.05},
+            time={"t_max": 0.05, "sample_every": 2},
+            outputs={"dir": str(tmp_path / "run"), "snapshots": "all-samples"}), "run.json")
+        n2_cfg = self.write_config(tmp_path, minimal_config(
+            dimension=2, resolution=8, metric=[[1.0, 0.0], [0.0, 1.0]],
+            base_curvature={"constant": [[1.0, 0.0], [0.0, 0.5]], "potential": {
+                "modes": [{"m": [1, 0, 0, 0], "amplitude": 0.2}]}},
+            initial={"type": "noise", "k_band": 2, "seed": 4, "target_hess_sup": 0.05}), "n2.json")
+        assert cli_main(["simulate", "--config", run_cfg]) == 2
+        reports = []
+        for force_full in (False, True):
+            seen = self.spy_records(monkeypatch, force_full)
+            out = []
+            for source in (["--run-dir", str(tmp_path / "run")], ["--config", n2_cfg]):
+                path = tmp_path / f"verify-{len(out)}.jsonl"
+                assert cli_main(["verify", *source, "--out", str(path)]) == 0
+                out.append(path.read_bytes())
+            assert len(seen) >= 6 and not any(seen)
+            reports.append(out)
+        assert reports[0] == reports[1]
+
+    def test_verify_config_builds_two_sets_of_tensor_norms(self, tmp_path, monkeypatch):
+        # phase-only records need none; the bracket needs prev and nxt, and the
+        # center's norms come from its identity context
+        cfg = self.write_config(tmp_path, minimal_config(
+            dimension=2, resolution=8, metric=[[1.0, 0.0], [0.0, 1.0]],
+            base_curvature={"constant": [[1.0, 0.0], [0.0, 0.5]]},
+            initial={"type": "modes", "modes": [{"m": [1, 0, 0, 1], "amplitude": 0.02}]}))
+        tensor_norms, calls = diagnostics.tensor_norms, []
+
+        def counted(geom, u):
+            calls.append(u)
+            return tensor_norms(geom, u)
+
+        monkeypatch.setattr(diagnostics, "tensor_norms", counted)
+        assert cli_main(["verify", "--config", cfg, "--out", str(tmp_path / "v.jsonl")]) == 0
+        assert len(calls) == 2
 
     def test_sweep_cli(self, tmp_path):
         doc = {

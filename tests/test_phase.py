@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import dhym_lab as dl
 from conftest import cos_axis
+from dhym_lab.phase import frame_characteristic
 
 
 def random_hermitian(rng, count, n, scale=3.0):
@@ -180,6 +181,13 @@ class TestPhaseFields:
         assert e[0] == 1.0
         assert np.abs(e[1] - np.trace(A, axis1=-2, axis2=-1).real).max() < 1e-13
         assert np.abs(e[2] - np.linalg.det(A).real).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_first_power_sum_is_the_trace(self, n):
+        # e_1 = p_1 is summed from the diagonal fields, bit for bit the trace
+        F = random_hermitian(np.random.default_rng(n), 512, n).reshape(8, 8, 8, n, n)
+        e = frame_characteristic(F)
+        assert np.array_equal(e[1], np.trace(F, axis1=-2, axis2=-1).real)
 
     def test_pointwise_error_carries_grid_location(self, torus2):
         F = np.broadcast_to(torus2.g, torus2.shape + (2, 2)).copy()
