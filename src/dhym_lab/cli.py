@@ -93,8 +93,11 @@ def _verify_config_trajectory(cfg: RunConfig):
     hat_theta = cfg.hat_theta_value(geom, base)
     u0 = cfg.initial_field(geom)
     dt = min(1e-3, stable_dt(geom, cfg.time["dt_safety"]))
-    return run_fixed(geom, base, hat_theta, u0, dt=dt, n_steps=8, sample_every=1,
-                     norms=False)
+    traj = run_fixed(geom, base, hat_theta, u0, dt=dt, n_steps=8, sample_every=1, norms=False)
+    if traj.steps_rejected:  # the identities need the fixed RK4 step
+        t, h, _, reason = traj.dt_changes[0]
+        raise RuntimeError(f"RK4 step of {h:g} rejected at t={t:g}: {reason}")
+    return traj
 
 
 def _load_run_trajectory(run_dir: Path, norms: bool = True):

@@ -14,28 +14,29 @@ phi-function coefficients come from the contour-integral method of Kassam
 & Trefethen (SIAM J. Sci. Comput. 26(4), 2005), rebuilt whenever the step
 size changes.
 
-The sample interval is ds = sample_every * stable_dt(geometry, dt_safety).
-One step is ds, clipped so that it lands on the next sample time k*ds and
-on t_max; records sit at k*ds.  Convergence is checked after every step,
-so the time to tolerance is resolved to the step.  Divergence (a
-non-finite stage or update, or a residual jump no parabolic step can
-produce) halves the step and retries from the last accepted state; the
-step doubles back toward ds after each recorded sample, and more than ten
-consecutive halvings classify the run as a suspected blow-up.  Every change
-of the step size is logged in the trajectory with its time and reason.
+`run_flow` and `run_fixed` are front ends of one loop, `_integrate`: steps
+of nominal size h0, each clipped to land on the next sample time k*ds (where
+the records sit) and on the end time, with convergence checked after every
+step.  Divergence (a non-finite stage or update, or a residual jump no
+parabolic step can produce) halves the step and retries from the last
+accepted state; the step doubles back toward h0 after each recorded sample,
+and more than ten consecutive halvings classify the run as a suspected
+blow-up.  Every step-size change is logged with its time and reason.
 
-`run_fixed` keeps classical explicit RK4 at a fixed step, the oracle the
-ETDRK4 stepper is checked against.  Its stable step comes from the
-diffusion bound of the linearization: the eta-Laplacian has coefficients
-dominated by g^{-1} (eta >= g pointwise), so
+`run_flow` steps with ETDRK4 at h0 = ds = sample_every * stable_dt(geometry,
+dt_safety) until residual_tol or t_max.  `run_fixed` is the oracle the
+ETDRK4 stepper is checked against: classical RK4 at h0 = dt and ds =
+sample_every * dt that never stops on convergence, so a run that reaches
+n_steps * dt is 'timeout'.  Its stable step comes from the diffusion bound
+of the linearization: the eta-Laplacian has coefficients dominated by g^{-1}
+(eta >= g pointwise), so
 
     dt = sigma / (n * lambda_max(g^{-1}) * (N/2)^2 / 2),  sigma in (0, 1].
-
-The target angle hat_theta is frozen for the whole run.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -359,6 +360,16 @@ def etdrk4_step(state: FlowState, h: float) -> FlowState:
     return _accept(state, h, flow.field(E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc))
 
 
+def _check_positive(name: str, value) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class FlowConfig:
     """Flow run parameters; hat_theta is frozen for the whole run.
@@ -380,47 +391,38 @@ class FlowConfig:
     def __post_init__(self):
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError("dt_safety must lie in (0, 1]")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+        if not np.isfinite(self.hat_theta):
+            raise ValueError(f"hat_theta must be finite, got {self.hat_theta!r}")
+        _check_positive("t_max", self.t_max)
+        _check_positive("residual_tol", self.residual_tol)
+        _check_count("sample_every", self.sample_every)
 
 
-def run_flow(config: FlowConfig) -> Trajectory:
-    """Integrate with ETDRK4 until the phase residual drops below tolerance.
+def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float,
+               t_end: float, residual_tol: float) -> Trajectory:
+    """Step with step_fn at h0 to t_end, recording at k * ds (see the module docstring).
 
-    Status is 'converged' (sup |theta - hat_theta| < residual_tol),
-    'timeout' (t reached t_max) or 'blowup' (more than ten consecutive
-    step failures); the last accepted state is always reported.
-    """
-    geom = config.geometry
-    flow = LineBundleFlow(geom, config.base, config.hat_theta)
-    state = flow.initial_state(config.u0)
-    traj = Trajectory(
-        geometry=geom, base=config.base, hat_theta=config.hat_theta,
-        samples=deque(maxlen=config.keep_fields),
-    )
-    ds = config.sample_every * stable_dt(geom, config.dt_safety)
-    h = ds
+    Status is 'converged' (sup |theta - hat_theta| < residual_tol), 'timeout'
+    (t reached t_end) or 'blowup' (more than ten consecutive step failures);
+    the last accepted state is always reported."""
+    h = h0
     k = 1  # the next sample time is k * ds
     traj.record(state.t, state.u, state.theta)
     halvings = 0
     while True:
-        if state.residual_sup < config.residual_tol:
+        if state.residual_sup < residual_tol:
             traj.status = "converged"
             break
-        if state.t >= config.t_max * (1.0 - 1e-12):
+        if state.t >= t_end * (1.0 - 1e-12):
             traj.status = "timeout"
             break
-        target = min(k * ds, config.t_max)
+        target = min(k * ds, t_end)
         gap = target - state.t
         lands = gap <= h * (1.0 + 1e-9)
         # a landing step within rounding of h keeps h, so its coefficients are reused
         step = gap if lands and gap < h * (1.0 - 1e-9) else h
         try:
-            new_state = etdrk4_step(state, step)
+            new_state = step_fn(state, step)
         except FlowDiverged as exc:
             halvings += 1
             traj.steps_rejected += 1
@@ -439,8 +441,8 @@ def run_flow(config: FlowConfig) -> Trajectory:
         if target == k * ds:
             traj.record(state.t, state.u, state.theta)
             k += 1
-            if h < ds:
-                grown = min(2.0 * h, ds)
+            if h < h0:
+                grown = min(2.0 * h, h0)
                 traj.dt_changes.append((state.t, h, grown, "regrowth after a sample"))
                 h = grown
     traj.record(state.t, state.u, state.theta)
@@ -449,24 +451,27 @@ def run_flow(config: FlowConfig) -> Trajectory:
     return traj
 
 
+def run_flow(config: FlowConfig) -> Trajectory:
+    """Integrate with ETDRK4 until the phase residual drops below tolerance
+    or t reaches t_max; one step per sample interval (see `_integrate`)."""
+    geom = config.geometry
+    state = LineBundleFlow(geom, config.base, config.hat_theta).initial_state(config.u0)
+    traj = Trajectory(geometry=geom, base=config.base, hat_theta=config.hat_theta,
+                      samples=deque(maxlen=config.keep_fields))
+    ds = config.sample_every * stable_dt(geom, config.dt_safety)
+    return _integrate(state, traj, etdrk4_step, ds, ds, config.t_max, config.residual_tol)
+
+
 def run_fixed(geom: TorusGeometry, base: BaseCurvature, hat_theta: float,
               u0: np.ndarray, dt: float, n_steps: int, sample_every: int = 1,
               keep_fields: int | None = None, norms: bool = True) -> Trajectory:
-    """Fixed-step integration with dense sampling, for verification runs;
+    """n_steps classical RK4 steps of size dt, recorded every sample_every
+    steps; never stops on convergence, so a full run is 'timeout'.
     norms=False records phase-only (see `Trajectory`)."""
-    flow = LineBundleFlow(geom, base, hat_theta)
-    state = flow.initial_state(u0)
-    traj = Trajectory(
-        geometry=geom, base=base, hat_theta=hat_theta,
-        samples=deque(maxlen=keep_fields), status="completed", norms=norms,
-    )
-    traj.record(state.t, state.u, state.theta)
-    for k in range(n_steps):
-        state = rk4_step(state, dt)
-        traj.steps += 1
-        if (k + 1) % sample_every == 0:
-            traj.record(state.t, state.u, state.theta)
-    traj.record(state.t, state.u, state.theta)
-    traj.final = state
-    traj.dt_final = dt
-    return traj
+    _check_positive("dt", dt)
+    _check_count("n_steps", n_steps)
+    _check_count("sample_every", sample_every)
+    state = LineBundleFlow(geom, base, hat_theta).initial_state(u0)
+    traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta,
+                      samples=deque(maxlen=keep_fields), norms=norms)
+    return _integrate(state, traj, rk4_step, dt, sample_every * dt, n_steps * dt, 0.0)

@@ -13,7 +13,7 @@ reports bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,17 +47,7 @@ def generate_reference(config: FlowConfig, residual_tol: float = 1e-11) -> Refer
     Raises RuntimeError("no reference obtained") when the run times out or
     blows up instead of converging.
     """
-    cfg = FlowConfig(
-        geometry=config.geometry,
-        base=config.base,
-        u0=config.u0,
-        hat_theta=config.hat_theta,
-        dt_safety=config.dt_safety,
-        t_max=config.t_max,
-        residual_tol=min(config.residual_tol, residual_tol),
-        sample_every=config.sample_every,
-        keep_fields=4,
-    )
+    cfg = replace(config, residual_tol=min(config.residual_tol, residual_tol), keep_fields=4)
     traj = run_flow(cfg)
     if traj.status != "converged":
         raise RuntimeError(f"no reference obtained: flow status {traj.status!r}")

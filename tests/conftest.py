@@ -40,3 +40,17 @@ def small_flow_run(torus1_fine):
     u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
     return dl.run_fixed(geom, base, hat, u0, dt=1.0 / 512, n_steps=2 * 512,
                         sample_every=32)
+
+
+def fails_on_call(step, k):
+    """A stepper that raises FlowDiverged on its k-th call and calls step
+    otherwise, and the list of step sizes it was called with."""
+    calls = []
+
+    def wrapped(state, h):
+        calls.append(h)
+        if len(calls) == k:
+            raise dl.FlowDiverged("step diverged: forced")
+        return step(state, h)
+
+    return wrapped, calls

@@ -338,8 +338,11 @@ class TestMaximumPrinciple:
         assert res.location == pytest.approx(records[3].t)
 
     def test_needs_two_samples(self, torus1, base1):
-        traj = dl.run_fixed(torus1, base1, float(np.arctan(1.0)),
-                            np.zeros(torus1.shape), dt=1e-3, n_steps=0, sample_every=1)
+        # a one-sample trajectory; run_fixed refuses n_steps=0
+        hat = float(np.arctan(1.0))
+        traj = dl.Trajectory(geometry=torus1, base=base1, hat_theta=hat)
+        u = np.zeros(torus1.shape)
+        traj.record(0.0, u, dl.LineBundleFlow(torus1, base1, hat).theta(u))
         with pytest.raises(ValueError, match="two samples"):
             dl.maximum_principle_monitor(traj)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dhym_lab as dl
-from conftest import cos_axis
+from conftest import cos_axis, fails_on_call
 
 
 @pytest.fixture(scope="module")
@@ -231,16 +231,8 @@ class TestRunFlow:
     def test_forced_divergence_logs_halving_then_regrowth(self, torus1, base1, monkeypatch):
         import dhym_lab.flow as flow_mod
 
-        real_step = flow_mod.etdrk4_step
-        calls = []
-
-        def fails_third_call(state, h):
-            calls.append(h)
-            if len(calls) == 3:
-                raise flow_mod.FlowDiverged("step diverged: forced")
-            return real_step(state, h)
-
-        monkeypatch.setattr(flow_mod, "etdrk4_step", fails_third_call)
+        step, calls = fails_on_call(flow_mod.etdrk4_step, 3)
+        monkeypatch.setattr(flow_mod, "etdrk4_step", step)
         u0 = 0.1 * cos_axis(torus1, 0)
         cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
                             hat_theta=float(np.arctan(1.0)), dt_safety=0.5,
@@ -284,6 +276,50 @@ class TestRunFlow:
         with pytest.raises(ValueError, match="t_max"):
             dl.FlowConfig(geometry=torus1, base=base1, u0=np.zeros(torus1.shape),
                           hat_theta=0.0, t_max=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("t_max", np.nan), ("t_max", np.inf), ("residual_tol", np.nan),
+        ("residual_tol", np.inf), ("sample_every", 2.5), ("sample_every", 0),
+        ("hat_theta", np.nan),
+    ])
+    def test_config_refuses_non_finite_or_fractional(self, torus1, base1, field, value):
+        # constructing alone must refuse; t_max=nan used to run forever
+        kwargs = dict(geometry=torus1, base=base1, u0=np.zeros(torus1.shape),
+                      hat_theta=0.0)
+        with pytest.raises(ValueError, match=field):
+            dl.FlowConfig(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dt=np.nan), dict(dt=np.inf), dict(dt=0.0), dict(dt=-1e-3, n_steps=0),
+        dict(n_steps=-3), dict(n_steps=0), dict(n_steps=2.0),
+        dict(sample_every=0), dict(sample_every=2.5),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_fixed_run_refuses_bad_arguments_up_front(self, torus1, base1, monkeypatch, kwargs):
+        import dhym_lab.flow as flow_mod
+
+        # refused before the flow is built: building it would raise TypeError
+        monkeypatch.setattr(flow_mod, "LineBundleFlow", None)
+        args = {"dt": 1e-3, "n_steps": 4, "sample_every": 1, **kwargs}
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            flow_mod.run_fixed(torus1, base1, 0.0, np.zeros(torus1.shape), **args)
+
+    def test_fixed_run_halves_and_logs_a_rejected_rk4_step(self, torus1, base1, monkeypatch):
+        import dhym_lab.flow as flow_mod
+
+        monkeypatch.setattr(flow_mod, "rk4_step", fails_on_call(flow_mod.rk4_step, 3)[0])
+        dt = dl.stable_dt(torus1, 0.5)
+        traj = flow_mod.run_fixed(torus1, base1, float(np.arctan(1.0)),
+                                  0.1 * cos_axis(torus1, 0), dt=dt, n_steps=8, sample_every=2)
+        ds = 2 * dt
+        assert traj.status == "timeout"
+        assert traj.steps_rejected == 1
+        assert traj.steps == 10  # the second sample interval in four half steps
+        assert traj.dt_changes == [
+            (ds, dt, dt / 2, "step diverged: forced"),
+            (2 * ds, dt / 2, dt, "regrowth after a sample"),
+        ]
+        assert [r.t for r in traj.records] == [k * ds for k in range(5)]
+        assert traj.dt_final == dt
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_step_starts_from_the_state_spectrum(self, n, monkeypatch):
@@ -341,6 +377,7 @@ class TestEtdrk4:
                            sample_every=cfg.sample_every * refine)
         etd, rk4 = list(traj.samples), list(ref.samples)
         assert traj.status == "timeout"
+        assert ref.steps_rejected == 0  # a halved RK4 run is no fixed-step oracle
         assert len(etd) == len(rk4) >= 9
         for a, b in zip(etd, rk4):
             assert a.t == pytest.approx(b.t, rel=1e-12)
@@ -386,6 +423,7 @@ class TestEtdrk4:
         assert len(traj.records) == len(rk4.records) == 18
         assert [r.t for r in traj.records] == [k * ds for k in range(17)] + [t_max]
         assert traj.steps == 17
+        assert rk4.steps == 131 and rk4.steps_rejected == 0
 
     def test_step_refused_when_nonpositive(self, torus1, base1):
         state = dl.LineBundleFlow(torus1, base1, 0.0).initial_state(np.zeros(torus1.shape))

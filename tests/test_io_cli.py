@@ -9,6 +9,7 @@ import dhym_lab as dl
 from dhym_lab import diagnostics
 from dhym_lab.cli import main as cli_main
 from dhym_lab.config_io import parse_config_data
+from conftest import fails_on_call
 
 
 def minimal_config(**overrides):
@@ -275,6 +276,20 @@ class TestCli:
         assert {"u_sq", "grad_sq", "Theta", "ThetaP", "maximum_principle",
                 "Z_invariance"} <= names
         assert all(l["pass"] for l in lines)
+
+    def test_verify_config_refuses_a_rejected_rk4_step(self, tmp_path, monkeypatch, capsys):
+        # the identities need the fixed RK4 step, so a rejected step fails the
+        # run with an error line instead of being halved silently
+        import dhym_lab.flow as flow_mod
+
+        monkeypatch.setattr(flow_mod, "rk4_step", fails_on_call(flow_mod.rk4_step, 3)[0])
+        cfg = self.write_config(tmp_path, minimal_config(
+            initial={"type": "noise", "k_band": 2, "seed": 4, "target_hess_sup": 0.05}))
+        out = tmp_path / "verify.jsonl"
+        assert cli_main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "step diverged: forced" in err
+        assert not out.exists()
 
     def test_verify_run_dir_mode(self, tmp_path):
         cfg = self.write_config(tmp_path, minimal_config(
