@@ -36,6 +36,9 @@ print(f"  principal arg Z = {np.angle(inv3.Z):.9f}  (wrapped by 2 pi)")
 print(f"  consistency |e^(i lift) - Z/|Z|| = "
       f"{abs(np.exp(1j*inv3.hat_theta) - inv3.Z/abs(inv3.Z)):.2e}")
 
-print("\n== a few points along the winding path")
-for t, Z in inv3.winding_samples[:: len(inv3.winding_samples) // 8]:
+print("\n== a few points along the winding path Z(t) = vol sum_k i^k <e_k> t^(n-k)")
+e = dl.characteristic_field(geom3, F3)
+means = [e[0]] + [geom3.mean(ek) for ek in e[1:]]
+for t in np.geomspace(1e4, 1.0, 9):
+    Z = geom3.vol * sum(1j**k * m * t ** (3 - k) for k, m in enumerate(means))
     print(f"  t = {t:12.3f}   Z(t) = {Z:.3e}   arg = {np.angle(Z):+.4f}")

@@ -164,19 +164,9 @@ def _cmd_sweep(args) -> int:
     run = spec.run
     geom = run.geometry()
     base = run.base(geom)
-    sweep = SweepConfig(
-        geometry=geom,
-        base=base,
-        delta_list=spec.delta_list,
-        seeds=spec.seeds,
-        k_band=spec.k_band,
-        hat_theta=run.hat_theta,
-        dt_safety=run.time["dt_safety"],
-        t_max=run.time["t_max"],
-        residual_tol=run.time["residual_tol"],
-        sample_every=run.time["sample_every"],
-        seed_base=spec.seed_base,
-    )
+    sweep = SweepConfig(geometry=geom, base=base, delta_list=spec.delta_list,
+                        seeds=spec.seeds, k_band=spec.k_band, hat_theta=run.hat_theta,
+                        seed_base=spec.seed_base, **run.time)
     report = stability_sweep(sweep)
     out_dir = _ensure_dir(args.out_dir or run.outputs["dir"])
     out = args.out or (out_dir / "report.json")

@@ -41,7 +41,6 @@ class CohomologyInvariants:
     Z: complex
     hat_theta: float
     vol: float
-    winding_samples: list
 
 
 def compute_Z(geom: TorusGeometry, F: np.ndarray) -> complex:
@@ -49,7 +48,8 @@ def compute_Z(geom: TorusGeometry, F: np.ndarray) -> complex:
     return complex(volume_integral(geom, phase_fields(geom, F).zeta))
 
 
-def _winding(geom: TorusGeometry, F: np.ndarray, t_start: float | None, n_steps: int):
+def _winding(geom: TorusGeometry, F: np.ndarray, t_start: float | None, n_steps: int) -> tuple:
+    """Z (the path at t = 1) and the lifted angle hat_theta."""
     n, e = geom.n, characteristic_field(geom, F)
     coeff = np.array([e[0]] + [geom.mean(ek) for ek in e[1:]]) * (1j ** np.arange(n + 1)) * geom.vol
     # sum_j lambda_j^2 = e_1^2 - 2 e_2 bounds every |lambda_j|
@@ -71,8 +71,7 @@ def _winding(geom: TorusGeometry, F: np.ndarray, t_start: float | None, n_steps:
     if n * np.arctan(lam_bound / t_start) >= np.pi / 2:
         raise RuntimeError(f"winding start t_start={t_start:g} too small for max|lambda| "
                            f"<= {lam_bound:.6g}; use t_start >= {4.0 * n * lam_bound:.6g}")
-    lifted = np.unwrap(args)
-    return ts, Zs, float(lifted[-1])
+    return complex(Zs[-1]), float(np.unwrap(args)[-1])
 
 
 def winding_hat_theta(
@@ -86,8 +85,7 @@ def winding_hat_theta(
     t_start defaults to max(1e4, 4 n max|lambda|).  For F = c*omega this
     returns n*arctan(c) exactly (up to rounding).
     """
-    _, _, lift = _winding(geom, F, t_start, n_steps)
-    return lift
+    return _winding(geom, F, t_start, n_steps)[1]
 
 
 def cohomology_invariants(
@@ -96,11 +94,6 @@ def cohomology_invariants(
     t_start: float | None = None,
     n_steps: int = 4096,
 ) -> CohomologyInvariants:
-    """Z, lifted hat_theta, volume, and the sampled winding path."""
-    ts, Zs, lift = _winding(geom, F, t_start, n_steps)
-    return CohomologyInvariants(
-        Z=complex(Zs[-1]),
-        hat_theta=lift,
-        vol=geom.vol,
-        winding_samples=list(zip(ts.tolist(), [complex(z) for z in Zs])),
-    )
+    """Z, lifted hat_theta and volume."""
+    Z, lift = _winding(geom, F, t_start, n_steps)
+    return CohomologyInvariants(Z=Z, hat_theta=lift, vol=geom.vol)

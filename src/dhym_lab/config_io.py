@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .diagnostics import CSV_COLUMNS, TENSOR_COLUMNS
-from .flow import BaseCurvature, FlowConfig
+from .flow import BaseCurvature, FlowConfig, _check_time
 from .geometry import TorusGeometry, bandlimited_noise, build_torus, check_hermitian_field
 
 __all__ = [
@@ -200,17 +201,9 @@ class RunConfig:
     def flow_config(self, keep_fields: int | None = None) -> FlowConfig:
         geom = self.geometry()
         base = self.base(geom)
-        return FlowConfig(
-            geometry=geom,
-            base=base,
-            u0=self.initial_field(geom),
-            hat_theta=self.hat_theta_value(geom, base),
-            dt_safety=self.time["dt_safety"],
-            t_max=self.time["t_max"],
-            residual_tol=self.time["residual_tol"],
-            sample_every=self.time["sample_every"],
-            keep_fields=keep_fields,
-        )
+        return FlowConfig(geometry=geom, base=base, u0=self.initial_field(geom),
+                          hat_theta=self.hat_theta_value(geom, base),
+                          keep_fields=keep_fields, **self.time)
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -276,18 +269,12 @@ def parse_config_data(data: dict, source: str = "$") -> RunConfig:
     if "time" in data:
         _require_keys(data["time"], f"{source}.time", (), tuple(_TIME_DEFAULTS))
         for key, val in data["time"].items():
-            if key == "sample_every":
-                time[key] = _integer(val, f"{source}.time.{key}")
-            else:
-                time[key] = _number(val, f"{source}.time.{key}")
-    if not 0.0 < time["dt_safety"] <= 1.0:
-        raise ConfigError(f"{source}.time.dt_safety", "must lie in (0, 1]")
-    if time["t_max"] <= 0:
-        raise ConfigError(f"{source}.time.t_max", "must be positive")
-    if time["residual_tol"] <= 0:
-        raise ConfigError(f"{source}.time.residual_tol", "must be positive")
-    if time["sample_every"] < 1:
-        raise ConfigError(f"{source}.time.sample_every", "must be >= 1")
+            parse = _integer if key == "sample_every" else _number
+            time[key] = parse(val, f"{source}.time.{key}")
+    try:
+        _check_time(SimpleNamespace(**time))  # the checks of FlowConfig and SweepConfig
+    except ValueError as exc:
+        raise ConfigError(f"{source}.time", str(exc)) from None
 
     outputs = dict(_OUTPUT_DEFAULTS)
     if "outputs" in data:

@@ -1,7 +1,8 @@
 """Time integration of the line bundle mean curvature flow.
 
-The state is the real potential u on the grid; the velocity is
-theta(F_hat + complex_hessian(u)) - hat_theta.
+The state is the real potential u on the grid with its half spectrum
+(`TorusGeometry.rfft`); the velocity is theta(F_hat + complex_hessian(u)) -
+hat_theta, at every n from `TorusGeometry.half_hessian` and `PhaseFields`.
 
 `run_flow` steps with ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).
 The velocity splits into the linearization L of the flow at the constant
@@ -39,10 +40,10 @@ from __future__ import annotations
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
-import scipy.fft as sfft
+import scipy.fft as sfft  # noqa: F401  perfbench/tracer.py wraps the transforms bound here
 
 from . import diagnostics
 from .geometry import TorusGeometry, check_hermitian_field, complex_hessian
@@ -124,48 +125,24 @@ _CONTOUR_POINTS = 32  # contour points of the ETDRK4 phi-functions
 
 
 class LineBundleFlow:
-    """Right-hand-side evaluator with a fast scalar path for n = 1.
-
-    At n = 1 fields are transformed with rfft2 and the phase is a scalar
-    arctan; otherwise with `TorusGeometry.fft` and the frame curvature.
-    """
+    """Right-hand side, one path at every n: the phase of the half spectrum uh of
+    u is theta of the frame curvature F~_hat + to_frame(half_hessian(uh))."""
 
     def __init__(self, geometry: TorusGeometry, base: BaseCurvature, hat_theta: float):
         self.geometry = geometry
         self.base = base
         self.hat_theta = float(hat_theta)
         self._etd = None  # (h, ETDRK4 coefficients) of the last step size
-        if geometry.n == 1:
-            N = geometry.N
-            m2 = (sfft.fftfreq(N) * N) ** 2
-            l2 = (sfft.rfftfreq(N) * N) ** 2
-            self._mult = -np.add.outer(m2, l2) / 4.0
-            self._fhat = base.field()[..., 0, 0].real.copy()
-            self._inv_g = float(1.0 / geometry.g[0, 0].real)
-        else:
-            self._fhat = geometry.to_frame(base.field(), "zZ")
+        self._fhat = geometry.to_frame(base.field(), "zZ")
 
     def spectrum(self, f: np.ndarray) -> np.ndarray:
-        """Transform of a real grid field (rfft2 at n = 1, the full FFT otherwise)."""
-        if self.geometry.n == 1:
-            return sfft.rfft2(f)
-        return self.geometry.fft(np.asarray(f, dtype=np.float64))
-
-    def field(self, fh: np.ndarray) -> np.ndarray:
-        """The real grid field of a spectrum from `spectrum`."""
-        if self.geometry.n == 1:
-            return sfft.irfft2(fh, s=self.geometry.shape)
-        return self.geometry.ifft(fh).real
+        """Half spectrum of a real grid field."""
+        return self.geometry.rfft(f)
 
     def phase(self, uh: np.ndarray) -> np.ndarray:
         """Phase field theta(F_hat + complex_hessian(u)) from the spectrum of u."""
-        if self.geometry.n == 1:
-            lam = self._fhat + sfft.irfft2(self._mult * uh, s=self.geometry.shape)
-            if self._inv_g != 1.0:
-                lam *= self._inv_g
-            return np.arctan(lam)
-        # Hermitian by construction, so unchecked
-        F = self._fhat + self.geometry.to_frame(self.geometry.deriv(uh, "zZ"), "zZ")
+        F = self.geometry.to_frame(self.geometry.half_hessian(uh), "zZ")
+        F += self._fhat  # Hermitian by construction, so unchecked
         return PhaseFields(frame_characteristic(F)).theta
 
     def theta(self, u: np.ndarray) -> np.ndarray:
@@ -178,18 +155,17 @@ class LineBundleFlow:
     def linear_symbol(self) -> np.ndarray:
         """Fourier symbol of the flow linearized at the constant background F0.
 
-        Real and nonpositive, on the grid of `spectrum`: the sum over p, q of
-        (eta0^{-1})_qp mz_p mZ_q with eta0 = g + F0 g^{-1} F0, taken in the frame.
+        Real and nonpositive, on the half grid of `spectrum`: the sum over p, q of
+        (eta0^{-1})_qp S_pq, S_pq = mz_p mZ_q, eta0 = g + F0 g^{-1} F0, in the frame.
         """
         geom = self.geometry
-        n = geom.n
         _, eta_inv = eta_pair(geom.to_frame(self.base.F0, "zZ"))
-        if n == 1:  # in the frame the symbol of the Hessian is mz mZ / g
-            return eta_inv[0, 0].real * self._inv_g * self._mult
         # the d/dz_p and d/dzbar_q multipliers, each stacked on a trailing axis
-        mz, mZ = (geom.to_frame(np.stack(np.broadcast_arrays(*map(m, range(n))), axis=-1), c)
-                  for m, c in ((geom.dz_multiplier, "z"), (geom.dzbar_multiplier, "Z")))
-        return np.einsum("qp,...p,...q->...", eta_inv, mz, mZ).real
+        mz, mZ = (geom.to_frame(np.stack(np.broadcast_arrays(*ms), axis=-1), c)
+                  for c, ms in geom.half_symbols.items())
+        idx = range(geom.n)
+        return reduce(np.add, (eta_inv[q, p] * (mz[..., p] * mZ[..., q])
+                            for p in idx for q in idx)).real
 
     def etd_coefficients(self, h: float) -> tuple:
         """ETDRK4 coefficients (E, E2, Q, f1, f2, f3) of step h.
@@ -357,7 +333,7 @@ def etdrk4_step(state: FlowState, h: float) -> FlowState:
     Nb = stage(b, 3)
     c = E2 * a + Q * (2.0 * Nb - Nv)
     Nc = stage(c, 4)
-    return _accept(state, h, flow.field(E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc))
+    return _accept(state, h, flow.geometry.irfft(E * v + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc))
 
 
 def _check_positive(name: str, value) -> None:
@@ -368,6 +344,15 @@ def _check_positive(name: str, value) -> None:
 def _check_count(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_time(cfg) -> None:
+    """Refuse the time parameters of a FlowConfig or a SweepConfig."""
+    if not 0.0 < cfg.dt_safety <= 1.0:
+        raise ValueError("dt_safety must lie in (0, 1]")
+    _check_positive("t_max", cfg.t_max)
+    _check_positive("residual_tol", cfg.residual_tol)
+    _check_count("sample_every", cfg.sample_every)
 
 
 @dataclass
@@ -389,13 +374,9 @@ class FlowConfig:
     keep_fields: int | None = None  # ring capacity for full field samples
 
     def __post_init__(self):
-        if not 0.0 < self.dt_safety <= 1.0:
-            raise ValueError("dt_safety must lie in (0, 1]")
+        _check_time(self)
         if not np.isfinite(self.hat_theta):
             raise ValueError(f"hat_theta must be finite, got {self.hat_theta!r}")
-        _check_positive("t_max", self.t_max)
-        _check_positive("residual_tol", self.residual_tol)
-        _check_count("sample_every", self.sample_every)
 
 
 def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float,

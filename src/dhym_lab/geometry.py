@@ -15,6 +15,9 @@ which realizes d/dz = (d/dx - i d/dy)/2 per complex axis.  One kernel,
 `TorusGeometry.deriv`, builds every derivative tensor from a spectrum and a
 derivative word: a string of 'z' (d/dz_j) and 'Z' (d/dzbar_j), one letter
 per index, so "zZz" gives u_{i jbar k} on three trailing axes of length n.
+The flow, whose u is real, keeps the half spectrum of `TorusGeometry.rfft`
+(wave numbers 0..N/2 on the last axis) and takes its complex Hessian with
+`TorusGeometry.half_hessian`, in n^2 real inverse transforms.
 
 The Kahler metric is a constant Hermitian positive-definite matrix g, so the
 volume form is det(g) dx dy and covariant derivatives coincide with
@@ -90,6 +93,10 @@ class TorusGeometry:
         return (self.N,) * (2 * self.n)
 
     @property
+    def _axes(self) -> tuple:
+        return tuple(range(2 * self.n))
+
+    @property
     def num_points(self) -> int:
         return self.N ** (2 * self.n)
 
@@ -136,6 +143,12 @@ class TorusGeometry:
         return {"z": [self.dz_multiplier(j) for j in range(self.n)],
                 "Z": [self.dzbar_multiplier(j) for j in range(self.n)]}
 
+    @cached_property
+    def half_symbols(self) -> dict:
+        """The d/dz_j ('z') and d/dzbar_j ('Z') multipliers on the half grid of `rfft`."""
+        half = slice(None, self.N // 2 + 1)
+        return {c: [m[..., half] for m in ms] for c, ms in self._letter_multipliers.items()}
+
     def deriv(self, f_hat: np.ndarray, word: str) -> np.ndarray:
         """Derivative tensor of a field from its spectrum and a derivative word.
 
@@ -150,13 +163,18 @@ class TorusGeometry:
         """
         if not word or set(word) - {"z", "Z"}:
             raise ValueError(f"derivative word must be letters 'z' and 'Z', got {word!r}")
-        n = self.n
+        n, trailing = self.n, f_hat.shape[2 * self.n:]
+        shape = self.shape + (n,) * len(word) + trailing
+
+        def entry(idx):
+            m = reduce(np.multiply, (self._letter_multipliers[c][j] for c, j in zip(word, idx)))
+            return self.ifft(m.reshape(m.shape + (1,) * len(trailing)) * f_hat)
+
+        if n == 1:  # one entry, which is the tensor
+            return entry((0,) * len(word)).reshape(shape)
         grid = (slice(None),) * (2 * n)
-        pad = (1,) * (f_hat.ndim - 2 * n)  # trailing axes of the field
-        mults = {c: [m.reshape(m.shape + pad) for m in ms]
-                 for c, ms in self._letter_multipliers.items()}
         groups = [[k for k, c in enumerate(word) if c == letter] for letter in "zZ"]
-        out = np.empty(self.shape + (n,) * len(word) + f_hat.shape[2 * n:], dtype=np.complex128)
+        out = np.empty(shape, dtype=np.complex128)
         for idx in itertools.product(range(n), repeat=len(word)):
             # the orbit representative sorts the indices within each letter
             rep = list(idx)
@@ -169,10 +187,7 @@ class TorusGeometry:
             elif rep != idx:
                 out[grid + idx] = out[grid + rep]
             else:
-                m = mults[word[0]][idx[0]]
-                for c, j in zip(word[1:], idx[1:]):
-                    m = m * mults[c][j]
-                out[grid + idx] = self.ifft(m * f_hat)
+                out[grid + idx] = entry(idx)
         return out
 
     def to_frame(self, X: np.ndarray, word: str) -> np.ndarray:
@@ -191,16 +206,41 @@ class TorusGeometry:
 
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Forward transform over the 2n grid axes (trailing axes pass through)."""
-        axes = tuple(range(2 * self.n))
-        return sfft.fftn(f, axes=axes, workers=_workers())
+        return sfft.fftn(f, axes=self._axes, workers=_workers())
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        axes = tuple(range(2 * self.n))
-        return sfft.ifftn(fh, axes=axes, workers=_workers())
+        return sfft.ifftn(fh, axes=self._axes, workers=_workers())
+
+    def rfft(self, f: np.ndarray) -> np.ndarray:
+        """Half spectrum of a real field: wave numbers 0..N/2 on the last grid axis."""
+        return sfft.rfftn(f, axes=self._axes, workers=_workers())
+
+    def irfft(self, fh: np.ndarray) -> np.ndarray:
+        """The real field of a half spectrum from `rfft`."""
+        return sfft.irfftn(fh, s=self.shape, axes=self._axes, workers=_workers())
+
+    @cached_property
+    def _hessian_symbols(self) -> list:
+        # (p, q, real part, imaginary part above the diagonal) of mz_p mZ_q; each part
+        # is even in the wave vector, so it takes a real field to a real field
+        mz, mZ = self.half_symbols["z"], self.half_symbols["Z"]
+        S = {(p, q): mz[p] * mZ[q] for p in range(self.n) for q in range(p, self.n)}
+        return [(p, q, s.real.copy(), s.imag.copy() if p < q else None) for (p, q), s in S.items()]
+
+    def half_hessian(self, uh: np.ndarray) -> np.ndarray:
+        """Complex Hessian u_{i jbar} of a real field from its half spectrum uh = rfft(u)
+        in n^2 real inverse transforms: one per (real) diagonal entry, two per entry
+        above the diagonal, whose conjugate fills the lower triangle."""
+        out = np.empty(self.shape + (self.n, self.n), dtype=np.complex128)
+        for p, q, re, im in self._hessian_symbols:
+            out[..., p, q] = self.irfft(re * uh)
+            if im is not None:
+                out[..., p, q].imag = self.irfft(im * uh)
+                out[..., q, p] = out[..., p, q].conj()
+        return out
 
     def mean(self, f: np.ndarray) -> complex | float:
-        axes = tuple(range(2 * self.n))
-        return f.mean(axis=axes)
+        return f.mean(axis=self._axes)
 
 
 def build_torus(n: int, N: int, g) -> TorusGeometry:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cohomology import winding_hat_theta
 from .diagnostics import dhym_point_identities, oscillation_decay, tensor_norms
-from .flow import BaseCurvature, FlowConfig, Trajectory, run_flow
+from .flow import BaseCurvature, FlowConfig, Trajectory, _check_time, run_flow
 from .geometry import TorusGeometry, bandlimited_noise
 
 __all__ = [
@@ -83,6 +83,7 @@ class SweepConfig:
     seed_base: int = 0
 
     def __post_init__(self):
+        _check_time(self)  # here, not in each cell after its noise is drawn
         deltas = list(self.delta_list)
         if any(d < 0 for d in deltas):
             raise ValueError("deltas must be nonnegative")

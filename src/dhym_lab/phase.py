@@ -14,7 +14,8 @@ zeta = sum_k i^k e_k with e_k the elementary symmetric functions of the
 lambda_j, from the power sums tr(F~^k) (`frame_characteristic`).  For
 n <= 3, theta lies in (-3 pi/2, 3 pi/2) and Re zeta < 0 forces
 sign(theta) = sign(e_1), so theta = arctan(Im zeta / Re zeta) +
-pi sign(e_1) [Re zeta < 0].  `pointwise_phase` keeps `eigvalsh` as the oracle.
+pi sign(e_1) [Re zeta < 0], with Re zeta and Im zeta summed as real fields
+(at n = 1, arctan(e_1)).  `pointwise_phase` keeps `eigvalsh` as the oracle.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of workers.  All operations broadcast over leading batch axes, so a
@@ -64,18 +65,25 @@ class PhaseFields:
 
     e: list
 
+    def _zeta_parts(self) -> tuple:
+        # zeta = sum_k i^k e_k with i^k = 1, i, -1, -i: Re zeta sums the even k, Im zeta the odd k
+        e, sign = self.e, (1.0, 1.0, -1.0, -1.0)
+        return tuple(sum((sign[k % 4] * e[k] for k in range(a + 2, len(e), 2)), e[a])
+                     for a in (0, 1))
+
     @cached_property
     def zeta(self) -> np.ndarray:
-        # zeta = sum_k i^k e_k, and i^k runs through 1, i, -1, -i
-        e, sign = self.e, (1.0, 1.0, -1.0, -1.0)
-        return (sum((sign[k % 4] * e[k] for k in range(2, len(e), 2)), e[0])
-                + 1j * sum((sign[k % 4] * e[k] for k in range(3, len(e), 2)), e[1]))
+        re, im = self._zeta_parts()
+        return re + 1j * im
 
     @cached_property
     def theta(self) -> np.ndarray:
+        re, im = self._zeta_parts()
+        if not (re <= 0).any():  # no zero divisor and no branch term
+            return np.arctan(im / re)
         with np.errstate(divide="ignore"):
-            theta = np.arctan(self.zeta.imag / self.zeta.real)
-        np.add(theta, np.copysign(np.pi, self.e[1]), out=theta, where=self.zeta.real < 0)
+            theta = np.arctan(im / re)
+        np.add(theta, np.copysign(np.pi, self.e[1]), out=theta, where=np.less(re, 0))
         return theta
 
 
@@ -133,7 +141,7 @@ def frame_characteristic(F: np.ndarray) -> list:
         p.append(reduce(add, (Ak[i][q] * A[q][i] for i in idx for q in idx)).real)
         if k + 1 < n:
             Ak = [[reduce(add, (Ak[i][q] * A[q][j] for q in idx)) for j in idx] for i in idx]
-    e = [1.0, p[0]]
+    e = [np.float64(1.0), p[0]]  # a numpy scalar, so e_0 <= 0 has .any() like a field
     for k in range(2, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
     return e

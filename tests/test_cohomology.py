@@ -94,7 +94,7 @@ class TestWinding:
         F = proportional_field(geom, 1e5)
         assert dl.winding_hat_theta(geom, F) == pytest.approx(3 * np.arctan(1e5), abs=1e-9)
         inv = dl.cohomology_invariants(geom, F, n_steps=64)
-        assert inv.winding_samples[0][0] == pytest.approx(4 * 3 * np.sqrt(3) * 1e5)
+        assert inv.hat_theta == pytest.approx(3 * np.arctan(1e5), abs=1e-9)
 
     def test_explicit_start_below_branch_bound_raises(self):
         geom = dl.build_torus(3, 8, np.eye(3))
@@ -116,9 +116,12 @@ class TestWinding:
         with pytest.raises(RuntimeError, match="under-resolved"):
             dl.winding_hat_theta(geom, proportional_field(geom, 100.0), n_steps=4)
 
-    def test_winding_samples_span_path(self, torus1):
-        inv = dl.cohomology_invariants(torus1, proportional_field(torus1, 1.0), n_steps=64)
-        ts = [t for t, _ in inv.winding_samples]
-        assert len(ts) == 64
-        assert ts[0] == pytest.approx(1e4)
-        assert ts[-1] == pytest.approx(1.0)
+    def test_invariants_are_path_end_and_lift(self, torus2):
+        # Z is the winding path at t = 1 and hat_theta its lift; no path is kept
+        F = dl.BaseCurvature(geometry=torus2, F0=np.diag([1.0, 3.0]),
+                             psi=0.3 * cos_axis(torus2, 0)).field()
+        inv = dl.cohomology_invariants(torus2, F, n_steps=64)
+        assert inv.Z == pytest.approx(dl.compute_Z(torus2, F), rel=1e-12)
+        assert inv.hat_theta == dl.winding_hat_theta(torus2, F, n_steps=64)
+        assert inv.vol == torus2.vol
+        assert not hasattr(inv, "winding_samples")

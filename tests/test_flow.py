@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 import dhym_lab as dl
 from conftest import cos_axis, fails_on_call
+from dhym_lab.config_io import modes_field
+from dhym_lab.phase import eta_pair, frame_characteristic
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,75 @@ class TestFlowRhs:
         monkeypatch.undo()
         lam = dl.pointwise_phase(base.field() + dl.complex_hessian(geom, u), geom.g).lam
         assert np.abs(theta - np.arctan(lam).sum(-1)).max() < 1e-13
+
+
+def full_spectrum_theta(geom, base, u):
+    """Oracle: the n >= 2 phase from the full complex spectrum, the Hessian from
+    `deriv` and theta from the complex zeta."""
+    F = geom.to_frame(base.field(), "zZ") + geom.to_frame(geom.deriv(geom.fft(u), "zZ"), "zZ")
+    pf = dl.PhaseFields(frame_characteristic(F))
+    with np.errstate(divide="ignore"):
+        theta = np.arctan(pf.zeta.imag / pf.zeta.real)
+    np.add(theta, np.copysign(np.pi, pf.e[1]), out=theta, where=pf.zeta.real < 0)
+    return theta
+
+
+def scalar_multiplier(N):
+    """The n = 1 Hessian symbol -(m^2 + l^2)/4 on the rfft2 grid."""
+    return -np.add.outer((sfft.fftfreq(N) * N) ** 2, (sfft.rfftfreq(N) * N) ** 2) / 4.0
+
+
+def scalar_theta(geom, base, u):
+    """Oracle: the n = 1 phase arctan((F_hat + irfft2(mult * uh)) / g)."""
+    lam = base.field()[..., 0, 0].real + sfft.irfft2(
+        scalar_multiplier(geom.N) * sfft.rfft2(u), s=geom.shape)
+    inv_g = float(1.0 / geom.g[0, 0].real)
+    if inv_g != 1.0:
+        lam *= inv_g
+    return np.arctan(lam)
+
+
+class TestOnePhasePath:
+    """The half-spectrum phase of every n against the two paths it replaced."""
+
+    @pytest.mark.parametrize("n,N,g", [
+        (2, 8, np.eye(2)), (2, 8, np.array([[2.0, 0.3j], [-0.3j, 1.0]])),
+        (2, 16, np.eye(2)), (2, 16, np.array([[2.0, 0.3j], [-0.3j, 1.0]])), (3, 8, np.eye(3)),
+    ], ids=["n2-N8-I", "n2-N8-g", "n2-N16-I", "n2-N16-g", "n3-N8-I"])
+    def test_matches_full_spectrum_path(self, n, N, g):
+        geom = dl.build_torus(n, N, g)
+        # the potential mixes x_1 with y_n, the half axis of the spectrum
+        modes = [{"m": [1] + [0] * (2 * n - 2) + [1], "amplitude": 0.2},
+                 {"m": [0, 1] + [0] * (2 * n - 3) + [1], "amplitude": 0.1, "phase": 0.3}]
+        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5, 2.0][:n]),
+                                psi=modes_field(geom, modes) if n == 2 else None)
+        u = dl.bandlimited_noise(geom, 2, 0.3, 5)
+        flow = dl.LineBundleFlow(geom, base, 0.0)
+        assert flow.spectrum(u).shape == geom.shape[:-1] + (N // 2 + 1,)
+        assert np.abs(flow.theta(u) - full_spectrum_theta(geom, base, u)).max() <= 1e-13
+
+    @pytest.mark.parametrize("N", [32, 64, 256])
+    def test_n1_is_the_scalar_formula_bit_for_bit(self, N):
+        geom = dl.build_torus(1, N, [1.0])
+        base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=0.2 * cos_axis(geom, 0))
+        u = dl.bandlimited_noise(geom, 2, 0.3, 9)
+        assert np.array_equal(dl.LineBundleFlow(geom, base, 0.0).theta(u),
+                              scalar_theta(geom, base, u))
+
+    @pytest.mark.parametrize("g", [0.6, 1.7])
+    def test_n1_metric_within_rounding(self, g):
+        geom = dl.build_torus(1, 32, [g])
+        base = dl.BaseCurvature(geometry=geom, F0=1.3 * geom.g, psi=0.2 * cos_axis(geom, 0))
+        u = dl.bandlimited_noise(geom, 2, 0.3, 9)
+        theta, expect = dl.LineBundleFlow(geom, base, 0.0).theta(u), scalar_theta(geom, base, u)
+        assert np.abs(theta - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_n1_linear_symbol_bit_for_bit(self, c):
+        geom = dl.build_torus(1, 32, [1.0])
+        flow = dl.LineBundleFlow(geom, dl.BaseCurvature.proportional(geom, c), 0.0)
+        _, eta_inv = eta_pair(np.array([[c + 0j]]))
+        assert np.array_equal(flow.linear_symbol, eta_inv[0, 0].real * 1.0 * scalar_multiplier(32))
 
 
 class TestRk4Step:

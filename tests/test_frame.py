@@ -112,7 +112,7 @@ def oracle_linear_symbol(geom, F0, N):
     eta_inv = oracle_eta_inv(geom, F0)
     symbol = sum((eta_inv[q, p] * geom.dz_multiplier(p) * geom.dzbar_multiplier(q)).real
                  for p in range(geom.n) for q in range(geom.n))
-    return symbol[:, : N // 2 + 1] if geom.n == 1 else np.broadcast_to(symbol, geom.shape)
+    return np.broadcast_to(symbol, geom.shape)[..., : N // 2 + 1]  # the half grid
 
 
 def oracle_characteristic(geom, F):

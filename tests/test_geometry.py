@@ -189,6 +189,28 @@ class TestDerivativeKernel:
             torus1.deriv(torus1.fft(np.zeros(torus1.shape)), word)
 
 
+class TestHalfSpectrum:
+    """The half-spectrum calculus of the flow against the full-spectrum kernel."""
+
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
+    def test_half_hessian_matches_deriv(self, n, N):
+        rng = np.random.default_rng(n)
+        B = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        geom = dl.build_torus(n, N, B @ B.conj().T + np.eye(n))
+        u = dl.bandlimited_noise(geom, 2, 1.0, 30 + n)
+        uh = geom.rfft(u)
+        assert uh.shape == geom.shape[:-1] + (N // 2 + 1,)
+        assert np.abs(geom.irfft(uh) - u).max() < 1e-15
+        H, expect = geom.half_hessian(uh), geom.deriv(geom.fft(u), "zZ")
+        assert np.abs(H - expect).max() <= 1e-13 * np.abs(expect).max()
+        assert (H == H.conj().swapaxes(-1, -2)).all()  # Hermitian by construction
+        # the symbols are those of the full grid on its first N/2 + 1 columns
+        for j in range(n):
+            for c, full in (("z", geom.dz_multiplier(j)), ("Z", geom.dzbar_multiplier(j))):
+                half = np.broadcast_to(geom.half_symbols[c][j], uh.shape)
+                assert np.array_equal(half, np.broadcast_to(full, u.shape)[..., : N // 2 + 1])
+
+
 class TestVolumeIntegral:
     def test_constant(self, torus1):
         assert dl.volume_integral(torus1, np.ones(torus1.shape)) == pytest.approx(

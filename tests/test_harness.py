@@ -95,6 +95,25 @@ class TestStabilitySweep:
         with pytest.raises(ValueError, match="seed"):
             dl.SweepConfig(geometry=torus1, base=base, delta_list=[0.1], seeds=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("t_max", np.nan), ("t_max", np.inf), ("t_max", 0.0), ("residual_tol", np.nan),
+        ("residual_tol", -1e-10), ("dt_safety", 0.0), ("dt_safety", 1.5),
+        ("dt_safety", np.nan), ("sample_every", 0), ("sample_every", 2.5),
+    ])
+    def test_refuses_time_parameters_before_any_cell(self, torus1, monkeypatch, field, value):
+        # the errors FlowConfig raises, at construction: no noise drawn, no cell run
+        import dhym_lab.harness as harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "bandlimited_noise", refuse)
+        monkeypatch.setattr(harness, "_one_cell", refuse)
+        base = dl.BaseCurvature.proportional(torus1, 1.0)
+        with pytest.raises(ValueError, match=field):
+            harness.stability_sweep(dl.SweepConfig(geometry=torus1, base=base,
+                                                   delta_list=[0.05], seeds=1, **{field: value}))
+
     def test_rate_table_structure(self, torus1):
         report = small_sweep(torus1, [0.02], seeds=2)
         assert set(report.rate_table) == {0.02}

@@ -69,6 +69,13 @@ class TestParseConfig:
         with pytest.raises(dl.ConfigError, match=r"time.t_maxx"):
             parse_config_data(doc)
 
+    @pytest.mark.parametrize("key,value", [("t_max", -1.0), ("residual_tol", 0.0),
+                                           ("dt_safety", 1.5), ("sample_every", 0)])
+    def test_time_block_refused_with_the_flow_checks(self, key, value):
+        # the checks of FlowConfig and SweepConfig, as a ConfigError on the time block
+        with pytest.raises(dl.ConfigError, match=rf"\$\.time: {key} must"):
+            parse_config_data(minimal_config(time={key: value}))
+
     def test_non_hermitian_constant_named(self):
         doc = minimal_config(dimension=2, metric=[[1.0, 0.0], [0.0, 1.0]],
                              base_curvature={"constant": [[1.0, 1.0], [0.0, 1.0]]})

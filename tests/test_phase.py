@@ -189,6 +189,22 @@ class TestPhaseFields:
         e = frame_characteristic(F)
         assert np.array_equal(e[1], np.trace(F, axis1=-2, axis2=-1).real)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_theta_from_zeta_parts_matches_complex_zeta(self, n):
+        # theta from the real sums Re zeta and Im zeta, bit for bit the formula
+        # on the complex zeta; a shift of +-20 takes Re zeta < 0 at n >= 2
+        rng = np.random.default_rng(40 + n)
+        F = random_hermitian(rng, 512, n) + rng.choice([-20.0, 0.0, 20.0], (512, 1, 1)) * np.eye(n)
+        pf = dl.PhaseFields(frame_characteristic(F))
+        zeta = pf.zeta
+        with np.errstate(divide="ignore"):
+            expect = np.arctan(zeta.imag / zeta.real)
+        np.add(expect, np.copysign(np.pi, pf.e[1]), out=expect, where=zeta.real < 0)
+        assert np.array_equal(pf.theta, expect)
+        assert (zeta.real < 0).any() == (n > 1)
+        if n == 1:
+            assert np.array_equal(pf.theta, np.arctan(pf.e[1]))
+
     def test_pointwise_error_carries_grid_location(self, torus2):
         F = np.broadcast_to(torus2.g, torus2.shape + (2, 2)).copy()
         F[3, 1, 4, 2, 0, 1] += 1.0  # break Hermitian symmetry at one point
