@@ -189,7 +189,7 @@ class RunConfig:
             return np.zeros(geom.shape)
         from .diagnostics import tensor_norms
 
-        return u0 * (target / tensor_norms(geom, u0).hess_sup)
+        return u0 * (target / tensor_norms(geom, u0, ("Theta", "ThetaP")).hess_sup)
 
     def hat_theta_value(self, geom: TorusGeometry, base: BaseCurvature) -> float:
         if self.hat_theta is not None:

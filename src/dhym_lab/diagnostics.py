@@ -21,6 +21,13 @@ eta = I + F F for the frame curvature F.  Only the reports of
 `dhym_point_identities`, which take a supremum over the components of a
 free index, keep that index in coordinates.
 
+Each contraction is a sum of products of whole grid fields over the index
+tables of the tensors (`_eta_trace`, `_sandwich`, `_mix`), as in
+`phase.frame_characteristic`, and no inner tensor of several factors is
+built.  The
+fourth derivatives of the base potential are read one distinct entry at a
+time (`_entry_sum`, `TorusGeometry.entries`), so they are never held whole.
+
 `build_record` builds a full record by default.  With norms=False it builds
 a phase-only one: the frame Hessian alone gives theta, zeta and the scalar
 columns, bit for bit those of a full record, and the TENSOR_COLUMNS are
@@ -37,7 +44,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,16 +116,16 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True, eq=False)
 class TensorNorms:
-    grad_sq: np.ndarray
-    Theta: np.ndarray
-    ThetaP: np.ndarray
-    Gamma: np.ndarray
+    grad_sq: np.ndarray | None
+    Theta: np.ndarray | None
+    ThetaP: np.ndarray | None
+    Gamma: np.ndarray | None
     grad_sq_sup: float
     Theta_sup: float
     ThetaP_sup: float
     Gamma_sup: float
     hess_sup: float  # sup_x sqrt(Theta(x) + Theta'(x))
-    H: np.ndarray  # the complex Hessian u_{i jbar} the norms were built from, in the frame
+    H: np.ndarray | None  # the complex Hessian u_{i jbar} Theta was built from, in the frame
 
 
 @dataclass(frozen=True)
@@ -145,19 +153,32 @@ def _frame_deriv(geom: TorusGeometry, f_hat: np.ndarray, word: str) -> np.ndarra
     return geom.to_frame(geom.deriv(f_hat, word), word)
 
 
-def _norms_of(geom: TorusGeometry, du, H, S, T) -> TensorNorms:
-    """The four tensor norms and their sups from the frame tensors u_i, u_{i jbar},
-    u_{i p} and u_{i jbar k}."""
-    fields = [(X.real ** 2 + X.imag ** 2).sum(axis=tuple(range(2 * geom.n, X.ndim)))
-              for X in (du, H, S, T)]  # grad_sq, Theta, ThetaP, Gamma
-    return TensorNorms(*fields, *(float(f.max()) for f in fields),
-                       hess_sup=float(np.sqrt((fields[1] + fields[2]).max())), H=H)
+# the frame tensor each norm sums |.|^2 over: u_i, u_{i jbar}, u_{i p}, u_{i jbar k}
+_NORM_WORDS = {"grad_sq": "z", "Theta": "zZ", "ThetaP": "zz", "Gamma": "zZz"}
 
 
-def tensor_norms(geom: TorusGeometry, u: np.ndarray) -> TensorNorms:
-    """The four tensor norms of u and their sups, taken in the frame."""
+def _norms_of(geom: TorusGeometry, tensors: dict) -> TensorNorms:
+    """The tensor norms and their sups of the frame tensors given by norm name
+    (`_NORM_WORDS`); a norm without its tensor is None with a NaN sup, and so is
+    hess_sup without both Theta and ThetaP."""
+    fields = {name: (X.real ** 2 + X.imag ** 2).sum(axis=tuple(range(2 * geom.n, X.ndim)))
+              for name, X in tensors.items()}
+    hess_sup = (float(np.sqrt((fields["Theta"] + fields["ThetaP"]).max()))
+                if {"Theta", "ThetaP"} <= fields.keys() else math.nan)
+    return TensorNorms(**{name: fields.get(name) for name in _NORM_WORDS},
+                       **{f"{name}_sup": float(fields[name].max()) if name in fields else math.nan
+                          for name in _NORM_WORDS},
+                       hess_sup=hess_sup, H=tensors.get("Theta"))
+
+
+def tensor_norms(geom: TorusGeometry, u: np.ndarray, names=tuple(_NORM_WORDS)) -> TensorNorms:
+    """The tensor norms of u and their sups, taken in the frame.
+
+    Only the named norms are built, each from one derivative tensor; the
+    others are None with NaN sups (see `_norms_of`).
+    """
     uh = geom.fft(np.asarray(u, dtype=np.float64))
-    return _norms_of(geom, *(_frame_deriv(geom, uh, word) for word in ("z", "zZ", "zz", "zZz")))
+    return _norms_of(geom, {name: _frame_deriv(geom, uh, _NORM_WORDS[name]) for name in names})
 
 
 def _q_field(tn: TensorNorms, u: np.ndarray, u0_at_p: float,
@@ -241,7 +262,7 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
     _, eta_inv = eta_pair(geom.to_frame(F_hat + complex_hessian(geom, u), "zZ"))
     numeric = (tp - tm) / (2.0 * eps)
     Hphi = geom.to_frame(complex_hessian(geom, phi), "zZ")
-    analytic = np.einsum("...qp,...pq->...", eta_inv, Hphi).real
+    analytic = _eta_trace(eta_inv, lambda p, q: Hphi[..., p, q], hermitian=True)
     scale = np.abs(analytic).max()
     return float(np.abs(numeric - analytic).max() / scale)
 
@@ -256,17 +277,20 @@ class _SampleContext(SimpleNamespace):
 
     @cached_property
     def dEta(self):
-        # d_i eta_{a bbar} at [..., a, b, i]: built on first read, so only the
-        # identities that need it hold it; i stays in coordinates
-        return np.moveaxis(self.geom.deriv(self.geom.fft(self.eta), "z"), -3, -1)
+        # d_i eta_{a bbar} at [..., a, b, i], each a contiguous field: built on first
+        # read, so only the identities that need it hold it; i stays in coordinates
+        geom, idx = self.geom, range(self.geom.n)
+        out = np.empty((geom.n,) * 3 + geom.shape, dtype=np.complex128)
+        for a in idx:
+            for b in idx:
+                out[a, b] = np.moveaxis(geom.deriv(geom.fft(self.eta[..., a, b]), "z"), -1, 0)
+        return np.moveaxis(out, (0, 1, 2), (-3, -2, -1))
 
     def dFhat(self):
-        # d_i Fhat_{p qbar} = psi_{i p qbar}, a frame tensor: built on each call, so
-        # the context does not hold it beside the Theta and Theta' transients
-        geom = self.geom
-        if self.psi_hat is None:
-            return np.zeros(geom.shape + (geom.n,) * 3, dtype=np.complex128)
-        return _frame_deriv(geom, self.psi_hat, "zzZ")
+        # d_i Fhat_{p qbar} = psi_{i p qbar}, a frame tensor, or None without a
+        # potential: built on each call, so the context does not hold it beside
+        # the Theta and Theta' transients
+        return None if self.psi_hat is None else _frame_deriv(self.geom, self.psi_hat, "zzZ")
 
 
 def _phase_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
@@ -295,54 +319,117 @@ def _sample_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
     """
     ctx = _phase_context(geom, base, u)
     ctx.du, ctx.S, ctx.T = (_frame_deriv(geom, ctx.uh, word) for word in ("z", "zz", "zZz"))
-    # the Hessian part of dF[..., i, p, q] is u_{p qbar i}
-    ctx.dF = ctx.dFhat() + np.moveaxis(ctx.T, -1, -3)
+    # the Hessian part of dF[..., i, p, q] is u_{p qbar i}, added in place
+    dH = np.moveaxis(ctx.T, -1, -3)
+    ctx.dF = np.zeros_like(dH) if ctx.psi_hat is None else ctx.dFhat()
+    ctx.dF += dH
     return ctx
+
+
+def _eta_trace(Hinv: np.ndarray, M, hermitian: bool = False) -> np.ndarray:
+    """sum_{p,q} eta^{p qbar} M(p, q) = sum Hinv[..., q, p] M(p, q) as a sum of field
+    products, for a table M given by its entries M(p, q).
+
+    A complex field; for a Hermitian M its real value, from the entries on and
+    above the diagonal.
+    """
+    idx = range(Hinv.shape[-1])
+    if not hermitian:
+        return reduce(add, (Hinv[..., q, p] * M(p, q) for p in idx for q in idx))
+    trace = reduce(add, (Hinv[..., p, p].real * M(p, p).real for p in idx))
+    if len(idx) == 1:
+        return trace
+    return trace + 2.0 * reduce(add, (Hinv[..., q, p] * M(p, q)
+                                      for p in idx for q in idx[p + 1:])).real
+
+
+def _sandwich(Hinv: np.ndarray, Y: list) -> list:
+    """W[x][y] = sum_{a,b} Hinv[..., b, x] Y[a][b] Hinv[..., y, a], the eta-inverse pair
+    around one n x n table Y of fields: 2 n^3 field products."""
+    idx = range(Hinv.shape[-1])
+    Z = [[reduce(add, (Y[a][b] * Hinv[..., b, x] for b in idx)) for x in idx] for a in idx]
+    return [[reduce(add, (Hinv[..., y, a] * Z[a][x] for a in idx)) for y in idx] for x in idx]
+
+
+def _mix(Hinv: np.ndarray, Y: list, dF: np.ndarray, c: list) -> np.ndarray:
+    """One free index's part of a mix term: sum_{x,y} W[x][y] sum_i dF[..., i, x, y] c[i]
+    with W = `_sandwich`(Hinv, Y), so no n^3-field inner tensor is built."""
+    W, idx = _sandwich(Hinv, Y), range(Hinv.shape[-1])
+    return reduce(add, (W[x][y] * reduce(add, (dF[..., i, x, y] * c[i] for i in idx))
+                        for x in idx for y in idx))
+
+
+def _entry_sum(geom: TorusGeometry, f_hat: np.ndarray, word: str, coeff) -> np.ndarray:
+    """sum over the index tuples idx of coeff(idx) D[idx], D the frame derivative
+    tensor of word, taken one distinct entry of D at a time (`TorusGeometry.entries`)."""
+    return reduce(add, (reduce(add, (coeff(idx) for idx in orbit)) * field
+                        for orbit, field in geom.entries(f_hat, word)))
 
 
 def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
                   hat_theta: float, u: np.ndarray) -> np.ndarray:
-    Hinv = ctx.eta_inv
+    """The right side of one evolution identity at the context's sample.
+
+    Every contraction is a sum of products of whole fields over the index
+    tables of the frame tensors; eta^{p qbar} is Hinv[..., q, p].
+    """
+    Hinv, H, idx = ctx.eta_inv, ctx.H, range(geom.n)
+    # a product with a conjugate conjugates one entry at a time, so no conjugate
+    # copy of T or of u_{i p k} is held
     if which == "u_sq":
-        lap_u = np.einsum("...qp,...pq->...", Hinv, ctx.H).real
-        grad_part = np.einsum("...qp,...p,...q->...", Hinv, ctx.du, ctx.du.conj()).real
+        du = ctx.du
+        lap_u = _eta_trace(Hinv, lambda p, q: H[..., p, q], hermitian=True)
+        grad_part = _eta_trace(Hinv, lambda p, q: du[..., p] * du[..., q].conj(), hermitian=True)
         return 2.0 * np.asarray(u) * (ctx.theta - hat_theta - lap_u) - 2.0 * grad_part
 
     if which == "grad_sq":
-        A = np.einsum("...qp,...ip,...iq->...", Hinv, ctx.S, ctx.S.conj())
-        B = np.einsum("...qp,...iq,...pi->...", Hinv, ctx.H, ctx.H)
-        C = np.einsum("...qp,...ipq,...i->...", Hinv, ctx.dFhat(), ctx.du.conj())
-        return -(A + B).real + 2.0 * C.real
+        S, du = ctx.S, ctx.du
+        A = _eta_trace(Hinv, lambda p, q: reduce(add, (S[..., i, p] * S[..., i, q].conj()
+                                                       for i in idx)), hermitian=True)
+        B = _eta_trace(Hinv, lambda p, q: reduce(add, (H[..., p, i] * H[..., i, q] for i in idx)),
+                       hermitian=True)
+        rhs = -(A + B)
+        if ctx.psi_hat is not None:
+            dFhat = ctx.dFhat()
+            C = _eta_trace(Hinv, lambda p, q: reduce(add, (dFhat[..., i, p, q] * du[..., i].conj()
+                                                           for i in idx)))
+            rhs += 2.0 * C.real
+        return rhs
 
     dEta = geom.to_frame(ctx.dEta, "z")  # d_p eta_{a bbar} at [..., a, b, p]
-    # each mix contracts the eta-inverse pair first: the factors keep their order
+    T = ctx.T
 
     if which == "Theta":
-        T1 = np.einsum("...qp,...ilp,...ilq->...", Hinv, ctx.T, ctx.T.conj())
-        T2 = np.einsum("...qp,...liq,...lip->...", Hinv, ctx.T.conj(), ctx.T)
+        # the sum of T Tbar against eta-inverse appears twice: once more after relabelling i, l
+        T1 = _eta_trace(Hinv, lambda p, q: reduce(add, (T[..., i, l, p] * T[..., i, l, q].conj()
+                                                        for i in idx for l in idx)),
+                        hermitian=True)
         # (d/dzbar_l eta)_{a bbar} = conj((d/dz_l eta)_{b abar}) = conj(dEta[..., b, a, l])
-        mix = np.einsum("...pql,...ipq,...li->...",
-                        np.einsum("...bp,...qa,...bal->...pql", Hinv, Hinv, dEta.conj()),
-                        ctx.dF, ctx.H)
-        rhs = -(T1 + T2).real - 2.0 * mix.real
+        mix = reduce(add, (_mix(Hinv, [[dEta[..., b, a, l].conj() for b in idx] for a in idx],
+                                ctx.dF, [H[..., l, i] for i in idx]) for l in idx))
+        rhs = -2.0 * T1 - 2.0 * mix.real
         if ctx.psi_hat is not None:
-            hat = np.einsum("...qp,...li,...ilpq->...", Hinv, ctx.H,
-                            _frame_deriv(geom, ctx.psi_hat, "zZzZ"))
+            # psi_{i lbar p qbar} H_{l ibar} against eta-inverse, one entry of psi at a time
+            hat = _entry_sum(geom, ctx.psi_hat, "zZzZ",
+                             lambda t: Hinv[..., t[3], t[2]] * H[..., t[1], t[0]])
             rhs += 2.0 * hat.real
         return rhs
 
-    # ThetaP
-    P = _frame_deriv(geom, ctx.uh, "zzz")  # u_{i p k}
-    e1 = np.einsum("...lk,...ipk,...ipl->...", Hinv, P, P.conj())
-    del P  # bounds the peak memory, like the inner einsums below
-    e2 = np.einsum("...lk,...ilp,...ikp->...", Hinv, ctx.T, ctx.T.conj())
-    mix = np.einsum("...klp,...ikl,...ip->...",
-                    np.einsum("...bk,...la,...abp->...klp", Hinv, Hinv, dEta),
-                    ctx.dF, ctx.S.conj())
-    rhs = -(e1 + e2).real - 2.0 * mix.real
+    # ThetaP; u_{i p k} is symmetric, so P holds each distinct entry once
+    P = {idx: field for orbit, field in geom.entries(ctx.uh, "zzz") for idx in orbit}
+    e1 = _eta_trace(Hinv, lambda k, l: reduce(add, (P[i, p, k] * P[i, p, l].conj()
+                                                    for i in idx for p in idx)), hermitian=True)
+    del P  # bounds the peak memory
+    e2 = _eta_trace(Hinv, lambda k, l: reduce(add, (T[..., i, l, p] * T[..., i, k, p].conj()
+                                                    for i in idx for p in idx)), hermitian=True)
+    Sc = [[ctx.S[..., i, p].conj() for p in idx] for i in idx]
+    mix = reduce(add, (_mix(Hinv, [[dEta[..., a, b, p] for b in idx] for a in idx],
+                            ctx.dF, [Sc[i][p] for i in idx]) for p in idx))
+    rhs = -(e1 + e2) - 2.0 * mix.real
     if ctx.psi_hat is not None:
-        hat = np.einsum("...lk,...ipkl,...ip->...", Hinv,
-                        _frame_deriv(geom, ctx.psi_hat, "zzzZ"), ctx.S.conj())
+        # psi_{i p k lbar} Sbar_{i p} against eta-inverse, one entry of psi at a time
+        hat = _entry_sum(geom, ctx.psi_hat, "zzzZ",
+                         lambda t: Hinv[..., t[3], t[2]] * Sc[t[0]][t[1]])
         rhs += 2.0 * hat.real
     return rhs
 
@@ -385,7 +472,8 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
         raise ValueError(f"repeated evolution identity in {names!r}")
     geom = trajectory.geometry
     prev, mid, nxt, dt_s = _bracket(trajectory, t)
-    norms = bool(set(names) - {"u_sq"})
+    # the outer samples build only the norms the names read: the Gamma tensor u_{i jbar k} never
+    norm_names = tuple(w for w in names if w != "u_sq")
 
     def named(u, tn):
         # only the named fields, not the whole TensorNorms: it bounds the peak memory
@@ -393,15 +481,17 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
 
     # prev and nxt before the context, so their derivative tensors are freed by then;
     # the center's norms come from the context's own du, H, S and T
-    quantities = [named(s.u, tensor_norms(geom, s.u) if norms else None) for s in (prev, nxt)]
+    quantities = [named(s.u, tensor_norms(geom, s.u, norm_names) if norm_names else None)
+                  for s in (prev, nxt)]
     ctx = _sample_context(geom, trajectory.base, mid.u)
-    quantities.insert(1, named(mid.u, _norms_of(geom, ctx.du, ctx.H, ctx.S, ctx.T)
-                               if norms else None))
+    tensors = {"grad_sq": ctx.du, "Theta": ctx.H, "ThetaP": ctx.S}
+    quantities.insert(1, named(mid.u, _norms_of(geom, {w: tensors[w] for w in norm_names})))
     reports = []
     for which in names:
         q_prev, q_mid, q_next = (q.pop(which) for q in quantities)
-        lap = np.einsum("...qp,...pq->...", ctx.eta_inv, _frame_deriv(geom, geom.fft(q_mid), "zZ"))
-        lhs = (q_next - q_prev) / (2.0 * dt_s) - lap.real
+        X = _frame_deriv(geom, geom.fft(q_mid), "zZ")
+        lap = _eta_trace(ctx.eta_inv, lambda p, q: X[..., p, q], hermitian=True)
+        lhs = (q_next - q_prev) / (2.0 * dt_s) - lap
         rhs = _identity_rhs(geom, which, ctx, trajectory.hat_theta, mid.u)
         reports.append(_report(which, lhs, rhs, float(mid.t), dt_s, geom.N))
     return reports
@@ -437,22 +527,30 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
         raise ValueError(
             f"not a dHYM point: residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
-    Hinv = ctx.eta_inv
+    Hinv, idx = ctx.eta_inv, range(geom.n)
     # the reports take sups over components, so the free indices i, j stay in
-    # coordinates: dF[..., i, p, q] = d_i F_{p qbar} and ddF[..., i, j, p, q] =
-    # d_i d_jbar F_{p qbar} carry only (p, q) in the frame
+    # coordinates: dF[i, p, q] = d_i F_{p qbar} and d_i d_jbar F_{p qbar} carry only
+    # (p, q) in the frame; dF is a table of its distinct entries
     pot_hat = ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat  # F = F0 + ddbar(psi + u)
-    dF = geom.to_frame(geom.deriv(pot_hat, "zzZ"), "zZ")
+    dF = {t: field for orbit, field in geom.entries(pot_hat, "zzZ", coords=1) for t in orbit}
     # (i): the phase gradient contraction, one complex field per direction i
-    first = np.einsum("...qp,...ipq->...i", Hinv, dF)
+    first = np.stack([_eta_trace(Hinv, lambda p, q: dF[i, p, q]) for i in idx], axis=-1)
     rep1 = _report("dhym_first_derivative", first, 0.0, math.nan, 0.0, geom.N)
 
-    # (ii): second derivatives of the full curvature, d_i d_jbar F_{p qbar}
-    ddF = geom.to_frame(geom.deriv(pot_hat, "zZzZ"), "zZ")
-    lhs = np.einsum("...qp,...ijpq->...ij", Hinv, ddF)
-    # d_jbar F_{p qbar} = conj(dF[..., j, q, p])
-    rhs = np.einsum("...pqi,...jqp->...ij",
-                    np.einsum("...tp,...qs,...sti->...pqi", Hinv, Hinv, ctx.dEta), dF.conj())
+    # (ii): second derivatives of the full curvature, contracted one distinct entry
+    # d_i d_jbar F_{p qbar} at a time, so the n^4-field tensor is never held
+    lhs = {}
+    for orbit, field in geom.entries(pot_hat, "zZzZ", coords=2):
+        for i, j, p, q in orbit:
+            lhs[i, j] = lhs.get((i, j), 0.0) + Hinv[..., q, p] * field
+    lhs = np.stack([np.stack([lhs[i, j] for j in idx], axis=-1) for i in idx], axis=-2)
+    # the right side pairs the eta-inverse pair around d_i eta with d_jbar F_{p qbar} =
+    # conj(dF[j, q, p])
+    rhs = np.empty_like(lhs)
+    for i in idx:
+        W = _sandwich(Hinv, [[ctx.dEta[..., a, b, i] for b in idx] for a in idx])
+        for j in idx:
+            rhs[..., i, j] = reduce(add, (W[p][q] * dF[j, q, p].conj() for p in idx for q in idx))
     rep2 = _report("dhym_second_derivative", lhs, rhs, math.nan, 0.0, geom.N)
     return rep1, rep2
 

@@ -14,7 +14,10 @@ multiplier of d/dz_j is (i*m_j + l_j)/2 and of d/dzbar_j is (i*m_j - l_j)/2,
 which realizes d/dz = (d/dx - i d/dy)/2 per complex axis.  One kernel,
 `TorusGeometry.deriv`, builds every derivative tensor from a spectrum and a
 derivative word: a string of 'z' (d/dz_j) and 'Z' (d/dzbar_j), one letter
-per index, so "zZz" gives u_{i jbar k} on three trailing axes of length n.
+per index, so "zZz" gives u_{i jbar k} on three trailing axes of length n;
+it holds those axes first in memory, so each entry is a contiguous field.
+`TorusGeometry.entries` yields the distinct entries of such a tensor one at a
+time instead, with any of its indices in the frame below.
 The flow, whose u is real, keeps the half spectrum of `TorusGeometry.rfft`
 (wave numbers 0..N/2 on the last axis) and takes its complex Hessian with
 `TorusGeometry.half_hessian`, in n^2 real inverse transforms.
@@ -159,36 +162,55 @@ class TorusGeometry:
         commute, so one inverse transform serves every index permutation
         among equal letters.  The word "zZ" is taken of a real field (the
         complex Hessian, Hermitian): its lower triangle is the conjugate of
-        the upper one.
+        the upper one.  The tensor is a view, in this axis order, of an array
+        that holds the derivative axes first, so each entry [..., i, j] is a
+        contiguous field.
         """
         if not word or set(word) - {"z", "Z"}:
             raise ValueError(f"derivative word must be letters 'z' and 'Z', got {word!r}")
-        n, trailing = self.n, f_hat.shape[2 * self.n:]
-        shape = self.shape + (n,) * len(word) + trailing
-
-        def entry(idx):
-            m = reduce(np.multiply, (self._letter_multipliers[c][j] for c, j in zip(word, idx)))
-            return self.ifft(m.reshape(m.shape + (1,) * len(trailing)) * f_hat)
-
+        n, k, trailing = self.n, len(word), f_hat.shape[2 * self.n:]
+        symbols = [self._letter_multipliers[c] for c in word]
         if n == 1:  # one entry, which is the tensor
-            return entry((0,) * len(word)).reshape(shape)
-        grid = (slice(None),) * (2 * n)
-        groups = [[k for k, c in enumerate(word) if c == letter] for letter in "zZ"]
-        out = np.empty(shape, dtype=np.complex128)
-        for idx in itertools.product(range(n), repeat=len(word)):
-            # the orbit representative sorts the indices within each letter
-            rep = list(idx)
-            for pos in groups:
-                for k, j in zip(pos, sorted(idx[k] for k in pos)):
-                    rep[k] = j
-            rep = tuple(rep)
-            if word == "zZ" and idx[0] > idx[1]:
-                out[grid + idx] = out[grid + idx[::-1]].conj()
-            elif rep != idx:
-                out[grid + idx] = out[grid + rep]
-            else:
-                out[grid + idx] = entry(idx)
-        return out
+            return self._entry(f_hat, symbols, (0,) * k).reshape(self.shape + (1,) * k + trailing)
+        out = np.empty((n,) * k + self.shape + trailing, dtype=np.complex128)
+        for orbit in _orbits(symbols, n):
+            rep = orbit[0]
+            if word == "zZ" and rep[0] > rep[1]:
+                np.conj(out[rep[::-1]], out=out[rep])
+                continue
+            out[rep] = self._entry(f_hat, symbols, rep)
+            for idx in orbit[1:]:
+                out[idx] = out[rep]
+        return np.moveaxis(out, range(k), range(2 * n, 2 * n + k))
+
+    def entries(self, f_hat: np.ndarray, word: str, coords: int = 0):
+        """The distinct entries of a derivative tensor in the frame, one at a time.
+
+        Yields (orbit, field) pairs: field is the entry of the tensor at every
+        index tuple of orbit, so no whole tensor is held.  The first `coords`
+        letters of the word are coordinate indices, as in `deriv`; the others
+        are frame indices, whose multipliers are taken through the frame
+        (P m_z for 'z', conj(P) m_Z for 'Z', as `to_frame` does to a tensor).
+        Indices of one letter and one kind commute, and at g = I every index
+        of one letter does: one inverse transform serves each orbit.
+        """
+        frame = self._letter_multipliers if self.frame is None else self._frame_symbols()
+        symbols = [(self._letter_multipliers if k < coords else frame)[c]
+                   for k, c in enumerate(word)]
+        for orbit in _orbits(symbols, self.n):
+            yield orbit, self._entry(f_hat, symbols, orbit[0])
+
+    def _entry(self, f_hat: np.ndarray, symbols: list, idx: tuple) -> np.ndarray:
+        # one entry of a derivative tensor: the product of one multiplier per index
+        m = reduce(np.multiply, (s[j] for s, j in zip(symbols, idx)))
+        return self.ifft(m.reshape(m.shape + (1,) * (f_hat.ndim - 2 * self.n)) * f_hat)
+
+    def _frame_symbols(self) -> dict:
+        # the 'z' and 'Z' multipliers of a frame index on the full grid; built on each
+        # call, so a geometry does not hold 2n grid fields
+        return {c: list(np.moveaxis(self.to_frame(np.stack(np.broadcast_arrays(*ms), axis=-1), c),
+                                    -1, 0).copy())
+                for c, ms in self._letter_multipliers.items()}
 
     def to_frame(self, X: np.ndarray, word: str) -> np.ndarray:
         """Tensor X in the g-orthonormal frame, one letter per trailing index axis.
@@ -201,7 +223,13 @@ class TorusGeometry:
         if self.frame is None:
             return X
         M = reduce(np.kron, [self.frame if c == "z" else self.frame.conj() for c in word])
-        # the word axes merge into one of length n^k, so one product serves all of them
+        # the word axes merge into one of length n^k, so one product serves all of
+        # them; a tensor that holds them first in memory (`deriv`) is not copied
+        k, lead = len(word), X.ndim - len(word)
+        Xw = np.moveaxis(X, range(lead, X.ndim), range(k))
+        if Xw.flags.c_contiguous:
+            Y = (M @ Xw.reshape(M.shape[0], -1)).reshape(Xw.shape)
+            return np.moveaxis(Y, range(k), range(lead, X.ndim))
         return (X.reshape(-1, M.shape[0]) @ M.T).reshape(X.shape)
 
     def fft(self, f: np.ndarray) -> np.ndarray:
@@ -241,6 +269,20 @@ class TorusGeometry:
 
     def mean(self, f: np.ndarray) -> complex | float:
         return f.mean(axis=self._axes)
+
+
+def _orbits(symbols: list, n: int) -> list:
+    """The index tuples of a derivative tensor grouped by the permutations that fix
+    it: indices with the same multiplier list (`symbols` holds one per index)
+    commute.  The first tuple of each orbit sorts the indices within each group."""
+    groups = {}
+    for k, s in enumerate(symbols):
+        groups.setdefault(id(s), []).append(k)
+    orbits = {}
+    for idx in itertools.product(range(n), repeat=len(symbols)):
+        key = tuple(tuple(sorted(idx[k] for k in pos)) for pos in groups.values())
+        orbits.setdefault(key, []).append(idx)
+    return list(orbits.values())
 
 
 def build_torus(n: int, N: int, g) -> TorusGeometry:

@@ -144,9 +144,10 @@ def _one_cell(sweep: SweepConfig, hat_theta: float, delta: float, seed: int) -> 
         ratio0 = math.nan
     else:
         raw = bandlimited_noise(geom, sweep.k_band, 1.0, sweep.seed_base + seed)
-        h0 = tensor_norms(geom, raw).hess_sup
+        # hess_sup reads the Theta and ThetaP tensors only
+        h0 = tensor_norms(geom, raw, ("Theta", "ThetaP")).hess_sup
         u0 = raw * (delta / h0)
-        ratio0 = tensor_norms(geom, u0).hess_sup / delta
+        ratio0 = tensor_norms(geom, u0, ("Theta", "ThetaP")).hess_sup / delta
     cfg = FlowConfig(
         geometry=geom, base=sweep.base, u0=u0, hat_theta=hat_theta,
         dt_safety=sweep.dt_safety, t_max=sweep.t_max,

@@ -9,7 +9,8 @@ eta = g + F g^{-1} F whose inverse drives the flow's linearization.
 On the grid everything is taken in the g-orthonormal frame of
 `TorusGeometry.to_frame`: the frame curvature F~ = P F P^H (g = L L^H,
 P = L^{-1}) is Hermitian with eigenvalues lambda_j, and eta becomes
-eta~ = I + F~^2 (`eta_pair`).  No eigenvalue is computed:
+eta~ = I + F~^2, built with its inverse in closed form (`eta_pair`).  No
+eigenvalue and no batched inverse is computed on the grid:
 zeta = sum_k i^k e_k with e_k the elementary symmetric functions of the
 lambda_j, from the power sums tr(F~^k) (`frame_characteristic`).  For
 n <= 3, theta lies in (-3 pi/2, 3 pi/2) and Re zeta < 0 forces
@@ -98,9 +99,51 @@ def _as_matrix(a, name: str) -> np.ndarray:
 
 def eta_pair(F: np.ndarray):
     """eta = I + F F, the frame form of g + F g^{-1} F, and its inverse for a
-    frame curvature F, pointwise over leading axes."""
-    eta = np.eye(F.shape[-1]) + F @ F
-    return eta, np.linalg.inv(eta)
+    Hermitian frame curvature F (n <= 3), pointwise over leading axes.
+
+    F is read as an n x n table of entry fields, so each product streams over
+    whole fields.  eta is Hermitian with the real diagonal 1 + sum_k |F_ik|^2.
+    Its inverse is taken in closed form from M = I + iF, for which
+    eta = M^H M: eta^{-1} = adj(M) adj(M)^H / |det M|^2.  The minors of M are
+    products of entries of F, not of eta, so they keep full accuracy when
+    eta is ill-conditioned.  Each result is a view, with the index axes last,
+    of an array that holds them first, so an entry [..., p, q] is a
+    contiguous field.
+    """
+    F = np.asarray(F)
+    n = F.shape[-1]
+    idx = range(n)
+    A = [[F[..., i, j] for j in idx] for i in idx]
+    eta = np.empty((n, n) + F.shape[:-2], dtype=np.complex128)
+    for i in idx:
+        eta[i, i] = 1.0 + reduce(add, (A[i][k].real ** 2 + A[i][k].imag ** 2 for k in idx))
+        for j in idx[i + 1:]:
+            eta[i, j] = reduce(add, (A[i][k] * A[k][j] for k in idx))
+            eta[j, i] = eta[i, j].conj()
+    M = [[1.0 + 1j * A[i][j] if i == j else 1j * A[i][j] for j in idx] for i in idx]
+    adj = _adjugate(M)
+    det = reduce(add, (M[0][k] * adj[k][0] for k in idx))  # along the first row
+    det2 = det.real ** 2 + det.imag ** 2
+    inv = np.empty_like(eta)
+    for i in idx:
+        inv[i, i] = reduce(add, (adj[i][k].real ** 2 + adj[i][k].imag ** 2 for k in idx)) / det2
+        for j in idx[i + 1:]:
+            inv[i, j] = reduce(add, (adj[i][k] * adj[j][k].conj() for k in idx)) / det2
+            inv[j, i] = inv[i, j].conj()
+    return np.moveaxis(eta, (0, 1), (-2, -1)), np.moveaxis(inv, (0, 1), (-2, -1))
+
+
+def _adjugate(M: list) -> list:
+    """adj(M) of an n x n table of fields, n <= 3: at n = 3, adj_ij is the minor
+    M_(j+1)(i+1) M_(j+2)(i+2) - M_(j+1)(i+2) M_(j+2)(i+1), indices mod 3."""
+    n = len(M)
+    if n == 1:
+        return [[1.0]]
+    if n == 2:
+        return [[M[1][1], -M[0][1]], [-M[1][0], M[0][0]]]
+    return [[M[(j + 1) % 3][(i + 1) % 3] * M[(j + 2) % 3][(i + 2) % 3]
+             - M[(j + 1) % 3][(i + 2) % 3] * M[(j + 2) % 3][(i + 1) % 3] for j in range(3)]
+            for i in range(3)]
 
 
 def pointwise_phase(F, g) -> PhasePointData:
@@ -133,14 +176,20 @@ def frame_characteristic(F: np.ndarray) -> list:
     n = F.shape[-1]
     idx = range(n)
     # F is an n x n table of grid fields, so each product streams over whole
-    # fields instead of looping over tiny matrices
+    # fields instead of looping over tiny matrices; F is Hermitian, so p_2 and p_3
+    # read its diagonal d and the entries above it only
     A = [[F[..., i, j] for j in idx] for i in idx]
-    Ak, p = A, [reduce(add, (A[i][i].real for i in idx))]
-    for k in idx[1:]:
-        # p_(k+1) = tr(A^k A) takes the diagonal only; A^(k+1) only if a later p needs it
-        p.append(reduce(add, (Ak[i][q] * A[q][i] for i in idx for q in idx)).real)
-        if k + 1 < n:
-            Ak = [[reduce(add, (Ak[i][q] * A[q][j] for q in idx)) for j in idx] for i in idx]
+    d = [A[i][i].real for i in idx]
+    p = [reduce(add, d)]
+    if n > 1:  # p_2 = sum_ij |A_ij|^2
+        sq = {(i, j): A[i][j].real ** 2 + A[i][j].imag ** 2 for i in idx for j in idx[i + 1:]}
+        p.append(reduce(add, (x * x for x in d)) + 2.0 * reduce(add, sq.values()))
+    if n > 2:  # p_3 = tr(A^2 A): the real diagonal of A^2 and the entries above it
+        A2d = [d[i] * d[i] + reduce(add, (sq[min(i, k), max(i, k)] for k in idx if k != i))
+               for i in idx]
+        A2u = {(i, j): reduce(add, (A[i][k] * A[k][j] for k in idx)) for i, j in sq}
+        p.append(reduce(add, (A2d[i] * d[i] for i in idx))
+                 + 2.0 * reduce(add, ((a * A[j][i]).real for (i, j), a in A2u.items())))
     e = [np.float64(1.0), p[0]]  # a numpy scalar, so e_0 <= 0 has .any() like a field
     for k in range(2, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)

@@ -6,6 +6,7 @@ import pytest
 
 import dhym_lab as dl
 from conftest import cos_axis
+from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field
 from dhym_lab.diagnostics import TENSOR_COLUMNS, build_record
 
@@ -83,6 +84,22 @@ class TestTensorNorms:
         t2 = dl.tensor_norms(g2, u)
         assert t2.grad_sq_sup == pytest.approx(t1.grad_sq_sup / 2, rel=1e-12)
         assert t2.Theta_sup == pytest.approx(t1.Theta_sup / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+    def test_named_norms_are_bit_identical(self, n, N, monkeypatch):
+        # hess_sup reads Theta and ThetaP: built from the words zZ and zz alone
+        geom = dl.build_torus(n, N, np.eye(n))
+        u = dl.bandlimited_noise(geom, 2, 0.3, 5)
+        full = dl.tensor_norms(geom, u)
+        frame_deriv, words = diagnostics._frame_deriv, []
+        monkeypatch.setattr(diagnostics, "_frame_deriv",
+                            lambda g, f, word: words.append(word) or frame_deriv(g, f, word))
+        part = dl.tensor_norms(geom, u, ("Theta", "ThetaP"))
+        assert words == ["zZ", "zz"]
+        assert part.hess_sup == full.hess_sup
+        assert np.array_equal(part.Theta, full.Theta) and np.array_equal(part.ThetaP, full.ThetaP)
+        assert part.grad_sq is None and part.Gamma is None
+        assert np.isnan(part.grad_sq_sup) and np.isnan(part.Gamma_sup)
 
 
 class TestQFunctional:
@@ -222,6 +239,35 @@ class TestEvolutionIdentities:
             res.append(rep.residual_rel)
         assert res[0] < 1e-7
         assert res[0] / res[1] >= 3.0
+
+    @pytest.mark.parametrize("names,read", [
+        (("u_sq",), []), (("grad_sq",), ["z"]), (("Theta",), ["zZ"]), (("ThetaP",), ["zz"]),
+        (("u_sq", "grad_sq", "Theta", "ThetaP"), ["z", "zZ", "zz"])])
+    def test_outer_samples_transform_only_read_words(self, names, read, monkeypatch):
+        # the bracket's outer samples build the tensors of the named norms only:
+        # never the Gamma tensor u_{i jbar k} ("zZz")
+        geom = dl.build_torus(2, 8, NON_DIAGONAL_G)
+        traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
+        tensor_norms, frame_deriv = diagnostics.tensor_norms, diagnostics._frame_deriv
+        built, active = [], []  # the words of each tensor_norms call
+
+        def spy_norms(geom, u, *args):
+            built.append([])
+            active.append(True)
+            try:
+                return tensor_norms(geom, u, *args)
+            finally:
+                active.pop()
+
+        def spy_deriv(geom, f_hat, word):
+            if active:
+                built[-1].append(word)
+            return frame_deriv(geom, f_hat, word)
+
+        monkeypatch.setattr(diagnostics, "tensor_norms", spy_norms)
+        monkeypatch.setattr(diagnostics, "_frame_deriv", spy_deriv)
+        dl.verify_evolution_identities(traj, list(traj.samples)[1].t, names)
+        assert built == ([read, read] if read else [])
 
     def test_theta_refinement_n2_non_diagonal_metric(self):
         # a conjugated frame index shows only under a metric that is not diagonal

@@ -183,6 +183,25 @@ class TestDerivativeKernel:
         H = torus2.deriv(torus2.fft(u), "zZ")
         assert (H[..., 1, 0] == H[..., 0, 1].conj()).all()
 
+    @pytest.mark.parametrize("coords", [0, 1, 2])
+    def test_entries_give_the_frame_tensor_one_orbit_at_a_time(self, coords):
+        # each index tuple once, at the entry of deriv with its last letters taken
+        # to the frame; at g = I one transform per orbit of commuting indices
+        word = "zZzZ"
+        for g, orbits in (([[2.0, 0.3j], [-0.3j, 1.0]], None), (np.eye(2), 9)):
+            geom = dl.build_torus(2, 8, g)
+            uh = geom.fft(dl.bandlimited_noise(geom, 2, 1.0, 3))
+            expect = geom.to_frame(geom.deriv(uh, word), word[coords:])
+            scale, seen, count = np.abs(expect).max(), [], 0
+            for orbit, field in geom.entries(uh, word, coords):
+                count += 1
+                for idx in orbit:
+                    assert np.abs(field - expect[(Ellipsis,) + idx]).max() <= 1e-13 * scale, idx
+                    seen.append(idx)
+            assert sorted(seen) == list(itertools.product(range(2), repeat=len(word)))
+            if orbits is not None:
+                assert count == orbits
+
     @pytest.mark.parametrize("word", ["", "zx", "dz"])
     def test_bad_word_rejected(self, torus1, word):
         with pytest.raises(ValueError, match="derivative word"):

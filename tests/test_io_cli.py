@@ -399,9 +399,9 @@ class TestCli:
             initial={"type": "modes", "modes": [{"m": [1, 0, 0, 1], "amplitude": 0.02}]}))
         tensor_norms, calls = diagnostics.tensor_norms, []
 
-        def counted(geom, u):
+        def counted(geom, u, *names):
             calls.append(u)
-            return tensor_norms(geom, u)
+            return tensor_norms(geom, u, *names)
 
         monkeypatch.setattr(diagnostics, "tensor_norms", counted)
         assert cli_main(["verify", "--config", cfg, "--out", str(tmp_path / "v.jsonl")]) == 0

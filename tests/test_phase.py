@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,12 +9,43 @@ from hypothesis import strategies as st
 
 import dhym_lab as dl
 from conftest import cos_axis
-from dhym_lab.phase import frame_characteristic
+from dhym_lab.phase import eta_pair, frame_characteristic
 
 
 def random_hermitian(rng, count, n, scale=3.0):
     A = rng.uniform(-scale, scale, (count, n, n)) + 1j * rng.uniform(-scale, scale, (count, n, n))
     return (A + A.conj().swapaxes(-1, -2)) / 2
+
+
+def hermitian_with_eigenvalues(rng, lam):
+    """U diag(lam) U^H for a random unitary U, one matrix per row of lam."""
+    count, n = lam.shape
+    X = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    U, _ = np.linalg.qr(X)
+    F = U @ (lam[:, :, None] * U.conj().swapaxes(-1, -2))
+    return (F + F.conj().swapaxes(-1, -2)) / 2
+
+
+def full_product_characteristic(F):
+    """e_0..e_n from power sums of the complex products A^k A over every entry:
+    the form frame_characteristic took before it read only the upper triangle."""
+    n = F.shape[-1]
+    idx = range(n)
+    A = [[F[..., i, j] for j in idx] for i in idx]
+    Ak, p = A, [reduce(add, (A[i][i].real for i in idx))]
+    for k in idx[1:]:
+        p.append(reduce(add, (Ak[i][q] * A[q][i] for i in idx for q in idx)).real)
+        Ak = [[reduce(add, (Ak[i][q] * A[q][j] for q in idx)) for j in idx] for i in idx]
+    e = [np.float64(1.0), p[0]]
+    for k in range(2, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
+    return e
+
+
+def max_rel(new, old):
+    """Largest error of each matrix against its largest oracle entry."""
+    err = np.abs(new - old).max(axis=(-1, -2))
+    return err / np.abs(old).max(axis=(-1, -2))
 
 
 def random_metric(rng, count, n):
@@ -205,11 +239,67 @@ class TestPhaseFields:
         if n == 1:
             assert np.array_equal(pf.theta, np.arctan(pf.e[1]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_power_sums_match_full_product_oracle(self, n):
+        # p_2 and p_3 from the diagonal and the entries above it: theta bit for bit
+        # at n = 1, within 1e-14 at n >= 2
+        F = random_hermitian(np.random.default_rng(60 + n), 4096, n).reshape(8, 8, 8, 8, n, n)
+        new, old = frame_characteristic(F), full_product_characteristic(F)
+        theta, expect = dl.PhaseFields(new).theta, dl.PhaseFields(old).theta
+        if n == 1:
+            assert np.array_equal(theta, expect)
+        assert np.abs(theta - expect).max() <= 1e-14
+        for k in range(1, n + 1):
+            assert np.abs(new[k] - old[k]).max() <= 1e-13 * np.abs(old[k]).max(), k
+
     def test_pointwise_error_carries_grid_location(self, torus2):
         F = np.broadcast_to(torus2.g, torus2.shape + (2, 2)).copy()
         F[3, 1, 4, 2, 0, 1] += 1.0  # break Hermitian symmetry at one point
         with pytest.raises(ValueError, match=r"grid point \(3, 1, 4, 2\)"):
             dl.phase_fields(torus2, F)
+
+
+class TestEtaPair:
+    """The closed-form eta = I + F^2 and its adjugate inverse against
+    np.linalg.inv(I + F @ F), kept here as the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_field_matches_inverse_oracle(self, n):
+        F = random_hermitian(np.random.default_rng(70 + n), 512, n).reshape(8, 8, 8, n, n)
+        eta, eta_inv = eta_pair(F)
+        oracle = np.eye(n) + F @ F
+        assert eta.shape == eta_inv.shape == F.shape
+        assert max_rel(eta, oracle).max() <= 1e-13
+        assert max_rel(eta_inv, np.linalg.inv(oracle)).max() <= 1e-13
+        # each entry is a contiguous field, and both are Hermitian
+        assert eta_inv[..., 0, n - 1].flags.c_contiguous
+        for X in (eta, eta_inv):
+            assert np.array_equal(X, X.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_matrix(self, n):
+        F = random_hermitian(np.random.default_rng(80 + n), 1, n)[0]
+        eta, eta_inv = eta_pair(F)
+        oracle = np.eye(n) + F @ F
+        assert eta.shape == eta_inv.shape == (n, n)
+        assert max_rel(eta_inv, np.linalg.inv(oracle)) <= 1e-13
+        assert max_rel(eta_inv @ eta, np.eye(n)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_eigenvalues_up_to_1e3(self, n):
+        # |lambda| from 1e-3 to 1e3 with random signs.  The oracle inverts eta
+        # after its entries are rounded at eps |lambda_max|^2, so it is accurate
+        # only to its condition number kappa = (1 + lambda_max^2) / (1 + lambda_min^2)
+        # times rounding (the closed form takes its minors from F); up to
+        # |lambda| = 10 the plain 1e-13 holds
+        rng = np.random.default_rng(90 + n)
+        for top in (10.0, 1e3):
+            lam = rng.choice([-1.0, 1.0], (4096, n)) * 10.0 ** rng.uniform(-3, np.log10(top), (4096, n))
+            F = hermitian_with_eigenvalues(rng, lam)
+            _, eta_inv = eta_pair(F)
+            err = max_rel(eta_inv, np.linalg.inv(np.eye(n) + F @ F))
+            kappa = (1 + (lam ** 2).max(axis=-1)) / (1 + (lam ** 2).min(axis=-1))
+            assert (err <= 1e-13 * (1.0 if top == 10.0 else kappa)).all(), top
 
 
 class TestHypercriticalClassify:
