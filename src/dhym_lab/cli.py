@@ -111,9 +111,8 @@ def _load_run_trajectory(run_dir: Path, norms: bool = True):
     flow = LineBundleFlow(geom, base, hat_theta)
     traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta, norms=norms)
     for snap in snaps:
-        u, header = read_snapshot(snap)
-        u = u.real.astype(np.float64)
-        traj.record(header["t"], u, flow.theta(u))
+        u, header = read_snapshot(snap)  # a fresh float64 array: astype keeps it
+        traj.record(flow.state(u.real.astype(np.float64, copy=False), header["t"]))
     return traj
 
 

@@ -17,9 +17,9 @@ where the metric is the identity: a g^{i jbar} contraction pairs index i
 of one factor with index j of the other directly, a norm is the sum of
 |T|^2 over the tensor's index axes, and the only field left to contract is
 the frame eta-inverse, eta^{p qbar} at eta_inv[..., q, p], with
-eta = I + F F for the frame curvature F.  Only the reports of
-`dhym_point_identities`, which take a supremum over the components of a
-free index, keep that index in coordinates.
+eta = I + F F for the frame curvature F.  Only `dhym_point_identities`,
+whose reports take a supremum over the components of free indices, works
+in coordinates, with eta^{-1} = P^H eta~^{-1} P.
 
 Each contraction is a sum of products of whole grid fields over the index
 tables of the tensors (`_eta_trace`, `_sandwich`, `_mix`), as in
@@ -28,11 +28,11 @@ built.  The
 fourth derivatives of the base potential are read one distinct entry at a
 time (`_entry_sum`, `TorusGeometry.entries`), so they are never held whole.
 
-`build_record` builds a full record by default.  With norms=False it builds
-a phase-only one: the frame Hessian alone gives theta, zeta and the scalar
-columns, bit for bit those of a full record, and the TENSOR_COLUMNS are
-NaN.  `verify` records this way, because none of its checks reads a tensor
-column; `write_diagnostics` refuses such records.
+`build_record` takes theta and Z (the integral of zeta) from a flow state,
+else from u's frame Hessian.  With norms=False it builds a phase-only
+record: the scalar columns of a full one and NaN TENSOR_COLUMNS.  `verify`
+records this way, because none of its checks reads a tensor column;
+`write_diagnostics` refuses such records.
 
 Time derivatives for identity checks use second-order central differences
 of stored trajectory samples, never integrator internals, so the verifier
@@ -200,27 +200,25 @@ def q_functional(geom: TorusGeometry, u: np.ndarray, u0_at_p: float,
 def build_record(geom: TorusGeometry, base, hat_theta: float, t: float,
                  u: np.ndarray, theta: np.ndarray | None = None,
                  u0_at_p: float = 0.0, qcfg: QConfig | None = None,
-                 norms: bool = True) -> DiagnosticsRecord:
-    """Assemble the per-sample scalar diagnostics from one transform of u.
+                 norms: bool = True, Z: complex | None = None) -> DiagnosticsRecord:
+    """Assemble the per-sample scalar diagnostics from at most one transform of u.
 
-    With norms=False the record is phase-only: it builds the frame Hessian
-    alone, and its TENSOR_COLUMNS are NaN.
-    """
+    theta and Z = volume_integral(zeta) are a flow state's (`FlowState`); those
+    not given are built from u's frame Hessian.  norms=False leaves the
+    TENSOR_COLUMNS NaN: given both, the record then transforms nothing."""
     if norms:
         tn = tensor_norms(geom, u)
-        H = tn.H
-    else:
-        H = _frame_deriv(geom, geom.fft(np.asarray(u, dtype=np.float64)), "zZ")
-    pf = PhaseFields(frame_characteristic(geom.to_frame(base.field(), "zZ") + H))
-    if theta is None:
-        theta = pf.theta
+    if theta is None or Z is None:
+        H = tn.H if norms else _frame_deriv(geom, geom.fft(np.asarray(u, dtype=np.float64)), "zZ")
+        pf = PhaseFields(frame_characteristic(geom.to_frame(base.field(), "zZ") + H))
+        theta = pf.theta if theta is None else theta
+        Z = volume_integral(geom, pf.zeta) if Z is None else Z
     udot = theta - hat_theta
     if norms:
         tensor_sups = (tn.grad_sq_sup, tn.Theta_sup, tn.ThetaP_sup, tn.Gamma_sup,
                        float(_q_field(tn, u, u0_at_p, qcfg).max()), tn.hess_sup)
     else:
         tensor_sups = (math.nan,) * len(TENSOR_COLUMNS)
-    Z = volume_integral(geom, pf.zeta)
     return DiagnosticsRecord(
         t=float(t),
         residual_sup=float(np.abs(udot).max()),
@@ -527,28 +525,32 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
         raise ValueError(
             f"not a dHYM point: residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
-    Hinv, idx = ctx.eta_inv, range(geom.n)
-    # the reports take sups over components, so the free indices i, j stay in
-    # coordinates: dF[i, p, q] = d_i F_{p qbar} and d_i d_jbar F_{p qbar} carry only
-    # (p, q) in the frame; dF is a table of its distinct entries
+    Hinv, idx, P = ctx.eta_inv, range(geom.n), geom.frame
+    # the reports take sups over components of the free indices i, j, so the
+    # contractions are in coordinates, with eta^{-1} = C = P^H Hinv P: equal letters
+    # of d_i F_{p qbar} and d_i d_jbar F_{p qbar} commute (`entries`)
+    C = Hinv if P is None else geom.to_frame(Hinv, "zZ", P.conj().T)
     pot_hat = ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat  # F = F0 + ddbar(psi + u)
-    dF = {t: field for orbit, field in geom.entries(pot_hat, "zzZ", coords=1) for t in orbit}
+    dF = {t: field for orbit, field in geom.entries(pot_hat, "zzZ", coords=3) for t in orbit}
     # (i): the phase gradient contraction, one complex field per direction i
-    first = np.stack([_eta_trace(Hinv, lambda p, q: dF[i, p, q]) for i in idx], axis=-1)
+    first = np.stack([_eta_trace(C, lambda p, q: dF[i, p, q]) for i in idx], axis=-1)
     rep1 = _report("dhym_first_derivative", first, 0.0, math.nan, 0.0, geom.N)
 
     # (ii): second derivatives of the full curvature, contracted one distinct entry
     # d_i d_jbar F_{p qbar} at a time, so the n^4-field tensor is never held
     lhs = {}
-    for orbit, field in geom.entries(pot_hat, "zZzZ", coords=2):
+    for orbit, field in geom.entries(pot_hat, "zZzZ", coords=4):
         for i, j, p, q in orbit:
-            lhs[i, j] = lhs.get((i, j), 0.0) + Hinv[..., q, p] * field
+            lhs[i, j] = lhs.get((i, j), 0.0) + C[..., q, p] * field
     lhs = np.stack([np.stack([lhs[i, j] for j in idx], axis=-1) for i in idx], axis=-2)
-    # the right side pairs the eta-inverse pair around d_i eta with d_jbar F_{p qbar} =
-    # conj(dF[j, q, p])
+    # the right side pairs the eta-inverse pair around d_i eta, taken to coordinates
+    # (P^T W P-bar), with d_jbar F_{p qbar} = conj(dF[j, q, p])
     rhs = np.empty_like(lhs)
     for i in idx:
         W = _sandwich(Hinv, [[ctx.dEta[..., a, b, i] for b in idx] for a in idx])
+        if P is not None:
+            W = geom.to_frame(np.stack([np.stack(row, axis=-1) for row in W], axis=-2), "zZ", P.T)
+            W = [[W[..., p, q] for q in idx] for p in idx]
         for j in idx:
             rhs[..., i, j] = reduce(add, (W[p][q] * dF[j, q, p].conj() for p in idx for q in idx))
     rep2 = _report("dhym_second_derivative", lhs, rhs, math.nan, 0.0, geom.N)

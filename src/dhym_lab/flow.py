@@ -2,7 +2,8 @@
 
 The state is the real potential u on the grid with its half spectrum
 (`TorusGeometry.rfft`); the velocity is theta(F_hat + complex_hessian(u)) -
-hat_theta, at every n from `TorusGeometry.half_hessian` and `PhaseFields`.
+hat_theta, at every n from the real planes of `TorusGeometry.frame_hessian`
+plus those of F~_hat; a state keeps theta and Z = integral of zeta.
 
 `run_flow` steps with ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).
 The velocity splits into the linearization L of the flow at the constant
@@ -46,8 +47,8 @@ import numpy as np
 import scipy.fft as sfft  # noqa: F401  perfbench/tracer.py wraps the transforms bound here
 
 from . import diagnostics
-from .geometry import TorusGeometry, check_hermitian_field, complex_hessian
-from .phase import PhaseFields, eta_pair, frame_characteristic
+from .geometry import TorusGeometry, check_hermitian_field, complex_hessian, volume_integral
+from .phase import PhaseFields, eta_pair, frame_characteristic, hermitian_planes
 
 __all__ = [
     "BaseCurvature",
@@ -126,24 +127,31 @@ _CONTOUR_POINTS = 32  # contour points of the ETDRK4 phi-functions
 
 class LineBundleFlow:
     """Right-hand side, one path at every n: the phase of the half spectrum uh of
-    u is theta of the frame curvature F~_hat + to_frame(half_hessian(uh))."""
+    u is that of the frame curvature F~_hat + frame_hessian(uh), plane by plane."""
 
     def __init__(self, geometry: TorusGeometry, base: BaseCurvature, hat_theta: float):
         self.geometry = geometry
         self.base = base
         self.hat_theta = float(hat_theta)
         self._etd = None  # (h, ETDRK4 coefficients) of the last step size
-        self._fhat = geometry.to_frame(base.field(), "zZ")
+        # the planes of F~_hat as views, so at g = I nothing beside base.field() is held
+        self._fhat = hermitian_planes(geometry.to_frame(base.field(), "zZ"))
 
     def spectrum(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of a real grid field."""
         return self.geometry.rfft(f)
 
+    def phase_fields(self, uh: np.ndarray) -> PhaseFields:
+        """PhaseFields (theta and zeta) of F_hat + complex_hessian(u) from the spectrum of u."""
+        T = self.geometry.frame_hessian(uh)
+        for row, base_row in zip(T, self._fhat):
+            for plane, base_plane in zip(row, base_row):
+                plane += base_plane  # Hermitian by construction, so unchecked
+        return PhaseFields(frame_characteristic(T))
+
     def phase(self, uh: np.ndarray) -> np.ndarray:
         """Phase field theta(F_hat + complex_hessian(u)) from the spectrum of u."""
-        F = self.geometry.to_frame(self.geometry.half_hessian(uh), "zZ")
-        F += self._fhat  # Hermitian by construction, so unchecked
-        return PhaseFields(frame_characteristic(F)).theta
+        return self.phase_fields(uh).theta
 
     def theta(self, u: np.ndarray) -> np.ndarray:
         return self.phase(self.spectrum(u))
@@ -196,29 +204,33 @@ class LineBundleFlow:
         """Spectrum of N(u) = theta - hat_theta - L u, from u's spectrum and phase."""
         return self.spectrum(theta - self.hat_theta) - self.linear_symbol * uh
 
+    def state(self, u: np.ndarray, t: float = 0.0) -> "FlowState":
+        """The flow state at a real field u: one transform, then the phase of it."""
+        uh = self.spectrum(u)
+        phase = self.phase_fields(uh)
+        return FlowState(flow=self, t=t, u=u, uh=uh, theta=phase.theta,
+                         Z=volume_integral(self.geometry, phase.zeta),
+                         residual_sup=float(np.abs(phase.theta - self.hat_theta).max()))
+
     def initial_state(self, u0: np.ndarray) -> "FlowState":
         u0 = np.asarray(u0, dtype=np.float64)
         if u0.shape != self.geometry.shape:
             raise ValueError("initial potential shape does not match the grid")
         if not np.isfinite(u0).all():
             raise ValueError("initial potential contains non-finite entries")
-        uh = self.spectrum(u0)
-        theta = self.phase(uh)
-        return FlowState(
-            flow=self, t=0.0, u=u0, uh=uh, theta=theta,
-            residual_sup=float(np.abs(theta - self.hat_theta).max()),
-        )
+        return self.state(u0)
 
 
 @dataclass(eq=False)
 class FlowState:
-    """One accepted point of the flow: u, its spectrum uh and the phase from uh."""
+    """One accepted point of the flow: u, its spectrum uh, and theta and Z from uh."""
 
     flow: LineBundleFlow = field(repr=False)
     t: float = 0.0
     u: np.ndarray = field(default=None, repr=False)
     uh: np.ndarray = field(default=None, repr=False)
     theta: np.ndarray = field(default=None, repr=False)
+    Z: complex | None = None
     residual_sup: float = 0.0
 
 
@@ -259,16 +271,17 @@ class Trajectory:
     def t_final(self) -> float:
         return self.final.t if self.final is not None else 0.0
 
-    def record(self, t: float, u: np.ndarray, theta: np.ndarray) -> None:
-        """Store a field sample and its diagnostics record; a repeated t is skipped."""
+    def record(self, state: FlowState) -> None:
+        """Store a flow state's field sample and record; a repeated t is skipped."""
+        t, u = state.t, state.u
         if self.records and self.records[-1].t == t:
             return
         if self.u0_at_p is None:
             self.u0_at_p = float(u[(0,) * (2 * self.geometry.n)])
-        self.samples.append(FlowSample(t=t, u=u.copy(), udot=theta - self.hat_theta))
+        self.samples.append(FlowSample(t=t, u=u.copy(), udot=state.theta - self.hat_theta))
         self.records.append(diagnostics.build_record(
             self.geometry, self.base, self.hat_theta, t, u,
-            theta=theta, u0_at_p=self.u0_at_p, norms=self.norms,
+            theta=state.theta, u0_at_p=self.u0_at_p, norms=self.norms, Z=state.Z,
         ))
 
 
@@ -278,15 +291,12 @@ def _accept(state: FlowState, h: float, u_new: np.ndarray) -> FlowState:
     if not np.isfinite(u_new).all():
         raise FlowDiverged("step diverged: non-finite update")
     flow = state.flow
-    uh_new = flow.spectrum(u_new)
-    theta_new = flow.phase(uh_new)
-    residual_new = float(np.abs(theta_new - flow.hat_theta).max())
-    if residual_new > 2.0 * state.residual_sup + 1e-12 * (1.0 + abs(flow.hat_theta)):
+    new = flow.state(u_new, state.t + h)
+    if new.residual_sup > 2.0 * state.residual_sup + 1e-12 * (1.0 + abs(flow.hat_theta)):
         raise FlowDiverged(
-            f"step diverged: residual grew {state.residual_sup:.3e} -> {residual_new:.3e}"
+            f"step diverged: residual grew {state.residual_sup:.3e} -> {new.residual_sup:.3e}"
         )
-    return FlowState(flow=flow, t=state.t + h, u=u_new, uh=uh_new, theta=theta_new,
-                     residual_sup=residual_new)
+    return new
 
 
 def rk4_step(state: FlowState, dt: float) -> FlowState:
@@ -388,7 +398,7 @@ def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float
     the last accepted state is always reported."""
     h = h0
     k = 1  # the next sample time is k * ds
-    traj.record(state.t, state.u, state.theta)
+    traj.record(state)
     halvings = 0
     while True:
         if state.residual_sup < residual_tol:
@@ -420,13 +430,13 @@ def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float
             continue
         state.t = target
         if target == k * ds:
-            traj.record(state.t, state.u, state.theta)
+            traj.record(state)
             k += 1
             if h < h0:
                 grown = min(2.0 * h, h0)
                 traj.dt_changes.append((state.t, h, grown, "regrowth after a sample"))
                 h = grown
-    traj.record(state.t, state.u, state.theta)
+    traj.record(state)
     traj.final = state
     traj.dt_final = h
     return traj

@@ -19,8 +19,9 @@ it holds those axes first in memory, so each entry is a contiguous field.
 `TorusGeometry.entries` yields the distinct entries of such a tensor one at a
 time instead, with any of its indices in the frame below.
 The flow, whose u is real, keeps the half spectrum of `TorusGeometry.rfft`
-(wave numbers 0..N/2 on the last axis) and takes its complex Hessian with
-`TorusGeometry.half_hessian`, in n^2 real inverse transforms.
+(wave numbers 0..N/2 on the last axis).  `TorusGeometry.frame_hessian` takes
+its Hessian in the frame from it as n^2 real planes, one real inverse
+transform each, with the frame symbols of `TorusGeometry.plane_symbols`.
 
 The Kahler metric is a constant Hermitian positive-definite matrix g, so the
 volume form is det(g) dx dy and covariant derivatives coincide with
@@ -212,17 +213,18 @@ class TorusGeometry:
                                     -1, 0).copy())
                 for c, ms in self._letter_multipliers.items()}
 
-    def to_frame(self, X: np.ndarray, word: str) -> np.ndarray:
+    def to_frame(self, X: np.ndarray, word: str, frame: np.ndarray | None = None) -> np.ndarray:
         """Tensor X in the g-orthonormal frame, one letter per trailing index axis.
 
         Each 'z' axis is multiplied by the frame P = L^{-1} and each 'Z' axis
         by conj(P), so a matrix field F with the word "zZ" becomes P F P^H;
-        leading axes (grid, batch or none) pass through.  For g = I, X is
-        returned as it is.
+        leading axes (grid, batch or none) pass through; a matrix Q in place of
+        P gives Q F Q^H.  For g = I, X is returned as it is.
         """
         if self.frame is None:
             return X
-        M = reduce(np.kron, [self.frame if c == "z" else self.frame.conj() for c in word])
+        P = self.frame if frame is None else frame
+        M = reduce(np.kron, [P if c == "z" else P.conj() for c in word])
         # the word axes merge into one of length n^k, so one product serves all of
         # them; a tensor that holds them first in memory (`deriv`) is not copied
         k, lead = len(word), X.ndim - len(word)
@@ -248,24 +250,35 @@ class TorusGeometry:
         return sfft.irfftn(fh, s=self.shape, axes=self._axes, workers=_workers())
 
     @cached_property
-    def _hessian_symbols(self) -> list:
-        # (p, q, real part, imaginary part above the diagonal) of mz_p mZ_q; each part
-        # is even in the wave vector, so it takes a real field to a real field
-        mz, mZ = self.half_symbols["z"], self.half_symbols["Z"]
-        S = {(p, q): mz[p] * mZ[q] for p in range(self.n) for q in range(p, self.n)}
-        return [(p, q, s.real.copy(), s.imag.copy() if p < q else None) for (p, q), s in S.items()]
+    def plane_symbols(self) -> list:
+        """(p, q, symbol) per plane of `frame_hessian` on the half grid: of Re F_pq at
+        (p, q), p <= q, and of Im F_pq at (q, p), p < q, for F = P H P^H and `deriv`'s
+        Hessian H: S_ij = mz_i mZ_j at k for i <= j, conj(H_ji) = S_ij at -k below.
+        With T the symbol of F, they are (T_pq + T_qp) / 2 and (T_pq - T_qp) / 2i,
+        which keep a field real; held real but where T is not even in k (mixed
+        entries at the Nyquist wave number -N/2, which -k keeps)."""
+        n, P, idx = self.n, self.frame, range(self.n)
+        # the wave numbers at -k (mod N, so -N/2 stays) and their multipliers
+        w = [np.where(k == -(self.N // 2), k, -k)[..., : self.N // 2 + 1]
+             for k in map(self.wavevector, range(2 * n))]
+        neg = {"z": [0.5 * (1j * w[j] + w[n + j]) for j in idx],
+               "Z": [0.5 * (1j * w[j] - w[n + j]) for j in idx]}
+        H = [[(self.half_symbols if i <= j else neg)["z"][i]
+              * (self.half_symbols if i <= j else neg)["Z"][j] for j in idx] for i in idx]
+        T = H if P is None else [[reduce(np.add, (P[p, i] * P[q, j].conj() * H[i][j]
+                                                  for i in idx for j in idx)) for q in idx] for p in idx]
+        planes = [(p, q, 0.5 * (T[p][q] + T[q][p])) for p in idx for q in idx if p <= q]
+        planes += [(q, p, -0.5j * (T[p][q] - T[q][p])) for p in idx for q in idx if p < q]
+        return [(p, q, s if s.imag.any() else s.real.copy()) for p, q, s in planes]
 
-    def half_hessian(self, uh: np.ndarray) -> np.ndarray:
-        """Complex Hessian u_{i jbar} of a real field from its half spectrum uh = rfft(u)
-        in n^2 real inverse transforms: one per (real) diagonal entry, two per entry
-        above the diagonal, whose conjugate fills the lower triangle."""
-        out = np.empty(self.shape + (self.n, self.n), dtype=np.complex128)
-        for p, q, re, im in self._hessian_symbols:
-            out[..., p, q] = self.irfft(re * uh)
-            if im is not None:
-                out[..., p, q].imag = self.irfft(im * uh)
-                out[..., q, p] = out[..., p, q].conj()
-        return out
+    def frame_hessian(self, uh: np.ndarray) -> list:
+        """The frame Hessian u_{i jbar} of a real field from its half spectrum uh =
+        rfft(u) as an n x n table of real planes (`phase.hermitian_planes`), one
+        contiguous real inverse transform each."""
+        T = [[None] * self.n for _ in range(self.n)]
+        for p, q, s in self.plane_symbols:
+            T[p][q] = self.irfft(s * uh)
+        return T
 
     def mean(self, f: np.ndarray) -> complex | float:
         return f.mean(axis=self._axes)

@@ -12,11 +12,12 @@ P = L^{-1}) is Hermitian with eigenvalues lambda_j, and eta becomes
 eta~ = I + F~^2, built with its inverse in closed form (`eta_pair`).  No
 eigenvalue and no batched inverse is computed on the grid:
 zeta = sum_k i^k e_k with e_k the elementary symmetric functions of the
-lambda_j, from the power sums tr(F~^k) (`frame_characteristic`).  For
-n <= 3, theta lies in (-3 pi/2, 3 pi/2) and Re zeta < 0 forces
-sign(theta) = sign(e_1), so theta = arctan(Im zeta / Re zeta) +
-pi sign(e_1) [Re zeta < 0], with Re zeta and Im zeta summed as real fields
-(at n = 1, arctan(e_1)).  `pointwise_phase` keeps `eigvalsh` as the oracle.
+lambda_j, from the power sums tr(F~^k) of the n^2 real planes of F~
+(`frame_characteristic`, `hermitian_planes`).  For n <= 3, theta lies in
+(-3 pi/2, 3 pi/2) and Re zeta < 0 forces sign(theta) = sign(e_1), so
+theta = arctan(Im zeta / Re zeta) + pi sign(e_1) [Re zeta < 0], with
+Re zeta and Im zeta summed as real fields (at n = 1, arctan(e_1)).
+`pointwise_phase` keeps `eigvalsh` as the oracle.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of workers.  All operations broadcast over leading batch axes, so a
@@ -40,6 +41,7 @@ __all__ = [
     "phase_fields",
     "characteristic_field",
     "frame_characteristic",
+    "hermitian_planes",
     "eta_pair",
     "hypercritical_classify",
 ]
@@ -166,30 +168,36 @@ def pointwise_phase(F, g) -> PhasePointData:
     return PhasePointData(lam=lam, theta=theta, zeta=zeta, eta=eta, eta_inv=np.linalg.inv(eta))
 
 
-def frame_characteristic(F: np.ndarray) -> list:
-    """Elementary symmetric functions [e_0, ..., e_n] of the eigenvalues of the
-    Hermitian matrix field F, unchecked (a frame curvature, `TorusGeometry.to_frame`).
+def hermitian_planes(F: np.ndarray) -> list:
+    """The n^2 real planes of a Hermitian matrix field F (index axes last) as views:
+    an n x n table T, T[p][p] = Re F_pp, T[p][q] = Re F_pq and T[q][p] = Im F_pq, p < q."""
+    idx = range(F.shape[-1])
+    return [[F[..., p, q].real if p <= q else F[..., q, p].imag for q in idx] for p in idx]
+
+
+def frame_characteristic(F: np.ndarray | list) -> list:
+    """Elementary symmetric functions [e_0, ..., e_n] of the eigenvalues of a
+    Hermitian frame curvature (`TorusGeometry.to_frame`), unchecked: a matrix
+    field F, or its planes (`hermitian_planes`), which is all this reads.
 
     e_0 is the scalar 1.0, e_k for k >= 1 a real field, from the power sums
     p_k = tr(F^k) by Newton's identities k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i.
     """
-    n = F.shape[-1]
-    idx = range(n)
-    # F is an n x n table of grid fields, so each product streams over whole
-    # fields instead of looping over tiny matrices; F is Hermitian, so p_2 and p_3
-    # read its diagonal d and the entries above it only
-    A = [[F[..., i, j] for j in idx] for i in idx]
-    d = [A[i][i].real for i in idx]
+    # each product streams over whole real fields instead of looping over tiny
+    # matrices: the diagonal d, and the real and imaginary parts above it
+    T = hermitian_planes(F) if isinstance(F, np.ndarray) else F
+    n, idx = len(T), range(len(T))
+    d = [T[i][i] for i in idx]
     p = [reduce(add, d)]
-    if n > 1:  # p_2 = sum_ij |A_ij|^2
-        sq = {(i, j): A[i][j].real ** 2 + A[i][j].imag ** 2 for i in idx for j in idx[i + 1:]}
+    if n > 1:  # p_2 = sum_i d_i^2 + 2 sum_{i<j} |F_ij|^2
+        sq = {(i, j): T[i][j] ** 2 + T[j][i] ** 2 for i in idx for j in idx[i + 1:]}
         p.append(reduce(add, (x * x for x in d)) + 2.0 * reduce(add, sq.values()))
-    if n > 2:  # p_3 = tr(A^2 A): the real diagonal of A^2 and the entries above it
-        A2d = [d[i] * d[i] + reduce(add, (sq[min(i, k), max(i, k)] for k in idx if k != i))
-               for i in idx]
-        A2u = {(i, j): reduce(add, (A[i][k] * A[k][j] for k in idx)) for i, j in sq}
-        p.append(reduce(add, (A2d[i] * d[i] for i in idx))
-                 + 2.0 * reduce(add, ((a * A[j][i]).real for (i, j), a in A2u.items())))
+    if n > 2:  # p_3 = sum_i d_i^3 + 3 sum_{i<j} (d_i + d_j) |F_ij|^2 + 6 Re(F_01 F_12 F_20)
+        re = T[0][1] * T[1][2] - T[1][0] * T[2][1]  # F_01 F_12
+        im = T[0][1] * T[2][1] + T[1][0] * T[1][2]
+        p.append(reduce(add, (x * x * x for x in d))
+                 + 3.0 * reduce(add, ((d[i] + d[j]) * v for (i, j), v in sq.items()))
+                 + 6.0 * (re * T[0][2] + im * T[2][0]))
     e = [np.float64(1.0), p[0]]  # a numpy scalar, so e_0 <= 0 has .any() like a field
     for k in range(2, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)

@@ -357,6 +357,22 @@ class TestDhymPointIdentities:
         assert r1.residual_rel <= 10 * 1e-11 * (1 + torus1.N)
         assert r2.residual_rel <= 1e-6
 
+    @pytest.mark.parametrize("n,transforms", [(2, 26), (3, 87)])
+    def test_non_diagonal_metric_keeps_the_index_symmetry(self, n, transforms, monkeypatch):
+        # d_i F_{p qbar} and d_i d_jbar F_{p qbar} are read with every index in
+        # coordinates, so a metric costs no transforms: at n = 3 the Hessian takes 6,
+        # d eta 27, dF 18 (not 27) and the second derivatives 36 (not 81), as at g = I
+        rng = np.random.default_rng(n)
+        B = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        geom = dl.build_torus(n, 8, B @ B.conj().T + 0.5 * np.eye(n))
+        base, u = psi_base(geom), dl.bandlimited_noise(geom, 2, 0.01, 3)
+        base.field()  # built before the count
+        calls = []
+        ifft = dl.TorusGeometry.ifft
+        monkeypatch.setattr(dl.TorusGeometry, "ifft", lambda g, f: calls.append(1) or ifft(g, f))
+        dl.dhym_point_identities(geom, base, u, hat_theta=0.0, residual_tol=1e9)
+        assert len(calls) == transforms
+
     def test_nonconverged_state_rejected(self, torus1, base1):
         u = 0.5 * cos_axis(torus1, 0)  # residual around 1e-2
         with pytest.raises(ValueError, match="not a dHYM point"):
@@ -388,7 +404,7 @@ class TestMaximumPrinciple:
         hat = float(np.arctan(1.0))
         traj = dl.Trajectory(geometry=torus1, base=base1, hat_theta=hat)
         u = np.zeros(torus1.shape)
-        traj.record(0.0, u, dl.LineBundleFlow(torus1, base1, hat).theta(u))
+        traj.record(dl.LineBundleFlow(torus1, base1, hat).initial_state(u))
         with pytest.raises(ValueError, match="two samples"):
             dl.maximum_principle_monitor(traj)
 

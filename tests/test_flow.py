@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
 import dhym_lab as dl
 from conftest import cos_axis, fails_on_call
+from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field
 from dhym_lab.phase import eta_pair, frame_characteristic
 
@@ -145,6 +148,124 @@ class TestOnePhasePath:
         flow = dl.LineBundleFlow(geom, dl.BaseCurvature.proportional(geom, c), 0.0)
         _, eta_inv = eta_pair(np.array([[c + 0j]]))
         assert np.array_equal(flow.linear_symbol, eta_inv[0, 0].real * 1.0 * scalar_multiplier(32))
+
+
+def complex_buffer_characteristic(geom, base, uh):
+    """Oracle: e_0..e_n of the flow's curvature the way the flow built it before
+    its real planes: the half-spectrum Hessian written entry by entry into a
+    complex (grid, n, n) buffer, taken to the frame, plus F~_hat, then
+    `frame_characteristic` of that matrix field.  Its mixed symbols are not even
+    in k where k has a Nyquist wave number, so it is exact only for a spectrum
+    uh without Nyquist modes."""
+    n = geom.n
+    mz, mZ = geom.half_symbols["z"], geom.half_symbols["Z"]
+    H = np.empty(geom.shape + (n, n), dtype=np.complex128)
+    for p in range(n):
+        for q in range(p, n):
+            s = mz[p] * mZ[q]
+            H[..., p, q] = geom.irfft(s.real.copy() * uh)
+            if p < q:
+                H[..., p, q].imag = geom.irfft(s.imag.copy() * uh)
+                H[..., q, p] = H[..., p, q].conj()
+    F = geom.to_frame(H, "zZ")
+    F += geom.to_frame(base.field(), "zZ")
+    return frame_characteristic(F)
+
+
+def without_nyquist(geom, uh):
+    """The half spectrum uh with every mode at a Nyquist wave number set to zero."""
+    uh = uh.copy()
+    for axis in range(2 * geom.n):
+        uh[(slice(None),) * axis + (geom.N // 2,)] = 0.0
+    return uh
+
+
+class TestPlanePhase:
+    """The flow's phase from real Hessian planes against the complex-buffer path."""
+
+    G2 = np.array([[2.0, 0.3j], [-0.3j, 1.0]])
+
+    @staticmethod
+    def phases(n, N, g, nyquist=True):
+        geom = dl.build_torus(n, N, g)
+        modes = ([{"m": [1, 1], "amplitude": 0.2}] if n == 1 else
+                 [{"m": [1] + [0] * (2 * n - 2) + [1], "amplitude": 0.2},
+                  {"m": [0, 1] + [0] * (2 * n - 3) + [1], "amplitude": 0.1, "phase": 0.3}])
+        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5, 2.0][:n]),
+                                psi=modes_field(geom, modes))
+        uh = geom.rfft(dl.bandlimited_noise(geom, 2, 0.3, 5))
+        if not nyquist:
+            uh = without_nyquist(geom, uh)
+        flow = dl.LineBundleFlow(geom, base, 0.0)
+        return flow.phase_fields(uh), dl.PhaseFields(complex_buffer_characteristic(geom, base, uh))
+
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 16)])
+    def test_bit_for_bit_at_identity_metric(self, n, N):
+        # rfft leaves rounding-sized Nyquist modes (5.7e-14 of 372 at n = 2), which
+        # the old path mishandled: without them it is exact, and so bit for bit
+        new, old = self.phases(n, N, np.eye(n), nyquist=False)
+        assert np.array_equal(new.theta, old.theta)
+        for k in range(n + 1):
+            assert np.array_equal(new.e[k], old.e[k]), k
+
+    @pytest.mark.parametrize("n,N,g", [(3, 8, np.eye(3)), (1, 32, np.array([[1.7]])), (2, 16, G2)],
+                             ids=["n3-N8-I", "n1-N32-g", "n2-N16-g"])
+    def test_within_rounding(self, n, N, g):
+        new, old = self.phases(n, N, g)
+        assert np.abs(new.theta - old.theta).max() <= 1e-14
+        for k in range(1, n + 1):
+            assert np.abs(new.e[k] - old.e[k]).max() <= 1e-14 * np.abs(old.e[k]).max(), k
+
+
+class TestRecordsReuseFlowPhase:
+    """A record of a flow state takes theta and Z from the state."""
+
+    @pytest.mark.parametrize("norms", [False, True])
+    def test_record_of_a_state_transforms_nothing_for_the_phase(self, norms, monkeypatch):
+        geom = dl.build_torus(2, 8, np.array([[2.0, 0.3j], [-0.3j, 1.0]]))
+        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5]),
+                                psi=0.05 * dl.bandlimited_noise(geom, 2, 1.0, 2))
+        state = dl.LineBundleFlow(geom, base, 0.0).initial_state(
+            dl.bandlimited_noise(geom, 2, 0.05, 3))
+        calls = []
+        fft = dl.TorusGeometry.fft
+        monkeypatch.setattr(dl.TorusGeometry, "fft", lambda g, f: calls.append("fft") or fft(g, f))
+        for module in (dl.diagnostics, dl.phase, dl.flow):
+            monkeypatch.setattr(module, "frame_characteristic",
+                                lambda *a: calls.append("frame_characteristic"))
+        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=0.0, norms=norms)
+        traj.record(state)
+        assert calls == (["fft"] if norms else [])  # a full record's tensor norms only
+        assert len(traj.records) == 1
+
+    @pytest.mark.parametrize("n,N,g", [(1, 64, [1.0]), (2, 16, TestPlanePhase.G2),
+                                       (2, 8, np.eye(2)), (2, 8, TestPlanePhase.G2)],
+                             ids=["n1-N64", "n2-N16-g", "n2-N8", "n2-N8-g"])
+    def test_run_records_match_rebuilt_hessian_records(self, n, N, g):
+        # at N = 8 the flow fills the Nyquist modes, where a half-spectrum Hessian
+        # that is not `deriv`'s breaks the invariance of Z
+        geom = dl.build_torus(n, N, g)
+        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5][:n]),
+                                psi=0.1 * dl.bandlimited_noise(geom, 2, 1.0, 4))
+        u0 = dl.bandlimited_noise(geom, 2, 0.02, 5)
+        hat = dl.winding_hat_theta(geom, base.field())
+        traj = dl.run_flow(dl.FlowConfig(geometry=geom, base=base, u0=u0, hat_theta=hat,
+                                         t_max=0.5, sample_every=4, keep_fields=None))
+        flow = traj.final.flow
+        assert len(traj.records) >= 5
+        for record, sample in zip(traj.records, traj.samples):
+            # the oracle: the record rebuilt from u and the flow's theta, whose Z takes
+            # the Hessian again
+            oracle = diagnostics.build_record(geom, base, hat, sample.t, sample.u,
+                                              theta=flow.theta(sample.u), u0_at_p=traj.u0_at_p)
+            Z, Z_oracle = complex(record.Z_re, record.Z_im), complex(oracle.Z_re, oracle.Z_im)
+            assert abs(record.Z_re - oracle.Z_re) <= 1e-14 * abs(Z_oracle)
+            assert abs(record.Z_im - oracle.Z_im) <= 1e-14 * abs(Z_oracle)
+            assert abs(Z - Z_oracle) <= 1e-14 * abs(Z_oracle)
+            kept = dataclasses.replace(oracle, Z_re=record.Z_re, Z_im=record.Z_im)
+            assert kept.csv_row() == record.csv_row()
+        Z0 = complex(traj.records[0].Z_re, traj.records[0].Z_im)
+        assert max(abs(complex(r.Z_re, r.Z_im) - Z0) for r in traj.records) <= 1e-15 * abs(Z0)
 
 
 class TestRk4Step:
