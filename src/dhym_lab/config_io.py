@@ -323,17 +323,6 @@ class SweepSpec:
     k_band: int
     seed_base: int
 
-    def to_json_dict(self) -> dict:
-        doc = self.run.to_json_dict()
-        doc.pop("initial", None)
-        doc["sweep"] = {
-            "delta_list": self.delta_list,
-            "seeds": self.seeds,
-            "k_band": self.k_band,
-            "seed_base": self.seed_base,
-        }
-        return doc
-
 
 def parse_sweep_config(path) -> SweepSpec:
     data = _load_json(path)

@@ -28,11 +28,13 @@ built.  The
 fourth derivatives of the base potential are read one distinct entry at a
 time (`_entry_sum`, `TorusGeometry.entries`), so they are never held whole.
 
-`build_record` takes theta and Z (the integral of zeta) from a flow state,
-else from u's frame Hessian.  With norms=False it builds a phase-only
-record: the scalar columns of a full one and NaN TENSOR_COLUMNS.  `verify`
-records this way, because none of its checks reads a tensor column;
-`write_diagnostics` refuses such records.
+The tensor norms sum the squared real planes of each distinct frame entry
+(`TorusGeometry.word_planes`) from u's half spectrum.  `build_record` takes
+that spectrum, theta and Z (the integral of zeta) from a flow state, so a
+full record of a state takes no forward transform.  With norms=False it
+builds a phase-only record: the scalar columns of a full one and NaN
+TENSOR_COLUMNS.  `verify` records this way, because none of its checks
+reads a tensor column; `write_diagnostics` refuses such records.
 
 Time derivatives for identity checks use second-order central differences
 of stored trajectory samples, never integrator internals, so the verifier
@@ -110,8 +112,8 @@ class DiagnosticsRecord:
     osc_udot: float
     mean_u: float
 
-    def csv_row(self) -> str:
-        return ",".join(repr(float(v)) for v in dataclasses.astuple(self))
+    def csv_row(self) -> str:  # not dataclasses.astuple, which deep-copies every field
+        return ",".join(repr(float(getattr(self, f.name))) for f in dataclasses.fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +127,6 @@ class TensorNorms:
     ThetaP_sup: float
     Gamma_sup: float
     hess_sup: float  # sup_x sqrt(Theta(x) + Theta'(x))
-    H: np.ndarray | None  # the complex Hessian u_{i jbar} Theta was built from, in the frame
 
 
 @dataclass(frozen=True)
@@ -157,28 +158,38 @@ def _frame_deriv(geom: TorusGeometry, f_hat: np.ndarray, word: str) -> np.ndarra
 _NORM_WORDS = {"grad_sq": "z", "Theta": "zZ", "ThetaP": "zz", "Gamma": "zZz"}
 
 
-def _norms_of(geom: TorusGeometry, tensors: dict) -> TensorNorms:
-    """The tensor norms and their sups of the frame tensors given by norm name
-    (`_NORM_WORDS`); a norm without its tensor is None with a NaN sup, and so is
-    hess_sup without both Theta and ThetaP."""
-    fields = {name: (X.real ** 2 + X.imag ** 2).sum(axis=tuple(range(2 * geom.n, X.ndim)))
-              for name, X in tensors.items()}
-    hess_sup = (float(np.sqrt((fields["Theta"] + fields["ThetaP"]).max()))
-                if {"Theta", "ThetaP"} <= fields.keys() else math.nan)
-    return TensorNorms(**{name: fields.get(name) for name in _NORM_WORDS},
-                       **{f"{name}_sup": float(fields[name].max()) if name in fields else math.nan
-                          for name in _NORM_WORDS},
-                       hess_sup=hess_sup, H=tensors.get("Theta"))
+def _norm_field(geom: TorusGeometry, uh: np.ndarray, word: str, symbols: dict) -> np.ndarray:
+    """sum |D|^2 over the index tuples of the frame tensor D of word, from the planes of
+    its distinct entries (`TorusGeometry.word_planes`), each once per tuple of its orbit."""
+    total = None
+    for orbit, planes in geom.word_planes(uh, word, symbols.get(word)):
+        np.square(planes, out=planes)
+        # a sum of two planes, not a reduction over them (which costs more), and not a
+        # view of the stack (which would hold both planes)
+        sq = planes[0] if len(planes) == 1 else planes[0] + planes[1]
+        if len(orbit) > 1:
+            sq *= len(orbit)
+        total = sq if total is None else np.add(total, sq, out=total)
+    return total
 
 
-def tensor_norms(geom: TorusGeometry, u: np.ndarray, names=tuple(_NORM_WORDS)) -> TensorNorms:
+def tensor_norms(geom: TorusGeometry, u: np.ndarray, names=tuple(_NORM_WORDS),
+                 uh: np.ndarray | None = None, symbols: dict | None = None) -> TensorNorms:
     """The tensor norms of u and their sups, taken in the frame.
 
-    Only the named norms are built, each from one derivative tensor; the
-    others are None with NaN sups (see `_norms_of`).
+    Only the named norms are built (`_norm_field`), from uh = rfft(u), taken when
+    not given; the others are None with NaN sups, and so is hess_sup without both
+    Theta and ThetaP.  symbols maps words to the `TorusGeometry.word_symbols` a
+    caller holds (`LineBundleFlow.record_symbols`).
     """
-    uh = geom.fft(np.asarray(u, dtype=np.float64))
-    return _norms_of(geom, {name: _frame_deriv(geom, uh, _NORM_WORDS[name]) for name in names})
+    if uh is None:
+        uh = geom.rfft(np.asarray(u, dtype=np.float64))
+    f = {name: _norm_field(geom, uh, _NORM_WORDS[name], symbols or {}) for name in names}
+    hess_sup = (float(np.sqrt((f["Theta"] + f["ThetaP"]).max()))
+                if {"Theta", "ThetaP"} <= f.keys() else math.nan)
+    return TensorNorms(**{name: f.get(name) for name in _NORM_WORDS},
+                       **{f"{name}_sup": float(f[name].max()) if name in f else math.nan
+                          for name in _NORM_WORDS}, hess_sup=hess_sup)
 
 
 def _q_field(tn: TensorNorms, u: np.ndarray, u0_at_p: float,
@@ -200,17 +211,22 @@ def q_functional(geom: TorusGeometry, u: np.ndarray, u0_at_p: float,
 def build_record(geom: TorusGeometry, base, hat_theta: float, t: float,
                  u: np.ndarray, theta: np.ndarray | None = None,
                  u0_at_p: float = 0.0, qcfg: QConfig | None = None,
-                 norms: bool = True, Z: complex | None = None) -> DiagnosticsRecord:
-    """Assemble the per-sample scalar diagnostics from at most one transform of u.
+                 norms: bool = True, Z: complex | None = None,
+                 uh: np.ndarray | None = None, symbols: dict | None = None) -> DiagnosticsRecord:
+    """Assemble the per-sample scalar diagnostics from uh = rfft(u), taken when not given.
 
-    theta and Z = volume_integral(zeta) are a flow state's (`FlowState`); those
-    not given are built from u's frame Hessian.  norms=False leaves the
-    TENSOR_COLUMNS NaN: given both, the record then transforms nothing."""
+    uh, theta and Z = volume_integral(zeta) are a flow state's (`FlowState`); theta and
+    Z not given are the flow's (`LineBundleFlow.phase_fields`); symbols are passed to
+    `tensor_norms`.  norms=False leaves the TENSOR_COLUMNS NaN: given theta and Z, the
+    record then transforms nothing."""
+    if uh is None and (norms or theta is None or Z is None):
+        uh = geom.rfft(np.asarray(u, dtype=np.float64))
     if norms:
-        tn = tensor_norms(geom, u)
+        tn = tensor_norms(geom, u, uh=uh, symbols=symbols)
     if theta is None or Z is None:
-        H = tn.H if norms else _frame_deriv(geom, geom.fft(np.asarray(u, dtype=np.float64)), "zZ")
-        pf = PhaseFields(frame_characteristic(geom.to_frame(base.field(), "zZ") + H))
+        from .flow import LineBundleFlow
+
+        pf = LineBundleFlow(geom, base, hat_theta).phase_fields(uh)
         theta = pf.theta if theta is None else theta
         Z = volume_integral(geom, pf.zeta) if Z is None else Z
     udot = theta - hat_theta
@@ -284,12 +300,6 @@ class _SampleContext(SimpleNamespace):
                 out[a, b] = np.moveaxis(geom.deriv(geom.fft(self.eta[..., a, b]), "z"), -1, 0)
         return np.moveaxis(out, (0, 1, 2), (-3, -2, -1))
 
-    def dFhat(self):
-        # d_i Fhat_{p qbar} = psi_{i p qbar}, a frame tensor, or None without a
-        # potential: built on each call, so the context does not hold it beside
-        # the Theta and Theta' transients
-        return None if self.psi_hat is None else _frame_deriv(self.geom, self.psi_hat, "zzZ")
-
 
 def _phase_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
     """The phase part of a sample's context: what `dhym_point_identities` reads.
@@ -317,9 +327,9 @@ def _sample_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
     """
     ctx = _phase_context(geom, base, u)
     ctx.du, ctx.S, ctx.T = (_frame_deriv(geom, ctx.uh, word) for word in ("z", "zz", "zZz"))
-    # the Hessian part of dF[..., i, p, q] is u_{p qbar i}, added in place
+    # dF = psi_{i p qbar} + u_{p qbar i}: the Hessian part is added in place
     dH = np.moveaxis(ctx.T, -1, -3)
-    ctx.dF = np.zeros_like(dH) if ctx.psi_hat is None else ctx.dFhat()
+    ctx.dF = np.zeros_like(dH) if ctx.psi_hat is None else _frame_deriv(geom, ctx.psi_hat, "zzZ")
     ctx.dF += dH
     return ctx
 
@@ -388,9 +398,10 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
                        hermitian=True)
         rhs = -(A + B)
         if ctx.psi_hat is not None:
-            dFhat = ctx.dFhat()
-            C = _eta_trace(Hinv, lambda p, q: reduce(add, (dFhat[..., i, p, q] * du[..., i].conj()
-                                                           for i in idx)))
+            # psi_{i p qbar} = dF[..., i, p, q] - u_{p qbar i}, one entry at a time
+            dF, T = ctx.dF, ctx.T
+            C = _eta_trace(Hinv, lambda p, q: reduce(add, ((dF[..., i, p, q] - T[..., p, q, i])
+                                                           * du[..., i].conj() for i in idx)))
             rhs += 2.0 * C.real
         return rhs
 
@@ -483,7 +494,9 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
                   for s in (prev, nxt)]
     ctx = _sample_context(geom, trajectory.base, mid.u)
     tensors = {"grad_sq": ctx.du, "Theta": ctx.H, "ThetaP": ctx.S}
-    quantities.insert(1, named(mid.u, _norms_of(geom, {w: tensors[w] for w in norm_names})))
+    quantities.insert(1, named(mid.u, SimpleNamespace(**{
+        w: (X.real ** 2 + X.imag ** 2).sum(axis=tuple(range(2 * geom.n, X.ndim)))
+        for w, X in tensors.items() if w in norm_names})))
     reports = []
     for which in names:
         q_prev, q_mid, q_next = (q.pop(which) for q in quantities)

@@ -175,6 +175,14 @@ class LineBundleFlow:
         return reduce(np.add, (eta_inv[q, p] * (mz[..., p] * mZ[..., q])
                             for p in idx for q in idx)).real
 
+    @cached_property
+    def record_symbols(self) -> dict | None:
+        """The norm words' `TorusGeometry.word_symbols` but "zZ"'s, built by the first full
+        record and held at n = 1, where they cost more than the transforms; None at n >= 2,
+        where they would hold many fields and each entry's are formed before its transform."""
+        geom = self.geometry
+        return {w: list(geom.word_symbols(w)) for w in ("z", "zz", "zZz")} if geom.n == 1 else None
+
     def etd_coefficients(self, h: float) -> tuple:
         """ETDRK4 coefficients (E, E2, Q, f1, f2, f3) of step h.
 
@@ -281,7 +289,8 @@ class Trajectory:
         self.samples.append(FlowSample(t=t, u=u.copy(), udot=state.theta - self.hat_theta))
         self.records.append(diagnostics.build_record(
             self.geometry, self.base, self.hat_theta, t, u,
-            theta=state.theta, u0_at_p=self.u0_at_p, norms=self.norms, Z=state.Z,
+            theta=state.theta, u0_at_p=self.u0_at_p, norms=self.norms, Z=state.Z, uh=state.uh,
+            symbols=state.flow.record_symbols if self.norms else None,
         ))
 
 

@@ -18,10 +18,12 @@ per index, so "zZz" gives u_{i jbar k} on three trailing axes of length n;
 it holds those axes first in memory, so each entry is a contiguous field.
 `TorusGeometry.entries` yields the distinct entries of such a tensor one at a
 time instead, with any of its indices in the frame below.
-The flow, whose u is real, keeps the half spectrum of `TorusGeometry.rfft`
-(wave numbers 0..N/2 on the last axis).  `TorusGeometry.frame_hessian` takes
-its Hessian in the frame from it as n^2 real planes, one real inverse
-transform each, with the frame symbols of `TorusGeometry.plane_symbols`.
+A real field u is also taken from its half spectrum (`TorusGeometry.rfft`,
+wave numbers 0..N/2 on the last axis): `TorusGeometry.word_planes` yields
+each distinct frame entry of a word's tensor as its real and imaginary
+planes, one real inverse transform per entry, with the half-grid symbols of
+`TorusGeometry.word_symbols`.  The flow's Hessian ("zZ", `frame_hessian`)
+and the tensor norms of the diagnostics are taken this way.
 
 The Kahler metric is a constant Hermitian positive-definite matrix g, so the
 volume form is det(g) dx dy and covariant derivatives coincide with
@@ -195,7 +197,7 @@ class TorusGeometry:
         Indices of one letter and one kind commute, and at g = I every index
         of one letter does: one inverse transform serves each orbit.
         """
-        frame = self._letter_multipliers if self.frame is None else self._frame_symbols()
+        frame = self._frame_symbols(self._letter_multipliers)
         symbols = [(self._letter_multipliers if k < coords else frame)[c]
                    for k, c in enumerate(word)]
         for orbit in _orbits(symbols, self.n):
@@ -206,12 +208,14 @@ class TorusGeometry:
         m = reduce(np.multiply, (s[j] for s, j in zip(symbols, idx)))
         return self.ifft(m.reshape(m.shape + (1,) * (f_hat.ndim - 2 * self.n)) * f_hat)
 
-    def _frame_symbols(self) -> dict:
-        # the 'z' and 'Z' multipliers of a frame index on the full grid; built on each
-        # call, so a geometry does not hold 2n grid fields
+    def _frame_symbols(self, letters: dict) -> dict:
+        # the 'z' and 'Z' multipliers of a frame index from those of a coordinate one; built
+        # on each call, so a geometry does not hold 2n grid fields
+        if self.frame is None:
+            return letters
         return {c: list(np.moveaxis(self.to_frame(np.stack(np.broadcast_arrays(*ms), axis=-1), c),
                                     -1, 0).copy())
-                for c, ms in self._letter_multipliers.items()}
+                for c, ms in letters.items()}
 
     def to_frame(self, X: np.ndarray, word: str, frame: np.ndarray | None = None) -> np.ndarray:
         """Tensor X in the g-orthonormal frame, one letter per trailing index axis.
@@ -236,48 +240,74 @@ class TorusGeometry:
 
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Forward transform over the 2n grid axes (trailing axes pass through)."""
-        return sfft.fftn(f, axes=self._axes, workers=_workers())
+        # axes= only with trailing axes: scipy's normalization of it costs ~2 of 17 us at N = 32
+        return sfft.fftn(f, axes=self._axes if f.ndim > 2 * self.n else None, workers=_workers())
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return sfft.ifftn(fh, axes=self._axes, workers=_workers())
+        return sfft.ifftn(fh, axes=self._axes if fh.ndim > 2 * self.n else None, workers=_workers())
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of a real field: wave numbers 0..N/2 on the last grid axis."""
-        return sfft.rfftn(f, axes=self._axes, workers=_workers())
+        return sfft.rfftn(f, axes=self._axes if f.ndim > 2 * self.n else None, workers=_workers())
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
-        """The real field of a half spectrum from `rfft`."""
-        return sfft.irfftn(fh, s=self.shape, axes=self._axes, workers=_workers())
+        """The real field of a half spectrum from `rfft`; leading axes (a stack of
+        planes) pass through, and each plane is bit for bit that of its own call."""
+        return sfft.irfftn(fh, s=self.shape, workers=_workers())
 
     @cached_property
     def plane_symbols(self) -> list:
-        """(p, q, symbol) per plane of `frame_hessian` on the half grid: of Re F_pq at
-        (p, q), p <= q, and of Im F_pq at (q, p), p < q, for F = P H P^H and `deriv`'s
-        Hessian H: S_ij = mz_i mZ_j at k for i <= j, conj(H_ji) = S_ij at -k below.
-        With T the symbol of F, they are (T_pq + T_qp) / 2 and (T_pq - T_qp) / 2i,
-        which keep a field real; held real but where T is not even in k (mixed
-        entries at the Nyquist wave number -N/2, which -k keeps)."""
-        n, P, idx = self.n, self.frame, range(self.n)
-        # the wave numbers at -k (mod N, so -N/2 stays) and their multipliers
+        """`word_symbols("zZ")`, held: the flow's Hessian takes them at every phase."""
+        return list(self.word_symbols("zZ"))
+
+    def word_symbols(self, word: str):
+        """(orbit, S) per distinct frame entry of a real field's derivative tensor, each
+        built from the per-axis multipliers when it is reached.
+
+        S stacks the half-grid symbols of the entry's real and imaginary planes,
+        (s + r) / 2 and (s - r) / 2i for its symbol s at k and r the conjugate of its
+        symbol at -k (mod N, so -N/2 stays), as `deriv` takes them; every index tuple
+        of orbit has an entry of this modulus.  s is a product of frame multipliers,
+        as in `entries`, but for the Hermitian "zZ": its entries are F_pq, p <= q, of
+        F = P H P^H for `deriv`'s H (mz_i mZ_j at k for i <= j, at -k below), r is
+        the symbol of F_qp, the orbit [(p, q), (q, p)] places the planes as
+        `phase.hermitian_planes` does, and a real entry has one plane.
+        """
+        n, P, idx, half = self.n, self.frame, range(self.n), self.half_symbols
         w = [np.where(k == -(self.N // 2), k, -k)[..., : self.N // 2 + 1]
              for k in map(self.wavevector, range(2 * n))]
-        neg = {"z": [0.5 * (1j * w[j] + w[n + j]) for j in idx],
-               "Z": [0.5 * (1j * w[j] - w[n + j]) for j in idx]}
-        H = [[(self.half_symbols if i <= j else neg)["z"][i]
-              * (self.half_symbols if i <= j else neg)["Z"][j] for j in idx] for i in idx]
-        T = H if P is None else [[reduce(np.add, (P[p, i] * P[q, j].conj() * H[i][j]
-                                                  for i in idx for j in idx)) for q in idx] for p in idx]
-        planes = [(p, q, 0.5 * (T[p][q] + T[q][p])) for p in idx for q in idx if p <= q]
-        planes += [(q, p, -0.5j * (T[p][q] - T[q][p])) for p in idx for q in idx if p < q]
-        return [(p, q, s if s.imag.any() else s.real.copy()) for p, q, s in planes]
+        neg = {c: [0.5 * (1j * w[j] + w[n + j] if c == "z" else 1j * w[j] - w[n + j]) for j in idx]
+               for c in set(word)}
+        if word == "zZ":
+            H = [[(half if i <= j else neg)["z"][i] * (half if i <= j else neg)["Z"][j]
+                  for j in idx] for i in idx]
+            T = H if P is None else [[reduce(np.add, (P[p, i] * P[q, j].conj() * H[i][j]
+                                                      for i in idx for j in idx))
+                                      for q in idx] for p in idx]
+            for p, q in itertools.combinations_with_replacement(idx, 2):
+                re, im = 0.5 * (T[p][q] + T[q][p]), -0.5j * (T[p][q] - T[q][p])
+                S = np.stack((re, im)) if im.any() else re[np.newaxis]
+                yield [(p, q), (q, p)][: 1 + (p < q)], S if S.imag.any() else S.real.copy()
+            return
+        at_k, at_w = ([frame[c] for c in word] for frame in map(self._frame_symbols, (half, neg)))
+        for orbit in _orbits(at_k, n):
+            s, r = (reduce(np.multiply, (m[j] for m, j in zip(ms, orbit[0]))) for ms in (at_k, at_w))
+            r = r.conj()
+            yield orbit, np.stack((0.5 * (s + r), -0.5j * (s - r)))
+
+    def word_planes(self, uh: np.ndarray, word: str, symbols: list | None = None):
+        """(orbit, planes) per distinct frame entry of the derivative tensor of a real field,
+        one at a time, from uh = rfft(u) and the word's symbols (given, else `word_symbols`)."""
+        for orbit, S in symbols or (self.plane_symbols if word == "zZ" else self.word_symbols(word)):
+            yield orbit, self.irfft(S * uh)
 
     def frame_hessian(self, uh: np.ndarray) -> list:
         """The frame Hessian u_{i jbar} of a real field from its half spectrum uh =
-        rfft(u) as an n x n table of real planes (`phase.hermitian_planes`), one
-        contiguous real inverse transform each."""
+        rfft(u) as an n x n table of contiguous real planes (`phase.hermitian_planes`)."""
         T = [[None] * self.n for _ in range(self.n)]
-        for p, q, s in self.plane_symbols:
-            T[p][q] = self.irfft(s * uh)
+        for orbit, planes in self.word_planes(uh, "zZ"):
+            for (p, q), plane in zip(orbit, planes):
+                T[p][q] = plane
         return T
 
     def mean(self, f: np.ndarray) -> complex | float:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import dhym_lab as dl
 from conftest import cos_axis
 from dhym_lab import diagnostics
-from dhym_lab.config_io import modes_field
+from dhym_lab.config_io import modes_field, parse_config_data
 from dhym_lab.diagnostics import TENSOR_COLUMNS, build_record
 
 
@@ -91,9 +92,9 @@ class TestTensorNorms:
         geom = dl.build_torus(n, N, np.eye(n))
         u = dl.bandlimited_noise(geom, 2, 0.3, 5)
         full = dl.tensor_norms(geom, u)
-        frame_deriv, words = diagnostics._frame_deriv, []
-        monkeypatch.setattr(diagnostics, "_frame_deriv",
-                            lambda g, f, word: words.append(word) or frame_deriv(g, f, word))
+        word_planes, words = dl.TorusGeometry.word_planes, []
+        monkeypatch.setattr(dl.TorusGeometry, "word_planes",
+                            lambda g, uh, word, *a: words.append(word) or word_planes(g, uh, word, *a))
         part = dl.tensor_norms(geom, u, ("Theta", "ThetaP"))
         assert words == ["zZ", "zz"]
         assert part.hess_sup == full.hess_sup
@@ -127,7 +128,43 @@ class TestQFunctional:
             dl.QConfig(K1=-1.0)
 
 
+def _sups_at_n1(geom, u, dtype):
+    """The four tensor norms' sups and hess_sup of u at n = 1, g = I, from u's full
+    spectrum in the given float type."""
+    import scipy.fft as sfft
+
+    uh = sfft.fftn(u.astype(dtype))
+    kx, ky = (geom.wavevector(a).astype(dtype) for a in (0, 1))
+    mz, mZ = 0.5 * (1j * kx + ky), 0.5 * (1j * kx - ky)
+    f = {name: np.abs(sfft.ifftn(m * uh)) ** 2 for name, m in (
+        ("grad_sq_sup", mz), ("Theta_sup", mz * mZ), ("ThetaP_sup", mz * mz), ("Gamma_sup", mz * mZ * mz))}
+    return {**{name: F.max() for name, F in f.items()},
+            "hess_sup": np.sqrt((f["Theta_sup"] + f["ThetaP_sup"]).max())}
+
+
 class TestBuildRecord:
+    def test_run_records_at_N64_are_as_near_exact_as_the_full_spectrum(self):
+        # the forward transform's rounding, times k^3 at the top modes, puts the
+        # full-spectrum tensors up to ~3e-12 from the long-double norms in Gamma at
+        # N = 64 late in a run (~3e-13 in Theta); the planes of the state's half
+        # spectrum are held to the same bounds, so they differ from that path by as much
+        cfg = parse_config_data({
+            "dimension": 1, "resolution": 64, "metric": [[1.0]],
+            "base_curvature": {"constant": [[1.0]], "potential": {
+                "modes": [{"m": [1, 0], "amplitude": 0.2, "phase": 0.0}]}},
+            "initial": {"type": "noise", "k_band": 2, "seed": 1, "target_hess_sup": 0.05},
+            "time": {"t_max": 2.0, "dt_safety": 0.5, "residual_tol": 1e-10, "sample_every": 32},
+            "outputs": {"dir": "run", "snapshots": "all-samples"}})
+        traj = dl.run_flow(cfg.flow_config(keep_fields=None))
+        bound = {"grad_sq_sup": 2e-14, "Theta_sup": 5e-13, "ThetaP_sup": 5e-13,
+                 "Gamma_sup": 5e-12, "hess_sup": 2e-13}
+        for rec, sample in zip(traj.records, traj.samples):
+            exact = _sups_at_n1(traj.geometry, sample.u, np.longdouble)
+            full = _sups_at_n1(traj.geometry, sample.u, np.float64)
+            for name, tol in bound.items():
+                assert abs(full[name] - exact[name]) <= tol * exact[name], (name, rec.t)
+                assert abs(getattr(rec, name) - exact[name]) <= tol * exact[name], (name, rec.t)
+
     @pytest.mark.parametrize("n,N", [(1, 32), (2, 8)])
     def test_one_transform_gives_the_separately_built_fields(self, n, N):
         geom = dl.build_torus(n, N, np.eye(n))
@@ -135,13 +172,17 @@ class TestBuildRecord:
         u = dl.bandlimited_noise(geom, 2, 0.05, 3)
         rec = build_record(geom, base, 0.7, 0.25, u)
         tn = dl.tensor_norms(geom, u)
-        pf = dl.phase_fields(geom, base.field() + dl.complex_hessian(geom, u))
+        # the phase is the flow's, bit for bit, and the full-spectrum path's within rounding
+        pf = dl.LineBundleFlow(geom, base, 0.7).phase_fields(geom.rfft(u))
         Z = dl.volume_integral(geom, pf.zeta)
         assert (rec.grad_sq_sup, rec.Theta_sup, rec.ThetaP_sup, rec.Gamma_sup,
                 rec.hess_sup) == (tn.grad_sq_sup, tn.Theta_sup, tn.ThetaP_sup,
                                   tn.Gamma_sup, tn.hess_sup)
         assert (rec.Z_re, rec.Z_im) == (Z.real, Z.imag)
         assert (rec.theta_max, rec.theta_min) == (pf.theta.max(), pf.theta.min())
+        full = dl.phase_fields(geom, base.field() + dl.complex_hessian(geom, u))
+        assert abs(dl.volume_integral(geom, full.zeta) - Z) <= 1e-14 * abs(Z)
+        assert np.abs(full.theta - pf.theta).max() <= 1e-14
 
 
     @pytest.mark.parametrize("n,N,g", [(1, 16, [2.0]), (2, 8, NON_DIAGONAL_G)])
@@ -160,6 +201,17 @@ class TestBuildRecord:
                     assert np.isnan(value) and np.isfinite(getattr(full, name)), name
                 else:
                     assert value == getattr(full, name), name
+
+
+class TestCsvRow:
+    def test_formats_each_field_as_astuple_did(self):
+        # csv_row reads the fields instead of deep-copying them; the text is unchanged
+        values = [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308 / 3, math.nan,
+                  np.float64(-0.0), np.float64(1e-310), 0.1, 1.0 / 3.0, -7, 1e300,
+                  np.float32(0.1)]
+        for shift in range(len(values)):
+            rec = dl.DiagnosticsRecord(*(values[shift:] + values[:shift]))
+            assert rec.csv_row() == ",".join(repr(float(v)) for v in dataclasses.astuple(rec))
 
 
 class TestVerifyLinearization:
@@ -248,7 +300,7 @@ class TestEvolutionIdentities:
         # never the Gamma tensor u_{i jbar k} ("zZz")
         geom = dl.build_torus(2, 8, NON_DIAGONAL_G)
         traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
-        tensor_norms, frame_deriv = diagnostics.tensor_norms, diagnostics._frame_deriv
+        tensor_norms, word_planes = diagnostics.tensor_norms, dl.TorusGeometry.word_planes
         built, active = [], []  # the words of each tensor_norms call
 
         def spy_norms(geom, u, *args):
@@ -259,13 +311,13 @@ class TestEvolutionIdentities:
             finally:
                 active.pop()
 
-        def spy_deriv(geom, f_hat, word):
+        def spy_planes(geom, uh, word, *args):
             if active:
                 built[-1].append(word)
-            return frame_deriv(geom, f_hat, word)
+            return word_planes(geom, uh, word, *args)
 
         monkeypatch.setattr(diagnostics, "tensor_norms", spy_norms)
-        monkeypatch.setattr(diagnostics, "_frame_deriv", spy_deriv)
+        monkeypatch.setattr(dl.TorusGeometry, "word_planes", spy_planes)
         dl.verify_evolution_identities(traj, list(traj.samples)[1].t, names)
         assert built == ([read, read] if read else [])
 

@@ -228,14 +228,19 @@ class TestRecordsReuseFlowPhase:
         state = dl.LineBundleFlow(geom, base, 0.0).initial_state(
             dl.bandlimited_noise(geom, 2, 0.05, 3))
         calls = []
-        fft = dl.TorusGeometry.fft
-        monkeypatch.setattr(dl.TorusGeometry, "fft", lambda g, f: calls.append("fft") or fft(g, f))
+
+        def spy(name):
+            transform = getattr(dl.TorusGeometry, name)
+            return lambda g, f: calls.append(name) or transform(g, f)
+
+        for name in ("fft", "rfft"):  # the forward transforms
+            monkeypatch.setattr(dl.TorusGeometry, name, spy(name))
         for module in (dl.diagnostics, dl.phase, dl.flow):
             monkeypatch.setattr(module, "frame_characteristic",
                                 lambda *a: calls.append("frame_characteristic"))
         traj = dl.Trajectory(geometry=geom, base=base, hat_theta=0.0, norms=norms)
         traj.record(state)
-        assert calls == (["fft"] if norms else [])  # a full record's tensor norms only
+        assert calls == []  # a full record's norms take the state's spectrum
         assert len(traj.records) == 1
 
     @pytest.mark.parametrize("n,N,g", [(1, 64, [1.0]), (2, 16, TestPlanePhase.G2),

@@ -1,7 +1,9 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 import dhym_lab as dl
 from conftest import cos_axis
@@ -247,6 +249,102 @@ class TestHalfSpectrum:
             for c, full in (("z", geom.dz_multiplier(j)), ("Z", geom.dzbar_multiplier(j))):
                 half = np.broadcast_to(geom.half_symbols[c][j], uh.shape)
                 assert np.array_equal(half, np.broadcast_to(full, u.shape)[..., : N // 2 + 1])
+
+
+def random_metric(rng, n):
+    B = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    return B @ B.conj().T + np.eye(n)
+
+
+def per_plane_frame_hessian(geom, uh):
+    """The frame Hessian as it was first built from the half spectrum: one symbol
+    and one real inverse transform per plane, each over the 2n grid axes."""
+    n, P, idx, half = geom.n, geom.frame, range(geom.n), geom.half_symbols
+    w = [np.where(k == -(geom.N // 2), k, -k)[..., : geom.N // 2 + 1]
+         for k in map(geom.wavevector, range(2 * n))]
+    neg = {"z": [0.5 * (1j * w[j] + w[n + j]) for j in idx],
+           "Z": [0.5 * (1j * w[j] - w[n + j]) for j in idx]}
+    H = [[(half if i <= j else neg)["z"][i] * (half if i <= j else neg)["Z"][j] for j in idx]
+         for i in idx]
+    T = H if P is None else [[reduce(np.add, (P[p, i] * P[q, j].conj() * H[i][j]
+                                              for i in idx for j in idx)) for q in idx] for p in idx]
+    planes = [(p, q, 0.5 * (T[p][q] + T[q][p])) for p in idx for q in idx if p <= q]
+    planes += [(q, p, -0.5j * (T[p][q] - T[q][p])) for p in idx for q in idx if p < q]
+    out = [[None] * n for _ in idx]
+    for p, q, s in planes:
+        s = s if s.imag.any() else s.real.copy()
+        out[p][q] = sfft.irfftn(s * uh, s=geom.shape, axes=tuple(range(2 * n)), workers=1)
+    return out
+
+
+class TestWordKernel:
+    """Each distinct frame entry of a real field's tensor as real planes of the half
+    spectrum (`word_planes`) against the full-spectrum kernel `deriv`."""
+
+    @pytest.mark.parametrize("metric", [False, True], ids=["I", "g"])
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
+    def test_every_norm_word_matches_deriv(self, n, N, metric):
+        # white noise fills the Nyquist modes, where no symbol of a mixed or odd word
+        # is even in k
+        rng = np.random.default_rng(10 * n + metric)
+        geom = dl.build_torus(n, N, random_metric(rng, n) if metric else np.eye(n))
+        u = rng.standard_normal(geom.shape)
+        for word in ("z", "zZ", "zz", "zZz"):
+            expect = geom.to_frame(geom.deriv(geom.fft(u), word), word)
+            scale, seen = np.abs(expect).max(), []
+            for orbit, planes in geom.word_planes(geom.rfft(u), word):
+                assert planes.dtype == np.float64 and len(planes) in (1, 2)
+                assert all(plane.flags.c_contiguous for plane in planes)
+                field = planes[0] if len(planes) == 1 else planes[0] + 1j * planes[1]
+                # a Hermitian "zZ" entry stands for its conjugate at the transposed index
+                for k, idx in enumerate(orbit):
+                    got = field.conj() if word == "zZ" and k else field
+                    assert np.abs(got - expect[(Ellipsis,) + idx]).max() <= 1e-13 * scale, (word, idx)
+                    seen.append(idx)
+            assert sorted(seen) == list(itertools.product(range(n), repeat=len(word))), word
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n,N,metric", [(1, 32, False), (1, 32, True), (2, 8, False),
+                                            (2, 16, True), (3, 8, False), (3, 8, True)])
+    def test_frame_hessian_is_the_per_plane_oracle_bit_for_bit(self, n, N, metric, threads,
+                                                               monkeypatch):
+        monkeypatch.setenv("DHYM_THREADS", threads)
+        rng = np.random.default_rng(n + N)
+        geom = dl.build_torus(n, N, random_metric(rng, n) if metric else np.eye(n))
+        uh = geom.rfft(rng.standard_normal(geom.shape))
+        for row, oracle_row in zip(geom.frame_hessian(uh), per_plane_frame_hessian(geom, uh)):
+            for plane, oracle in zip(row, oracle_row):
+                assert np.array_equal(plane, oracle)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n,N", [(1, 32), (1, 64), (2, 16), (2, 32), (3, 8)])
+    def test_stacked_planes_transform_as_alone(self, n, N, threads, monkeypatch):
+        # one inverse transform per entry over its two planes changes no plane's bits
+        monkeypatch.setenv("DHYM_THREADS", threads)
+        geom = dl.build_torus(n, N, np.eye(n))
+        rng = np.random.default_rng(N)
+        half = geom.shape[:-1] + (N // 2 + 1,)
+        spec = rng.standard_normal((2,) + half) + 1j * rng.standard_normal((2,) + half)
+        stacked = geom.irfft(spec)
+        assert stacked.shape == (2,) + geom.shape
+        for plane, alone in zip(stacked, spec):
+            assert np.array_equal(plane, geom.irfft(alone))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_geometry_holds_no_symbols_but_the_hessians(self, n):
+        # the tensor norms build each entry's symbols when they reach it, but a flow at
+        # n = 1 holds those of its full records
+        geom = dl.build_torus(n, 8, random_metric(np.random.default_rng(1), n))
+        base = dl.BaseCurvature(geometry=geom, F0=np.eye(n))
+        flow = dl.LineBundleFlow(geom, base, 0.0)
+        u = dl.bandlimited_noise(geom, 2, 0.05, 1)
+        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=0.0)
+        traj.record(flow.state(u))
+        dl.tensor_norms(geom, u)
+        assert set(vars(geom)) <= set(vars(dl.build_torus(n, 8, np.eye(n)))) | {
+            "_letter_multipliers", "half_symbols", "plane_symbols"}
+        held = flow.record_symbols
+        assert (sorted(held) == ["z", "zZz", "zz"]) if n == 1 else held is None
 
 
 class TestVolumeIntegral:
