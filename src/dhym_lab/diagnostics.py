@@ -29,7 +29,7 @@ fourth derivatives of the base potential are read one distinct entry at a
 time (`_entry_sum`, `TorusGeometry.entries`), so they are never held whole.
 
 The tensor norms sum the squared real planes of each distinct frame entry
-(`TorusGeometry.word_planes`) from u's half spectrum.  `build_record` takes
+(`TorusGeometry.norm_planes`) from u's half spectrum.  `build_record` takes
 that spectrum, theta and Z (the integral of zeta) from a flow state, so a
 full record of a state takes no forward transform.  With norms=False it
 builds a phase-only record: the scalar columns of a full one and NaN
@@ -52,7 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import TorusGeometry, complex_hessian, volume_integral
+from .geometry import NORM_WORDS, TorusGeometry, complex_hessian, volume_integral
 from .phase import PhaseFields, eta_pair, frame_characteristic, phase_fields
 
 __all__ = [
@@ -155,36 +155,28 @@ def _frame_deriv(geom: TorusGeometry, f_hat: np.ndarray, word: str) -> np.ndarra
 
 
 # the frame tensor each norm sums |.|^2 over: u_i, u_{i jbar}, u_{i p}, u_{i jbar k}
-_NORM_WORDS = {"grad_sq": "z", "Theta": "zZ", "ThetaP": "zz", "Gamma": "zZz"}
-
-
-def _norm_field(geom: TorusGeometry, uh: np.ndarray, word: str, symbols: dict) -> np.ndarray:
-    """sum |D|^2 over the index tuples of the frame tensor D of word, from the planes of
-    its distinct entries (`TorusGeometry.word_planes`), each once per tuple of its orbit."""
-    total = None
-    for orbit, planes in geom.word_planes(uh, word, symbols.get(word)):
-        np.square(planes, out=planes)
-        # a sum of two planes, not a reduction over them (which costs more), and not a
-        # view of the stack (which would hold both planes)
-        sq = planes[0] if len(planes) == 1 else planes[0] + planes[1]
-        if len(orbit) > 1:
-            sq *= len(orbit)
-        total = sq if total is None else np.add(total, sq, out=total)
-    return total
+_NORM_WORDS = dict(zip(("grad_sq", "Theta", "ThetaP", "Gamma"), NORM_WORDS))
 
 
 def tensor_norms(geom: TorusGeometry, u: np.ndarray, names=tuple(_NORM_WORDS),
-                 uh: np.ndarray | None = None, symbols: dict | None = None) -> TensorNorms:
+                 uh: np.ndarray | None = None) -> TensorNorms:
     """The tensor norms of u and their sups, taken in the frame.
 
-    Only the named norms are built (`_norm_field`), from uh = rfft(u), taken when
-    not given; the others are None with NaN sups, and so is hess_sup without both
-    Theta and ThetaP.  symbols maps words to the `TorusGeometry.word_symbols` a
-    caller holds (`LineBundleFlow.record_symbols`).
+    Only the named norms are built, from uh = rfft(u), taken when not given: |D|^2 summed
+    over the index tuples of the word's frame tensor D (`TorusGeometry.norm_planes`).  The
+    others are None with NaN sups, and hess_sup is NaN without both Theta and ThetaP.
     """
     if uh is None:
         uh = geom.rfft(np.asarray(u, dtype=np.float64))
-    f = {name: _norm_field(geom, uh, _NORM_WORDS[name], symbols or {}) for name in names}
+    f = {}
+    for word, orbit, planes in geom.norm_planes(uh, dict.fromkeys(_NORM_WORDS[n] for n in names)):
+        # a sum of the planes, not a reduction over their stack, which costs more
+        sq = reduce(np.add, (np.square(plane, out=plane) for plane in planes))
+        if len(orbit) > 1:
+            sq *= len(orbit)
+        f[word] = np.add(f[word], sq, out=f[word]) if word in f else sq
+        del planes, sq  # before the next entry's transform: it bounds the peak memory
+    f = {name: f[word] for name, word in _NORM_WORDS.items() if word in f}
     hess_sup = (float(np.sqrt((f["Theta"] + f["ThetaP"]).max()))
                 if {"Theta", "ThetaP"} <= f.keys() else math.nan)
     return TensorNorms(**{name: f.get(name) for name in _NORM_WORDS},
@@ -212,17 +204,16 @@ def build_record(geom: TorusGeometry, base, hat_theta: float, t: float,
                  u: np.ndarray, theta: np.ndarray | None = None,
                  u0_at_p: float = 0.0, qcfg: QConfig | None = None,
                  norms: bool = True, Z: complex | None = None,
-                 uh: np.ndarray | None = None, symbols: dict | None = None) -> DiagnosticsRecord:
+                 uh: np.ndarray | None = None) -> DiagnosticsRecord:
     """Assemble the per-sample scalar diagnostics from uh = rfft(u), taken when not given.
 
     uh, theta and Z = volume_integral(zeta) are a flow state's (`FlowState`); theta and
-    Z not given are the flow's (`LineBundleFlow.phase_fields`); symbols are passed to
-    `tensor_norms`.  norms=False leaves the TENSOR_COLUMNS NaN: given theta and Z, the
-    record then transforms nothing."""
+    Z not given are the flow's (`LineBundleFlow.phase_fields`).  norms=False leaves the
+    TENSOR_COLUMNS NaN: given theta and Z, the record then transforms nothing."""
     if uh is None and (norms or theta is None or Z is None):
         uh = geom.rfft(np.asarray(u, dtype=np.float64))
     if norms:
-        tn = tensor_norms(geom, u, uh=uh, symbols=symbols)
+        tn = tensor_norms(geom, u, uh=uh)
     if theta is None or Z is None:
         from .flow import LineBundleFlow
 

@@ -13,8 +13,8 @@ remainder N(u) = theta(F_hat + complex_hessian(u)) - hat_theta - L u.  L is
 integrated exactly, so the step is not bound by diffusion; without a
 potential psi the scheme is exact for the linearized flow.  The
 phi-function coefficients come from the contour-integral method of Kassam
-& Trefethen (SIAM J. Sci. Comput. 26(4), 2005), rebuilt whenever the step
-size changes.
+& Trefethen (SIAM J. Sci. Comput. 26(4), 2005), once per distinct value of
+L and step size of a flow; the cells of a sweep share one flow.
 
 `run_flow` and `run_fixed` are front ends of one loop, `_integrate`: steps
 of nominal size h0, each clipped to land on the next sample time k*ds (where
@@ -175,26 +175,18 @@ class LineBundleFlow:
         return reduce(np.add, (eta_inv[q, p] * (mz[..., p] * mZ[..., q])
                             for p in idx for q in idx)).real
 
-    @cached_property
-    def record_symbols(self) -> dict | None:
-        """The norm words' `TorusGeometry.word_symbols` but "zZ"'s, built by the first full
-        record and held at n = 1, where they cost more than the transforms; None at n >= 2,
-        where they would hold many fields and each entry's are formed before its transform."""
-        geom = self.geometry
-        return {w: list(geom.word_symbols(w)) for w in ("z", "zz", "zZz")} if geom.n == 1 else None
-
     def etd_coefficients(self, h: float) -> tuple:
         """ETDRK4 coefficients (E, E2, Q, f1, f2, f3) of step h.
 
         The phi-functions are contour means over _CONTOUR_POINTS points of the
-        upper unit half circle around each h * L (L is real, so the real part
-        of the half-circle mean is the full-circle mean); one point is
-        accumulated at a time.  Only the coefficients of the last h are kept.
+        upper unit half circle around each distinct value of h * L (L is real, so
+        the real part of the half-circle mean is the full-circle mean), one point
+        at a time, gathered onto L's half grid.  Only the last h's are kept.
         """
         if self._etd is not None and self._etd[0] == h:
             return self._etd[1]
         self._etd = None  # release the old coefficients before building new ones
-        hL = h * self.linear_symbol
+        hL, at = np.unique(h * self.linear_symbol, return_inverse=True)
         acc = [np.zeros_like(hL) for _ in range(4)]
         for k in range(_CONTOUR_POINTS):
             z = hL + np.exp(1j * np.pi * (k + 0.5) / _CONTOUR_POINTS)
@@ -203,8 +195,8 @@ class LineBundleFlow:
             acc[1] += ((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3).real
             acc[2] += ((2.0 + z + ez * (z - 2.0)) / z3).real
             acc[3] += ((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3).real
-        Q, f1, f2, f3 = ((h / _CONTOUR_POINTS) * a for a in acc)
-        coefficients = (np.exp(hL), np.exp(hL / 2.0), Q, f1, f2, f3)
+        distinct = (np.exp(hL), np.exp(hL / 2.0)) + tuple((h / _CONTOUR_POINTS) * a for a in acc)
+        coefficients = tuple(c[at].reshape(self.linear_symbol.shape) for c in distinct)
         self._etd = (h, coefficients)
         return coefficients
 
@@ -290,7 +282,6 @@ class Trajectory:
         self.records.append(diagnostics.build_record(
             self.geometry, self.base, self.hat_theta, t, u,
             theta=state.theta, u0_at_p=self.u0_at_p, norms=self.norms, Z=state.Z, uh=state.uh,
-            symbols=state.flow.record_symbols if self.norms else None,
         ))
 
 
@@ -451,11 +442,15 @@ def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float
     return traj
 
 
-def run_flow(config: FlowConfig) -> Trajectory:
-    """Integrate with ETDRK4 until the phase residual drops below tolerance
-    or t reaches t_max; one step per sample interval (see `_integrate`)."""
+def run_flow(config: FlowConfig, flow: LineBundleFlow | None = None) -> Trajectory:
+    """ETDRK4 steps, one per sample interval (see `_integrate`), until the phase residual
+    drops below tolerance or t reaches t_max; a given flow must be of the config's run."""
     geom = config.geometry
-    state = LineBundleFlow(geom, config.base, config.hat_theta).initial_state(config.u0)
+    flow = flow or LineBundleFlow(geom, config.base, config.hat_theta)
+    if not (flow.geometry is geom and flow.base is config.base
+            and flow.hat_theta == config.hat_theta):
+        raise ValueError("flow does not match the config's geometry, base and hat_theta")
+    state = flow.initial_state(config.u0)
     traj = Trajectory(geometry=geom, base=config.base, hat_theta=config.hat_theta,
                       samples=deque(maxlen=config.keep_fields))
     ds = config.sample_every * stable_dt(geom, config.dt_safety)

@@ -22,8 +22,8 @@ A real field u is also taken from its half spectrum (`TorusGeometry.rfft`,
 wave numbers 0..N/2 on the last axis): `TorusGeometry.word_planes` yields
 each distinct frame entry of a word's tensor as its real and imaginary
 planes, one real inverse transform per entry, with the half-grid symbols of
-`TorusGeometry.word_symbols`.  The flow's Hessian ("zZ", `frame_hessian`)
-and the tensor norms of the diagnostics are taken this way.
+`TorusGeometry.word_symbols`: the flow's Hessian ("zZ", `frame_hessian`), and
+the tensor norms (`norm_planes`; at n = 1 from a held stack of their symbols).
 
 The Kahler metric is a constant Hermitian positive-definite matrix g, so the
 volume form is det(g) dx dy and covariant derivatives coincide with
@@ -55,6 +55,8 @@ __all__ = [
     "bandlimited_noise",
     "check_hermitian_field",
 ]
+
+NORM_WORDS = ("z", "zZ", "zz", "zZz")  # of the tensor norms: u_i, u_{i jbar}, u_{i p}, u_{i jbar k}
 
 
 def _workers() -> int:
@@ -295,11 +297,32 @@ class TorusGeometry:
             r = r.conj()
             yield orbit, np.stack((0.5 * (s + r), -0.5j * (s - r)))
 
-    def word_planes(self, uh: np.ndarray, word: str, symbols: list | None = None):
+    def word_planes(self, uh: np.ndarray, word: str):
         """(orbit, planes) per distinct frame entry of the derivative tensor of a real field,
-        one at a time, from uh = rfft(u) and the word's symbols (given, else `word_symbols`)."""
-        for orbit, S in symbols or (self.plane_symbols if word == "zZ" else self.word_symbols(word)):
+        one at a time, from uh = rfft(u) and the word's `word_symbols`."""
+        for orbit, S in self.plane_symbols if word == "zZ" else self.word_symbols(word):
             yield orbit, self.irfft(S * uh)
+
+    @cached_property
+    def _norm_stack(self) -> tuple:
+        # n = 1, one entry per word: the NORM_WORDS' symbols as one stack, and each word's rows
+        S = [next(self.word_symbols(w))[1] for w in NORM_WORDS]
+        ends = np.cumsum([len(s) for s in S])
+        return np.concatenate(S), {w: range(e - len(s), e) for w, s, e in zip(NORM_WORDS, S, ends)}
+
+    def norm_planes(self, uh: np.ndarray, words):
+        """(word, orbit, planes) per distinct frame entry of each word's tensor (`word_planes`).
+        At n = 1 one `irfft` over the words' rows of the held `_norm_stack` gives them all, or
+        one per word past N = 32; at n >= 2 nothing is held and each entry is taken alone."""
+        if self.n > 1:
+            yield from ((w, *entry) for w in words for entry in self.word_planes(uh, w))
+            return
+        S, rows = self._norm_stack
+        # a batch past 128 KiB takes fresh pages on every call; one word's rows are a view
+        for batch in [words] if len(words) > 1 and S.nbytes <= 1 << 17 else [[w] for w in words]:
+            at = [r for w in batch for r in rows[w]]
+            planes = iter(self.irfft((S[at] if len(batch) > 1 else S[at[0]:at[-1] + 1]) * uh))
+            yield from ((w, [(0,) * len(w)], [next(planes) for _ in rows[w]]) for w in batch)
 
     def frame_hessian(self, uh: np.ndarray) -> list:
         """The frame Hessian u_{i jbar} of a real field from its half spectrum uh =

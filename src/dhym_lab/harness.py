@@ -19,7 +19,7 @@ import numpy as np
 
 from .cohomology import winding_hat_theta
 from .diagnostics import dhym_point_identities, oscillation_decay, tensor_norms
-from .flow import BaseCurvature, FlowConfig, Trajectory, _check_time, run_flow
+from .flow import BaseCurvature, FlowConfig, LineBundleFlow, Trajectory, _check_time, run_flow
 from .geometry import TorusGeometry, bandlimited_noise
 
 __all__ = [
@@ -137,7 +137,7 @@ class SweepReport:
         }
 
 
-def _one_cell(sweep: SweepConfig, hat_theta: float, delta: float, seed: int) -> SweepCell:
+def _one_cell(sweep: SweepConfig, flow: LineBundleFlow, delta: float, seed: int) -> SweepCell:
     geom = sweep.geometry
     if delta == 0.0:
         u0 = np.zeros(geom.shape)
@@ -149,12 +149,12 @@ def _one_cell(sweep: SweepConfig, hat_theta: float, delta: float, seed: int) -> 
         u0 = raw * (delta / h0)
         ratio0 = tensor_norms(geom, u0, ("Theta", "ThetaP")).hess_sup / delta
     cfg = FlowConfig(
-        geometry=geom, base=sweep.base, u0=u0, hat_theta=hat_theta,
+        geometry=geom, base=sweep.base, u0=u0, hat_theta=flow.hat_theta,
         dt_safety=sweep.dt_safety, t_max=sweep.t_max,
         residual_tol=sweep.residual_tol, sample_every=sweep.sample_every,
         keep_fields=4,
     )
-    traj = run_flow(cfg)
+    traj = run_flow(cfg, flow)
     ratio_max = math.nan
     if delta > 0.0:
         ratio_max = max(r.hess_sup for r in traj.records) / delta
@@ -174,16 +174,15 @@ def _one_cell(sweep: SweepConfig, hat_theta: float, delta: float, seed: int) -> 
 
 
 def stability_sweep(sweep: SweepConfig) -> SweepReport:
-    """Run every (delta, seed) cell and aggregate; cells never abort the sweep."""
-    hat_theta = sweep.hat_theta
-    if hat_theta is None:
-        hat_theta = winding_hat_theta(sweep.geometry, sweep.base.field())
+    """Run every (delta, seed) cell on one flow and aggregate; cells never abort the sweep."""
+    flow = LineBundleFlow(sweep.geometry, sweep.base, sweep.hat_theta if sweep.hat_theta is not None
+                          else winding_hat_theta(sweep.geometry, sweep.base.field()))
 
     cells = []
     for delta in sweep.delta_list:
         for seed in range(sweep.seeds):
             try:
-                cells.append(_one_cell(sweep, hat_theta, delta, seed))
+                cells.append(_one_cell(sweep, flow, delta, seed))
             except Exception as exc:  # cell-level failure, recorded
                 cells.append(SweepCell(
                     delta=float(delta), seed=int(seed), status="error",

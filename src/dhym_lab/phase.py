@@ -81,6 +81,8 @@ class PhaseFields:
 
     @cached_property
     def theta(self) -> np.ndarray:
+        if len(self.e) == 2:  # n = 1: Re zeta = e_0 = 1
+            return np.arctan(self.e[1])
         re, im = self._zeta_parts()
         if not (re <= 0).any():  # no zero divisor and no branch term
             return np.arctan(im / re)

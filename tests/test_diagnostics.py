@@ -10,6 +10,7 @@ from conftest import cos_axis
 from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field, parse_config_data
 from dhym_lab.diagnostics import TENSOR_COLUMNS, build_record
+from dhym_lab.geometry import NORM_WORDS
 
 
 @pytest.fixture(scope="module")
@@ -92,15 +93,37 @@ class TestTensorNorms:
         geom = dl.build_torus(n, N, np.eye(n))
         u = dl.bandlimited_noise(geom, 2, 0.3, 5)
         full = dl.tensor_norms(geom, u)
-        word_planes, words = dl.TorusGeometry.word_planes, []
-        monkeypatch.setattr(dl.TorusGeometry, "word_planes",
-                            lambda g, uh, word, *a: words.append(word) or word_planes(g, uh, word, *a))
+        norm_planes, words = dl.TorusGeometry.norm_planes, []
+
+        def spy(g, uh, ws):  # the words of the entries the norms are built from
+            for entry in norm_planes(g, uh, ws):
+                words.append(entry[0])
+                yield entry
+
+        monkeypatch.setattr(dl.TorusGeometry, "norm_planes", spy)
         part = dl.tensor_norms(geom, u, ("Theta", "ThetaP"))
-        assert words == ["zZ", "zz"]
+        assert list(dict.fromkeys(words)) == ["zZ", "zz"]
         assert part.hess_sup == full.hess_sup
         assert np.array_equal(part.Theta, full.Theta) and np.array_equal(part.ThetaP, full.ThetaP)
         assert part.grad_sq is None and part.Gamma is None
         assert np.isnan(part.grad_sq_sup) and np.isnan(part.Gamma_sup)
+
+    @pytest.mark.parametrize("g", [[1.0], [2.0]])
+    def test_standalone_norms_at_n1_form_no_symbols(self, g, monkeypatch):
+        # the first call builds the geometry's stack of all norm words' symbols, once
+        # each; later calls, such as the sweep's two scale calls per cell, form none
+        geom = dl.build_torus(1, 32, g)
+        u = dl.bandlimited_noise(geom, 2, 0.3, 5)
+        word_symbols, formed = dl.TorusGeometry.word_symbols, []
+        monkeypatch.setattr(dl.TorusGeometry, "word_symbols",
+                            lambda g, word: formed.append(word) or word_symbols(g, word))
+        first = dl.tensor_norms(geom, u, ("Theta", "ThetaP"))
+        assert sorted(formed) == ["z", "zZ", "zZz", "zz"]
+        formed.clear()
+        again = dl.tensor_norms(geom, u, ("Theta", "ThetaP"))
+        assert formed == []
+        assert again.hess_sup == first.hess_sup
+        assert np.isnan(dl.tensor_norms(geom, u, ()).hess_sup)
 
 
 class TestQFunctional:
@@ -184,6 +207,29 @@ class TestBuildRecord:
         assert abs(dl.volume_integral(geom, full.zeta) - Z) <= 1e-14 * abs(Z)
         assert np.abs(full.theta - pf.theta).max() <= 1e-14
 
+
+    @pytest.mark.parametrize("n,N", [(1, 32), (1, 64), (2, 8)])
+    def test_full_record_of_a_state_transforms(self, n, N, monkeypatch):
+        # at n = 1 one inverse transform over all the norm words' 7 planes, or one per word
+        # once the planes' stack passes 128 KiB (N >= 64); at n >= 2 one per distinct
+        # entry; never a forward transform
+        geom = dl.build_torus(n, N, np.eye(n))
+        base = psi_base(geom)
+        flow = dl.LineBundleFlow(geom, base, 0.7)
+        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=0.7)
+        states = [flow.state(dl.bandlimited_noise(geom, 2, 0.05, 3), t) for t in (0.0, 1.0)]
+        traj.record(states[0])
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            transform = getattr(dl.TorusGeometry, name)
+            monkeypatch.setattr(dl.TorusGeometry, name, lambda g, f, name=name, transform=transform:
+                                calls.append((name, len(f))) or transform(g, f))
+        traj.record(states[1])
+        if n == 1:
+            assert calls == ([("irfft", 7)] if N == 32 else [("irfft", k) for k in (2, 1, 2, 2)])
+        else:
+            entries = sum(len(list(geom.word_symbols(w))) for w in NORM_WORDS)
+            assert [name for name, _ in calls] == ["irfft"] * entries
 
     @pytest.mark.parametrize("n,N,g", [(1, 16, [2.0]), (2, 8, NON_DIAGONAL_G)])
     def test_phase_only_record_equals_full_record(self, n, N, g):

@@ -8,6 +8,7 @@ import dhym_lab as dl
 from conftest import cos_axis, fails_on_call
 from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field
+from dhym_lab.flow import _CONTOUR_POINTS
 from dhym_lab.phase import eta_pair, frame_characteristic
 
 
@@ -543,8 +544,51 @@ class TestRunFlow:
         assert np.abs(state.theta - flow.theta(state.u)).max() == 0.0
 
 
+def per_point_coefficients(flow, h):
+    """The ETDRK4 coefficients of step h from contour means at every half-grid point."""
+    points = _CONTOUR_POINTS
+    hL = h * flow.linear_symbol
+    acc = [np.zeros_like(hL) for _ in range(4)]
+    for k in range(points):
+        z = hL + np.exp(1j * np.pi * (k + 0.5) / points)
+        ez, z3 = np.exp(z), z ** 3
+        acc[0] += ((np.exp(z / 2.0) - 1.0) / z).real
+        acc[1] += ((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3).real
+        acc[2] += ((2.0 + z + ez * (z - 2.0)) / z3).real
+        acc[3] += ((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3).real
+    Q, f1, f2, f3 = ((h / points) * a for a in acc)
+    return np.exp(hL), np.exp(hL / 2.0), Q, f1, f2, f3
+
+
+NON_DIAGONAL_F0 = np.array([[1.0, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+
+
 class TestEtdrk4:
     """The ETDRK4 stepper of run_flow against fixed-step RK4, the oracle."""
+
+    # exact: f1-f3 equal the per-point loop's bit for bit.  Elsewhere numpy's complex
+    # kernels round by position in the array, which the cancellation in the contour
+    # terms amplifies, so they agree within 1e-12 relative
+    @pytest.mark.parametrize("n,N,g,F0,exact", [
+        (1, 32, 1.0, 1.0, True), (1, 32, 2.0, 1.0, True), (1, 64, 1.0, 1.0, True),
+        (1, 64, 2.0, 1.0, True), (1, 256, 1.0, 1.0, False), (1, 256, 2.0, 1.0, False),
+        (2, 16, 1.0, np.diag([1.0, 0.5]), False),
+        (2, 8, np.array([[2.0, 0.3j], [-0.3j, 1.0]]), NON_DIAGONAL_F0, True),
+        (3, 8, 1.0, np.diag([1.0, 0.5, 0.2]), False),
+    ], ids=["n1-32-g1", "n1-32-g2", "n1-64-g1", "n1-64-g2", "n1-256-g1", "n1-256-g2",
+            "n2-16-diag", "n2-8-hermitian", "n3-8"])
+    def test_coefficients_of_distinct_values_match_per_point_loop(self, n, N, g, F0, exact):
+        geom = dl.build_torus(n, N, g)
+        flow = dl.LineBundleFlow(geom, dl.BaseCurvature(geometry=geom, F0=F0), 0.0)
+        for h in (4 * dl.stable_dt(geom, 0.5), 128 * dl.stable_dt(geom, 1.0)):
+            got, expect = flow.etd_coefficients(h), per_point_coefficients(flow, h)
+            for a, b in zip(got[:3], expect[:3]):
+                assert np.array_equal(a, b)
+            for a, b in zip(got[3:], expect[3:]):
+                if exact:
+                    assert np.array_equal(a, b)
+                else:
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
     README_RUN = {
         "dimension": 1, "resolution": 64, "metric": [[1.0]],

@@ -331,9 +331,10 @@ class TestWordKernel:
             assert np.array_equal(plane, geom.irfft(alone))
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_geometry_holds_no_symbols_but_the_hessians(self, n):
-        # the tensor norms build each entry's symbols when they reach it, but a flow at
-        # n = 1 holds those of its full records
+    def test_geometry_holds_norm_symbols_at_n1_only(self, n):
+        # after a full record and a standalone tensor_norms the geometry holds the Hessian's
+        # symbols, and at n = 1 the norm words' stack: 7 planes, one entry per word; at
+        # n >= 2 the norms build each entry's symbols when they reach it
         geom = dl.build_torus(n, 8, random_metric(np.random.default_rng(1), n))
         base = dl.BaseCurvature(geometry=geom, F0=np.eye(n))
         flow = dl.LineBundleFlow(geom, base, 0.0)
@@ -341,10 +342,13 @@ class TestWordKernel:
         traj = dl.Trajectory(geometry=geom, base=base, hat_theta=0.0)
         traj.record(flow.state(u))
         dl.tensor_norms(geom, u)
-        assert set(vars(geom)) <= set(vars(dl.build_torus(n, 8, np.eye(n)))) | {
-            "_letter_multipliers", "half_symbols", "plane_symbols"}
-        held = flow.record_symbols
-        assert (sorted(held) == ["z", "zZz", "zz"]) if n == 1 else held is None
+        held = set(vars(geom)) - set(vars(dl.build_torus(n, 8, np.eye(n))))
+        hessians = {"_letter_multipliers", "half_symbols", "plane_symbols"}
+        if n == 1:
+            assert held == hessians | {"_norm_stack"}
+            assert geom._norm_stack[0].shape == (7, 8, 5)
+        else:
+            assert held <= hessians
 
 
 class TestVolumeIntegral:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import dhym_lab as dl
-from conftest import cos_axis
+from conftest import cos_axis, fails_on_call
+from dhym_lab.diagnostics import oscillation_decay
 
 
 class TestGenerateReference:
@@ -119,3 +120,79 @@ class TestStabilitySweep:
         assert set(report.rate_table) == {0.02}
         assert len(report.rate_table[0.02]) == 2
         assert all(not math.isnan(r) for r in report.rate_table[0.02])
+
+
+class TestSharedFlow:
+    """The cells of a sweep run on one flow and share its ETDRK4 coefficients."""
+
+    @staticmethod
+    def sweep_runs(sweep, monkeypatch):
+        # the sweep's report and, per cell, its config, flow, trajectory and the step size
+        # of the coefficients its flow holds when the cell ends
+        import dhym_lab.harness as harness
+
+        runs, run_flow = [], harness.run_flow
+
+        def spy(cfg, flow):
+            traj = run_flow(cfg, flow)
+            runs.append((cfg, flow, traj, flow._etd[0]))
+            return traj
+
+        monkeypatch.setattr(harness, "run_flow", spy)
+        report = dl.stability_sweep(sweep)
+        monkeypatch.setattr(harness, "run_flow", run_flow)
+        return report, runs
+
+    def test_cells_match_standalone_runs_bit_for_bit(self, monkeypatch):
+        import dhym_lab.flow as flow_mod
+
+        geom = dl.build_torus(1, 16, [1.0])
+        sweep = dl.SweepConfig(geometry=geom, base=dl.BaseCurvature.proportional(geom, 1.0),
+                               delta_list=[0.01, 0.05], seeds=2, dt_safety=1.0, t_max=250.0,
+                               residual_tol=1e-10, sample_every=128)
+        _, plain = self.sweep_runs(sweep, monkeypatch)
+        # the first cell's last step fails and is retried in two halves, so the flow holds
+        # the coefficients of half the step when the second cell starts
+        last = plain[0][2].steps
+        step = flow_mod.etdrk4_step
+        monkeypatch.setattr(flow_mod, "etdrk4_step", fails_on_call(step, last)[0])
+        report, runs = self.sweep_runs(sweep, monkeypatch)
+        monkeypatch.setattr(flow_mod, "etdrk4_step", step)
+        ds = 128 * dl.stable_dt(geom, 1.0)
+        assert len({id(flow) for _, flow, _, _ in runs}) == 1
+        assert runs[0][2].steps_rejected == 1 and runs[0][3] == ds / 2
+        assert [h for *_, h in runs[1:]] == [ds] * 3
+        for k, (cell, (cfg, _, traj, _)) in enumerate(zip(report.cells, runs)):
+            if k == 0:
+                monkeypatch.setattr(flow_mod, "etdrk4_step", fails_on_call(step, last)[0])
+            alone = dl.run_flow(cfg)
+            monkeypatch.setattr(flow_mod, "etdrk4_step", step)
+            assert cell.status == alone.status == "converged"
+            assert [r.csv_row() for r in cell.records] == [r.csv_row() for r in alone.records]
+            assert cell.rate == oscillation_decay(alone).rate
+
+    def test_sweep_builds_etdrk4_coefficients_once(self, torus1, monkeypatch):
+        etd, built = dl.LineBundleFlow.etd_coefficients, []
+
+        def spy(flow, h):
+            coefficients = etd(flow, h)
+            if not any(coefficients is c for c in built):
+                built.append(coefficients)
+            return coefficients
+
+        monkeypatch.setattr(dl.LineBundleFlow, "etd_coefficients", spy)
+        report = small_sweep(torus1, [0.01, 0.05], seeds=1)
+        assert [c.status for c in report.cells] == ["converged"] * 2
+        assert len(built) == 1
+
+    def test_run_flow_refuses_a_flow_of_another_run(self, torus1):
+        base = dl.BaseCurvature.proportional(torus1, 1.0)
+        hat = float(np.arctan(1.0))
+        cfg = dl.FlowConfig(geometry=torus1, base=base, u0=np.zeros(torus1.shape), hat_theta=hat)
+        other_geom = dl.build_torus(1, 32, [1.0])
+        for flow in (dl.LineBundleFlow(other_geom, base, hat),
+                     dl.LineBundleFlow(torus1, dl.BaseCurvature.proportional(torus1, 1.0), hat),
+                     dl.LineBundleFlow(torus1, base, hat + 1e-3)):
+            with pytest.raises(ValueError, match="does not match"):
+                dl.run_flow(cfg, flow)
+        assert dl.run_flow(cfg, dl.LineBundleFlow(torus1, base, hat)).status == "converged"
