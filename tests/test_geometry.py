@@ -1,4 +1,5 @@
 import itertools
+import re
 from functools import reduce
 
 import numpy as np
@@ -349,6 +350,81 @@ class TestWordKernel:
             assert geom._norm_stack[0].shape == (7, 8, 5)
         else:
             assert held <= hessians
+
+
+FRAMED_G = np.array([[2.0, 0.3j], [-0.3j, 1.0]])
+
+
+def same(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestKernelEntry:
+    """The four transforms call pocketfft's kernels; scipy.fft's n-D functions, which end
+    in the same kernels with the same arguments, are the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n,N,g", [(1, 32, "I"), (1, 64, "I"), (2, 8, "I"), (2, 8, "g"),
+                                       (2, 16, "I"), (2, 16, "g"), (3, 8, "I")])
+    def test_each_transform_is_scipys(self, n, N, g, threads, monkeypatch):
+        monkeypatch.setenv("DHYM_THREADS", threads)
+        w, grid = int(threads), tuple(range(2 * n))
+        geom = dl.build_torus(n, N, FRAMED_G if g == "g" else np.eye(n))
+        rng = np.random.default_rng(n * N)
+        u = rng.standard_normal(geom.shape)
+        c = u + 1j * rng.standard_normal(geom.shape)
+        H = geom.deriv(geom.fft(c), "zZ")  # trailing (n, n) axes, held first: a strided view
+        real = {"real": u, ".real of complex": c.real, "trailing": H.real}
+        for name, f in {**real, "complex": c, "complex trailing": H}.items():
+            assert same(geom.fft(f), sfft.fftn(f, axes=grid, workers=w)), name
+            assert same(geom.ifft(f), sfft.ifftn(f, axes=grid, workers=w)), name
+        for name, f in real.items():
+            assert same(geom.rfft(f), sfft.rfftn(f, axes=grid, workers=w)), name
+        uh = geom.rfft(u)
+        stack = np.stack((uh, 2j * uh))
+        spectra = {"half": uh, "real half": uh.real, "stack": stack, "reversed stack": stack[::-1],
+                   "strided": np.moveaxis(stack, 0, -1)[..., 1]}
+        for orbit, S in geom.word_symbols("zz"):
+            spectra[f"zz planes {orbit[0]}"] = S * uh
+        if n == 1:
+            spectra["norm stack rows"] = geom._norm_stack[0][1:3] * uh
+        for name, fh in spectra.items():
+            assert same(geom.irfft(fh), sfft.irfftn(fh, s=geom.shape, workers=w)), name
+
+    def test_rfft_refuses_complex_input(self, torus1):
+        # a plain float64 cast would only warn and drop the imaginary part
+        with pytest.raises(TypeError, match="real field"):
+            torus1.rfft(np.ones(torus1.shape, dtype=complex))
+
+    @pytest.mark.parametrize("n,N,shape", [(1, 32, (32, 16)), (1, 32, (32, 18)), (1, 32, (16, 17)),
+                                           (1, 32, (17,)), (2, 8, (8, 8, 8, 8)),
+                                           (2, 8, (8, 4, 8, 5)), (2, 8, (3, 8, 8, 4, 5))])
+    def test_irfft_refuses_a_spectrum_of_another_grid(self, n, N, shape):
+        # scipy's s= would pad or cut these, and pocketfft checks the last axis only
+        geom = dl.build_torus(n, N, np.eye(n))
+        half = geom.shape[:-1] + (N // 2 + 1,)
+        with pytest.raises(ValueError, match=re.escape(f"grid axes {half}, got a spectrum of "
+                                                       f"shape {shape}")):
+            geom.irfft(np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+    def test_flow_and_records_bypass_scipys_dispatch(self, n, N, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transform went through scipy.fft's dispatch")
+
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(sfft, name, refuse)
+        geom = dl.build_torus(n, N, FRAMED_G if n == 2 else np.eye(n))
+        psi = dl.bandlimited_noise(geom, 2, 0.05, 3)
+        base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
+        flow = dl.LineBundleFlow(geom, base, n * np.pi / 4)
+        u = dl.bandlimited_noise(geom, 2, 0.02, 4)
+        state = dl.etdrk4_step(flow.initial_state(u), 4 * dl.stable_dt(geom, 0.5))
+        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=flow.hat_theta)
+        traj.record(state)
+        assert np.isfinite(traj.records[0].hess_sup)
+        assert np.isfinite(dl.tensor_norms(geom, u).hess_sup)
+        assert np.isfinite(dl.complex_hessian(geom, u)).all()
 
 
 class TestVolumeIntegral:
