@@ -3,7 +3,9 @@
 Exit codes for `simulate`: 0 converged, 2 timeout, 3 blow-up.  `verify`
 exits 0 when every check passes and 1 otherwise.  Worker count for FFTs is
 capped by the DHYM_THREADS environment variable (default: all cores);
-results do not depend on it.
+results do not depend on it, and a bad value fails before any command runs.
+`simulate --snapshots all-samples` writes each snapshot on one background
+thread during the run and holds only the last few samples.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +34,12 @@ from .config_io import (
     write_snapshot,
 )
 from .flow import LineBundleFlow, Trajectory, run_flow, run_fixed, stable_dt
+from .geometry import _workers
 from .harness import SweepConfig, generate_reference, stability_sweep
 from .phase import pointwise_phase
 
 _STATUS_CODES = {"converged": 0, "timeout": 2, "blowup": 3}
+_PENDING_WRITES = 4  # snapshot writes in flight at most; each holds its sample's field
 
 
 def _ensure_dir(path: str) -> Path:
@@ -50,22 +57,43 @@ def _apply_seed_override(cfg: RunConfig, seed: int | None) -> RunConfig:
     return cfg
 
 
+@contextmanager
+def _snapshot_writer(geom, out_dir: Path):
+    """A `run_flow` on_record that writes each sample's snapshot u_<k>.snap on one
+    background thread while the run goes on.  At most _PENDING_WRITES writes are
+    in flight, and a failed write raises at the first record after it ends; on
+    leaving, every write has ended and the thread is gone."""
+    writer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="snapshot-writer")
+    pending = deque()
+
+    def write(k, sample):
+        while pending and (pending[0].done() or len(pending) >= _PENDING_WRITES):
+            pending.popleft().result()
+        pending.append(writer.submit(write_snapshot, sample.u, "u", sample.t, geom,
+                                     out_dir / f"u_{k:06d}.snap"))
+
+    try:
+        yield write
+        while pending:
+            pending.popleft().result()
+    finally:
+        writer.shutdown(cancel_futures=True)
+
+
 def _cmd_simulate(args) -> int:
     cfg = _apply_seed_override(parse_config(args.config), args.seed_override)
     out_dir = _ensure_dir(args.out_dir or cfg.outputs["dir"])
     snapshots = args.snapshots or cfg.outputs["snapshots"]
-    keep = None if snapshots == "all-samples" else 4
-    flow_cfg = cfg.flow_config(keep_fields=keep)
+    flow_cfg = cfg.flow_config(keep_fields=4)
     write_config(cfg, out_dir / "effective-config.json")
 
-    traj = run_flow(flow_cfg)
-    write_diagnostics(traj.records, out_dir / "diagnostics.csv")
     geom = flow_cfg.geometry
+    streamed = snapshots == "all-samples"
+    with _snapshot_writer(geom, out_dir) if streamed else nullcontext() as on_record:
+        traj = run_flow(flow_cfg, on_record=on_record)
+        write_diagnostics(traj.records, out_dir / "diagnostics.csv")
     if snapshots == "final":
         write_snapshot(traj.final.u, "u_final", traj.final.t, geom, out_dir / "u_final.snap")
-    elif snapshots == "all-samples":
-        for k, s in enumerate(traj.samples):
-            write_snapshot(s.u, "u", s.t, geom, out_dir / f"u_{k:06d}.snap")
     first, last = traj.records[0], traj.records[-1]
     report = {
         "status": traj.status,
@@ -109,7 +137,15 @@ def _load_run_trajectory(run_dir: Path, norms: bool = True):
     if len(snaps) < 3:
         raise ValueError("insufficient trajectory sampling: need all-samples snapshots")
     flow = LineBundleFlow(geom, base, hat_theta)
-    traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta, norms=norms)
+    m = len(snaps) // 2  # `_cmd_verify` reads the bracket of samples m - 1, m and m + 1
+    samples = deque()
+
+    def keep_bracket(k, sample):  # it holds the samples, not traj: no reference cycle
+        if abs(k - m) > 1:
+            samples.pop()
+
+    traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta, norms=norms,
+                      samples=samples, on_record=keep_bracket)
     for snap in snaps:
         u, header = read_snapshot(snap)  # a fresh float64 array: astype keeps it
         traj.record(flow.state(u.real.astype(np.float64, copy=False), header["t"]))
@@ -315,6 +351,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        _workers()  # a bad DHYM_THREADS fails here, before a command writes anything
         return args.func(args)
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

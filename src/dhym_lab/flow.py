@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import numbers
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -245,6 +246,12 @@ class FlowSample:
 class Trajectory:
     """Diagnostics records plus a ring of full field samples.
 
+    `record` keeps every record, but only the last samples a bounded
+    `samples` ring holds (`FlowConfig.keep_fields`).  A caller that needs
+    every sample, such as `simulate` writing all-samples snapshots, takes
+    each one from on_record(k, sample) as it is recorded, with k the index
+    of its record; the sample's u is its own copy.
+
     With norms=False every record is phase-only (`diagnostics.build_record`):
     its tensor columns are NaN and `write_diagnostics` refuses it.  `verify`
     records this way, because its checks read only t, theta, Z and the
@@ -266,23 +273,28 @@ class Trajectory:
     # u at the Q base point of the first recorded sample (grid index 0)
     u0_at_p: float | None = field(default=None, init=False)
     norms: bool = True  # full records; False for phase-only ones
+    on_record: Callable[[int, FlowSample], None] | None = None
 
     @property
     def t_final(self) -> float:
         return self.final.t if self.final is not None else 0.0
 
     def record(self, state: FlowState) -> None:
-        """Store a flow state's field sample and record; a repeated t is skipped."""
+        """Store a flow state's field sample and record, and hand the sample to
+        on_record; a repeated t is skipped."""
         t, u = state.t, state.u
         if self.records and self.records[-1].t == t:
             return
         if self.u0_at_p is None:
             self.u0_at_p = float(u[(0,) * (2 * self.geometry.n)])
-        self.samples.append(FlowSample(t=t, u=u.copy(), udot=state.theta - self.hat_theta))
+        sample = FlowSample(t=t, u=u.copy(), udot=state.theta - self.hat_theta)
+        self.samples.append(sample)
         self.records.append(diagnostics.build_record(
             self.geometry, self.base, self.hat_theta, t, u,
             theta=state.theta, u0_at_p=self.u0_at_p, norms=self.norms, Z=state.Z, uh=state.uh,
         ))
+        if self.on_record is not None:
+            self.on_record(len(self.records) - 1, sample)
 
 
 def _accept(state: FlowState, h: float, u_new: np.ndarray) -> FlowState:
@@ -370,7 +382,10 @@ class FlowConfig:
     """Flow run parameters; hat_theta is frozen for the whole run.
 
     run_flow records a sample every sample_every * stable_dt(geometry,
-    dt_safety) time units, which is also its ETDRK4 step.
+    dt_safety) time units, which is also its ETDRK4 step.  keep_fields is
+    the capacity of the trajectory's ring of field samples, None for all of
+    them; a caller that needs every sample but holds only a few takes each
+    from run_flow's on_record, so its memory does not grow with the records.
     """
 
     geometry: TorusGeometry
@@ -442,9 +457,11 @@ def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float
     return traj
 
 
-def run_flow(config: FlowConfig, flow: LineBundleFlow | None = None) -> Trajectory:
+def run_flow(config: FlowConfig, flow: LineBundleFlow | None = None,
+             on_record: Callable[[int, FlowSample], None] | None = None) -> Trajectory:
     """ETDRK4 steps, one per sample interval (see `_integrate`), until the phase residual
-    drops below tolerance or t reaches t_max; a given flow must be of the config's run."""
+    drops below tolerance or t reaches t_max; a given flow must be of the config's run.
+    on_record(k, sample) receives each recorded sample (see `Trajectory`)."""
     geom = config.geometry
     flow = flow or LineBundleFlow(geom, config.base, config.hat_theta)
     if not (flow.geometry is geom and flow.base is config.base
@@ -452,7 +469,7 @@ def run_flow(config: FlowConfig, flow: LineBundleFlow | None = None) -> Trajecto
         raise ValueError("flow does not match the config's geometry, base and hat_theta")
     state = flow.initial_state(config.u0)
     traj = Trajectory(geometry=geom, base=config.base, hat_theta=config.hat_theta,
-                      samples=deque(maxlen=config.keep_fields))
+                      samples=deque(maxlen=config.keep_fields), on_record=on_record)
     ds = config.sample_every * stable_dt(geom, config.dt_safety)
     return _integrate(state, traj, etdrk4_step, ds, ds, config.t_max, config.residual_tol)
 

@@ -1,7 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 import dhym_lab as dl
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fail a test that leaves a thread it started running after it ends."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+    if left:
+        pytest.fail(f"threads left alive: {left}")
 
 
 @pytest.fixture(scope="session")

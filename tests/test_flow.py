@@ -363,6 +363,20 @@ class TestRunFlow:
         assert traj.records[-1].mean_u == pytest.approx(-np.pi * traj.t_final, rel=2e-3)
         assert traj.records[-1].osc_udot < 0.05
 
+    def test_on_record_gets_every_sample_past_the_ring(self, torus1, base1):
+        u0 = 0.1 * cos_axis(torus1, 0)
+        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
+                            hat_theta=float(np.arctan(1.0)), t_max=0.1, sample_every=4,
+                            keep_fields=2)
+        seen = []
+        traj = dl.run_flow(cfg, on_record=lambda k, sample: seen.append((k, sample)))
+        assert len(traj.records) >= 5
+        assert [k for k, _ in seen] == list(range(len(traj.records)))
+        assert [s.t for _, s in seen] == [r.t for r in traj.records]
+        assert [s for _, s in seen[-2:]] == list(traj.samples)
+        # each sample owns its u: the final state's field is a different array
+        assert not np.shares_memory(seen[-1][1].u, traj.final.u)
+
     def test_mean_drift_identity(self, torus1, base1):
         # d/dt integral(u) = integral(theta - hat_theta), via central
         # differences of stored samples

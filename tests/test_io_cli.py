@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import shutil
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import dhym_lab as dl
-from dhym_lab import diagnostics
+from dhym_lab import cli, diagnostics
 from dhym_lab.cli import main as cli_main
-from dhym_lab.config_io import parse_config_data
+from dhym_lab.config_io import parse_config, parse_config_data, read_snapshot, write_snapshot
 from conftest import fails_on_call
 
 
@@ -349,6 +351,122 @@ class TestCli:
         traj = _load_run_trajectory(run)
         assert len(rows) >= 3
         assert [r.csv_row() for r in traj.records] == rows
+
+    STREAMED_RUNS = {
+        "n1_N16": minimal_config(
+            resolution=16,
+            base_curvature={"constant": [[1.0]], "potential": {
+                "modes": [{"m": [1, 0], "amplitude": 0.2}]}},
+            initial={"type": "noise", "k_band": 2, "seed": 3, "target_hess_sup": 0.05},
+            time={"t_max": 0.25, "sample_every": 2}),
+        "n2_N8": minimal_config(
+            dimension=2, resolution=8, metric=[[1.0, 0.0], [0.0, 1.0]],
+            base_curvature={"constant": [[1.0, 0.0], [0.0, 0.5]], "potential": {
+                "modes": [{"m": [1, 0, 0, 0], "amplitude": 0.2}]}},
+            initial={"type": "noise", "k_band": 2, "seed": 4, "target_hess_sup": 0.05},
+            time={"t_max": 0.5, "sample_every": 2}),
+    }
+
+    @staticmethod
+    def held_samples(monkeypatch, module):
+        """Make module's Trajectory count the samples it holds after each record."""
+        held = []
+
+        class Counted(dl.Trajectory):
+            def record(self, state):
+                super().record(state)
+                held.append(len(self.samples))
+
+        monkeypatch.setattr(module, "Trajectory", Counted)
+        return held
+
+    @pytest.mark.parametrize("name", sorted(STREAMED_RUNS))
+    def test_streamed_snapshots_equal_the_post_run_writer(self, tmp_path, monkeypatch, name):
+        import dhym_lab.flow as flow_mod
+
+        doc = dict(self.STREAMED_RUNS[name],
+                   outputs={"dir": str(tmp_path / "run"), "snapshots": "all-samples"})
+        path = self.write_config(tmp_path, doc)
+        held = self.held_samples(monkeypatch, flow_mod)
+        assert cli_main(["simulate", "--config", path]) == 2
+        assert len(held) >= 5 and max(held) <= 4  # keep_fields=4, not every sample
+        monkeypatch.undo()
+        # the oracle: every sample held to the end of the run, then written one by one
+        cfg = parse_config(path)
+        flow_cfg = cfg.flow_config(keep_fields=None)
+        traj = dl.run_flow(flow_cfg)
+        oracle = tmp_path / "oracle"
+        oracle.mkdir()
+        for k, s in enumerate(traj.samples):
+            write_snapshot(s.u, "u", s.t, flow_cfg.geometry, oracle / f"u_{k:06d}.snap")
+        streamed = {p.name: p.read_bytes() for p in (tmp_path / "run").glob("u_*.snap")}
+        assert len(streamed) == len(traj.records)
+        assert streamed == {p.name: p.read_bytes() for p in oracle.iterdir()}
+
+    def test_snapshot_write_error_stops_the_run_at_once(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        doc = dict(self.STREAMED_RUNS["n1_N16"], time={"t_max": 20.0, "sample_every": 2},
+                   outputs={"dir": str(run), "snapshots": "all-samples"})
+        path = self.write_config(tmp_path, doc)
+        (run / "u_000003.snap").mkdir(parents=True)  # opening it for writing fails
+        assert cli_main(["simulate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert f"failed to write snapshot {run / 'u_000003.snap'}" in err
+        # about 640 records to t_max; the run stopped within the writes in flight
+        written = sorted(p.name for p in run.glob("u_*.snap") if p.is_file())
+        assert written[:3] == ["u_000000.snap", "u_000001.snap", "u_000002.snap"]
+        assert len(written) <= 3 + cli._PENDING_WRITES
+        assert not (run / "report.json").exists()
+        assert not any(t.name.startswith("snapshot-writer") for t in threading.enumerate())
+
+    def test_bad_thread_count_fails_before_any_output(self, tmp_path, monkeypatch, capsys):
+        run = tmp_path / "run"
+        path = self.write_config(tmp_path, minimal_config(
+            outputs={"dir": str(run), "snapshots": "all-samples"}))
+        monkeypatch.setenv("DHYM_THREADS", "abc")
+        assert cli_main(["simulate", "--config", path]) == 1
+        assert "DHYM_THREADS" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_verify_run_dir_holds_its_bracket_with_unchanged_report(self, tmp_path, monkeypatch):
+        doc = dict(self.STREAMED_RUNS["n1_N16"],
+                   outputs={"dir": str(tmp_path / "run"), "snapshots": "all-samples"})
+        assert cli_main(["simulate", "--config", self.write_config(tmp_path, doc)]) == 2
+        run = tmp_path / "run"
+        snaps = sorted(run.glob("u_*.snap"))
+        m = len(snaps) // 2
+        held = self.held_samples(monkeypatch, cli)
+        traj = cli._load_run_trajectory(run, norms=False)
+        assert len(traj.records) == len(snaps) >= 5
+        assert max(held) <= 3
+        assert [s.t for s in traj.samples] == [read_snapshot(snaps[k])[1]["t"]
+                                               for k in (m - 1, m, m + 1)]
+        # no reference cycle: the trajectory is freed with its last reference, not at
+        # a later garbage collection, so repeated loads do not pile up
+        gone = weakref.ref(traj)
+        del traj
+        assert gone() is None
+        reports = []
+        for loader in (cli._load_run_trajectory, self.load_every_sample):
+            monkeypatch.setattr(cli, "_load_run_trajectory", loader)
+            out = tmp_path / f"verify-{len(reports)}.jsonl"
+            assert cli_main(["verify", "--run-dir", str(run), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @staticmethod
+    def load_every_sample(run_dir, norms=True):
+        """The run-directory loader that holds every sample: the oracle of the bracket."""
+        cfg = parse_config(run_dir / "effective-config.json")
+        geom = cfg.geometry()
+        base = cfg.base(geom)
+        hat_theta = cfg.hat_theta_value(geom, base)
+        flow = dl.LineBundleFlow(geom, base, hat_theta)
+        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=hat_theta, norms=norms)
+        for snap in sorted(run_dir.glob("u_[0-9]*.snap")):
+            u, header = read_snapshot(snap)
+            traj.record(flow.state(u, header["t"]))
+        return traj
 
     @staticmethod
     def spy_records(monkeypatch, force_full):
