@@ -11,22 +11,23 @@ stationary points, and monitors the convergence mechanisms: maximum
 principle, oscillation contraction, and Harnack quotients.
 
 Index conventions follow geometry.py: a matrix field M[..., p, q] holds the
-coefficient with holomorphic index p and anti-holomorphic index q.  Every
-tensor is contracted in the g-orthonormal frame (`TorusGeometry.to_frame`),
-where the metric is the identity: a g^{i jbar} contraction pairs index i
-of one factor with index j of the other directly, a norm is the sum of
-|T|^2 over the tensor's index axes, and the only field left to contract is
-the frame eta-inverse, eta^{p qbar} at eta_inv[..., q, p], with
-eta = I + F F for the frame curvature F.  Only `dhym_point_identities`,
-whose reports take a supremum over the components of free indices, works
-in coordinates, with eta^{-1} = P^H eta~^{-1} P.
+coefficient with holomorphic index p and anti-holomorphic index q, and a
+derivative tensor is a table {index tuple: field} of its complex entries
+(`TorusGeometry.entries`, one shared array per orbit of commuting indices).
+Every tensor is taken in the g-orthonormal frame, where the metric is the
+identity: a g^{i jbar} contraction pairs index i of one factor with index j
+of the other directly, a norm is the sum of |T|^2 over the index tuples, and
+the only field left to contract is the frame eta-inverse, eta^{p qbar} at
+eta_inv[..., q, p], with eta = I + F F for the frame curvature F.  The
+Hessian of a real field, so every eta-Laplacian, comes from its real planes
+(`TorusGeometry.frame_hessian`).  Only `dhym_point_identities`, whose
+reports take a supremum over the components of free indices, works in
+coordinates, with eta^{-1} = P^H eta~^{-1} P.
 
 Each contraction is a sum of products of whole grid fields over the index
-tables of the tensors (`_eta_trace`, `_sandwich`, `_mix`), as in
-`phase.frame_characteristic`, and no inner tensor of several factors is
-built.  The
-fourth derivatives of the base potential are read one distinct entry at a
-time (`_entry_sum`, `TorusGeometry.entries`), so they are never held whole.
+tables (`_eta_trace`, `_sandwich`, `_mix`), as in `phase.frame_characteristic`,
+and no tensor is held whole: the fourth derivatives of the base potential
+are read one distinct entry at a time (`_entry_sum`).
 
 The tensor norms sum the squared real planes of each distinct frame entry
 (`TorusGeometry.norm_planes`) from u's half spectrum.  `build_record` takes
@@ -150,10 +151,6 @@ def _report(identity: str, lhs, rhs, t: float, dt_used: float, resolution: int) 
                           float(np.abs(lhs - rhs).max()) / (1.0 + rhs_norm), dt_used, resolution)
 
 
-def _frame_deriv(geom: TorusGeometry, f_hat: np.ndarray, word: str) -> np.ndarray:
-    return geom.to_frame(geom.deriv(f_hat, word), word)
-
-
 # the frame tensor each norm sums |.|^2 over: u_i, u_{i jbar}, u_{i p}, u_{i jbar k}
 _NORM_WORDS = dict(zip(("grad_sq", "Theta", "ThetaP", "Gamma"), NORM_WORDS))
 
@@ -243,12 +240,6 @@ def build_record(geom: TorusGeometry, base, hat_theta: float, t: float,
 # linearization
 
 
-def _base_field(geom: TorusGeometry, base) -> np.ndarray:
-    if hasattr(base, "field"):
-        return base.field()
-    return np.asarray(base, dtype=np.complex128)
-
-
 def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
                          phi: np.ndarray, eps: float) -> float:
     """Relative sup-norm error of the central-difference phase derivative.
@@ -258,7 +249,7 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps outside the supported range [1e-7, 1e-3]")
-    F_hat = _base_field(geom, base)
+    F_hat = base.field()
     phi = np.asarray(phi, dtype=np.float64)
     if not np.any(phi):
         return 0.0
@@ -266,8 +257,7 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
               for step in (eps, -eps))
     _, eta_inv = eta_pair(geom.to_frame(F_hat + complex_hessian(geom, u), "zZ"))
     numeric = (tp - tm) / (2.0 * eps)
-    Hphi = geom.to_frame(complex_hessian(geom, phi), "zZ")
-    analytic = _eta_trace(eta_inv, lambda p, q: Hphi[..., p, q], hermitian=True)
+    analytic = _eta_laplacian(eta_inv, geom.frame_hessian(geom.rfft(phi)))
     scale = np.abs(analytic).max()
     return float(np.abs(numeric - analytic).max() / scale)
 
@@ -276,52 +266,62 @@ def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
 # evolution identities (flat case)
 
 
+def _table(entries) -> dict:
+    """{index tuple: field} of a derivative tensor from its `TorusGeometry.entries`:
+    the index tuples of one orbit share one array."""
+    return {idx: field for orbit, field in entries for idx in orbit}
+
+
 class _SampleContext(SimpleNamespace):
     """What the identity right-hand sides read at one sample; see `_phase_context`
     and `_sample_context`."""
 
-    @cached_property
-    def dEta(self):
-        # d_i eta_{a bbar} at [..., a, b, i], each a contiguous field: built on first
-        # read, so only the identities that need it hold it; i stays in coordinates
+    def eta_derivative(self, coords: int = 0) -> dict:
+        """{(a, b, i): d_i eta_{a bbar}}, i a coordinate index if coords = 1, else a
+        frame one: one transform of each entry of eta, one inverse per index i."""
         geom, idx = self.geom, range(self.geom.n)
-        out = np.empty((geom.n,) * 3 + geom.shape, dtype=np.complex128)
-        for a in idx:
-            for b in idx:
-                out[a, b] = np.moveaxis(geom.deriv(geom.fft(self.eta[..., a, b]), "z"), -1, 0)
-        return np.moveaxis(out, (0, 1, 2), (-3, -2, -1))
+        return {(a, b) + i: field for a in idx for b in idx
+                for (i,), field in geom.entries(geom.fft(self.eta[..., a, b]), "z", coords)}
+
+    @cached_property
+    def dEta(self) -> dict:
+        # the frame d eta, built on first read: only the identities that need it hold it,
+        # and both of them read this one
+        return self.eta_derivative()
 
 
 def _phase_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
     """The phase part of a sample's context: what `dhym_point_identities` reads.
 
-    uh and psi_hat are the spectra of u and of the base potential (None
-    without one), H = u_{i jbar} is a frame tensor, and theta, eta and
-    eta_inv belong to the frame curvature F = Fhat + H.
+    uh and psi_hat are the full spectra of u and of the base potential (None
+    without one), H = {(p, q): u_{p qbar}} the frame Hessian's entries from its
+    real planes (`TorusGeometry.frame_hessian`), and theta, eta and eta_inv
+    belong to the frame curvature F = Fhat + H.
     """
-    uh = geom.fft(np.asarray(u, dtype=np.float64))
-    H = _frame_deriv(geom, uh, "zZ")
-    F = geom.to_frame(_base_field(geom, base), "zZ") + H
+    u = np.asarray(u, dtype=np.float64)
+    T, idx = geom.frame_hessian(geom.rfft(u)), range(geom.n)
+    H = {(p, q): T[p][q] + 1j * T[q][p] if p < q else T[p][p] for p in idx for q in idx[p:]}
+    H.update({(q, p): H[p, q].conj() for p, q in list(H) if p < q})
+    F = geom.to_frame(base.field(), "zZ").copy()
+    for (p, q), h in H.items():
+        F[..., p, q] += h
     eta, eta_inv = eta_pair(F)
-    psi = getattr(base, "psi", None)
-    psi_hat = geom.fft(np.asarray(psi, dtype=np.float64)) if psi is not None else None
-    return _SampleContext(geom=geom, uh=uh, H=H, psi_hat=psi_hat, eta=eta, eta_inv=eta_inv,
+    return _SampleContext(geom=geom, uh=geom.fft(u), H=H, eta=eta, eta_inv=eta_inv,
+                          psi_hat=None if base.psi is None else geom.fft(base.psi),
                           theta=PhaseFields(frame_characteristic(F)).theta)
 
 
 def _sample_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
     """What the identity right-hand sides read at one sample.
 
-    The phase context (`_phase_context`) plus du = u_i, S = u_{i p},
-    T = u_{i jbar k} and dF = d_i F_{p qbar}, frame tensors with their index
-    axes in that order.
+    The phase context (`_phase_context`) plus the frame tensors du = u_i,
+    S = u_{i p}, T = u_{i jbar k} and dF = d_i F_{p qbar} = (psi + u)_{i p qbar}
+    as tables (`_table`), one transform per orbit of commuting indices.
     """
     ctx = _phase_context(geom, base, u)
-    ctx.du, ctx.S, ctx.T = (_frame_deriv(geom, ctx.uh, word) for word in ("z", "zz", "zZz"))
-    # dF = psi_{i p qbar} + u_{p qbar i}: the Hessian part is added in place
-    dH = np.moveaxis(ctx.T, -1, -3)
-    ctx.dF = np.zeros_like(dH) if ctx.psi_hat is None else _frame_deriv(geom, ctx.psi_hat, "zzZ")
-    ctx.dF += dH
+    ctx.du, ctx.S, ctx.T = (_table(geom.entries(ctx.uh, word)) for word in ("z", "zz", "zZz"))
+    pot_hat = ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat
+    ctx.dF = _table(geom.entries(pot_hat, "zzZ"))
     return ctx
 
 
@@ -342,6 +342,14 @@ def _eta_trace(Hinv: np.ndarray, M, hermitian: bool = False) -> np.ndarray:
                                       for p in idx for q in idx[p + 1:])).real
 
 
+def _eta_laplacian(Hinv: np.ndarray, T: list) -> np.ndarray:
+    """sum_{p,q} eta^{p qbar} X_{p qbar}, real, of a Hermitian X given by its real planes
+    T (`phase.hermitian_planes`): Re Hinv_pp T_pp, and 2 (Re Hinv_qp T_pq - Im Hinv_qp T_qp)
+    for p < q.  The eta-Laplacian of a real field f for T = `frame_hessian`(rfft(f))."""
+    return _eta_trace(Hinv, lambda p, q: T[p][q] + 1j * T[q][p] if p < q else T[p][p],
+                      hermitian=True)
+
+
 def _sandwich(Hinv: np.ndarray, Y: list) -> list:
     """W[x][y] = sum_{a,b} Hinv[..., b, x] Y[a][b] Hinv[..., y, a], the eta-inverse pair
     around one n x n table Y of fields: 2 n^3 field products."""
@@ -350,11 +358,11 @@ def _sandwich(Hinv: np.ndarray, Y: list) -> list:
     return [[reduce(add, (Hinv[..., y, a] * Z[a][x] for a in idx)) for y in idx] for x in idx]
 
 
-def _mix(Hinv: np.ndarray, Y: list, dF: np.ndarray, c: list) -> np.ndarray:
-    """One free index's part of a mix term: sum_{x,y} W[x][y] sum_i dF[..., i, x, y] c[i]
+def _mix(Hinv: np.ndarray, Y: list, dF: dict, c: list) -> np.ndarray:
+    """One free index's part of a mix term: sum_{x,y} W[x][y] sum_i dF[i, x, y] c[i]
     with W = `_sandwich`(Hinv, Y), so no n^3-field inner tensor is built."""
     W, idx = _sandwich(Hinv, Y), range(Hinv.shape[-1])
-    return reduce(add, (W[x][y] * reduce(add, (dF[..., i, x, y] * c[i] for i in idx))
+    return reduce(add, (W[x][y] * reduce(add, (dF[i, x, y] * c[i] for i in idx))
                         for x in idx for y in idx))
 
 
@@ -377,53 +385,52 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
     # copy of T or of u_{i p k} is held
     if which == "u_sq":
         du = ctx.du
-        lap_u = _eta_trace(Hinv, lambda p, q: H[..., p, q], hermitian=True)
-        grad_part = _eta_trace(Hinv, lambda p, q: du[..., p] * du[..., q].conj(), hermitian=True)
+        lap_u = _eta_trace(Hinv, lambda p, q: H[p, q], hermitian=True)
+        grad_part = _eta_trace(Hinv, lambda p, q: du[p,] * du[q,].conj(), hermitian=True)
         return 2.0 * np.asarray(u) * (ctx.theta - hat_theta - lap_u) - 2.0 * grad_part
 
     if which == "grad_sq":
         S, du = ctx.S, ctx.du
-        A = _eta_trace(Hinv, lambda p, q: reduce(add, (S[..., i, p] * S[..., i, q].conj()
-                                                       for i in idx)), hermitian=True)
-        B = _eta_trace(Hinv, lambda p, q: reduce(add, (H[..., p, i] * H[..., i, q] for i in idx)),
+        A = _eta_trace(Hinv, lambda p, q: reduce(add, (S[i, p] * S[i, q].conj() for i in idx)),
+                       hermitian=True)
+        B = _eta_trace(Hinv, lambda p, q: reduce(add, (H[p, i] * H[i, q] for i in idx)),
                        hermitian=True)
         rhs = -(A + B)
         if ctx.psi_hat is not None:
-            # psi_{i p qbar} = dF[..., i, p, q] - u_{p qbar i}, one entry at a time
+            # psi_{i p qbar} = dF[i, p, q] - u_{p qbar i}, one entry at a time
             dF, T = ctx.dF, ctx.T
-            C = _eta_trace(Hinv, lambda p, q: reduce(add, ((dF[..., i, p, q] - T[..., p, q, i])
-                                                           * du[..., i].conj() for i in idx)))
+            C = _eta_trace(Hinv, lambda p, q: reduce(add, ((dF[i, p, q] - T[p, q, i])
+                                                           * du[i,].conj() for i in idx)))
             rhs += 2.0 * C.real
         return rhs
 
-    dEta = geom.to_frame(ctx.dEta, "z")  # d_p eta_{a bbar} at [..., a, b, p]
-    T = ctx.T
+    dEta, T = ctx.dEta, ctx.T  # d_p eta_{a bbar} at (a, b, p)
 
     if which == "Theta":
         # the sum of T Tbar against eta-inverse appears twice: once more after relabelling i, l
-        T1 = _eta_trace(Hinv, lambda p, q: reduce(add, (T[..., i, l, p] * T[..., i, l, q].conj()
+        T1 = _eta_trace(Hinv, lambda p, q: reduce(add, (T[i, l, p] * T[i, l, q].conj()
                                                         for i in idx for l in idx)),
                         hermitian=True)
-        # (d/dzbar_l eta)_{a bbar} = conj((d/dz_l eta)_{b abar}) = conj(dEta[..., b, a, l])
-        mix = reduce(add, (_mix(Hinv, [[dEta[..., b, a, l].conj() for b in idx] for a in idx],
-                                ctx.dF, [H[..., l, i] for i in idx]) for l in idx))
+        # (d/dzbar_l eta)_{a bbar} = conj((d/dz_l eta)_{b abar}) = conj(dEta[b, a, l])
+        mix = reduce(add, (_mix(Hinv, [[dEta[b, a, l].conj() for b in idx] for a in idx],
+                                ctx.dF, [H[l, i] for i in idx]) for l in idx))
         rhs = -2.0 * T1 - 2.0 * mix.real
         if ctx.psi_hat is not None:
             # psi_{i lbar p qbar} H_{l ibar} against eta-inverse, one entry of psi at a time
             hat = _entry_sum(geom, ctx.psi_hat, "zZzZ",
-                             lambda t: Hinv[..., t[3], t[2]] * H[..., t[1], t[0]])
+                             lambda t: Hinv[..., t[3], t[2]] * H[t[1], t[0]])
             rhs += 2.0 * hat.real
         return rhs
 
     # ThetaP; u_{i p k} is symmetric, so P holds each distinct entry once
-    P = {idx: field for orbit, field in geom.entries(ctx.uh, "zzz") for idx in orbit}
+    P = _table(geom.entries(ctx.uh, "zzz"))
     e1 = _eta_trace(Hinv, lambda k, l: reduce(add, (P[i, p, k] * P[i, p, l].conj()
                                                     for i in idx for p in idx)), hermitian=True)
     del P  # bounds the peak memory
-    e2 = _eta_trace(Hinv, lambda k, l: reduce(add, (T[..., i, l, p] * T[..., i, k, p].conj()
+    e2 = _eta_trace(Hinv, lambda k, l: reduce(add, (T[i, l, p] * T[i, k, p].conj()
                                                     for i in idx for p in idx)), hermitian=True)
-    Sc = [[ctx.S[..., i, p].conj() for p in idx] for i in idx]
-    mix = reduce(add, (_mix(Hinv, [[dEta[..., a, b, p] for b in idx] for a in idx],
+    Sc = [[ctx.S[i, p].conj() for p in idx] for i in idx]
+    mix = reduce(add, (_mix(Hinv, [[dEta[a, b, p] for b in idx] for a in idx],
                             ctx.dF, [Sc[i][p] for i in idx]) for p in idx))
     rhs = -(e1 + e2) - 2.0 * mix.real
     if ctx.psi_hat is not None:
@@ -486,13 +493,12 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
     ctx = _sample_context(geom, trajectory.base, mid.u)
     tensors = {"grad_sq": ctx.du, "Theta": ctx.H, "ThetaP": ctx.S}
     quantities.insert(1, named(mid.u, SimpleNamespace(**{
-        w: (X.real ** 2 + X.imag ** 2).sum(axis=tuple(range(2 * geom.n, X.ndim)))
+        w: reduce(add, (x.real ** 2 + x.imag ** 2 for x in X.values()))
         for w, X in tensors.items() if w in norm_names})))
     reports = []
     for which in names:
         q_prev, q_mid, q_next = (q.pop(which) for q in quantities)
-        X = _frame_deriv(geom, geom.fft(q_mid), "zZ")
-        lap = _eta_trace(ctx.eta_inv, lambda p, q: X[..., p, q], hermitian=True)
+        lap = _eta_laplacian(ctx.eta_inv, geom.frame_hessian(geom.rfft(q_mid)))
         lhs = (q_next - q_prev) / (2.0 * dt_s) - lap
         rhs = _identity_rhs(geom, which, ctx, trajectory.hat_theta, mid.u)
         reports.append(_report(which, lhs, rhs, float(mid.t), dt_s, geom.N))
@@ -523,7 +529,7 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
 
     ctx = _phase_context(geom, base, u_hat)
     if hat_theta is None:
-        hat_theta = winding_hat_theta(geom, _base_field(geom, base))
+        hat_theta = winding_hat_theta(geom, base.field())
     residual = float(np.abs(ctx.theta - hat_theta).max())
     if residual > residual_tol:
         raise ValueError(
@@ -549,9 +555,9 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
     lhs = np.stack([np.stack([lhs[i, j] for j in idx], axis=-1) for i in idx], axis=-2)
     # the right side pairs the eta-inverse pair around d_i eta, taken to coordinates
     # (P^T W P-bar), with d_jbar F_{p qbar} = conj(dF[j, q, p])
-    rhs = np.empty_like(lhs)
+    rhs, dEta = np.empty_like(lhs), ctx.eta_derivative(coords=1)
     for i in idx:
-        W = _sandwich(Hinv, [[ctx.dEta[..., a, b, i] for b in idx] for a in idx])
+        W = _sandwich(Hinv, [[dEta[a, b, i] for b in idx] for a in idx])
         if P is not None:
             W = geom.to_frame(np.stack([np.stack(row, axis=-1) for row in W], axis=-2), "zZ", P.T)
             W = [[W[..., p, q] for q in idx] for p in idx]

@@ -42,7 +42,7 @@ import numbers
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft  # noqa: F401  perfbench/tracer.py wraps the transforms bound here
@@ -164,17 +164,17 @@ class LineBundleFlow:
     def linear_symbol(self) -> np.ndarray:
         """Fourier symbol of the flow linearized at the constant background F0.
 
-        Real and nonpositive, on the half grid of `spectrum`: the sum over p, q of
-        (eta0^{-1})_qp S_pq, S_pq = mz_p mZ_q, eta0 = g + F0 g^{-1} F0, in the frame.
+        Real, even in k and nonpositive, on the half grid of `spectrum`: the frame
+        eta0^{-1} (eta0 = g + F0 g^{-1} F0) contracted with the real parts of the Hessian's
+        plane symbols (`TorusGeometry.plane_symbols`), as the flow's phase reads them.
         """
         geom = self.geometry
         _, eta_inv = eta_pair(geom.to_frame(self.base.F0, "zZ"))
-        # the d/dz_p and d/dzbar_q multipliers, each stacked on a trailing axis
-        mz, mZ = (geom.to_frame(np.stack(np.broadcast_arrays(*ms), axis=-1), c)
-                  for c, ms in geom.half_symbols.items())
-        idx = range(geom.n)
-        return reduce(np.add, (eta_inv[q, p] * (mz[..., p] * mZ[..., q])
-                            for p in idx for q in idx)).real
+        T = [[0.0] * geom.n for _ in range(geom.n)]  # an imaginary plane with no symbol is 0
+        for orbit, S in geom.plane_symbols:
+            for (p, q), s in zip(orbit, S):
+                T[p][q] = s.real
+        return diagnostics._eta_laplacian(eta_inv, T)
 
     def etd_coefficients(self, h: float) -> tuple:
         """ETDRK4 coefficients (E, E2, Q, f1, f2, f3) of step h.

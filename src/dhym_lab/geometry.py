@@ -11,19 +11,17 @@ conj(M[..., p, q]) pointwise).
 
 All derivatives are Fourier-spectral.  For the mode exp(i*(m.x + l.y)) the
 multiplier of d/dz_j is (i*m_j + l_j)/2 and of d/dzbar_j is (i*m_j - l_j)/2,
-which realizes d/dz = (d/dx - i d/dy)/2 per complex axis.  One kernel,
-`TorusGeometry.deriv`, builds every derivative tensor from a spectrum and a
-derivative word: a string of 'z' (d/dz_j) and 'Z' (d/dzbar_j), one letter
-per index, so "zZz" gives u_{i jbar k} on three trailing axes of length n;
-it holds those axes first in memory, so each entry is a contiguous field.
-`TorusGeometry.entries` yields the distinct entries of such a tensor one at a
-time instead, with any of its indices in the frame below.
-A real field u is also taken from its half spectrum (`TorusGeometry.rfft`,
+which realizes d/dz = (d/dx - i d/dy)/2 per complex axis.  A derivative
+tensor is named by a word of 'z' (d/dz_j) and 'Z' (d/dzbar_j), one letter
+per index, so "zZz" gives u_{i jbar k}; no whole tensor is built.
+`TorusGeometry.entries` yields its distinct complex entries one at a time from
+the full spectrum (`fft`), with any of its indices in the frame below.  A
+real field u is also taken from its half spectrum (`TorusGeometry.rfft`,
 wave numbers 0..N/2 on the last axis): `TorusGeometry.word_planes` yields
 each distinct frame entry of a word's tensor as its real and imaginary
 planes, one real inverse transform per entry, with the half-grid symbols of
-`TorusGeometry.word_symbols`: the flow's Hessian ("zZ", `frame_hessian`), and
-the tensor norms (`norm_planes`; at n = 1 from a held stack of their symbols).
+`TorusGeometry.word_symbols`: the Hessian ("zZ", `frame_hessian`), and the
+tensor norms (`norm_planes`; at n = 1 from a held stack of their symbols).
 The transforms call pocketfft's kernels with the arguments of scipy.fft's n-D
 functions, skipping a dispatch that costs as much as an N = 32 transform.
 
@@ -164,58 +162,26 @@ class TorusGeometry:
         half = slice(None, self.N // 2 + 1)
         return {c: [m[..., half] for m in ms] for c, ms in self._letter_multipliers.items()}
 
-    def deriv(self, f_hat: np.ndarray, word: str) -> np.ndarray:
-        """Derivative tensor of a field from its spectrum and a derivative word.
-
-        The word has one letter per derivative, 'z' for d/dz_j and 'Z' for
-        d/dzbar_j; the result carries one axis of length n per letter, right
-        after the grid axes and ahead of any trailing axes the field has, so
-        deriv(fft(u), "zZz")[..., i, j, k] = u_{i jbar k}.  Derivatives
-        commute, so one inverse transform serves every index permutation
-        among equal letters.  The word "zZ" is taken of a real field (the
-        complex Hessian, Hermitian): its lower triangle is the conjugate of
-        the upper one.  The tensor is a view, in this axis order, of an array
-        that holds the derivative axes first, so each entry [..., i, j] is a
-        contiguous field.
-        """
-        if not word or set(word) - {"z", "Z"}:
-            raise ValueError(f"derivative word must be letters 'z' and 'Z', got {word!r}")
-        n, k, trailing = self.n, len(word), f_hat.shape[2 * self.n:]
-        symbols = [self._letter_multipliers[c] for c in word]
-        if n == 1:  # one entry, which is the tensor
-            return self._entry(f_hat, symbols, (0,) * k).reshape(self.shape + (1,) * k + trailing)
-        out = np.empty((n,) * k + self.shape + trailing, dtype=np.complex128)
-        for orbit in _orbits(symbols, n):
-            rep = orbit[0]
-            if word == "zZ" and rep[0] > rep[1]:
-                np.conj(out[rep[::-1]], out=out[rep])
-                continue
-            out[rep] = self._entry(f_hat, symbols, rep)
-            for idx in orbit[1:]:
-                out[idx] = out[rep]
-        return np.moveaxis(out, range(k), range(2 * n, 2 * n + k))
-
     def entries(self, f_hat: np.ndarray, word: str, coords: int = 0):
-        """The distinct entries of a derivative tensor in the frame, one at a time.
+        """The distinct entries of a word's derivative tensor, one at a time.
 
         Yields (orbit, field) pairs: field is the entry of the tensor at every
         index tuple of orbit, so no whole tensor is held.  The first `coords`
-        letters of the word are coordinate indices, as in `deriv`; the others
-        are frame indices, whose multipliers are taken through the frame
-        (P m_z for 'z', conj(P) m_Z for 'Z', as `to_frame` does to a tensor).
-        Indices of one letter and one kind commute, and at g = I every index
-        of one letter does: one inverse transform serves each orbit.
+        letters of the word are coordinate indices; the others are frame indices,
+        whose multipliers are taken through the frame (P m_z for 'z', conj(P) m_Z
+        for 'Z', as `to_frame` does to a tensor).  Indices of one letter and one
+        kind commute, and at g = I every index of one letter does: one inverse
+        transform serves each orbit.
         """
+        if not word or set(word) - {"z", "Z"}:
+            raise ValueError(f"derivative word must be letters 'z' and 'Z', got {word!r}")
         frame = self._frame_symbols(self._letter_multipliers)
         symbols = [(self._letter_multipliers if k < coords else frame)[c]
                    for k, c in enumerate(word)]
         for orbit in _orbits(symbols, self.n):
-            yield orbit, self._entry(f_hat, symbols, orbit[0])
-
-    def _entry(self, f_hat: np.ndarray, symbols: list, idx: tuple) -> np.ndarray:
-        # one entry of a derivative tensor: the product of one multiplier per index
-        m = reduce(np.multiply, (s[j] for s, j in zip(symbols, idx)))
-        return self.ifft(m.reshape(m.shape + (1,) * (f_hat.ndim - 2 * self.n)) * f_hat)
+            # one entry: the product of one multiplier per index
+            yield orbit, self.ifft(reduce(np.multiply, (s[j] for s, j in zip(symbols, orbit[0])))
+                                   * f_hat)
 
     def _frame_symbols(self, letters: dict) -> dict:
         # the 'z' and 'Z' multipliers of a frame index from those of a coordinate one; built
@@ -239,7 +205,7 @@ class TorusGeometry:
         P = self.frame if frame is None else frame
         M = reduce(np.kron, [P if c == "z" else P.conj() for c in word])
         # the word axes merge into one of length n^k, so one product serves all of
-        # them; a tensor that holds them first in memory (`deriv`) is not copied
+        # them; a tensor that holds them first in memory (`eta_pair`) is not copied
         k, lead = len(word), X.ndim - len(word)
         Xw = np.moveaxis(X, range(lead, X.ndim), range(k))
         if Xw.flags.c_contiguous:
@@ -283,12 +249,12 @@ class TorusGeometry:
 
         S stacks the half-grid symbols of the entry's real and imaginary planes,
         (s + r) / 2 and (s - r) / 2i for its symbol s at k and r the conjugate of its
-        symbol at -k (mod N, so -N/2 stays), as `deriv` takes them; every index tuple
-        of orbit has an entry of this modulus.  s is a product of frame multipliers,
-        as in `entries`, but for the Hermitian "zZ": its entries are F_pq, p <= q, of
-        F = P H P^H for `deriv`'s H (mz_i mZ_j at k for i <= j, at -k below), r is
-        the symbol of F_qp, the orbit [(p, q), (q, p)] places the planes as
-        `phase.hermitian_planes` does, and a real entry has one plane.
+        symbol at -k (mod N, so -N/2 stays), as the full spectrum takes them; every
+        index tuple of orbit has an entry of this modulus.  s is a product of frame
+        multipliers, as in `entries`, but for the Hermitian "zZ": its entries are
+        F_pq, p <= q, of F = P H P^H for H = `complex_hessian` (mz_i mZ_j at k for
+        i <= j, at -k below), r is the symbol of F_qp, the orbit [(p, q), (q, p)]
+        places the planes as `phase.hermitian_planes` does, and a real entry has one plane.
         """
         n, P, idx, half = self.n, self.frame, range(self.n), self.half_symbols
         w = [np.where(k == -(self.N // 2), k, -k)[..., : self.N // 2 + 1]
@@ -405,11 +371,14 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
 def complex_hessian(geom: TorusGeometry, u: np.ndarray) -> np.ndarray:
     """Complex Hessian u_{i jbar} = d/dz_i d/dzbar_j u of a real field.
 
-    Returns a Hermitian matrix field of shape grid + (n, n).  Diagonal
-    entries equal one quarter of the ordinary Laplacian in the (x_j, y_j)
-    plane, so they are real for real input.
+    Returns a Hermitian matrix field of shape grid + (n, n): `entries` on and above
+    the diagonal, their conjugates below.  Diagonal entries equal one quarter of the
+    ordinary Laplacian in the (x_j, y_j) plane, so they are real for real input.
     """
-    return geom.deriv(geom.fft(np.asarray(u, dtype=np.float64)), "zZ")
+    H = np.empty(geom.shape + (geom.n, geom.n), dtype=np.complex128)
+    for ((p, q),), field in geom.entries(geom.fft(np.asarray(u, dtype=np.float64)), "zZ", 2):
+        H[..., p, q] = field if p <= q else H[..., q, p].conj()  # Hermitian bit for bit
+    return H
 
 
 def volume_integral(geom: TorusGeometry, f: np.ndarray):

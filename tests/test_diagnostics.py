@@ -455,21 +455,26 @@ class TestDhymPointIdentities:
         assert r1.residual_rel <= 10 * 1e-11 * (1 + torus1.N)
         assert r2.residual_rel <= 1e-6
 
-    @pytest.mark.parametrize("n,transforms", [(2, 26), (3, 87)])
-    def test_non_diagonal_metric_keeps_the_index_symmetry(self, n, transforms, monkeypatch):
+    @pytest.mark.parametrize("n,transforms,planes", [(2, 23, 3), (3, 81, 6)])
+    def test_non_diagonal_metric_keeps_the_index_symmetry(self, n, transforms, planes,
+                                                          monkeypatch):
         # d_i F_{p qbar} and d_i d_jbar F_{p qbar} are read with every index in
-        # coordinates, so a metric costs no transforms: at n = 3 the Hessian takes 6,
-        # d eta 27, dF 18 (not 27) and the second derivatives 36 (not 81), as at g = I
+        # coordinates, so a metric costs no transforms: at n = 3 d eta takes 27 complex
+        # inverse transforms, dF 18 (not 27) and the second derivatives 36 (not 81), as
+        # at g = I; the Hessian's n^2 real planes take one irfft per entry on and above
+        # the diagonal
         rng = np.random.default_rng(n)
         B = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
         geom = dl.build_torus(n, 8, B @ B.conj().T + 0.5 * np.eye(n))
         base, u = psi_base(geom), dl.bandlimited_noise(geom, 2, 0.01, 3)
         base.field()  # built before the count
-        calls = []
-        ifft = dl.TorusGeometry.ifft
-        monkeypatch.setattr(dl.TorusGeometry, "ifft", lambda g, f: calls.append(1) or ifft(g, f))
+        calls = {"ifft": [], "irfft": []}
+        for name, calls_of in calls.items():
+            method = getattr(dl.TorusGeometry, name)
+            monkeypatch.setattr(dl.TorusGeometry, name,
+                                lambda g, f, m=method, c=calls_of: c.append(1) or m(g, f))
         dl.dhym_point_identities(geom, base, u, hat_theta=0.0, residual_tol=1e9)
-        assert len(calls) == transforms
+        assert (len(calls["ifft"]), len(calls["irfft"])) == (transforms, planes)
 
     def test_nonconverged_state_rejected(self, torus1, base1):
         u = 0.5 * cos_axis(torus1, 0)  # residual around 1e-2

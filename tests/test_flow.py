@@ -10,6 +10,7 @@ from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field
 from dhym_lab.flow import _CONTOUR_POINTS
 from dhym_lab.phase import eta_pair, frame_characteristic
+from spectral_oracle import deriv
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,7 @@ class TestFlowRhs:
 def full_spectrum_theta(geom, base, u):
     """Oracle: the n >= 2 phase from the full complex spectrum, the Hessian from
     `deriv` and theta from the complex zeta."""
-    F = geom.to_frame(base.field(), "zZ") + geom.to_frame(geom.deriv(geom.fft(u), "zZ"), "zZ")
+    F = geom.to_frame(base.field(), "zZ") + geom.to_frame(deriv(geom, geom.fft(u), "zZ"), "zZ")
     pf = dl.PhaseFields(frame_characteristic(F))
     with np.errstate(divide="ignore"):
         theta = np.arctan(pf.zeta.imag / pf.zeta.real)
@@ -685,3 +686,16 @@ class TestEtdrk4:
         state = dl.LineBundleFlow(torus1, base1, 0.0).initial_state(np.zeros(torus1.shape))
         with pytest.raises(ValueError):
             dl.etdrk4_step(state, 0.0)
+
+
+class TestTracerNames:
+    """`perfbench/tracer.py` is frozen between benchmark changes (ROADMAP item 6) and
+    wraps these names by attribute lookup; without one of them `--trace 1` breaks,
+    which nothing else in this suite would show."""
+
+    def test_names_the_tracer_wraps_exist(self):
+        assert {"fft", "ifft"} <= set(dl.TorusGeometry.__dict__)
+        assert {"theta", "rhs"} <= set(dl.LineBundleFlow.__dict__)
+        from dhym_lab import flow
+
+        assert flow.sfft is sfft

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import dhym_lab as dl
 from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field
+from spectral_oracle import deriv
 
 WORDS = ("z", "zZ", "zz", "zZz")
 
@@ -32,7 +33,7 @@ def random_metric(rng, n):
 
 def oracle_tensor_norms(geom, u):
     G = np.linalg.inv(geom.g)
-    du, H, S, T = (geom.deriv(geom.fft(u), word) for word in WORDS)
+    du, H, S, T = (deriv(geom, geom.fft(u), word) for word in WORDS)
     return {
         "grad_sq": einsum("ji,...i,...j->...", G, du, du.conj()).real,
         "Theta": einsum("ji,lk,...il,...kj->...", G, G, H, H).real,
@@ -48,11 +49,11 @@ def oracle_eta_inv(geom, F):
 def oracle_context(geom, base, u):
     """Coordinate derivative tensors of one sample, as the identities read them."""
     uh = geom.fft(u)
-    du, H, S, T = (geom.deriv(uh, word) for word in WORDS)
+    du, H, S, T = (deriv(geom, uh, word) for word in WORDS)
     F = base.field() + H
     eta = geom.g + F @ np.linalg.inv(geom.g) @ F
     psi_hat = geom.fft(base.psi) if base.psi is not None else None
-    dFhat = (geom.deriv(psi_hat, "zzZ") if psi_hat is not None
+    dFhat = (deriv(geom, psi_hat, "zzZ") if psi_hat is not None
              else np.zeros(geom.shape + (geom.n,) * 3, dtype=np.complex128))
     return SimpleNamespace(
         uh=uh, du=du, H=H, S=S, T=T, psi_hat=psi_hat, dFhat=dFhat,
@@ -72,7 +73,7 @@ def oracle_identity_rhs(geom, which, ctx, hat_theta, u):
         B = einsum("...qp,ji,...iq,...pj->...", Hinv, G, ctx.H, ctx.H)
         C = einsum("...qp,ji,...ipq,...j->...", Hinv, G, ctx.dFhat, ctx.du.conj())
         return -(A + B).real + 2.0 * C.real
-    dEta = geom.deriv(geom.fft(ctx.eta), "z")
+    dEta = deriv(geom, geom.fft(ctx.eta), "z")
     dEtaBar = np.conj(np.swapaxes(dEta, -1, -2))
     if which == "Theta":
         T1 = einsum("...qp,ji,lk,...ilp,...jkq->...", Hinv, G, G, ctx.T, ctx.T.conj())
@@ -81,17 +82,17 @@ def oracle_identity_rhs(geom, which, ctx, hat_theta, u):
                      G, G, Hinv, Hinv, dEtaBar, ctx.dF, ctx.H)
         rhs = -(T1 + T2).real - 2.0 * mix.real
         if ctx.psi_hat is not None:
-            ddFh = geom.deriv(ctx.psi_hat, "zZzZ")
+            ddFh = deriv(geom, ctx.psi_hat, "zZzZ")
             rhs += 2.0 * einsum("ji,lk,...qp,...kj,...ilpq->...", G, G, Hinv, ctx.H, ddFh).real
         return rhs
-    P = geom.deriv(ctx.uh, "zzz")
+    P = deriv(geom, ctx.uh, "zzz")
     e1 = einsum("...lk,ji,qp,...ipk,...jql->...", Hinv, G, G, P, P.conj())
     e2 = einsum("...lk,ji,qp,...ilp,...jkq->...", Hinv, G, G, ctx.T, ctx.T.conj())
     mix = einsum("ji,qp,...bk,...la,...pab,...ikl,...jq->...",
                  G, G, Hinv, Hinv, dEta, ctx.dF, ctx.S.conj())
     rhs = -(e1 + e2).real - 2.0 * mix.real
     if ctx.psi_hat is not None:
-        ddFh = geom.deriv(ctx.psi_hat, "zzzZ")
+        ddFh = deriv(geom, ctx.psi_hat, "zzzZ")
         rhs += 2.0 * einsum("ji,qp,...lk,...ipkl,...jq->...", G, G, Hinv, ddFh, ctx.S.conj()).real
     return rhs
 
@@ -100,19 +101,27 @@ def oracle_point_identities(geom, ctx):
     """The two stationary-point contractions: (first, lhs, rhs) fields."""
     Hinv = ctx.eta_inv
     first = einsum("...qp,...ipq->...i", Hinv, ctx.dF)
-    ddF = geom.deriv(ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat, "zZzZ")
+    ddF = deriv(geom, ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat, "zZzZ")
     lhs = einsum("...qp,...ijpq->...ij", Hinv, ddF)
-    dEta = geom.deriv(geom.fft(ctx.eta), "z")
+    dEta = deriv(geom, geom.fft(ctx.eta), "z")
     dFbar = np.conj(np.swapaxes(ctx.dF, -1, -2))
     rhs = einsum("...tp,...qs,...ist,...jpq->...ij", Hinv, Hinv, dEta, dFbar)
     return first, lhs, rhs
 
 
+def at_minus_k(f):
+    """f(-k) of a full-grid array f(k): index j to -j mod N on every axis."""
+    return np.roll(f[(slice(None, None, -1),) * f.ndim], 1, axis=tuple(range(f.ndim)))
+
+
 def oracle_linear_symbol(geom, F0, N):
+    """The even part (L(k) + L(-k)) / 2 of sum_pq Re (eta0^{-1})_qp mz_p mZ_q: where k
+    has a Nyquist wave number the mixed and frame products are not even in k."""
     eta_inv = oracle_eta_inv(geom, F0)
     symbol = sum((eta_inv[q, p] * geom.dz_multiplier(p) * geom.dzbar_multiplier(q)).real
                  for p in range(geom.n) for q in range(geom.n))
-    return np.broadcast_to(symbol, geom.shape)[..., : N // 2 + 1]  # the half grid
+    symbol = np.broadcast_to(symbol, geom.shape)
+    return (0.5 * (symbol + at_minus_k(symbol)))[..., : N // 2 + 1]  # the half grid
 
 
 def oracle_characteristic(geom, F):
@@ -217,6 +226,9 @@ class TestCoordinateOracles:
             # the linear symbol of the ETDRK4 stepper
             flow = dl.LineBundleFlow(geom, base, hat)
             assert_rel(flow.linear_symbol, oracle_linear_symbol(geom, base.F0, N), "symbol")
+            for j in (0, N // 2):  # L(k) = L(-k) where both k and -k are on the half grid
+                plane = flow.linear_symbol[..., j]
+                assert_rel(plane, at_minus_k(plane), f"even symbol at last wave number {j}")
             # the characteristic polynomial of (F, g), from g^{-1} F
             F = F + dl.complex_hessian(geom, u)
             for k, (a, b) in enumerate(zip(dl.characteristic_field(geom, F)[1:],

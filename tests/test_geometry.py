@@ -8,6 +8,8 @@ import scipy.fft as sfft
 
 import dhym_lab as dl
 from conftest import cos_axis
+from dhym_lab import diagnostics
+from spectral_oracle import deriv
 
 
 class TestBuildTorus:
@@ -53,7 +55,7 @@ class TestBuildTorus:
 
 
 def _dz(geom, u, j):
-    return geom.deriv(geom.fft(u), "z")[..., j]
+    return deriv(geom, geom.fft(u), "z")[..., j]
 
 
 class TestDerivatives:
@@ -65,7 +67,7 @@ class TestDerivatives:
     def test_dzbar_cosine(self, torus1):
         u = cos_axis(torus1, 0)
         expect = -0.5 * np.broadcast_to(np.sin(torus1.axis_coordinate(0)), torus1.shape)
-        assert np.abs(torus1.deriv(torus1.fft(u), "Z")[..., 0] - expect).max() < 1e-14
+        assert np.abs(deriv(torus1, torus1.fft(u), "Z")[..., 0] - expect).max() < 1e-14
 
     def test_dz_constant(self, torus1):
         assert np.abs(_dz(torus1, np.ones(torus1.shape), 0)).max() < 1e-15
@@ -165,26 +167,36 @@ class TestDerivativeKernel:
         u = dl.bandlimited_noise(geom, 2, 1.0, 20 + n)
         uh = geom.fft(u)
         for word in self.WORDS:
-            D = geom.deriv(uh, word)
-            assert D.shape == geom.shape + (n,) * len(word)
-            scale = np.abs(D).max()
+            D = {idx: field for orbit, field in geom.entries(uh, word, coords=len(word))
+                 for idx in orbit}
+            assert sorted(D) == list(itertools.product(range(n), repeat=len(word)))
+            scale = max(np.abs(field).max() for field in D.values())
             for idx, expect in _one_letter_at_a_time(geom, uh, word):
-                err = np.abs(D[(Ellipsis,) + idx] - expect).max()
+                err = np.abs(D[idx] - expect).max()
                 assert err <= 1e-12 * scale, (word, idx)
             del D
 
-    def test_trailing_field_axes_follow_derivative_axes(self, torus2):
-        rng = np.random.default_rng(3)
-        eta = rng.standard_normal(torus2.shape + (2, 2)) + 0j
-        dEta = torus2.deriv(torus2.fft(eta), "z")
-        assert dEta.shape == torus2.shape + (2, 2, 2)
-        expect = dict(_one_letter_at_a_time(torus2, torus2.fft(eta[..., 1, 0]), "z"))[(1,)]
-        assert np.abs(dEta[..., 1, 1, 0] - expect).max() < 1e-12 * np.abs(expect).max()
-
     def test_hessian_word_is_hermitian(self, torus2):
         u = dl.bandlimited_noise(torus2, 3, 1.0, 8)
-        H = torus2.deriv(torus2.fft(u), "zZ")
+        H = dl.complex_hessian(torus2, u)
         assert (H[..., 1, 0] == H[..., 0, 1].conj()).all()
+
+    @pytest.mark.parametrize("metric", [False, True], ids=["I", "g"])
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
+    def test_complex_hessian_is_the_full_tensor_oracle_bit_for_bit(self, n, N, metric):
+        # BaseCurvature, and through it every flow output, keeps the bits of the
+        # full-tensor Hessian it was built from
+        geom = dl.build_torus(n, N, random_metric(np.random.default_rng(n), n) if metric
+                              else np.eye(n))
+        psi = dl.bandlimited_noise(geom, 2, 0.1, n)
+        expect = deriv(geom, geom.fft(psi), "zZ")
+        assert np.array_equal(dl.complex_hessian(geom, psi), expect)
+        base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
+        assert np.array_equal(base.field(), geom.g + expect)
+        if n == 2:  # the identity context holds one array per orbit of commuting indices
+            ctx = diagnostics._sample_context(geom, base, dl.bandlimited_noise(geom, 2, 0.1, 5))
+            assert ctx.T[0, 1, 1] is ctx.T[1, 1, 0] and ctx.S[0, 1] is ctx.S[1, 0]
+            assert ctx.dF[0, 1, 1] is ctx.dF[1, 0, 1]
 
     @pytest.mark.parametrize("coords", [0, 1, 2])
     def test_entries_give_the_frame_tensor_one_orbit_at_a_time(self, coords):
@@ -194,7 +206,7 @@ class TestDerivativeKernel:
         for g, orbits in (([[2.0, 0.3j], [-0.3j, 1.0]], None), (np.eye(2), 9)):
             geom = dl.build_torus(2, 8, g)
             uh = geom.fft(dl.bandlimited_noise(geom, 2, 1.0, 3))
-            expect = geom.to_frame(geom.deriv(uh, word), word[coords:])
+            expect = geom.to_frame(deriv(geom, uh, word), word[coords:])
             scale, seen, count = np.abs(expect).max(), [], 0
             for orbit, field in geom.entries(uh, word, coords):
                 count += 1
@@ -208,14 +220,14 @@ class TestDerivativeKernel:
     @pytest.mark.parametrize("word", ["", "zx", "dz"])
     def test_bad_word_rejected(self, torus1, word):
         with pytest.raises(ValueError, match="derivative word"):
-            torus1.deriv(torus1.fft(np.zeros(torus1.shape)), word)
+            next(torus1.entries(torus1.fft(np.zeros(torus1.shape)), word))
 
 
 def assert_planes_match_deriv(geom, u):
     """The plane kernel: the frame Hessian as n^2 real planes, each contiguous,
     against the frame form of `deriv`'s Hessian."""
     T = geom.frame_hessian(geom.rfft(u))
-    expect = geom.to_frame(geom.deriv(geom.fft(u), "zZ"), "zZ")
+    expect = geom.to_frame(deriv(geom, geom.fft(u), "zZ"), "zZ")
     scale = np.abs(expect).max()
     for p, q in itertools.product(range(geom.n), repeat=2):
         want = expect[..., p, q].real if p <= q else expect[..., q, p].imag
@@ -291,7 +303,7 @@ class TestWordKernel:
         geom = dl.build_torus(n, N, random_metric(rng, n) if metric else np.eye(n))
         u = rng.standard_normal(geom.shape)
         for word in ("z", "zZ", "zz", "zZz"):
-            expect = geom.to_frame(geom.deriv(geom.fft(u), word), word)
+            expect = geom.to_frame(deriv(geom, geom.fft(u), word), word)
             scale, seen = np.abs(expect).max(), []
             for orbit, planes in geom.word_planes(geom.rfft(u), word):
                 assert planes.dtype == np.float64 and len(planes) in (1, 2)
@@ -373,7 +385,7 @@ class TestKernelEntry:
         rng = np.random.default_rng(n * N)
         u = rng.standard_normal(geom.shape)
         c = u + 1j * rng.standard_normal(geom.shape)
-        H = geom.deriv(geom.fft(c), "zZ")  # trailing (n, n) axes, held first: a strided view
+        H = deriv(geom, geom.fft(c), "zZ")  # trailing (n, n) axes, held first: a strided view
         real = {"real": u, ".real of complex": c.real, "trailing": H.real}
         for name, f in {**real, "complex": c, "complex trailing": H}.items():
             assert same(geom.fft(f), sfft.fftn(f, axes=grid, workers=w)), name
