@@ -24,6 +24,11 @@ planes, one real inverse transform per entry, with the half-grid symbols of
 tensor norms (`norm_planes`; at n = 1 from a held stack of their symbols).
 The transforms call pocketfft's kernels with the arguments of scipy.fft's n-D
 functions, skipping a dispatch that costs as much as an N = 32 transform.
+The extension module is loaded from its spec, found under scipy's package
+path, without running scipy.fft's package init: that init imports numpy.f2py
+(scipy's array-API layer) and scipy.special (FFTLog), about 0.3 s of each
+CLI start, and nothing here uses either.  It is registered under its own
+name, so a later `import scipy.fft` takes the same module object.
 
 The Kahler metric is a constant Hermitian positive-definite matrix g, so the
 volume form is det(g) dx dy and covariant derivatives coincide with
@@ -39,14 +44,16 @@ is the sum of |T|^2 over the tensor's index axes.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from importlib.machinery import PathFinder
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
+import scipy
 
 __all__ = [
     "TorusGeometry",
@@ -60,13 +67,48 @@ __all__ = [
 NORM_WORDS = ("z", "zZ", "zz", "zZz")  # of the tensor norms: u_i, u_{i jbar}, u_{i p}, u_{i jbar k}
 
 
+def _load_pocketfft():
+    """scipy's pocketfft extension, without the package inits of scipy.fft and
+    scipy.fft._pocketfft (the module docstring says why).
+
+    Python's path finder walks from scipy's package path down to the module,
+    which is then registered in sys.modules under its canonical name before it
+    is executed; a module already registered there is taken as it is.
+    """
+    name = "scipy.fft._pocketfft.pypocketfft"
+    if name in sys.modules:
+        return sys.modules[name]
+    parent, path = "scipy", scipy.__path__
+    for part in name.split(".")[1:]:
+        spec = PathFinder.find_spec(f"{parent}.{part}", path) if path else None
+        if spec is None:
+            raise ImportError(f"cannot find {name}: no {parent}.{part} in {path}", name=name)
+        parent, path = spec.name, spec.submodule_search_locations
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_pocketfft = _load_pocketfft()
+
+
 def _workers() -> int:
     """Worker cap for FFTs, from DHYM_THREADS (default: all cores).
 
     Worker count never changes results: transforms are deterministic and
-    grid reductions use numpy's pairwise summation.
+    grid reductions use numpy's pairwise summation.  The variable is read on
+    every call and its value parsed once.
     """
-    env = os.environ.get("DHYM_THREADS")
+    return _parse_workers(os.environ.get("DHYM_THREADS"))
+
+
+@lru_cache(maxsize=8)
+def _parse_workers(env: str | None) -> int:
     if not env:
         return os.cpu_count() or 1
     if not env.isdigit() or int(env) < 1:
@@ -101,13 +143,13 @@ class TorusGeometry:
     det_g: float
     vol: float
 
+    def __post_init__(self):
+        # the grid axes, held rather than built on every transform
+        object.__setattr__(self, "_axes", tuple(range(2 * self.n)))
+
     @property
     def shape(self) -> tuple:
         return (self.N,) * (2 * self.n)
-
-    @property
-    def _axes(self) -> tuple:
-        return tuple(range(2 * self.n))
 
     @property
     def num_points(self) -> int:
@@ -123,7 +165,7 @@ class TorusGeometry:
 
     def wavevector(self, axis: int) -> np.ndarray:
         """Integer wave numbers in [-N/2, N/2) along one real axis."""
-        k = np.rint(sfft.fftfreq(self.N) * self.N).astype(np.int64)
+        k = (np.arange(self.N) + self.N // 2) % self.N - self.N // 2  # rint(fftfreq(N) * N)
         return self._along(k, axis)
 
     def _along(self, arr1d: np.ndarray, axis: int) -> np.ndarray:
@@ -216,16 +258,16 @@ class TorusGeometry:
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Forward transform over the 2n grid axes (trailing axes pass through), by pocketfft's
         c2c with scipy.fft.fftn's arguments: its dispatch costs as much as an N = 32 transform."""
-        return _pocketfft.c2c(_floating(f), list(self._axes), True, 0, None, _workers())
+        return _pocketfft.c2c(_floating(f), self._axes, True, 0, None, _workers())
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return _pocketfft.c2c(_floating(fh), list(self._axes), False, 2, None, _workers())
+        return _pocketfft.c2c(_floating(fh), self._axes, False, 2, None, _workers())
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of a real field: wave numbers 0..N/2 on the last grid axis."""
         if np.iscomplexobj(f):
             raise TypeError("rfft takes a real field, got complex input")
-        return _pocketfft.r2c(np.asarray(f, dtype=np.float64), list(self._axes), True, 0, None,
+        return _pocketfft.r2c(np.asarray(f, dtype=np.float64), self._axes, True, 0, None,
                               _workers())
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
@@ -371,13 +413,18 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
 def complex_hessian(geom: TorusGeometry, u: np.ndarray) -> np.ndarray:
     """Complex Hessian u_{i jbar} = d/dz_i d/dzbar_j u of a real field.
 
-    Returns a Hermitian matrix field of shape grid + (n, n): `entries` on and above
-    the diagonal, their conjugates below.  Diagonal entries equal one quarter of the
+    Returns a Hermitian matrix field of shape grid + (n, n): one inverse transform
+    per entry on and above the diagonal, as `entries` takes it with coordinate
+    indices, and their conjugates below.  Diagonal entries equal one quarter of the
     ordinary Laplacian in the (x_j, y_j) plane, so they are real for real input.
     """
+    uh = geom.fft(np.asarray(u, dtype=np.float64))
+    mz, mZ = geom._letter_multipliers["z"], geom._letter_multipliers["Z"]
     H = np.empty(geom.shape + (geom.n, geom.n), dtype=np.complex128)
-    for ((p, q),), field in geom.entries(geom.fft(np.asarray(u, dtype=np.float64)), "zZ", 2):
-        H[..., p, q] = field if p <= q else H[..., q, p].conj()  # Hermitian bit for bit
+    for p, q in itertools.combinations_with_replacement(range(geom.n), 2):
+        H[..., p, q] = geom.ifft(mz[p] * mZ[q] * uh)
+        if p < q:
+            H[..., q, p] = H[..., p, q].conj()  # Hermitian bit for bit
     return H
 
 

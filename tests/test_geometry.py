@@ -59,6 +59,12 @@ def _dz(geom, u, j):
 
 
 class TestDerivatives:
+    @pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])
+    def test_wavevector_is_the_fftfreq_integers(self, N):
+        k = dl.build_torus(1, N, [1.0]).wavevector(1)
+        expect = np.rint(sfft.fftfreq(N) * N).astype(np.int64)
+        assert k.dtype == expect.dtype and np.array_equal(k.ravel(), expect)
+
     def test_dz_cosine(self, torus1):
         u = cos_axis(torus1, 0)
         expect = -0.5 * np.broadcast_to(np.sin(torus1.axis_coordinate(0)), torus1.shape)
@@ -197,6 +203,22 @@ class TestDerivativeKernel:
             ctx = diagnostics._sample_context(geom, base, dl.bandlimited_noise(geom, 2, 0.1, 5))
             assert ctx.T[0, 1, 1] is ctx.T[1, 1, 0] and ctx.S[0, 1] is ctx.S[1, 0]
             assert ctx.dF[0, 1, 1] is ctx.dF[1, 0, 1]
+
+    @pytest.mark.parametrize("metric", [False, True], ids=["I", "g"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_complex_hessian_transforms_the_upper_triangle_only(self, n, metric, monkeypatch):
+        # n(n+1)/2 inverse transforms, bit for bit the Hessian that transformed all n^2
+        # entries through `entries` and dropped those below the diagonal
+        geom = dl.build_torus(n, 8, random_metric(np.random.default_rng(n), n) if metric
+                              else np.eye(n))
+        psi = dl.bandlimited_noise(geom, 2, 0.1, n)
+        expect = np.empty(geom.shape + (n, n), dtype=complex)
+        for ((p, q),), field in geom.entries(geom.fft(psi), "zZ", 2):
+            expect[..., p, q] = field if p <= q else expect[..., q, p].conj()
+        calls, ifft = [], dl.TorusGeometry.ifft
+        monkeypatch.setattr(dl.TorusGeometry, "ifft", lambda g, fh: calls.append(1) or ifft(g, fh))
+        assert np.array_equal(dl.complex_hessian(geom, psi), expect)
+        assert len(calls) == n * (n + 1) // 2
 
     @pytest.mark.parametrize("coords", [0, 1, 2])
     def test_entries_give_the_frame_tensor_one_orbit_at_a_time(self, coords):
