@@ -5,7 +5,8 @@ exits 0 when every check passes and 1 otherwise.  Worker count for FFTs is
 capped by the DHYM_THREADS environment variable (default: all cores);
 results do not depend on it, and a bad value fails before any command runs.
 `simulate --snapshots all-samples` writes each snapshot on one background
-thread during the run and holds only the last few samples.
+thread during the run and holds only the last few samples; both `verify`
+paths hold only the three samples their identities read.
 """
 
 from __future__ import annotations
@@ -115,16 +116,31 @@ def _cmd_simulate(args) -> int:
     return _STATUS_CODES.get(traj.status, 1)
 
 
+def _bracket_keeper(m: int):
+    """(samples, on_record): an on_record that keeps in samples only the samples k of
+    |k - m| <= 1, the bracket `_cmd_verify` reads; the trajectory's own ring holds none."""
+    samples = deque()
+
+    def keep(k, sample):  # it holds the samples, not the trajectory: no reference cycle
+        if abs(k - m) <= 1:
+            samples.append(sample)
+
+    return samples, keep
+
+
 def _verify_config_trajectory(cfg: RunConfig):
     geom = cfg.geometry()
     base = cfg.base(geom)
     hat_theta = cfg.hat_theta_value(geom, base)
     u0 = cfg.initial_field(geom)
     dt = min(1e-3, stable_dt(geom, cfg.time["dt_safety"]))
-    traj = run_fixed(geom, base, hat_theta, u0, dt=dt, n_steps=8, sample_every=1, norms=False)
+    samples, keep = _bracket_keeper(4)  # the middle of samples 0..8
+    traj = run_fixed(geom, base, hat_theta, u0, dt=dt, n_steps=8, sample_every=1,
+                     keep_fields=0, norms=False, on_record=keep)
     if traj.steps_rejected:  # the identities need the fixed RK4 step
         t, h, _, reason = traj.dt_changes[0]
         raise RuntimeError(f"RK4 step of {h:g} rejected at t={t:g}: {reason}")
+    traj.samples = samples
     return traj
 
 
@@ -137,18 +153,13 @@ def _load_run_trajectory(run_dir: Path, norms: bool = True):
     if len(snaps) < 3:
         raise ValueError("insufficient trajectory sampling: need all-samples snapshots")
     flow = LineBundleFlow(geom, base, hat_theta)
-    m = len(snaps) // 2  # `_cmd_verify` reads the bracket of samples m - 1, m and m + 1
-    samples = deque()
-
-    def keep_bracket(k, sample):  # it holds the samples, not traj: no reference cycle
-        if abs(k - m) > 1:
-            samples.pop()
-
+    samples, keep = _bracket_keeper(len(snaps) // 2)
     traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta, norms=norms,
-                      samples=samples, on_record=keep_bracket)
+                      samples=deque(maxlen=0), on_record=keep)
     for snap in snaps:
         u, header = read_snapshot(snap)  # a fresh float64 array: astype keeps it
         traj.record(flow.state(u.real.astype(np.float64, copy=False), header["t"]))
+    traj.samples = samples
     return traj
 
 

@@ -27,7 +27,10 @@ coordinates, with eta^{-1} = P^H eta~^{-1} P.
 Each contraction is a sum of products of whole grid fields over the index
 tables (`_eta_trace`, `_sandwich`, `_mix`), as in `phase.frame_characteristic`,
 and no tensor is held whole: the fourth derivatives of the base potential
-are read one distinct entry at a time (`_entry_sum`).
+are read one distinct entry at a time (`_entry_sum`).  The evolution
+identities hold only what they read: eta until d eta is built from it, each
+table of the identity context until the last right side that reads it, and
+the eta-inverse sandwich of a mix term one free index's row at a time (`_mix`).
 
 The tensor norms sum the squared real planes of each distinct frame entry
 (`TorusGeometry.norm_planes`) from u's half spectrum.  `build_record` takes
@@ -285,9 +288,11 @@ class _SampleContext(SimpleNamespace):
 
     @cached_property
     def dEta(self) -> dict:
-        # the frame d eta, built on first read: only the identities that need it hold it,
-        # and both of them read this one
-        return self.eta_derivative()
+        # the frame d eta, built on first read, so only the identities that need it hold
+        # it; eta is read for nothing else, so it is dropped then
+        dEta = self.eta_derivative()
+        del self.eta
+        return dEta
 
 
 def _phase_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
@@ -358,12 +363,24 @@ def _sandwich(Hinv: np.ndarray, Y: list) -> list:
     return [[reduce(add, (Hinv[..., y, a] * Z[a][x] for a in idx)) for y in idx] for x in idx]
 
 
-def _mix(Hinv: np.ndarray, Y: list, dF: dict, c: list) -> np.ndarray:
+def _mix(Hinv: np.ndarray, Y, dF: dict, c: list) -> np.ndarray:
     """One free index's part of a mix term: sum_{x,y} W[x][y] sum_i dF[i, x, y] c[i]
-    with W = `_sandwich`(Hinv, Y), so no n^3-field inner tensor is built."""
-    W, idx = _sandwich(Hinv, Y), range(Hinv.shape[-1])
-    return reduce(add, (W[x][y] * reduce(add, (dF[i, x, y] * c[i] for i in idx))
-                        for x in idx for y in idx))
+    with W = `_sandwich`(Hinv, Y), for Y given by its entries Y(a, b).
+
+    Streamed one x at a time: the n fields Z[a][x], then each W[x][y] in turn, summed
+    in x-major, y-minor order, so neither Z nor W is held whole and the sum is that of
+    the `_sandwich` form bit for bit.
+    """
+    idx = range(Hinv.shape[-1])
+
+    def terms():
+        for x in idx:
+            Zx = [reduce(add, (Y(a, b) * Hinv[..., b, x] for b in idx)) for a in idx]
+            for y in idx:
+                yield (reduce(add, (Hinv[..., y, a] * Zx[a] for a in idx))
+                       * reduce(add, (dF[i, x, y] * c[i] for i in idx)))
+
+    return reduce(add, terms())
 
 
 def _entry_sum(geom: TorusGeometry, f_hat: np.ndarray, word: str, coeff) -> np.ndarray:
@@ -380,17 +397,17 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
     Every contraction is a sum of products of whole fields over the index
     tables of the frame tensors; eta^{p qbar} is Hinv[..., q, p].
     """
-    Hinv, H, idx = ctx.eta_inv, ctx.H, range(geom.n)
+    Hinv, idx = ctx.eta_inv, range(geom.n)
     # a product with a conjugate conjugates one entry at a time, so no conjugate
     # copy of T or of u_{i p k} is held
     if which == "u_sq":
-        du = ctx.du
+        du, H = ctx.du, ctx.H
         lap_u = _eta_trace(Hinv, lambda p, q: H[p, q], hermitian=True)
         grad_part = _eta_trace(Hinv, lambda p, q: du[p,] * du[q,].conj(), hermitian=True)
         return 2.0 * np.asarray(u) * (ctx.theta - hat_theta - lap_u) - 2.0 * grad_part
 
     if which == "grad_sq":
-        S, du = ctx.S, ctx.du
+        S, du, H = ctx.S, ctx.du, ctx.H
         A = _eta_trace(Hinv, lambda p, q: reduce(add, (S[i, p] * S[i, q].conj() for i in idx)),
                        hermitian=True)
         B = _eta_trace(Hinv, lambda p, q: reduce(add, (H[p, i] * H[i, q] for i in idx)),
@@ -407,12 +424,13 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
     dEta, T = ctx.dEta, ctx.T  # d_p eta_{a bbar} at (a, b, p)
 
     if which == "Theta":
+        H = ctx.H
         # the sum of T Tbar against eta-inverse appears twice: once more after relabelling i, l
         T1 = _eta_trace(Hinv, lambda p, q: reduce(add, (T[i, l, p] * T[i, l, q].conj()
                                                         for i in idx for l in idx)),
                         hermitian=True)
         # (d/dzbar_l eta)_{a bbar} = conj((d/dz_l eta)_{b abar}) = conj(dEta[b, a, l])
-        mix = reduce(add, (_mix(Hinv, [[dEta[b, a, l].conj() for b in idx] for a in idx],
+        mix = reduce(add, (_mix(Hinv, lambda a, b: dEta[b, a, l].conj(),
                                 ctx.dF, [H[l, i] for i in idx]) for l in idx))
         rhs = -2.0 * T1 - 2.0 * mix.real
         if ctx.psi_hat is not None:
@@ -429,14 +447,15 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
     del P  # bounds the peak memory
     e2 = _eta_trace(Hinv, lambda k, l: reduce(add, (T[i, l, p] * T[i, k, p].conj()
                                                     for i in idx for p in idx)), hermitian=True)
-    Sc = [[ctx.S[i, p].conj() for p in idx] for i in idx]
-    mix = reduce(add, (_mix(Hinv, [[dEta[a, b, p] for b in idx] for a in idx],
-                            ctx.dF, [Sc[i][p] for i in idx]) for p in idx))
+    Sc = {(i, p): ctx.S[i, p].conj() for i in idx for p in idx[i:]}  # S is symmetric
+    Sc.update({(p, i): Sc[i, p] for i, p in list(Sc)})
+    mix = reduce(add, (_mix(Hinv, lambda a, b: dEta[a, b, p],
+                            ctx.dF, [Sc[i, p] for i in idx]) for p in idx))
     rhs = -(e1 + e2) - 2.0 * mix.real
     if ctx.psi_hat is not None:
         # psi_{i p k lbar} Sbar_{i p} against eta-inverse, one entry of psi at a time
         hat = _entry_sum(geom, ctx.psi_hat, "zzzZ",
-                         lambda t: Hinv[..., t[3], t[2]] * Sc[t[0]][t[1]])
+                         lambda t: Hinv[..., t[3], t[2]] * Sc[t[0], t[1]])
         rhs += 2.0 * hat.real
     return rhs
 
@@ -457,6 +476,9 @@ def _bracket(trajectory, t: float):
 
 
 _IDENTITY_NAMES = ("u_sq", "grad_sq", "Theta", "ThetaP")
+# the context tables each right side reads (`_identity_rhs`)
+_READS = {"u_sq": ("du", "H"), "grad_sq": ("du", "S", "H", "T", "dF"),
+          "Theta": ("H", "T", "dF", "dEta"), "ThetaP": ("uh", "S", "T", "dF", "dEta")}
 
 
 def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> list:
@@ -468,7 +490,8 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
     from the stored sample there.  The bracket, the tensor norms of its
     three samples and the center's derived fields are built once for all
     names; the center's derivative tensors serve both its norms and its
-    right sides.  The discrepancy shrinks as O(dt^2) under sample-spacing
+    right sides, and each is dropped after the last right side that reads
+    it (`_READS`).  The discrepancy shrinks as O(dt^2) under sample-spacing
     refinement.
     """
     names = tuple(names)
@@ -491,17 +514,21 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
     quantities = [named(s.u, tensor_norms(geom, s.u, norm_names) if norm_names else None)
                   for s in (prev, nxt)]
     ctx = _sample_context(geom, trajectory.base, mid.u)
-    tensors = {"grad_sq": ctx.du, "Theta": ctx.H, "ThetaP": ctx.S}
     quantities.insert(1, named(mid.u, SimpleNamespace(**{
-        w: reduce(add, (x.real ** 2 + x.imag ** 2 for x in X.values()))
-        for w, X in tensors.items() if w in norm_names})))
+        w: reduce(add, (x.real ** 2 + x.imag ** 2 for x in getattr(ctx, table).values()))
+        for w, table in (("grad_sq", "du"), ("Theta", "H"), ("ThetaP", "S"))
+        if w in norm_names})))
     reports = []
-    for which in names:
+    for j, which in enumerate(names):
+        rhs = _identity_rhs(geom, which, ctx, trajectory.hat_theta, mid.u)
+        # a table no later right side reads is dropped before the next one
+        for table in set(_READS[which]).difference(*(_READS[w] for w in names[j + 1:])):
+            delattr(ctx, table)
         q_prev, q_mid, q_next = (q.pop(which) for q in quantities)
         lap = _eta_laplacian(ctx.eta_inv, geom.frame_hessian(geom.rfft(q_mid)))
         lhs = (q_next - q_prev) / (2.0 * dt_s) - lap
-        rhs = _identity_rhs(geom, which, ctx, trajectory.hat_theta, mid.u)
         reports.append(_report(which, lhs, rhs, float(mid.t), dt_s, geom.N))
+        del rhs, q_prev, q_mid, q_next, lap, lhs  # before the next right side
     return reports
 
 

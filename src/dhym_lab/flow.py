@@ -486,14 +486,16 @@ def run_flow(config: FlowConfig, flow: LineBundleFlow | None = None,
 
 def run_fixed(geom: TorusGeometry, base: BaseCurvature, hat_theta: float,
               u0: np.ndarray, dt: float, n_steps: int, sample_every: int = 1,
-              keep_fields: int | None = None, norms: bool = True) -> Trajectory:
+              keep_fields: int | None = None, norms: bool = True,
+              on_record: Callable[[int, FlowSample], None] | None = None) -> Trajectory:
     """n_steps classical RK4 steps of size dt, recorded every sample_every
     steps; never stops on convergence, so a full run is 'timeout'.
-    norms=False records phase-only (see `Trajectory`)."""
+    norms=False records phase-only, and on_record(k, sample) receives each
+    recorded sample (see `Trajectory`)."""
     _check_positive("dt", dt)
     _check_count("n_steps", n_steps)
     _check_count("sample_every", sample_every)
     state = LineBundleFlow(geom, base, hat_theta).initial_state(u0)
     traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta,
-                      samples=deque(maxlen=keep_fields), norms=norms)
+                      samples=deque(maxlen=keep_fields), norms=norms, on_record=on_record)
     return _integrate(state, traj, rk4_step, dt, sample_every * dt, n_steps * dt, 0.0)

@@ -25,10 +25,11 @@ tensor norms (`norm_planes`; at n = 1 from a held stack of their symbols).
 The transforms call pocketfft's kernels with the arguments of scipy.fft's n-D
 functions, skipping a dispatch that costs as much as an N = 32 transform.
 The extension module is loaded from its spec, found under scipy's package
-path, without running scipy.fft's package init: that init imports numpy.f2py
-(scipy's array-API layer) and scipy.special (FFTLog), about 0.3 s of each
-CLI start, and nothing here uses either.  It is registered under its own
-name, so a later `import scipy.fft` takes the same module object.
+path, without running the package inits of scipy.fft and of scipy itself:
+scipy.fft's imports numpy.f2py (scipy's array-API layer) and scipy.special
+(FFTLog), about 0.3 s of each CLI start, and scipy's about 18 ms more; nothing
+here uses any of it.  It is registered under its own name, so a later
+`import scipy.fft` takes the same module object.
 
 The Kahler metric is a constant Hermitian positive-definite matrix g, so the
 volume form is det(g) dx dy and covariant derivatives coincide with
@@ -53,7 +54,6 @@ from functools import cached_property, lru_cache, reduce
 from importlib.machinery import PathFinder
 
 import numpy as np
-import scipy
 
 __all__ = [
     "TorusGeometry",
@@ -68,17 +68,19 @@ NORM_WORDS = ("z", "zZ", "zz", "zZz")  # of the tensor norms: u_i, u_{i jbar}, u
 
 
 def _load_pocketfft():
-    """scipy's pocketfft extension, without the package inits of scipy.fft and
-    scipy.fft._pocketfft (the module docstring says why).
+    """scipy's pocketfft extension, without the package inits of scipy, scipy.fft
+    and scipy.fft._pocketfft (the module docstring says why).
 
-    Python's path finder walks from scipy's package path down to the module,
-    which is then registered in sys.modules under its canonical name before it
-    is executed; a module already registered there is taken as it is.
+    Python's path finder walks from scipy's package path, which scipy's spec
+    gives without importing scipy, down to the module, which is then
+    registered in sys.modules under its canonical name before it is executed;
+    a module already registered there is taken as it is.
     """
     name = "scipy.fft._pocketfft.pypocketfft"
     if name in sys.modules:
         return sys.modules[name]
-    parent, path = "scipy", scipy.__path__
+    parent, path = "scipy", getattr(importlib.util.find_spec("scipy"),
+                                     "submodule_search_locations", None)
     for part in name.split(".")[1:]:
         spec = PathFinder.find_spec(f"{parent}.{part}", path) if path else None
         if spec is None:

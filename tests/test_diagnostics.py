@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import math
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +14,7 @@ from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field, parse_config_data
 from dhym_lab.diagnostics import TENSOR_COLUMNS, build_record
 from dhym_lab.geometry import NORM_WORDS
+from dhym_lab.phase import eta_pair
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +412,10 @@ class TestEvolutionIdentities:
             alone = dl.verify_evolution_identities(traj, t, (rep.identity,))[0]
             assert rep.to_dict() == alone.to_dict()
             assert dl.verify_evolution_identity(rep.identity, traj, t) == alone
+        # each context table is dropped after its last reader in any order of the names
+        reordered = dl.verify_evolution_identities(traj, t, ("ThetaP", "u_sq", "Theta", "grad_sq"))
+        assert sorted(reordered, key=lambda r: r.identity) == sorted(together,
+                                                                     key=lambda r: r.identity)
 
     def test_unknown_identity_rejected_before_any_transform(self, torus1, base1,
                                                             monkeypatch):
@@ -431,6 +439,33 @@ class TestEvolutionIdentities:
                             sample_every=1)
         with pytest.raises(ValueError, match="insufficient trajectory sampling"):
             dl.verify_evolution_identity("u_sq", traj, 0.0)
+
+
+class TestMix:
+    @pytest.mark.parametrize("metric", [False, True], ids=["I", "g"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_streamed_mix_is_the_sandwich_form_bit_for_bit(self, n, metric):
+        # `_mix` goes one free index x at a time; the oracle builds the whole eta-inverse
+        # sandwich W first, then sums W[x][y] sum_i dF[i, x, y] c[i] in x-major, y-minor order
+        rng = np.random.default_rng(10 * n + metric)
+        idx = range(n)
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        geom = dl.build_torus(n, 8, B @ B.conj().T + np.eye(n) if metric else np.eye(n))
+
+        def field(*shape):  # a batch of 64 points stands in for the grid
+            return rng.standard_normal((64,) + shape) + 1j * rng.standard_normal((64,) + shape)
+
+        X = field(n, n)
+        _, Hinv = eta_pair(geom.to_frame(X + np.swapaxes(X.conj(), -1, -2), "zZ"))
+        Y = [[field() for _ in idx] for _ in idx]
+        dF = {}
+        for i, x, y in itertools.product(idx, repeat=3):  # d_i F_{x ybar}: i and x commute
+            dF[i, x, y] = dF[x, i, y] if (x, i, y) in dF else field()
+        c = [field() for _ in idx]
+        W = diagnostics._sandwich(Hinv, Y)
+        expect = reduce(add, (W[x][y] * reduce(add, (dF[i, x, y] * c[i] for i in idx))
+                              for x in idx for y in idx))
+        assert np.array_equal(diagnostics._mix(Hinv, lambda a, b: Y[a][b], dF, c), expect)
 
 
 class TestDhymPointIdentities:

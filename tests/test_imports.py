@@ -1,7 +1,7 @@
 """What importing the package loads, each case in a fresh interpreter.
 
-`dhym_lab.geometry` loads scipy's pocketfft extension without running
-scipy.fft's package init; the CLI must not pull that init in another way,
+`dhym_lab.geometry` loads scipy's pocketfft extension without running the
+package inits of scipy and scipy.fft; the CLI must not pull them in another way,
 and scipy.fft, imported before or after, must run the same module object.
 """
 
@@ -28,7 +28,7 @@ def test_cli_import_leaves_scipy_fft_out():
 import sys
 import dhym_lab.cli
 from dhym_lab import geometry
-left_out = ["scipy.fft", "scipy.fft._pocketfft", "scipy.special", "scipy._lib._array_api"]
+left_out = ["scipy", "scipy.fft", "scipy.fft._pocketfft", "scipy.special", "scipy._lib._array_api"]
 assert not [m for m in left_out if m in sys.modules], [m for m in left_out if m in sys.modules]
 assert sys.modules["{POCKETFFT}"] is geometry._pocketfft
 """)

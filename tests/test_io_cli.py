@@ -2,6 +2,7 @@ import dataclasses
 import json
 import shutil
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -480,6 +481,54 @@ class TestCli:
 
         monkeypatch.setattr(diagnostics, "build_record", spy)
         return seen
+
+    # the verify_n2 benchmark configuration at N = 8
+    VERIFY_N2 = minimal_config(
+        dimension=2, resolution=8, metric=[[1.0, 0.0], [0.0, 1.0]],
+        base_curvature={"constant": [[1.0, 0.0], [0.0, 0.5]], "potential": {"modes": [
+            {"m": [1, 0, 0, 0], "amplitude": 0.2},
+            {"m": [0, 1, 1, 0], "amplitude": 0.1, "phase": 0.3}]}},
+        initial={"type": "noise", "k_band": 2, "seed": 1, "target_hess_sup": 0.05})
+
+    def test_verify_config_holds_its_bracket(self, tmp_path, monkeypatch):
+        import dhym_lab.flow as flow_mod
+
+        cfg = parse_config(self.write_config(tmp_path, self.VERIFY_N2))
+        held = self.held_samples(monkeypatch, flow_mod)
+        traj = cli._verify_config_trajectory(cfg)
+        monkeypatch.undo()
+        assert len(traj.records) == 9 and len(held) >= 9 and max(held) == 0
+        # the oracle: the same run with every sample held, whose middle `_cmd_verify` read
+        geom = cfg.geometry()
+        base = cfg.base(geom)
+        full = dl.run_fixed(geom, base, cfg.hat_theta_value(geom, base), cfg.initial_field(geom),
+                            dt=min(1e-3, dl.stable_dt(geom, cfg.time["dt_safety"])), n_steps=8,
+                            norms=False)
+        samples = list(full.samples)
+        assert len(traj.samples) == 3
+        assert traj.samples[1].t == samples[len(samples) // 2].t
+        for kept, s in zip(traj.samples, samples[3:6]):
+            assert kept.t == s.t
+            assert np.array_equal(kept.u, s.u) and np.array_equal(kept.udot, s.udot)
+        assert [r.csv_row() for r in traj.records] == [r.csv_row() for r in full.records]
+        gone = weakref.ref(traj)  # no reference cycle through the keeper
+        del traj
+        assert gone() is None
+
+    def test_verify_config_peak_memory(self, tmp_path):
+        # verify --config holds three samples, drops eta once d eta is built and each
+        # context table after its last reader, and streams the mix terms: about 70
+        # complex grid fields at its traced peak here, against 87 when it held all
+        # nine samples, eta beside d eta, every table to the end and whole sandwiches
+        path = self.write_config(tmp_path, self.VERIFY_N2)
+        field_bytes = 8 ** 4 * 16
+        tracemalloc.start()
+        try:
+            assert cli_main(["verify", "--config", path, "--out", str(tmp_path / "v.jsonl")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / field_bytes <= 80
 
     def test_verify_records_phase_only_with_unchanged_report(self, tmp_path, monkeypatch):
         # both verify paths record phase-only, and their reports are byte-identical
