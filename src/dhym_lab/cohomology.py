@@ -59,7 +59,8 @@ def _winding(geom: TorusGeometry, F: np.ndarray, t_start: float | None, n_steps:
         t_start = max(1e4, 4.0 * n * lam_bound)
     ts = np.geomspace(t_start, 1.0, n_steps)
     powers = ts[:, None] ** (n - np.arange(n + 1))[None, :]
-    Zs = powers @ coeff
+    # a sum, not a matmul, which wakes BLAS worker threads whatever DHYM_THREADS is
+    Zs = (powers * coeff).sum(axis=1)
     floor = 1e-8 * ts ** geom.n * geom.vol
     if (np.abs(Zs) < floor).any():
         raise RuntimeError("winding path crosses zero; hat_theta ill-defined")

@@ -20,9 +20,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS, TENSOR_COLUMNS
+from .cohomology import winding_hat_theta
+from .diagnostics import CSV_COLUMNS, TENSOR_COLUMNS, tensor_norms
 from .flow import BaseCurvature, FlowConfig, _check_time
 from .geometry import TorusGeometry, bandlimited_noise, build_torus, check_hermitian_field
+from .harness import _sweep_error
 
 __all__ = [
     "ConfigError",
@@ -187,15 +189,11 @@ class RunConfig:
         target = init["target_hess_sup"]
         if target == 0.0:
             return np.zeros(geom.shape)
-        from .diagnostics import tensor_norms
-
         return u0 * (target / tensor_norms(geom, u0, ("Theta", "ThetaP")).hess_sup)
 
     def hat_theta_value(self, geom: TorusGeometry, base: BaseCurvature) -> float:
         if self.hat_theta is not None:
             return self.hat_theta
-        from .cohomology import winding_hat_theta
-
         return winding_hat_theta(geom, base.field())
 
     def flow_config(self, keep_fields: int | None = None) -> FlowConfig:
@@ -335,14 +333,17 @@ def parse_sweep_config(path) -> SweepSpec:
     run = parse_config_data(data)
     _require_keys(sweep, "$.sweep", ("delta_list", "seeds"), ("k_band", "seed_base"))
     deltas = sweep["delta_list"]
-    if not isinstance(deltas, list) or not deltas:
-        raise ConfigError("$.sweep.delta_list", "expected a nonempty list")
+    if not isinstance(deltas, list):
+        raise ConfigError("$.sweep.delta_list", "expected a list")
     deltas = [_number(d, f"$.sweep.delta_list[{i}]") for i, d in enumerate(deltas)]
     seeds = _integer(sweep["seeds"], "$.sweep.seeds")
     k_band = _integer(sweep.get("k_band", 2), "$.sweep.k_band")
     seed_base = _integer(sweep.get("seed_base", 0), "$.sweep.seed_base")
-    return SweepSpec(run=run, delta_list=deltas, seeds=seeds, k_band=k_band,
-                     seed_base=seed_base)
+    spec = SweepSpec(run=run, delta_list=deltas, seeds=seeds, k_band=k_band, seed_base=seed_base)
+    error = _sweep_error(spec, run.resolution)  # the checks of SweepConfig
+    if error is not None:
+        raise ConfigError(f"$.sweep.{error[0]}", error[1])
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,20 @@ reports take a supremum over the components of free indices, works in
 coordinates, with eta^{-1} = P^H eta~^{-1} P.
 
 Each contraction is a sum of products of whole grid fields over the index
-tables (`_eta_trace`, `_sandwich`, `_mix`), as in `phase.frame_characteristic`,
-and no tensor is held whole: the fourth derivatives of the base potential
-are read one distinct entry at a time (`_entry_sum`).  The evolution
-identities hold only what they read: eta until d eta is built from it, each
-table of the identity context until the last right side that reads it, and
-the eta-inverse sandwich of a mix term one free index's row at a time (`_mix`).
+tables (`_eta_trace`, `_mix`), as in `phase.frame_characteristic`, and no
+tensor is held whole: the fourth derivatives of the base potential are read
+one distinct entry at a time (`_entry_sum`).  The evolution identities hold
+only what they read: eta until d eta is built from it, each table of the
+identity context until the last right side that reads it, and the
+eta-inverse sandwich of a mix term one free index's row at a time (`_mix`).
 
 The tensor norms sum the squared real planes of each distinct frame entry
 (`TorusGeometry.norm_planes`) from u's half spectrum.  `build_record` takes
-that spectrum, theta and Z (the integral of zeta) from a flow state, so a
-full record of a state takes no forward transform.  With norms=False it
-builds a phase-only record: the scalar columns of a full one and NaN
-TENSOR_COLUMNS.  `verify` records this way, because none of its checks
-reads a tensor column; `write_diagnostics` refuses such records.
+a flow state (`flow.FlowState`): its spectrum, theta, Z (the integral of
+zeta) and residual, so a full record takes no forward transform.  With
+norms=False it builds a phase-only record: the scalar columns of a full one
+and NaN TENSOR_COLUMNS.  `verify` records this way, because none of its
+checks reads a tensor column; `write_diagnostics` refuses such records.
 
 Time derivatives for identity checks use second-order central differences
 of stored trajectory samples, never integrator internals, so the verifier
@@ -56,7 +56,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import NORM_WORDS, TorusGeometry, complex_hessian, volume_integral
+from .geometry import NORM_WORDS, TorusGeometry, complex_hessian
 from .phase import PhaseFields, eta_pair, frame_characteristic, phase_fields
 
 __all__ = [
@@ -88,11 +88,10 @@ TENSOR_COLUMNS = ("grad_sq_sup", "Theta_sup", "ThetaP_sup", "Gamma_sup", "Q_sup"
 
 @dataclass(frozen=True)
 class QConfig:
-    """Constants of the auxiliary functional Q; the base point is a grid index."""
+    """Constants of the auxiliary functional Q."""
 
     K1: float = 1.0
     K2: float = 1.0
-    p: tuple = ()
 
     def __post_init__(self):
         if self.K1 <= 0 or self.K2 <= 0:
@@ -185,7 +184,7 @@ def tensor_norms(geom: TorusGeometry, u: np.ndarray, names=tuple(_NORM_WORDS),
 
 
 def _q_field(tn: TensorNorms, u: np.ndarray, u0_at_p: float,
-             qcfg: QConfig | None) -> np.ndarray:
+             qcfg: QConfig | None = None) -> np.ndarray:
     qcfg = qcfg or QConfig()
     return (
         tn.Theta + tn.ThetaP + qcfg.K1 * tn.grad_sq
@@ -200,42 +199,30 @@ def q_functional(geom: TorusGeometry, u: np.ndarray, u0_at_p: float,
     return Q, float(Q.max())
 
 
-def build_record(geom: TorusGeometry, base, hat_theta: float, t: float,
-                 u: np.ndarray, theta: np.ndarray | None = None,
-                 u0_at_p: float = 0.0, qcfg: QConfig | None = None,
-                 norms: bool = True, Z: complex | None = None,
-                 uh: np.ndarray | None = None) -> DiagnosticsRecord:
-    """Assemble the per-sample scalar diagnostics from uh = rfft(u), taken when not given.
+def build_record(state, u0_at_p: float = 0.0, norms: bool = True) -> DiagnosticsRecord:
+    """The per-sample scalar diagnostics of a flow state (`flow.FlowState`).
 
-    uh, theta and Z = volume_integral(zeta) are a flow state's (`FlowState`); theta and
-    Z not given are the flow's (`LineBundleFlow.phase_fields`).  norms=False leaves the
-    TENSOR_COLUMNS NaN: given theta and Z, the record then transforms nothing."""
-    if uh is None and (norms or theta is None or Z is None):
-        uh = geom.rfft(np.asarray(u, dtype=np.float64))
+    t, u, its half spectrum uh, theta, Z = volume_integral(zeta) and residual_sup are the
+    state's, and the geometry and hat_theta its flow's, so a full record takes no forward
+    transform.  norms=False leaves the TENSOR_COLUMNS NaN: the record then transforms
+    nothing."""
+    udot = state.theta - state.flow.hat_theta
     if norms:
-        tn = tensor_norms(geom, u, uh=uh)
-    if theta is None or Z is None:
-        from .flow import LineBundleFlow
-
-        pf = LineBundleFlow(geom, base, hat_theta).phase_fields(uh)
-        theta = pf.theta if theta is None else theta
-        Z = volume_integral(geom, pf.zeta) if Z is None else Z
-    udot = theta - hat_theta
-    if norms:
+        tn = tensor_norms(state.flow.geometry, state.u, uh=state.uh)
         tensor_sups = (tn.grad_sq_sup, tn.Theta_sup, tn.ThetaP_sup, tn.Gamma_sup,
-                       float(_q_field(tn, u, u0_at_p, qcfg).max()), tn.hess_sup)
+                       float(_q_field(tn, state.u, u0_at_p).max()), tn.hess_sup)
     else:
         tensor_sups = (math.nan,) * len(TENSOR_COLUMNS)
     return DiagnosticsRecord(
-        t=float(t),
-        residual_sup=float(np.abs(udot).max()),
-        theta_max=float(theta.max()),
-        theta_min=float(theta.min()),
+        t=float(state.t),
+        residual_sup=state.residual_sup,
+        theta_max=float(state.theta.max()),
+        theta_min=float(state.theta.min()),
         **dict(zip(TENSOR_COLUMNS, tensor_sups)),
-        Z_re=float(Z.real),
-        Z_im=float(Z.imag),
+        Z_re=float(state.Z.real),
+        Z_im=float(state.Z.imag),
         osc_udot=float(udot.max() - udot.min()),
-        mean_u=float(np.mean(u)),
+        mean_u=float(np.mean(state.u)),
     )
 
 
@@ -355,21 +342,12 @@ def _eta_laplacian(Hinv: np.ndarray, T: list) -> np.ndarray:
                       hermitian=True)
 
 
-def _sandwich(Hinv: np.ndarray, Y: list) -> list:
-    """W[x][y] = sum_{a,b} Hinv[..., b, x] Y[a][b] Hinv[..., y, a], the eta-inverse pair
-    around one n x n table Y of fields: 2 n^3 field products."""
-    idx = range(Hinv.shape[-1])
-    Z = [[reduce(add, (Y[a][b] * Hinv[..., b, x] for b in idx)) for x in idx] for a in idx]
-    return [[reduce(add, (Hinv[..., y, a] * Z[a][x] for a in idx)) for y in idx] for x in idx]
+def _mix(Hinv: np.ndarray, Y, G) -> np.ndarray:
+    """sum_{x,y} W[x][y] G(x, y) for W[x][y] = sum_{a,b} Hinv[..., b, x] Y(a, b) Hinv[..., y, a],
+    the eta-inverse pair around an n x n table Y of fields given by its entries Y(a, b).
 
-
-def _mix(Hinv: np.ndarray, Y, dF: dict, c: list) -> np.ndarray:
-    """One free index's part of a mix term: sum_{x,y} W[x][y] sum_i dF[i, x, y] c[i]
-    with W = `_sandwich`(Hinv, Y), for Y given by its entries Y(a, b).
-
-    Streamed one x at a time: the n fields Z[a][x], then each W[x][y] in turn, summed
-    in x-major, y-minor order, so neither Z nor W is held whole and the sum is that of
-    the `_sandwich` form bit for bit.
+    Streamed one x at a time: the n fields Z[a] = sum_b Y(a, b) Hinv[..., b, x], then each
+    W[x][y] in turn, summed in x-major, y-minor order, so neither Z nor W is held whole.
     """
     idx = range(Hinv.shape[-1])
 
@@ -377,8 +355,7 @@ def _mix(Hinv: np.ndarray, Y, dF: dict, c: list) -> np.ndarray:
         for x in idx:
             Zx = [reduce(add, (Y(a, b) * Hinv[..., b, x] for b in idx)) for a in idx]
             for y in idx:
-                yield (reduce(add, (Hinv[..., y, a] * Zx[a] for a in idx))
-                       * reduce(add, (dF[i, x, y] * c[i] for i in idx)))
+                yield reduce(add, (Hinv[..., y, a] * Zx[a] for a in idx)) * G(x, y)
 
     return reduce(add, terms())
 
@@ -421,7 +398,7 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
             rhs += 2.0 * C.real
         return rhs
 
-    dEta, T = ctx.dEta, ctx.T  # d_p eta_{a bbar} at (a, b, p)
+    dEta, T, dF = ctx.dEta, ctx.T, ctx.dF  # d_p eta_{a bbar} at (a, b, p)
 
     if which == "Theta":
         H = ctx.H
@@ -431,7 +408,8 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
                         hermitian=True)
         # (d/dzbar_l eta)_{a bbar} = conj((d/dz_l eta)_{b abar}) = conj(dEta[b, a, l])
         mix = reduce(add, (_mix(Hinv, lambda a, b: dEta[b, a, l].conj(),
-                                ctx.dF, [H[l, i] for i in idx]) for l in idx))
+                                lambda x, y: reduce(add, (dF[i, x, y] * H[l, i] for i in idx)))
+                           for l in idx))
         rhs = -2.0 * T1 - 2.0 * mix.real
         if ctx.psi_hat is not None:
             # psi_{i lbar p qbar} H_{l ibar} against eta-inverse, one entry of psi at a time
@@ -450,7 +428,8 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
     Sc = {(i, p): ctx.S[i, p].conj() for i in idx for p in idx[i:]}  # S is symmetric
     Sc.update({(p, i): Sc[i, p] for i, p in list(Sc)})
     mix = reduce(add, (_mix(Hinv, lambda a, b: dEta[a, b, p],
-                            ctx.dF, [Sc[i, p] for i in idx]) for p in idx))
+                            lambda x, y: reduce(add, (dF[i, x, y] * Sc[i, p] for i in idx)))
+                       for p in idx))
     rhs = -(e1 + e2) - 2.0 * mix.real
     if ctx.psi_hat is not None:
         # psi_{i p k lbar} Sbar_{i p} against eta-inverse, one entry of psi at a time
@@ -541,8 +520,7 @@ def verify_evolution_identity(which: str, trajectory, t: float) -> IdentityRepor
 # stationary-point identities
 
 
-def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
-                          hat_theta: float | None = None,
+def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray, hat_theta: float,
                           residual_tol: float = 1e-9):
     """First- and second-derivative identities at a converged endpoint.
 
@@ -552,21 +530,18 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
     eta^{p qbar} F_{p qbar, jbar i} = eta^{p tbar} eta^{s qbar}
     eta_{s tbar, i} F_{p qbar, jbar}.
     """
-    from .cohomology import winding_hat_theta
-
     ctx = _phase_context(geom, base, u_hat)
-    if hat_theta is None:
-        hat_theta = winding_hat_theta(geom, base.field())
     residual = float(np.abs(ctx.theta - hat_theta).max())
     if residual > residual_tol:
         raise ValueError(
             f"not a dHYM point: residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
-    Hinv, idx, P = ctx.eta_inv, range(geom.n), geom.frame
+    Hinv, idx = ctx.eta_inv, range(geom.n)
+    P = np.eye(geom.n) if geom.frame is None else geom.frame
     # the reports take sups over components of the free indices i, j, so the
     # contractions are in coordinates, with eta^{-1} = C = P^H Hinv P: equal letters
     # of d_i F_{p qbar} and d_i d_jbar F_{p qbar} commute (`entries`)
-    C = Hinv if P is None else geom.to_frame(Hinv, "zZ", P.conj().T)
+    C = geom.to_frame(Hinv, "zZ", P.conj().T)
     pot_hat = ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat  # F = F0 + ddbar(psi + u)
     dF = {t: field for orbit, field in geom.entries(pot_hat, "zzZ", coords=3) for t in orbit}
     # (i): the phase gradient contraction, one complex field per direction i
@@ -580,16 +555,14 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray,
         for i, j, p, q in orbit:
             lhs[i, j] = lhs.get((i, j), 0.0) + C[..., q, p] * field
     lhs = np.stack([np.stack([lhs[i, j] for j in idx], axis=-1) for i in idx], axis=-2)
-    # the right side pairs the eta-inverse pair around d_i eta, taken to coordinates
-    # (P^T W P-bar), with d_jbar F_{p qbar} = conj(dF[j, q, p])
+    # the right side pairs the eta-inverse pair W around d_i eta with d_jbar F_{p qbar} =
+    # conj(dF[j, q, p]), taken to the frame indices of W: W[x][y] meets Fj[x][y]
     rhs, dEta = np.empty_like(lhs), ctx.eta_derivative(coords=1)
-    for i in idx:
-        W = _sandwich(Hinv, [[dEta[a, b, i] for b in idx] for a in idx])
-        if P is not None:
-            W = geom.to_frame(np.stack([np.stack(row, axis=-1) for row in W], axis=-2), "zZ", P.T)
-            W = [[W[..., p, q] for q in idx] for p in idx]
-        for j in idx:
-            rhs[..., i, j] = reduce(add, (W[p][q] * dF[j, q, p].conj() for p in idx for q in idx))
+    for j in idx:
+        Fj = [[reduce(add, (P[x, p] * P[y, q].conj() * dF[j, q, p].conj()
+                            for p in idx for q in idx)) for y in idx] for x in idx]
+        for i in idx:
+            rhs[..., i, j] = _mix(Hinv, lambda a, b: dEta[a, b, i], lambda x, y: Fj[x][y])
     rep2 = _report("dhym_second_derivative", lhs, rhs, math.nan, 0.0, geom.N)
     return rep1, rep2
 
@@ -605,17 +578,15 @@ class MonitorResult:
     location: float | None  # sample time of the worst violation
 
 
-def maximum_principle_monitor(trajectory, hat_theta: float | None = None) -> MonitorResult:
+def maximum_principle_monitor(trajectory) -> MonitorResult:
     """Check that max theta is nonincreasing and min theta nondecreasing.
 
-    Allows slack 1e-9 * (1 + |hat_theta|) per unit time.
+    Allows slack 1e-9 * (1 + |hat_theta|) per unit time, hat_theta the trajectory's.
     """
     records = trajectory.records
     if len(records) < 2:
         raise ValueError("need at least two samples")
-    if hat_theta is None:
-        hat_theta = trajectory.hat_theta
-    rate = 1e-9 * (1.0 + abs(hat_theta))
+    rate = 1e-9 * (1.0 + abs(trajectory.hat_theta))
     worst = -np.inf
     where = None
     for a, b in zip(records, records[1:]):

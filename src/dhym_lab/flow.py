@@ -262,10 +262,10 @@ class Trajectory:
     each one from on_record(k, sample) as it is recorded, with k the index
     of its record; the sample's u is its own copy.
 
-    With norms=False every record is phase-only (`diagnostics.build_record`):
-    its tensor columns are NaN and `write_diagnostics` refuses it.  `verify`
-    records this way, because its checks read only t, theta, Z and the
-    samples.
+    Each record is `diagnostics.build_record` of the recorded `FlowState`.
+    With norms=False every record is phase-only: its tensor columns are NaN
+    and `write_diagnostics` refuses it.  `verify` records this way, because
+    its checks read only t, theta, Z and the samples.
     """
 
     geometry: TorusGeometry
@@ -292,17 +292,13 @@ class Trajectory:
     def record(self, state: FlowState) -> None:
         """Store a flow state's field sample and record, and hand the sample to
         on_record; a repeated t is skipped."""
-        t, u = state.t, state.u
-        if self.records and self.records[-1].t == t:
+        if self.records and self.records[-1].t == state.t:
             return
         if self.u0_at_p is None:
-            self.u0_at_p = float(u[(0,) * (2 * self.geometry.n)])
-        sample = FlowSample(t=t, u=u.copy(), udot=state.theta - self.hat_theta)
+            self.u0_at_p = float(state.u[(0,) * (2 * self.geometry.n)])
+        sample = FlowSample(t=state.t, u=state.u.copy(), udot=state.theta - self.hat_theta)
         self.samples.append(sample)
-        self.records.append(diagnostics.build_record(
-            self.geometry, self.base, self.hat_theta, t, u,
-            theta=state.theta, u0_at_p=self.u0_at_p, norms=self.norms, Z=state.Z, uh=state.uh,
-        ))
+        self.records.append(diagnostics.build_record(state, self.u0_at_p, norms=self.norms))
         if self.on_record is not None:
             self.on_record(len(self.records) - 1, sample)
 

@@ -13,7 +13,7 @@ reports bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,41 +84,48 @@ class SweepConfig:
 
     def __post_init__(self):
         _check_time(self)  # here, not in each cell after its noise is drawn
-        deltas = list(self.delta_list)
-        if any(d < 0 for d in deltas):
-            raise ValueError("deltas must be nonnegative")
-        if sorted(deltas) != deltas:
-            raise ValueError("deltas must be ascending")
-        if self.seeds < 1:
-            raise ValueError("need at least one seed per delta")
-        self.delta_list = deltas
+        self.delta_list = list(self.delta_list)
+        error = _sweep_error(self, self.geometry.N)
+        if error is not None:
+            raise ValueError(error[1])
+
+
+def _sweep_error(sweep, N: int) -> tuple | None:
+    """(key, message) of the first sweep parameter out of range on an N grid, or None:
+    the checks of a SweepConfig and of a parsed sweep block (`config_io.SweepSpec`)."""
+    if not sweep.delta_list:
+        return "delta_list", "expected a nonempty list"
+    if any(d < 0 for d in sweep.delta_list):
+        return "delta_list", "deltas must be nonnegative"
+    if sorted(sweep.delta_list) != sweep.delta_list:
+        return "delta_list", "deltas must be ascending"
+    if sweep.seeds < 1:
+        return "seeds", "need at least one seed per delta"
+    if not 1 <= sweep.k_band <= N / 3:
+        return "k_band", f"band exceeds dealiasing limit N/3 = {N / 3:g}"
+    if sweep.seed_base < 0:
+        return "seed_base", "seed_base must be nonnegative"
+    return None
 
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One (delta, seed) cell; an outcome the cell did not reach stays NaN or None."""
+
     delta: float
     seed: int
     status: str
-    time_to_tol: float
-    hess_ratio_t0: float
-    hess_ratio_max: float
-    rate: float
-    r_squared: float
-    error: str | None
+    time_to_tol: float = math.nan
+    hess_ratio_t0: float = math.nan
+    hess_ratio_max: float = math.nan
+    rate: float = math.nan
+    r_squared: float = math.nan
+    error: str | None = None
     records: list = field(repr=False, default_factory=list)
 
     def summary(self) -> dict:
-        return {
-            "delta": self.delta,
-            "seed": self.seed,
-            "status": self.status,
-            "time_to_tol": self.time_to_tol,
-            "hess_ratio_t0": self.hess_ratio_t0,
-            "hess_ratio_max": self.hess_ratio_max,
-            "rate": self.rate,
-            "r_squared": self.r_squared,
-            "error": self.error,
-        }
+        """The cell's fields but its records, in order: its entry in the sweep report."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
 
 
 @dataclass(frozen=True)
@@ -141,13 +148,10 @@ def _one_cell(sweep: SweepConfig, flow: LineBundleFlow, delta: float, seed: int)
     geom = sweep.geometry
     if delta == 0.0:
         u0 = np.zeros(geom.shape)
-        ratio0 = math.nan
     else:
         raw = bandlimited_noise(geom, sweep.k_band, 1.0, sweep.seed_base + seed)
         # hess_sup reads the Theta and ThetaP tensors only
-        h0 = tensor_norms(geom, raw, ("Theta", "ThetaP")).hess_sup
-        u0 = raw * (delta / h0)
-        ratio0 = tensor_norms(geom, u0, ("Theta", "ThetaP")).hess_sup / delta
+        u0 = raw * (delta / tensor_norms(geom, raw, ("Theta", "ThetaP")).hess_sup)
     cfg = FlowConfig(
         geometry=geom, base=sweep.base, u0=u0, hat_theta=flow.hat_theta,
         dt_safety=sweep.dt_safety, t_max=sweep.t_max,
@@ -155,22 +159,18 @@ def _one_cell(sweep: SweepConfig, flow: LineBundleFlow, delta: float, seed: int)
         keep_fields=4,
     )
     traj = run_flow(cfg, flow)
-    ratio_max = math.nan
-    if delta > 0.0:
-        ratio_max = max(r.hess_sup for r in traj.records) / delta
-    rate = r2 = math.nan
-    err = None
+    outcome = {}
+    if delta > 0.0:  # record 0 is the state at u0
+        outcome.update(hess_ratio_t0=traj.records[0].hess_sup / delta,
+                       hess_ratio_max=max(r.hess_sup for r in traj.records) / delta)
     try:
         fit = oscillation_decay(traj)
-        rate, r2 = fit.rate, fit.r_squared
+        outcome.update(rate=fit.rate, r_squared=fit.r_squared)
     except (RuntimeError, ValueError) as exc:
-        err = str(exc)
-    return SweepCell(
-        delta=float(delta), seed=int(seed), status=traj.status,
-        time_to_tol=traj.t_final if traj.status == "converged" else math.nan,
-        hess_ratio_t0=ratio0, hess_ratio_max=ratio_max,
-        rate=rate, r_squared=r2, error=err, records=traj.records,
-    )
+        outcome.update(error=str(exc))
+    return SweepCell(float(delta), int(seed), traj.status,
+                     time_to_tol=traj.t_final if traj.status == "converged" else math.nan,
+                     records=traj.records, **outcome)
 
 
 def stability_sweep(sweep: SweepConfig) -> SweepReport:
@@ -184,12 +184,8 @@ def stability_sweep(sweep: SweepConfig) -> SweepReport:
             try:
                 cells.append(_one_cell(sweep, flow, delta, seed))
             except Exception as exc:  # cell-level failure, recorded
-                cells.append(SweepCell(
-                    delta=float(delta), seed=int(seed), status="error",
-                    time_to_tol=math.nan, hess_ratio_t0=math.nan,
-                    hess_ratio_max=math.nan, rate=math.nan, r_squared=math.nan,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
+                cells.append(SweepCell(float(delta), int(seed), status="error",
+                                       error=f"{type(exc).__name__}: {exc}"))
 
     by_delta: dict = {}
     for c in cells:

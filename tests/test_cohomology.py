@@ -125,3 +125,33 @@ class TestWinding:
         assert inv.hat_theta == dl.winding_hat_theta(torus2, F, n_steps=64)
         assert inv.vol == torus2.vol
         assert not hasattr(inv, "winding_samples")
+
+
+def matmul_winding(geom, F, n_steps=4096):
+    """(Z, hat_theta) with the winding path taken as one matrix-vector product of the
+    powers of t and the coefficients: the form `_winding` summed before."""
+    n, e = geom.n, dl.characteristic_field(geom, F)
+    coeff = np.array([e[0]] + [geom.mean(ek) for ek in e[1:]]) * (1j ** np.arange(n + 1)) * geom.vol
+    sum_sq = e[1] ** 2 - 2.0 * (e[2] if n > 1 else 0.0)
+    t_start = max(1e4, 4.0 * n * float(np.sqrt(np.maximum(sum_sq, 0.0)).max()))
+    ts = np.geomspace(t_start, 1.0, n_steps)
+    Zs = ts[:, None] ** (n - np.arange(n + 1))[None, :] @ coeff
+    return complex(Zs[-1]), float(np.unwrap(np.angle(Zs))[-1])
+
+
+@pytest.mark.parametrize("psi", [False, True], ids=["F0", "psi"])
+@pytest.mark.parametrize("metric", [False, True], ids=["I", "g"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_winding_sum_equals_the_matmul_form(n, metric, psi):
+    # the path is summed over the powers of t without BLAS; Z(1) and the lift keep
+    # the bits of the matrix-vector product on seeded bases
+    rng = np.random.default_rng(100 * n + 10 * metric + psi)
+    B = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    geom = dl.build_torus(n, 8, B @ B.conj().T + 0.5 * np.eye(n) if metric else np.eye(n))
+    for seed in range(2):
+        A = rng.uniform(-2, 2, (n, n)) + 1j * rng.uniform(-2, 2, (n, n))
+        F = np.broadcast_to(A + A.conj().T, geom.shape + (n, n)).copy()
+        if psi:
+            F += dl.complex_hessian(geom, dl.bandlimited_noise(geom, 2, 0.3, seed))
+        inv = dl.cohomology_invariants(geom, F)  # winding_hat_theta is its lift
+        assert (inv.Z, inv.hat_theta) == matmul_winding(geom, F)

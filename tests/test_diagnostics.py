@@ -197,10 +197,11 @@ class TestBuildRecord:
         geom = dl.build_torus(n, N, np.eye(n))
         base = psi_base(geom)
         u = dl.bandlimited_noise(geom, 2, 0.05, 3)
-        rec = build_record(geom, base, 0.7, 0.25, u)
+        flow = dl.LineBundleFlow(geom, base, 0.7)
+        rec = build_record(flow.state(u, 0.25))
         tn = dl.tensor_norms(geom, u)
         # the phase is the flow's, bit for bit, and the full-spectrum path's within rounding
-        pf = dl.LineBundleFlow(geom, base, 0.7).phase_fields(geom.rfft(u))
+        pf = flow.phase_fields(geom.rfft(u))
         Z = dl.volume_integral(geom, pf.zeta)
         assert (rec.grad_sq_sup, rec.Theta_sup, rec.ThetaP_sup, rec.Gamma_sup,
                 rec.hess_sup) == (tn.grad_sq_sup, tn.Theta_sup, tn.ThetaP_sup,
@@ -240,17 +241,15 @@ class TestBuildRecord:
         # the columns a phase-only record keeps are bit for bit a full record's
         geom = dl.build_torus(n, N, g)
         base = psi_base(geom)
-        u = dl.bandlimited_noise(geom, 2, 0.05, 3)
-        theta = dl.LineBundleFlow(geom, base, 0.7).theta(u)
-        for given in (None, theta):
-            full = build_record(geom, base, 0.7, 0.25, u, theta=given, u0_at_p=0.01)
-            phase_only = build_record(geom, base, 0.7, 0.25, u, theta=given, u0_at_p=0.01,
-                                      norms=False)
-            for name, value in dataclasses.asdict(phase_only).items():
-                if name in TENSOR_COLUMNS:
-                    assert np.isnan(value) and np.isfinite(getattr(full, name)), name
-                else:
-                    assert value == getattr(full, name), name
+        state = dl.LineBundleFlow(geom, base, 0.7).state(dl.bandlimited_noise(geom, 2, 0.05, 3),
+                                                         0.25)
+        full = build_record(state, u0_at_p=0.01)
+        phase_only = build_record(state, u0_at_p=0.01, norms=False)
+        for name, value in dataclasses.asdict(phase_only).items():
+            if name in TENSOR_COLUMNS:
+                assert np.isnan(value) and np.isfinite(getattr(full, name)), name
+            else:
+                assert value == getattr(full, name), name
 
 
 class TestCsvRow:
@@ -441,6 +440,14 @@ class TestEvolutionIdentities:
             dl.verify_evolution_identity("u_sq", traj, 0.0)
 
 
+def sandwich(Hinv, Y):
+    """W[x][y] = sum_{a,b} Hinv[..., b, x] Y[a][b] Hinv[..., y, a], the eta-inverse pair
+    around an n x n table Y of fields, built whole: the oracle of `_mix`."""
+    idx = range(Hinv.shape[-1])
+    Z = [[reduce(add, (Y[a][b] * Hinv[..., b, x] for b in idx)) for x in idx] for a in idx]
+    return [[reduce(add, (Hinv[..., y, a] * Z[a][x] for a in idx)) for y in idx] for x in idx]
+
+
 class TestMix:
     @pytest.mark.parametrize("metric", [False, True], ids=["I", "g"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -462,10 +469,13 @@ class TestMix:
         for i, x, y in itertools.product(idx, repeat=3):  # d_i F_{x ybar}: i and x commute
             dF[i, x, y] = dF[x, i, y] if (x, i, y) in dF else field()
         c = [field() for _ in idx]
-        W = diagnostics._sandwich(Hinv, Y)
-        expect = reduce(add, (W[x][y] * reduce(add, (dF[i, x, y] * c[i] for i in idx))
-                              for x in idx for y in idx))
-        assert np.array_equal(diagnostics._mix(Hinv, lambda a, b: Y[a][b], dF, c), expect)
+        W = sandwich(Hinv, Y)
+
+        def G(x, y):
+            return reduce(add, (dF[i, x, y] * c[i] for i in idx))
+
+        expect = reduce(add, (W[x][y] * G(x, y) for x in idx for y in idx))
+        assert np.array_equal(diagnostics._mix(Hinv, lambda a, b: Y[a][b], G), expect)
 
 
 class TestDhymPointIdentities:

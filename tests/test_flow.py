@@ -261,10 +261,9 @@ class TestRecordsReuseFlowPhase:
         flow = traj.final.flow
         assert len(traj.records) >= 5
         for record, sample in zip(traj.records, traj.samples):
-            # the oracle: the record rebuilt from u and the flow's theta, whose Z takes
+            # the oracle: the record of the state rebuilt from u, whose phase and Z take
             # the Hessian again
-            oracle = diagnostics.build_record(geom, base, hat, sample.t, sample.u,
-                                              theta=flow.theta(sample.u), u0_at_p=traj.u0_at_p)
+            oracle = diagnostics.build_record(flow.state(sample.u, sample.t), traj.u0_at_p)
             Z, Z_oracle = complex(record.Z_re, record.Z_im), complex(oracle.Z_re, oracle.Z_im)
             assert abs(record.Z_re - oracle.Z_re) <= 1e-14 * abs(Z_oracle)
             assert abs(record.Z_im - oracle.Z_im) <= 1e-14 * abs(Z_oracle)

@@ -46,10 +46,10 @@ class TestGenerateReference:
             dl.generate_reference(cfg)
 
 
-def small_sweep(torus1, deltas, seeds=2, k_band=2):
+def small_sweep(torus1, deltas, seeds=2):
     base = dl.BaseCurvature.proportional(torus1, 1.0)
     cfg = dl.SweepConfig(geometry=torus1, base=base, delta_list=deltas,
-                         seeds=seeds, k_band=k_band, dt_safety=1.0, t_max=250.0,
+                         seeds=seeds, k_band=2, dt_safety=1.0, t_max=250.0,
                          residual_tol=1e-10, sample_every=128)
     return dl.stability_sweep(cfg)
 
@@ -82,19 +82,37 @@ class TestStabilitySweep:
         r2 = small_sweep(torus1, [0.02], seeds=2)
         assert r1.to_dict() == r2.to_dict()
 
-    def test_cell_failure_recorded_not_raised(self, torus1):
-        # an impossible noise band fails inside the cell and is recorded
-        report = small_sweep(torus1, [0.01], seeds=1, k_band=torus1.N)
-        assert report.cells[0].status == "error"
-        assert "dealiasing" in report.cells[0].error
+    def test_cell_failure_recorded_not_raised(self, torus1, monkeypatch):
+        # a failure inside the cell is recorded in an error cell, and the sweep goes on
+        import dhym_lab.harness as harness
+
+        def refuse(*args, **kwargs):
+            raise ValueError("no noise today")
+
+        monkeypatch.setattr(harness, "bandlimited_noise", refuse)
+        report = small_sweep(torus1, [0.0, 0.01], seeds=1)
+        ok, failed = report.cells
+        assert ok.status == "converged"
+        assert failed.status == "error" and failed.error == "ValueError: no noise today"
+        assert all(math.isnan(getattr(failed, name)) for name in (
+            "time_to_tol", "hess_ratio_t0", "hess_ratio_max", "rate", "r_squared"))
+        assert failed.records == [] and list(failed.summary()) == [
+            "delta", "seed", "status", "time_to_tol", "hess_ratio_t0", "hess_ratio_max",
+            "rate", "r_squared", "error"]
         assert report.largest_delta_all_converged == 0.0
 
-    def test_validation(self, torus1):
+    @pytest.mark.parametrize("field,value,match", [
+        ("delta_list", [], "nonempty"), ("delta_list", [0.1, 0.01], "ascending"),
+        ("delta_list", [-0.1], "nonnegative"),
+        ("seeds", 0, "seed"), ("k_band", 0, "dealiasing"), ("k_band", 11, "dealiasing"),
+        ("seed_base", -3, "seed_base"),
+    ])
+    def test_validation(self, torus1, field, value, match):
+        # at N = 32 the band may be 1 to 10; every error is raised at construction
         base = dl.BaseCurvature.proportional(torus1, 1.0)
-        with pytest.raises(ValueError, match="ascending"):
-            dl.SweepConfig(geometry=torus1, base=base, delta_list=[0.1, 0.01], seeds=1)
-        with pytest.raises(ValueError, match="seed"):
-            dl.SweepConfig(geometry=torus1, base=base, delta_list=[0.1], seeds=0)
+        with pytest.raises(ValueError, match=match):
+            dl.SweepConfig(geometry=torus1, base=base, **{"delta_list": [0.1], "seeds": 1,
+                                                           field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("t_max", np.nan), ("t_max", np.inf), ("t_max", 0.0), ("residual_tol", np.nan),
@@ -170,6 +188,9 @@ class TestSharedFlow:
             assert cell.status == alone.status == "converged"
             assert [r.csv_row() for r in cell.records] == [r.csv_row() for r in alone.records]
             assert cell.rate == oscillation_decay(alone).rate
+            # record 0's hess_sup is that of the two tensors alone, bit for bit
+            t0 = dl.tensor_norms(geom, cfg.u0, ("Theta", "ThetaP")).hess_sup / cell.delta
+            assert cell.hess_ratio_t0 == t0
 
     def test_sweep_builds_etdrk4_coefficients_once(self, torus1, monkeypatch):
         etd, built = dl.LineBundleFlow.etd_coefficients, []

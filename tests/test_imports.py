@@ -3,8 +3,11 @@
 `dhym_lab.geometry` loads scipy's pocketfft extension without running the
 package inits of scipy and scipy.fft; the CLI must not pull them in another way,
 and scipy.fft, imported before or after, must run the same module object.
+`diagnostics` imports no module of the package but `geometry` and `phase`, so
+`flow`, which records through it, depends on it one way.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -60,3 +63,20 @@ assert "scipy.fft" not in sys.modules
 sfft = flow.sfft
 assert "scipy.fft" in sys.modules and sfft is sys.modules["scipy.fft"] and flow.sfft is sfft
 """)
+
+
+def test_diagnostics_imports_only_geometry_and_phase():
+    # every import, lazy ones in a function body too, by the module it names
+    tree = ast.parse((SRC / "dhym_lab" / "diagnostics.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if not node.level else ".".join(filter(None, ["dhym_lab", node.module]))
+            if base == "dhym_lab":  # `from . import flow` names the module flow
+                modules.update(f"{base}.{alias.name}" for alias in node.names)
+            else:
+                modules.add(base)
+    package = {m.split(".")[1] for m in modules if m.startswith("dhym_lab.")}
+    assert "dhym_lab" not in modules and package <= {"geometry", "phase"}, sorted(modules)

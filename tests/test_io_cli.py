@@ -161,9 +161,9 @@ class TestDiagnosticsCsv:
 
     def test_phase_only_record_refused(self, tmp_path, torus1):
         base = dl.BaseCurvature.proportional(torus1, 1.0)
-        u = dl.bandlimited_noise(torus1, 2, 0.05, 3)
-        full = diagnostics.build_record(torus1, base, 0.7, 0.25, u)
-        phase_only = diagnostics.build_record(torus1, base, 0.7, 0.5, u, norms=False)
+        flow, u = dl.LineBundleFlow(torus1, base, 0.7), dl.bandlimited_noise(torus1, 2, 0.05, 3)
+        full = diagnostics.build_record(flow.state(u, 0.25))
+        phase_only = diagnostics.build_record(flow.state(u, 0.5), norms=False)
         path = tmp_path / "d.csv"
         with pytest.raises(ValueError, match=r"t=0\.5 has no grad_sq_sup"):
             dl.write_diagnostics([full, phase_only], path)
@@ -233,11 +233,56 @@ class TestSnapshots:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+SWEEP = {"delta_list": [0.01], "seeds": 1}
+# (command, document, path of its ConfigError), covering every raise site of the parsers
+CONFIG_ERRORS = [
+    ("simulate", minimal_config(base_curvature=3), "$.base_curvature"),
+    ("simulate", {k: v for k, v in minimal_config().items() if k != "metric"}, "$"),
+    ("simulate", minimal_config(hat_theta="0.7"), "$.hat_theta"),
+    ("simulate", minimal_config(dimension=1.0), "$.dimension"),
+    ("simulate", minimal_config(dimension=4), "$.dimension"),
+    ("simulate", minimal_config(resolution=12), "$.resolution"),
+    ("simulate", minimal_config(metric=[[1.0], [1.0]]), "$.metric"),
+    ("simulate", minimal_config(metric=[[1.0, 0.0]]), "$.metric[0]"),
+    ("simulate", minimal_config(base_curvature={"constant": [[1.0]], "potential": {"modes": []}}),
+     "$.base_curvature.potential.modes"),
+    ("simulate", minimal_config(base_curvature={"constant": [[1.0]], "potential": {
+        "modes": [{"m": [1], "amplitude": 0.1}]}}), "$.base_curvature.potential.modes[0].m"),
+    ("simulate", minimal_config(initial={"type": "noise", "k_band": 11, "seed": 1,
+                                         "target_hess_sup": 0.05}), "$.initial.k_band"),
+    ("simulate", minimal_config(initial={"type": "spikes"}), "$.initial.type"),
+    ("simulate", minimal_config(outputs={"snapshots": "some"}), "$.outputs.snapshots"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=0.01)), "$.sweep.delta_list"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=[])), "$.sweep.delta_list"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=[-0.01])), "$.sweep.delta_list"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=[0.1, 0.01])), "$.sweep.delta_list"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, seeds=0)), "$.sweep.seeds"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, k_band=50)), "$.sweep.k_band"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, k_band=0)), "$.sweep.k_band"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, seed_base=-3)), "$.sweep.seed_base"),
+]
+
+
 class TestCli:
     def write_config(self, tmp_path, doc, name="config.json"):
         path = tmp_path / name
         path.write_text(json.dumps(doc))
         return str(path)
+
+    @pytest.mark.parametrize("command,doc,path", CONFIG_ERRORS,
+                             ids=[f"{c}-{p}" for c, _, p in CONFIG_ERRORS])
+    def test_config_error_named_before_any_output(self, tmp_path, capsys, command, doc, path):
+        # the parser names the offending key; the command prints that one line and exits 1
+        # before it writes anything, and before any sweep cell runs
+        out_dir = tmp_path / "out"
+        doc = dict(doc, outputs={**doc.get("outputs", {}), "dir": str(out_dir)})
+        cfg = self.write_config(tmp_path, doc)
+        with pytest.raises(dl.ConfigError) as info:
+            (dl.parse_sweep_config if command == "sweep" else dl.parse_config)(cfg)
+        assert info.value.path == path
+        assert cli_main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {info.value}"]
+        assert not out_dir.exists()
 
     def test_simulate_stationary_run_dir(self, tmp_path):
         cfg = self.write_config(tmp_path, minimal_config(
