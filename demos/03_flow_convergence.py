@@ -18,7 +18,7 @@ delta = 0.05
 u0 = dl.bandlimited_noise(geom, 2, 1.0, 7)
 u0 *= delta / dl.tensor_norms(geom, u0).hess_sup
 
-cfg = dl.FlowConfig(geometry=geom, base=base, u0=u0, hat_theta=hat_theta,
+cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base, hat_theta), u0=u0,
                     dt_safety=1.0, t_max=300.0, residual_tol=1e-10,
                     sample_every=256, keep_fields=8)
 traj = dl.run_flow(cfg)

@@ -23,7 +23,7 @@ u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
 
 
 def residuals(dt_s):
-    traj = dl.run_fixed(geom, base, hat, u0, dt=dt_s, n_steps=8, sample_every=1)
+    traj = dl.run_fixed(dl.LineBundleFlow(base, hat), u0, dt=dt_s, n_steps=8, sample_every=1)
     t_mid = list(traj.samples)[4].t
     return {rep.identity: rep.residual_rel
             for rep in dl.verify_evolution_identities(traj, t_mid)}
@@ -48,8 +48,8 @@ small = dl.build_torus(1, 32, [1.0])
 psi_s = 0.2 * np.broadcast_to(np.cos(small.axis_coordinate(0)), small.shape).copy()
 base_s = dl.BaseCurvature(geometry=small, F0=small.g, psi=psi_s)
 hat_s = dl.winding_hat_theta(small, base_s.field())
-cfg = dl.FlowConfig(geometry=small, base=base_s, u0=np.zeros(small.shape),
-                    hat_theta=hat_s, dt_safety=1.0, t_max=400.0, sample_every=1000)
+cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base_s, hat_s), u0=np.zeros(small.shape),
+                    dt_safety=1.0, t_max=400.0, sample_every=1000)
 ref = dl.generate_reference(cfg)
 r1, r2 = ref.identities
 print(f"  endpoint residual  sup|theta - hat_theta| = {ref.residual_sup:.2e}")

@@ -12,7 +12,7 @@ import dhym_lab as dl
 geom = dl.build_torus(1, 32, [1.0])
 base = dl.BaseCurvature.proportional(geom, 1.0)
 
-sweep = dl.SweepConfig(geometry=geom, base=base,
+sweep = dl.SweepConfig(flow=dl.LineBundleFlow(base),
                        delta_list=[0.01, 0.05, 0.1], seeds=2, k_band=2,
                        dt_safety=1.0, t_max=300.0, residual_tol=1e-10,
                        sample_every=128)

@@ -24,7 +24,6 @@ from .diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
     IdentityReport,
-    QConfig,
     TensorNorms,
     dhym_point_identities,
     harnack_monitor,

@@ -34,7 +34,7 @@ from .config_io import (
     write_diagnostics,
     write_snapshot,
 )
-from .flow import LineBundleFlow, Trajectory, run_flow, run_fixed, stable_dt
+from .flow import Trajectory, run_flow, run_fixed, stable_dt
 from .geometry import _workers
 from .harness import SweepConfig, generate_reference, stability_sweep
 from .phase import pointwise_phase
@@ -88,7 +88,7 @@ def _cmd_simulate(args) -> int:
     flow_cfg = cfg.flow_config(keep_fields=4)
     write_config(cfg, out_dir / "effective-config.json")
 
-    geom = flow_cfg.geometry
+    geom = flow_cfg.flow.geometry
     streamed = snapshots == "all-samples"
     with _snapshot_writer(geom, out_dir) if streamed else nullcontext() as on_record:
         traj = run_flow(flow_cfg, on_record=on_record)
@@ -102,7 +102,7 @@ def _cmd_simulate(args) -> int:
         "steps": traj.steps,
         "steps_rejected": traj.steps_rejected,
         "residual_sup": traj.final.residual_sup,
-        "hat_theta": flow_cfg.hat_theta,
+        "hat_theta": flow_cfg.flow.hat_theta,
         "dt_final": traj.dt_final,
         "dt_changes": [list(change) for change in traj.dt_changes],
         "Z_initial": [first.Z_re, first.Z_im],
@@ -129,13 +129,12 @@ def _bracket_keeper(m: int):
 
 
 def _verify_config_trajectory(cfg: RunConfig):
-    geom = cfg.geometry()
-    base = cfg.base(geom)
-    hat_theta = cfg.hat_theta_value(geom, base)
+    flow = cfg.flow()
+    geom = flow.geometry
     u0 = cfg.initial_field(geom)
     dt = min(1e-3, stable_dt(geom, cfg.time["dt_safety"]))
     samples, keep = _bracket_keeper(4)  # the middle of samples 0..8
-    traj = run_fixed(geom, base, hat_theta, u0, dt=dt, n_steps=8, sample_every=1,
+    traj = run_fixed(flow, u0, dt=dt, n_steps=8, sample_every=1,
                      keep_fields=0, norms=False, on_record=keep)
     if traj.steps_rejected:  # the identities need the fixed RK4 step
         t, h, _, reason = traj.dt_changes[0]
@@ -146,16 +145,12 @@ def _verify_config_trajectory(cfg: RunConfig):
 
 def _load_run_trajectory(run_dir: Path, norms: bool = True):
     cfg = parse_config(run_dir / "effective-config.json")
-    geom = cfg.geometry()
-    base = cfg.base(geom)
-    hat_theta = cfg.hat_theta_value(geom, base)
     snaps = sorted(run_dir.glob("u_[0-9]*.snap"))
     if len(snaps) < 3:
         raise ValueError("insufficient trajectory sampling: need all-samples snapshots")
-    flow = LineBundleFlow(geom, base, hat_theta)
+    flow = cfg.flow()
     samples, keep = _bracket_keeper(len(snaps) // 2)
-    traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta, norms=norms,
-                      samples=deque(maxlen=0), on_record=keep)
+    traj = Trajectory(flow, norms=norms, samples=deque(maxlen=0), on_record=keep)
     for snap in snaps:
         u, header = read_snapshot(snap)  # a fresh float64 array: astype keeps it
         traj.record(flow.state(u.real.astype(np.float64, copy=False), header["t"]))
@@ -208,11 +203,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = parse_sweep_config(args.config)
     run = spec.run
-    geom = run.geometry()
-    base = run.base(geom)
-    sweep = SweepConfig(geometry=geom, base=base, delta_list=spec.delta_list,
-                        seeds=spec.seeds, k_band=spec.k_band, hat_theta=run.hat_theta,
-                        seed_base=spec.seed_base, **run.time)
+    sweep = SweepConfig(flow=run.flow(), delta_list=spec.delta_list, seeds=spec.seeds,
+                        k_band=spec.k_band, seed_base=spec.seed_base, **run.time)
     report = stability_sweep(sweep)
     out_dir = _ensure_dir(args.out_dir or run.outputs["dir"])
     out = args.out or (out_dir / "report.json")
@@ -240,9 +232,9 @@ def _cmd_reference(args) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     write_snapshot(ref.u_hat, "u_hat", ref.trajectory.t_final,
-                   flow_cfg.geometry, out_dir / "u_hat.snap")
+                   flow_cfg.flow.geometry, out_dir / "u_hat.snap")
     report = {
-        "hat_theta": ref.hat_theta,
+        "hat_theta": flow_cfg.flow.hat_theta,
         "residual_sup": ref.residual_sup,
         "identities": [rep.to_dict() for rep in ref.identities],
     }

@@ -20,9 +20,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .cohomology import winding_hat_theta
 from .diagnostics import CSV_COLUMNS, TENSOR_COLUMNS, tensor_norms
-from .flow import BaseCurvature, FlowConfig, _check_time
+from .flow import BaseCurvature, FlowConfig, LineBundleFlow, _check_time
 from .geometry import TorusGeometry, bandlimited_noise, build_torus, check_hermitian_field
 from .harness import _sweep_error
 
@@ -191,16 +190,13 @@ class RunConfig:
             return np.zeros(geom.shape)
         return u0 * (target / tensor_norms(geom, u0, ("Theta", "ThetaP")).hess_sup)
 
-    def hat_theta_value(self, geom: TorusGeometry, base: BaseCurvature) -> float:
-        if self.hat_theta is not None:
-            return self.hat_theta
-        return winding_hat_theta(geom, base.field())
+    def flow(self) -> LineBundleFlow:
+        """The configured flow; hat_theta is the winding lift when the config gives none."""
+        return LineBundleFlow(self.base(self.geometry()), self.hat_theta)
 
     def flow_config(self, keep_fields: int | None = None) -> FlowConfig:
-        geom = self.geometry()
-        base = self.base(geom)
-        return FlowConfig(geometry=geom, base=base, u0=self.initial_field(geom),
-                          hat_theta=self.hat_theta_value(geom, base),
+        flow = self.flow()
+        return FlowConfig(flow=flow, u0=self.initial_field(flow.geometry),
                           keep_fields=keep_fields, **self.time)
 
     def to_json_dict(self) -> dict:

@@ -40,6 +40,9 @@ norms=False it builds a phase-only record: the scalar columns of a full one
 and NaN TENSOR_COLUMNS.  `verify` records this way, because none of its
 checks reads a tensor column; `write_diagnostics` refuses such records.
 
+The checks read the geometry, base and hat_theta from `trajectory.flow` or
+a given flow by attribute, so this module imports no `flow`.
+
 Time derivatives for identity checks use second-order central differences
 of stored trajectory samples, never integrator internals, so the verifier
 is independent of the time stepper.
@@ -60,7 +63,6 @@ from .geometry import NORM_WORDS, TorusGeometry, complex_hessian
 from .phase import PhaseFields, eta_pair, frame_characteristic, phase_fields
 
 __all__ = [
-    "QConfig",
     "DiagnosticsRecord",
     "TensorNorms",
     "IdentityReport",
@@ -84,18 +86,6 @@ CSV_COLUMNS = (
 )
 # the columns built from the tensor norms: NaN in a phase-only record
 TENSOR_COLUMNS = ("grad_sq_sup", "Theta_sup", "ThetaP_sup", "Gamma_sup", "Q_sup", "hess_sup")
-
-
-@dataclass(frozen=True)
-class QConfig:
-    """Constants of the auxiliary functional Q."""
-
-    K1: float = 1.0
-    K2: float = 1.0
-
-    def __post_init__(self):
-        if self.K1 <= 0 or self.K2 <= 0:
-            raise ValueError("Q constants K1, K2 must be positive")
 
 
 @dataclass(frozen=True)
@@ -183,19 +173,13 @@ def tensor_norms(geom: TorusGeometry, u: np.ndarray, names=tuple(_NORM_WORDS),
                           for name in _NORM_WORDS}, hess_sup=hess_sup)
 
 
-def _q_field(tn: TensorNorms, u: np.ndarray, u0_at_p: float,
-             qcfg: QConfig | None = None) -> np.ndarray:
-    qcfg = qcfg or QConfig()
-    return (
-        tn.Theta + tn.ThetaP + qcfg.K1 * tn.grad_sq
-        + 0.5 * qcfg.K2 * (np.asarray(u) - u0_at_p) ** 2
-    )
+def _q_field(tn: TensorNorms, u: np.ndarray, u0_at_p: float) -> np.ndarray:
+    return tn.Theta + tn.ThetaP + tn.grad_sq + 0.5 * (np.asarray(u) - u0_at_p) ** 2
 
 
-def q_functional(geom: TorusGeometry, u: np.ndarray, u0_at_p: float,
-                 qcfg: QConfig | None = None):
-    """Pointwise Q = Theta + Theta' + K1 |grad u|^2 + K2/2 (u - u0(p))^2."""
-    Q = _q_field(tensor_norms(geom, u), u, u0_at_p, qcfg)
+def q_functional(geom: TorusGeometry, u: np.ndarray, u0_at_p: float):
+    """Pointwise Q = Theta + Theta' + |grad u|^2 + (u - u0(p))^2 / 2."""
+    Q = _q_field(tensor_norms(geom, u), u, u0_at_p)
     return Q, float(Q.max())
 
 
@@ -479,7 +463,8 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
             raise ValueError(f"unknown evolution identity {which!r}")
     if len(set(names)) < len(names):
         raise ValueError(f"repeated evolution identity in {names!r}")
-    geom = trajectory.geometry
+    flow = trajectory.flow
+    geom = flow.geometry
     prev, mid, nxt, dt_s = _bracket(trajectory, t)
     # the outer samples build only the norms the names read: the Gamma tensor u_{i jbar k} never
     norm_names = tuple(w for w in names if w != "u_sq")
@@ -492,14 +477,14 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
     # the center's norms come from the context's own du, H, S and T
     quantities = [named(s.u, tensor_norms(geom, s.u, norm_names) if norm_names else None)
                   for s in (prev, nxt)]
-    ctx = _sample_context(geom, trajectory.base, mid.u)
+    ctx = _sample_context(geom, flow.base, mid.u)
     quantities.insert(1, named(mid.u, SimpleNamespace(**{
         w: reduce(add, (x.real ** 2 + x.imag ** 2 for x in getattr(ctx, table).values()))
         for w, table in (("grad_sq", "du"), ("Theta", "H"), ("ThetaP", "S"))
         if w in norm_names})))
     reports = []
     for j, which in enumerate(names):
-        rhs = _identity_rhs(geom, which, ctx, trajectory.hat_theta, mid.u)
+        rhs = _identity_rhs(geom, which, ctx, flow.hat_theta, mid.u)
         # a table no later right side reads is dropped before the next one
         for table in set(_READS[which]).difference(*(_READS[w] for w in names[j + 1:])):
             delattr(ctx, table)
@@ -520,9 +505,8 @@ def verify_evolution_identity(which: str, trajectory, t: float) -> IdentityRepor
 # stationary-point identities
 
 
-def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray, hat_theta: float,
-                          residual_tol: float = 1e-9):
-    """First- and second-derivative identities at a converged endpoint.
+def dhym_point_identities(flow, u_hat: np.ndarray, residual_tol: float = 1e-9):
+    """First- and second-derivative identities at a converged endpoint of a flow.
 
     Returns a pair of IdentityReports: the first records
     sup |eta^{p qbar} F_{p qbar, i}| (zero at an exact stationary metric),
@@ -530,8 +514,9 @@ def dhym_point_identities(geom: TorusGeometry, base, u_hat: np.ndarray, hat_thet
     eta^{p qbar} F_{p qbar, jbar i} = eta^{p tbar} eta^{s qbar}
     eta_{s tbar, i} F_{p qbar, jbar}.
     """
-    ctx = _phase_context(geom, base, u_hat)
-    residual = float(np.abs(ctx.theta - hat_theta).max())
+    geom = flow.geometry
+    ctx = _phase_context(geom, flow.base, u_hat)
+    residual = float(np.abs(ctx.theta - flow.hat_theta).max())
     if residual > residual_tol:
         raise ValueError(
             f"not a dHYM point: residual {residual:.3e} exceeds {residual_tol:.1e}"
@@ -581,12 +566,12 @@ class MonitorResult:
 def maximum_principle_monitor(trajectory) -> MonitorResult:
     """Check that max theta is nonincreasing and min theta nondecreasing.
 
-    Allows slack 1e-9 * (1 + |hat_theta|) per unit time, hat_theta the trajectory's.
+    Allows slack 1e-9 * (1 + |hat_theta|) per unit time, hat_theta the trajectory's flow's.
     """
     records = trajectory.records
     if len(records) < 2:
         raise ValueError("need at least two samples")
-    rate = 1e-9 * (1.0 + abs(trajectory.hat_theta))
+    rate = 1e-9 * (1.0 + abs(trajectory.flow.hat_theta))
     worst = -np.inf
     where = None
     for a, b in zip(records, records[1:]):

@@ -5,6 +5,11 @@ The state is the real potential u on the grid with its half spectrum
 hat_theta, at every n from the real planes of `TorusGeometry.frame_hessian`
 plus those of F~_hat; a state keeps theta and Z = integral of zeta.
 
+A `LineBundleFlow` carries the problem: the base curvature F_hat (and its
+torus) and hat_theta, by default the winding lift of F_hat's class.
+`FlowConfig`, `run_fixed`, `Trajectory` and `harness.SweepConfig` take a
+flow, not copies of the problem that could disagree.
+
 `run_flow` steps with ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002).
 The velocity splits into the linearization L of the flow at the constant
 background F0, whose Fourier symbol is sum_pq (eta0^{-1})_qp mz_p mZ_q with
@@ -25,8 +30,8 @@ accepted state; the step doubles back toward h0 after each recorded sample,
 and more than ten consecutive halvings classify the run as a suspected
 blow-up.  Every step-size change is logged with its time and reason.
 
-`run_flow` steps with ETDRK4 at h0 = ds = sample_every * stable_dt(geometry,
-dt_safety) until residual_tol or t_max.  `run_fixed` is the oracle the
+`run_flow` steps with ETDRK4 at h0 = ds = sample_every *
+stable_dt(flow.geometry, dt_safety) until residual_tol or t_max.  `run_fixed` is the oracle the
 ETDRK4 stepper is checked against: classical RK4 at h0 = dt and ds =
 sample_every * dt that never stops on convergence, so a run that reaches
 n_steps * dt is 'timeout'.  Its stable step comes from the diffusion bound
@@ -47,6 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from . import diagnostics
+from .cohomology import winding_hat_theta
 from .geometry import TorusGeometry, check_hermitian_field, complex_hessian, volume_integral
 from .phase import PhaseFields, eta_pair, frame_characteristic, hermitian_planes
 
@@ -137,13 +143,20 @@ _CONTOUR_POINTS = 32  # contour points of the ETDRK4 phi-functions
 
 
 class LineBundleFlow:
-    """Right-hand side, one path at every n: the phase of the half spectrum uh of
+    """The flow of a base curvature on its torus at the phase hat_theta, which defaults
+    to the winding lift of the base's class (`cohomology.winding_hat_theta`).
+
+    Right-hand side, one path at every n: the phase of the half spectrum uh of
     u is that of the frame curvature F~_hat + frame_hessian(uh), plane by plane."""
 
-    def __init__(self, geometry: TorusGeometry, base: BaseCurvature, hat_theta: float):
-        self.geometry = geometry
+    def __init__(self, base: BaseCurvature, hat_theta: float | None = None):
         self.base = base
+        self.geometry = geometry = base.geometry
+        if hat_theta is None:
+            hat_theta = winding_hat_theta(geometry, base.field())
         self.hat_theta = float(hat_theta)
+        if not np.isfinite(self.hat_theta):
+            raise ValueError(f"hat_theta must be finite, got {hat_theta!r}")
         self._etd = None  # (h, ETDRK4 coefficients) of the last step size
         # the planes of F~_hat as views, so at g = I nothing beside base.field() is held
         self._fhat = hermitian_planes(geometry.to_frame(base.field(), "zZ"))
@@ -268,9 +281,7 @@ class Trajectory:
     its checks read only t, theta, Z and the samples.
     """
 
-    geometry: TorusGeometry
-    base: BaseCurvature
-    hat_theta: float
+    flow: LineBundleFlow
     records: list = field(default_factory=list)
     samples: deque = field(default_factory=deque)
     status: str = "running"
@@ -295,8 +306,8 @@ class Trajectory:
         if self.records and self.records[-1].t == state.t:
             return
         if self.u0_at_p is None:
-            self.u0_at_p = float(state.u[(0,) * (2 * self.geometry.n)])
-        sample = FlowSample(t=state.t, u=state.u.copy(), udot=state.theta - self.hat_theta)
+            self.u0_at_p = float(state.u[(0,) * (2 * self.flow.geometry.n)])
+        sample = FlowSample(t=state.t, u=state.u.copy(), udot=state.theta - self.flow.hat_theta)
         self.samples.append(sample)
         self.records.append(diagnostics.build_record(state, self.u0_at_p, norms=self.norms))
         if self.on_record is not None:
@@ -385,19 +396,17 @@ def _check_time(cfg) -> None:
 
 @dataclass
 class FlowConfig:
-    """Flow run parameters; hat_theta is frozen for the whole run.
+    """Parameters of a run of a flow from u0.
 
-    run_flow records a sample every sample_every * stable_dt(geometry,
+    run_flow records a sample every sample_every * stable_dt(flow.geometry,
     dt_safety) time units, which is also its ETDRK4 step.  keep_fields is
     the capacity of the trajectory's ring of field samples, None for all of
     them; a caller that needs every sample but holds only a few takes each
     from run_flow's on_record, so its memory does not grow with the records.
     """
 
-    geometry: TorusGeometry
-    base: BaseCurvature
+    flow: LineBundleFlow
     u0: np.ndarray
-    hat_theta: float
     dt_safety: float = 0.5
     t_max: float = 100.0
     residual_tol: float = 1e-10
@@ -406,8 +415,6 @@ class FlowConfig:
 
     def __post_init__(self):
         _check_time(self)
-        if not np.isfinite(self.hat_theta):
-            raise ValueError(f"hat_theta must be finite, got {self.hat_theta!r}")
 
 
 def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float,
@@ -463,26 +470,20 @@ def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float
     return traj
 
 
-def run_flow(config: FlowConfig, flow: LineBundleFlow | None = None,
+def run_flow(config: FlowConfig,
              on_record: Callable[[int, FlowSample], None] | None = None) -> Trajectory:
     """ETDRK4 steps, one per sample interval (see `_integrate`), until the phase residual
-    drops below tolerance or t reaches t_max; a given flow must be of the config's run.
-    on_record(k, sample) receives each recorded sample (see `Trajectory`)."""
-    geom = config.geometry
-    flow = flow or LineBundleFlow(geom, config.base, config.hat_theta)
-    if not (flow.geometry is geom and flow.base is config.base
-            and flow.hat_theta == config.hat_theta):
-        raise ValueError("flow does not match the config's geometry, base and hat_theta")
+    drops below tolerance or t reaches t_max.  on_record(k, sample) receives each
+    recorded sample (see `Trajectory`)."""
+    flow = config.flow
     state = flow.initial_state(config.u0)
-    traj = Trajectory(geometry=geom, base=config.base, hat_theta=config.hat_theta,
-                      samples=deque(maxlen=config.keep_fields), on_record=on_record)
-    ds = config.sample_every * stable_dt(geom, config.dt_safety)
+    traj = Trajectory(flow, samples=deque(maxlen=config.keep_fields), on_record=on_record)
+    ds = config.sample_every * stable_dt(flow.geometry, config.dt_safety)
     return _integrate(state, traj, etdrk4_step, ds, ds, config.t_max, config.residual_tol)
 
 
-def run_fixed(geom: TorusGeometry, base: BaseCurvature, hat_theta: float,
-              u0: np.ndarray, dt: float, n_steps: int, sample_every: int = 1,
-              keep_fields: int | None = None, norms: bool = True,
+def run_fixed(flow: LineBundleFlow, u0: np.ndarray, dt: float, n_steps: int,
+              sample_every: int = 1, keep_fields: int | None = None, norms: bool = True,
               on_record: Callable[[int, FlowSample], None] | None = None) -> Trajectory:
     """n_steps classical RK4 steps of size dt, recorded every sample_every
     steps; never stops on convergence, so a full run is 'timeout'.
@@ -491,7 +492,6 @@ def run_fixed(geom: TorusGeometry, base: BaseCurvature, hat_theta: float,
     _check_positive("dt", dt)
     _check_count("n_steps", n_steps)
     _check_count("sample_every", sample_every)
-    state = LineBundleFlow(geom, base, hat_theta).initial_state(u0)
-    traj = Trajectory(geometry=geom, base=base, hat_theta=hat_theta,
-                      samples=deque(maxlen=keep_fields), norms=norms, on_record=on_record)
+    state = flow.initial_state(u0)
+    traj = Trajectory(flow, samples=deque(maxlen=keep_fields), norms=norms, on_record=on_record)
     return _integrate(state, traj, rk4_step, dt, sample_every * dt, n_steps * dt, 0.0)

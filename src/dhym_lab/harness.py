@@ -5,9 +5,10 @@ stationary-point identity reports.  A stability sweep then perturbs the
 reference with band-limited noise normalized to prescribed Hessian sizes
 and records, per (delta, seed) cell: convergence status, time to tolerance,
 the worst ratio sup_t ||D^2 u_t|| / delta, and the fitted exponential decay
-rate of the velocity oscillation.  Individual cell failures are recorded in
-the report and never abort the sweep; identical configurations reproduce
-reports bit-for-bit.
+rate of the velocity oscillation.  Every cell runs on the sweep's one flow
+(`SweepConfig.flow`), so the cells share its ETDRK4 coefficients.
+Individual cell failures are recorded in the report and never abort the
+sweep; identical configurations reproduce reports bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .cohomology import winding_hat_theta
 from .diagnostics import dhym_point_identities, oscillation_decay, tensor_norms
-from .flow import BaseCurvature, FlowConfig, LineBundleFlow, Trajectory, _check_time, run_flow
-from .geometry import TorusGeometry, bandlimited_noise
+from .flow import FlowConfig, LineBundleFlow, Trajectory, _check_time, run_flow
+from .geometry import bandlimited_noise
 
 __all__ = [
     "Reference",
@@ -35,7 +35,6 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class Reference:
     u_hat: np.ndarray
-    hat_theta: float
     residual_sup: float
     identities: tuple  # pair of IdentityReports
     trajectory: Trajectory
@@ -52,13 +51,9 @@ def generate_reference(config: FlowConfig, residual_tol: float = 1e-11) -> Refer
     if traj.status != "converged":
         raise RuntimeError(f"no reference obtained: flow status {traj.status!r}")
     u_hat = traj.final.u
-    reports = dhym_point_identities(
-        config.geometry, config.base, u_hat,
-        hat_theta=config.hat_theta, residual_tol=10.0 * cfg.residual_tol,
-    )
+    reports = dhym_point_identities(config.flow, u_hat, residual_tol=10.0 * cfg.residual_tol)
     return Reference(
         u_hat=u_hat,
-        hat_theta=config.hat_theta,
         residual_sup=traj.final.residual_sup,
         identities=reports,
         trajectory=traj,
@@ -67,15 +62,13 @@ def generate_reference(config: FlowConfig, residual_tol: float = 1e-11) -> Refer
 
 @dataclass
 class SweepConfig:
-    """Perturbation sweep: noise seeds are shared across deltas so each
+    """Perturbation sweep of a flow: noise seeds are shared across deltas so each
     seed's initial shape is identical up to the normalizing factor."""
 
-    geometry: TorusGeometry
-    base: BaseCurvature
+    flow: LineBundleFlow
     delta_list: list
     seeds: int
     k_band: int = 2
-    hat_theta: float | None = None
     dt_safety: float = 0.5
     t_max: float = 200.0
     residual_tol: float = 1e-10
@@ -85,7 +78,7 @@ class SweepConfig:
     def __post_init__(self):
         _check_time(self)  # here, not in each cell after its noise is drawn
         self.delta_list = list(self.delta_list)
-        error = _sweep_error(self, self.geometry.N)
+        error = _sweep_error(self, self.flow.geometry.N)
         if error is not None:
             raise ValueError(error[1])
 
@@ -144,21 +137,18 @@ class SweepReport:
         }
 
 
-def _one_cell(sweep: SweepConfig, flow: LineBundleFlow, delta: float, seed: int) -> SweepCell:
-    geom = sweep.geometry
+def _one_cell(sweep: SweepConfig, delta: float, seed: int) -> SweepCell:
+    geom = sweep.flow.geometry
     if delta == 0.0:
         u0 = np.zeros(geom.shape)
     else:
         raw = bandlimited_noise(geom, sweep.k_band, 1.0, sweep.seed_base + seed)
         # hess_sup reads the Theta and ThetaP tensors only
         u0 = raw * (delta / tensor_norms(geom, raw, ("Theta", "ThetaP")).hess_sup)
-    cfg = FlowConfig(
-        geometry=geom, base=sweep.base, u0=u0, hat_theta=flow.hat_theta,
-        dt_safety=sweep.dt_safety, t_max=sweep.t_max,
-        residual_tol=sweep.residual_tol, sample_every=sweep.sample_every,
-        keep_fields=4,
-    )
-    traj = run_flow(cfg, flow)
+    cfg = FlowConfig(flow=sweep.flow, u0=u0, dt_safety=sweep.dt_safety, t_max=sweep.t_max,
+                     residual_tol=sweep.residual_tol, sample_every=sweep.sample_every,
+                     keep_fields=4)
+    traj = run_flow(cfg)
     outcome = {}
     if delta > 0.0:  # record 0 is the state at u0
         outcome.update(hess_ratio_t0=traj.records[0].hess_sup / delta,
@@ -174,15 +164,13 @@ def _one_cell(sweep: SweepConfig, flow: LineBundleFlow, delta: float, seed: int)
 
 
 def stability_sweep(sweep: SweepConfig) -> SweepReport:
-    """Run every (delta, seed) cell on one flow and aggregate; cells never abort the sweep."""
-    flow = LineBundleFlow(sweep.geometry, sweep.base, sweep.hat_theta if sweep.hat_theta is not None
-                          else winding_hat_theta(sweep.geometry, sweep.base.field()))
-
+    """Run every (delta, seed) cell on the sweep's flow and aggregate; cells never abort
+    the sweep."""
     cells = []
     for delta in sweep.delta_list:
         for seed in range(sweep.seeds):
             try:
-                cells.append(_one_cell(sweep, flow, delta, seed))
+                cells.append(_one_cell(sweep, delta, seed))
             except Exception as exc:  # cell-level failure, recorded
                 cells.append(SweepCell(float(delta), int(seed), status="error",
                                        error=f"{type(exc).__name__}: {exc}"))

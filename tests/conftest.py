@@ -50,7 +50,7 @@ def small_flow_run(torus1_fine):
     hat = float(np.arctan(1.0))
     u0 = dl.bandlimited_noise(geom, 2, 1.0, 7)
     u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
-    return dl.run_fixed(geom, base, hat, u0, dt=1.0 / 512, n_steps=2 * 512,
+    return dl.run_fixed(dl.LineBundleFlow(base, hat), u0, dt=1.0 / 512, n_steps=2 * 512,
                         sample_every=32)
 
 

@@ -31,7 +31,7 @@ def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
 def sweep_report():
     geom = dl.build_torus(1, 64, [1.0])
     base = dl.BaseCurvature.proportional(geom, 1.0)
-    cfg = dl.SweepConfig(geometry=geom, base=base, delta_list=[0.01, 0.05, 0.1],
+    cfg = dl.SweepConfig(flow=dl.LineBundleFlow(base), delta_list=[0.01, 0.05, 0.1],
                          seeds=3, k_band=2, dt_safety=1.0, t_max=200.0,
                          residual_tol=1e-10, sample_every=256)
     return dl.stability_sweep(cfg)
@@ -44,7 +44,7 @@ def harnack_run():
     base = dl.BaseCurvature.proportional(geom, 1.0)
     u0 = dl.bandlimited_noise(geom, 2, 1.0, 7)
     u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
-    return dl.run_fixed(geom, base, float(np.arctan(1.0)), u0,
+    return dl.run_fixed(dl.LineBundleFlow(base, float(np.arctan(1.0))), u0,
                         dt=1.0 / 512, n_steps=1024, sample_every=32)
 
 
@@ -123,7 +123,8 @@ def test_criterion_3_cohomological_invariance(sweep_report):
 def test_criterion_4_maximum_principle(sweep_report, harnack_run):
     worst = -np.inf
     for cell in sweep_report.cells:
-        traj = SimpleNamespace(records=cell.records, hat_theta=np.arctan(1.0))
+        traj = SimpleNamespace(records=cell.records,
+                               flow=SimpleNamespace(hat_theta=np.arctan(1.0)))
         res = dl.maximum_principle_monitor(traj)
         worst = max(worst, res.worst_violation)
     res = dl.maximum_principle_monitor(harnack_run)
@@ -141,7 +142,7 @@ def test_criterion_5_evolution_identities():
     u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
 
     def residuals(dt_s):
-        traj = dl.run_fixed(geom, base, hat, u0, dt=dt_s, n_steps=8, sample_every=1)
+        traj = dl.run_fixed(dl.LineBundleFlow(base, hat), u0, dt=dt_s, n_steps=8, sample_every=1)
         t_mid = list(traj.samples)[4].t
         return {w: dl.verify_evolution_identity(w, traj, t_mid).residual_rel
                 for w in ("u_sq", "grad_sq", "Theta", "ThetaP")}
@@ -164,8 +165,8 @@ def test_criterion_6_stationary_point_identities():
     # trivial stationary base at N = 64
     geom = dl.build_torus(1, 64, [1.0])
     base = dl.BaseCurvature.proportional(geom, 1.0)
-    cfg = dl.FlowConfig(geometry=geom, base=base, u0=np.zeros(geom.shape),
-                        hat_theta=float(np.arctan(1.0)), t_max=10.0)
+    cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base, float(np.arctan(1.0))),
+                        u0=np.zeros(geom.shape), t_max=10.0)
     ref = dl.generate_reference(cfg)
     r1, r2 = ref.identities
     worst_first = max(worst_first, r1.residual_rel)
@@ -175,8 +176,8 @@ def test_criterion_6_stationary_point_identities():
     psi = 0.2 * cos_axis(geom, 0)
     base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
     hat = dl.winding_hat_theta(geom, base.field())
-    cfg = dl.FlowConfig(geometry=geom, base=base, u0=np.zeros(geom.shape),
-                        hat_theta=hat, dt_safety=1.0, t_max=400.0, sample_every=1000)
+    cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base, hat), u0=np.zeros(geom.shape),
+                        dt_safety=1.0, t_max=400.0, sample_every=1000)
     ref = dl.generate_reference(cfg)
     r1, r2 = ref.identities
     worst_first = max(worst_first, r1.residual_rel)
@@ -237,7 +238,7 @@ def test_criterion_9_integrator_order():
     dt0 = dl.stable_dt(geom, 1.0)
 
     def final(dt):
-        return dl.run_fixed(geom, base, hat, u0, dt=dt,
+        return dl.run_fixed(dl.LineBundleFlow(base, hat), u0, dt=dt,
                             n_steps=int(round(T / dt)), sample_every=10**9).final.u
 
     ref = final(dt0 / 8)
@@ -245,7 +246,7 @@ def test_criterion_9_integrator_order():
     e2 = float(np.abs(final(dt0 / 2) - ref).max())
     ratio = e1 / e2
 
-    stat = dl.run_fixed(geom, base, hat, np.zeros(geom.shape),
+    stat = dl.run_fixed(dl.LineBundleFlow(base, hat), np.zeros(geom.shape),
                         dt=dt0, n_steps=int(round(1.0 / dt0)), sample_every=10**9)
     drift = float(np.abs(stat.final.u).max()) / stat.final.t
     ok = 12.0 <= ratio <= 20.0 and drift <= 1e-14

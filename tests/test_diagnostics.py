@@ -150,10 +150,6 @@ class TestQFunctional:
         assert np.abs(Q - expect).max() < 1e-13
         assert sup == pytest.approx(expect.max(), rel=1e-12)
 
-    def test_positivity_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            dl.QConfig(K1=-1.0)
-
 
 def _sups_at_n1(geom, u, dtype):
     """The four tensor norms' sups and hess_sup of u at n = 1, g = I, from u's full
@@ -186,8 +182,8 @@ class TestBuildRecord:
         bound = {"grad_sq_sup": 2e-14, "Theta_sup": 5e-13, "ThetaP_sup": 5e-13,
                  "Gamma_sup": 5e-12, "hess_sup": 2e-13}
         for rec, sample in zip(traj.records, traj.samples):
-            exact = _sups_at_n1(traj.geometry, sample.u, np.longdouble)
-            full = _sups_at_n1(traj.geometry, sample.u, np.float64)
+            exact = _sups_at_n1(traj.flow.geometry, sample.u, np.longdouble)
+            full = _sups_at_n1(traj.flow.geometry, sample.u, np.float64)
             for name, tol in bound.items():
                 assert abs(full[name] - exact[name]) <= tol * exact[name], (name, rec.t)
                 assert abs(getattr(rec, name) - exact[name]) <= tol * exact[name], (name, rec.t)
@@ -197,7 +193,7 @@ class TestBuildRecord:
         geom = dl.build_torus(n, N, np.eye(n))
         base = psi_base(geom)
         u = dl.bandlimited_noise(geom, 2, 0.05, 3)
-        flow = dl.LineBundleFlow(geom, base, 0.7)
+        flow = dl.LineBundleFlow(base, 0.7)
         rec = build_record(flow.state(u, 0.25))
         tn = dl.tensor_norms(geom, u)
         # the phase is the flow's, bit for bit, and the full-spectrum path's within rounding
@@ -220,8 +216,8 @@ class TestBuildRecord:
         # entry; never a forward transform
         geom = dl.build_torus(n, N, np.eye(n))
         base = psi_base(geom)
-        flow = dl.LineBundleFlow(geom, base, 0.7)
-        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=0.7)
+        flow = dl.LineBundleFlow(base, 0.7)
+        traj = dl.Trajectory(flow)
         states = [flow.state(dl.bandlimited_noise(geom, 2, 0.05, 3), t) for t in (0.0, 1.0)]
         traj.record(states[0])
         calls = []
@@ -241,8 +237,7 @@ class TestBuildRecord:
         # the columns a phase-only record keeps are bit for bit a full record's
         geom = dl.build_torus(n, N, g)
         base = psi_base(geom)
-        state = dl.LineBundleFlow(geom, base, 0.7).state(dl.bandlimited_noise(geom, 2, 0.05, 3),
-                                                         0.25)
+        state = dl.LineBundleFlow(base, 0.7).state(dl.bandlimited_noise(geom, 2, 0.05, 3), 0.25)
         full = build_record(state, u0_at_p=0.01)
         phase_only = build_record(state, u0_at_p=0.01, norms=False)
         for name, value in dataclasses.asdict(phase_only).items():
@@ -299,10 +294,9 @@ class TestVerifyLinearization:
 
 
 def _identity_trajectory(geom, base, dt_s, delta=0.05, seed=11, n_steps=8):
-    hat = dl.winding_hat_theta(geom, base.field())
     u0 = dl.bandlimited_noise(geom, 2, 1.0, seed)
     u0 *= delta / dl.tensor_norms(geom, u0).hess_sup
-    return dl.run_fixed(geom, base, hat, u0, dt=dt_s, n_steps=n_steps, sample_every=1)
+    return dl.run_fixed(dl.LineBundleFlow(base), u0, dt=dt_s, n_steps=n_steps, sample_every=1)
 
 
 class TestEvolutionIdentities:
@@ -310,7 +304,7 @@ class TestEvolutionIdentities:
         # constant-in-space potential: only the mean drifts, central
         # differencing of u^2 is exact for the resulting quadratic-in-time
         hat = float(np.arctan(1.0)) + 0.3
-        traj = dl.run_fixed(torus1, base1, hat, np.full(torus1.shape, 0.2),
+        traj = dl.run_fixed(dl.LineBundleFlow(base1, hat), np.full(torus1.shape, 0.2),
                             dt=1e-3, n_steps=4, sample_every=1)
         rep = dl.verify_evolution_identity("u_sq", traj, list(traj.samples)[2].t)
         assert rep.residual_rel < 1e-12
@@ -418,7 +412,7 @@ class TestEvolutionIdentities:
 
     def test_unknown_identity_rejected_before_any_transform(self, torus1, base1,
                                                             monkeypatch):
-        traj = dl.run_fixed(torus1, base1, float(np.arctan(1.0)),
+        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
                             0.05 * cos_axis(torus1, 0), dt=1e-3, n_steps=2,
                             sample_every=1)
 
@@ -433,7 +427,7 @@ class TestEvolutionIdentities:
             dl.verify_evolution_identities(traj, t, ("Theta", "Theta"))
 
     def test_insufficient_sampling(self, torus1, base1):
-        traj = dl.run_fixed(torus1, base1, float(np.arctan(1.0)),
+        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
                             0.05 * cos_axis(torus1, 0), dt=1e-3, n_steps=2,
                             sample_every=1)
         with pytest.raises(ValueError, match="insufficient trajectory sampling"):
@@ -480,22 +474,20 @@ class TestMix:
 
 class TestDhymPointIdentities:
     def test_exact_trivial_point(self, torus1, base1):
-        r1, r2 = dl.dhym_point_identities(torus1, base1, np.zeros(torus1.shape),
-                                          hat_theta=float(np.arctan(1.0)))
+        r1, r2 = dl.dhym_point_identities(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
+                                          np.zeros(torus1.shape))
         assert r1.residual_rel < 1e-14
         assert r2.residual_rel < 1e-14
 
     def test_converged_endpoint(self, torus1):
         psi = 0.2 * cos_axis(torus1, 0)
         base = dl.BaseCurvature(geometry=torus1, F0=torus1.g, psi=psi)
-        hat = dl.winding_hat_theta(torus1, base.field())
-        cfg = dl.FlowConfig(geometry=torus1, base=base, u0=np.zeros(torus1.shape),
-                            hat_theta=hat, dt_safety=1.0, t_max=400.0,
-                            residual_tol=1e-11, sample_every=1000, keep_fields=2)
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base), u0=np.zeros(torus1.shape),
+                            dt_safety=1.0, t_max=400.0, residual_tol=1e-11, sample_every=1000,
+                            keep_fields=2)
         traj = dl.run_flow(cfg)
         assert traj.status == "converged"
-        r1, r2 = dl.dhym_point_identities(torus1, base, traj.final.u, hat_theta=hat,
-                                          residual_tol=1e-9)
+        r1, r2 = dl.dhym_point_identities(cfg.flow, traj.final.u, residual_tol=1e-9)
         # (i) is the phase gradient, controlled by the convergence residual
         assert r1.residual_rel <= 10 * 1e-11 * (1 + torus1.N)
         assert r2.residual_rel <= 1e-6
@@ -518,18 +510,18 @@ class TestDhymPointIdentities:
             method = getattr(dl.TorusGeometry, name)
             monkeypatch.setattr(dl.TorusGeometry, name,
                                 lambda g, f, m=method, c=calls_of: c.append(1) or m(g, f))
-        dl.dhym_point_identities(geom, base, u, hat_theta=0.0, residual_tol=1e9)
+        dl.dhym_point_identities(dl.LineBundleFlow(base, 0.0), u, residual_tol=1e9)
         assert (len(calls["ifft"]), len(calls["irfft"])) == (transforms, planes)
 
     def test_nonconverged_state_rejected(self, torus1, base1):
         u = 0.5 * cos_axis(torus1, 0)  # residual around 1e-2
         with pytest.raises(ValueError, match="not a dHYM point"):
-            dl.dhym_point_identities(torus1, base1, u, hat_theta=float(np.arctan(1.0)))
+            dl.dhym_point_identities(dl.LineBundleFlow(base1, float(np.arctan(1.0))), u)
 
 
 class TestMaximumPrinciple:
     def test_stationary_passes(self, torus1, base1):
-        traj = dl.run_fixed(torus1, base1, float(np.arctan(1.0)),
+        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
                             np.zeros(torus1.shape), dt=1e-3, n_steps=4, sample_every=1)
         res = dl.maximum_principle_monitor(traj)
         assert res.passed
@@ -542,17 +534,16 @@ class TestMaximumPrinciple:
         records = list(small_flow_run.records)
         bad = dataclasses.replace(records[3], theta_max=records[3].theta_max + 1e-3)
         records[3] = bad
-        fake = SimpleNamespace(records=records, hat_theta=small_flow_run.hat_theta)
+        fake = SimpleNamespace(records=records, flow=small_flow_run.flow)
         res = dl.maximum_principle_monitor(fake)
         assert not res.passed
         assert res.location == pytest.approx(records[3].t)
 
     def test_needs_two_samples(self, torus1, base1):
         # a one-sample trajectory; run_fixed refuses n_steps=0
-        hat = float(np.arctan(1.0))
-        traj = dl.Trajectory(geometry=torus1, base=base1, hat_theta=hat)
-        u = np.zeros(torus1.shape)
-        traj.record(dl.LineBundleFlow(torus1, base1, hat).initial_state(u))
+        flow = dl.LineBundleFlow(base1, float(np.arctan(1.0)))
+        traj = dl.Trajectory(flow)
+        traj.record(flow.initial_state(np.zeros(torus1.shape)))
         with pytest.raises(ValueError, match="two samples"):
             dl.maximum_principle_monitor(traj)
 
@@ -561,16 +552,15 @@ class TestOscillationDecay:
     def test_constant_velocity_underflows(self, torus1, base1):
         # spatially constant du/dt has zero oscillation at every sample
         hat = float(np.arctan(1.0)) + 0.5
-        traj = dl.run_fixed(torus1, base1, hat, np.zeros(torus1.shape),
+        traj = dl.run_fixed(dl.LineBundleFlow(base1, hat), np.zeros(torus1.shape),
                             dt=1e-3, n_steps=16, sample_every=1)
         with pytest.raises(RuntimeError, match="below floor"):
             dl.oscillation_decay(traj)
 
     def test_linearized_rate_recovered(self, torus1, base1):
         u0 = 0.01 * cos_axis(torus1, 0)
-        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
-                            hat_theta=float(np.arctan(1.0)), dt_safety=1.0,
-                            t_max=60.0, residual_tol=1e-13, sample_every=64,
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
+                            dt_safety=1.0, t_max=60.0, residual_tol=1e-13, sample_every=64,
                             keep_fields=4)
         traj = dl.run_flow(cfg)
         fit = dl.oscillation_decay(traj)
@@ -584,7 +574,7 @@ class TestOscillationDecay:
 
 class TestHarnackMonitor:
     def test_stationary_degenerate(self, torus1, base1):
-        traj = dl.run_fixed(torus1, base1, float(np.arctan(1.0)),
+        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
                             np.zeros(torus1.shape), dt=1.0 / 128, n_steps=256,
                             sample_every=16)
         with pytest.raises(ValueError, match="degenerate"):
@@ -605,7 +595,7 @@ class TestHarnackMonitor:
         bad_udot[0, 0] = samples[0].udot.max() + 1.0  # breaks positivity of xi
         samples[k] = dl.FlowSample(t=samples[k].t, u=samples[k].u, udot=bad_udot)
         fake = SimpleNamespace(samples=samples, records=small_flow_run.records,
-                               hat_theta=small_flow_run.hat_theta)
+                               flow=small_flow_run.flow)
         rep = dl.harnack_monitor(fake, m=1)
         assert not rep.positive
         assert rep.fail_location is not None

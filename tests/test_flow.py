@@ -36,22 +36,41 @@ class TestBaseCurvature:
             dl.BaseCurvature(geometry=torus2, F0=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+class TestLineBundleFlow:
+    @pytest.mark.parametrize("hat_theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hat_theta_refused_before_any_phase(self, base1, hat_theta,
+                                                           monkeypatch):
+        # the frame planes of F_hat, which every phase reads, are built after the check
+        monkeypatch.setattr(dl.flow, "hermitian_planes", None)
+        with pytest.raises(ValueError, match="hat_theta must be finite"):
+            dl.LineBundleFlow(base1, hat_theta)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_hat_theta_defaults_to_the_winding_lift(self, n):
+        geom = dl.build_torus(n, 8, np.eye(n))
+        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.3, 0.5][:n]),
+                                psi=0.2 * cos_axis(geom, 0))
+        flow = dl.LineBundleFlow(base)
+        assert flow.geometry is geom
+        assert flow.hat_theta == dl.winding_hat_theta(geom, base.field())
+
+
 class TestFlowRhs:
     def test_stationary_is_zero(self, torus1, base1):
-        rhs = dl.LineBundleFlow(torus1, base1, np.arctan(1.0)).rhs(np.zeros(torus1.shape))
+        rhs = dl.LineBundleFlow(base1, np.arctan(1.0)).rhs(np.zeros(torus1.shape))
         assert np.abs(rhs).max() < 1e-15
 
     def test_single_mode_closed_form(self, torus1, base1):
         # lambda(x) = 1 + Lap(u)/4 = 1 - 0.025 cos(x)
         u = 0.1 * cos_axis(torus1, 0)
-        rhs = dl.LineBundleFlow(torus1, base1, np.pi / 4).rhs(u)
+        rhs = dl.LineBundleFlow(base1, np.pi / 4).rhs(u)
         x = np.broadcast_to(np.cos(torus1.axis_coordinate(0)), torus1.shape)
         expect = np.arctan(1.0 - 0.025 * x) - np.pi / 4
         assert np.abs(rhs - expect).max() < 1e-14
         assert rhs.max() == pytest.approx(np.arctan(1.025) - np.pi / 4, abs=1e-13)
 
     def test_hat_theta_override_shifts_constant(self, torus1, base1):
-        flow = dl.LineBundleFlow(torus1, base1, np.arctan(1.0) + np.pi)
+        flow = dl.LineBundleFlow(base1, np.arctan(1.0) + np.pi)
         rhs = flow.rhs(np.zeros(torus1.shape))
         assert np.abs(rhs + np.pi).max() < 1e-14
 
@@ -59,7 +78,7 @@ class TestFlowRhs:
         # the n>1 route and the eigenvalue arctan-sum of the oracle agree
         base = dl.BaseCurvature.proportional(torus2, 0.5)
         u = dl.bandlimited_noise(torus2, 2, 0.3, 5)
-        rhs = dl.LineBundleFlow(torus2, base, 0.0).rhs(u)
+        rhs = dl.LineBundleFlow(base, 0.0).rhs(u)
         F = base.field() + dl.complex_hessian(torus2, u)
         lam = dl.pointwise_phase(F, torus2.g).lam
         assert np.abs(rhs - np.arctan(lam).sum(-1)).max() < 1e-13
@@ -69,7 +88,7 @@ class TestFlowRhs:
         # no Hermitian check, here under a non-diagonal metric
         geom = dl.build_torus(2, 8, np.array([[2.0, 0.3j], [-0.3j, 1.0]]))
         base = dl.BaseCurvature.proportional(geom, 0.5)
-        flow = dl.LineBundleFlow(geom, base, 0.0)
+        flow = dl.LineBundleFlow(base, 0.0)
         u = dl.bandlimited_noise(geom, 2, 0.3, 5)
 
         def refuse(*args, **kwargs):
@@ -124,7 +143,7 @@ class TestOnePhasePath:
         base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5, 2.0][:n]),
                                 psi=modes_field(geom, modes) if n == 2 else None)
         u = dl.bandlimited_noise(geom, 2, 0.3, 5)
-        flow = dl.LineBundleFlow(geom, base, 0.0)
+        flow = dl.LineBundleFlow(base, 0.0)
         assert flow.spectrum(u).shape == geom.shape[:-1] + (N // 2 + 1,)
         assert np.abs(flow.theta(u) - full_spectrum_theta(geom, base, u)).max() <= 1e-13
 
@@ -133,7 +152,7 @@ class TestOnePhasePath:
         geom = dl.build_torus(1, N, [1.0])
         base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=0.2 * cos_axis(geom, 0))
         u = dl.bandlimited_noise(geom, 2, 0.3, 9)
-        assert np.array_equal(dl.LineBundleFlow(geom, base, 0.0).theta(u),
+        assert np.array_equal(dl.LineBundleFlow(base, 0.0).theta(u),
                               scalar_theta(geom, base, u))
 
     @pytest.mark.parametrize("g", [0.6, 1.7])
@@ -141,13 +160,13 @@ class TestOnePhasePath:
         geom = dl.build_torus(1, 32, [g])
         base = dl.BaseCurvature(geometry=geom, F0=1.3 * geom.g, psi=0.2 * cos_axis(geom, 0))
         u = dl.bandlimited_noise(geom, 2, 0.3, 9)
-        theta, expect = dl.LineBundleFlow(geom, base, 0.0).theta(u), scalar_theta(geom, base, u)
+        theta, expect = dl.LineBundleFlow(base, 0.0).theta(u), scalar_theta(geom, base, u)
         assert np.abs(theta - expect).max() <= 1e-14 * np.abs(expect).max()
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_n1_linear_symbol_bit_for_bit(self, c):
         geom = dl.build_torus(1, 32, [1.0])
-        flow = dl.LineBundleFlow(geom, dl.BaseCurvature.proportional(geom, c), 0.0)
+        flow = dl.LineBundleFlow(dl.BaseCurvature.proportional(geom, c), 0.0)
         _, eta_inv = eta_pair(np.array([[c + 0j]]))
         assert np.array_equal(flow.linear_symbol, eta_inv[0, 0].real * 1.0 * scalar_multiplier(32))
 
@@ -198,7 +217,7 @@ class TestPlanePhase:
         uh = geom.rfft(dl.bandlimited_noise(geom, 2, 0.3, 5))
         if not nyquist:
             uh = without_nyquist(geom, uh)
-        flow = dl.LineBundleFlow(geom, base, 0.0)
+        flow = dl.LineBundleFlow(base, 0.0)
         return flow.phase_fields(uh), dl.PhaseFields(complex_buffer_characteristic(geom, base, uh))
 
     @pytest.mark.parametrize("n,N", [(1, 32), (2, 16)])
@@ -227,7 +246,7 @@ class TestRecordsReuseFlowPhase:
         geom = dl.build_torus(2, 8, np.array([[2.0, 0.3j], [-0.3j, 1.0]]))
         base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5]),
                                 psi=0.05 * dl.bandlimited_noise(geom, 2, 1.0, 2))
-        state = dl.LineBundleFlow(geom, base, 0.0).initial_state(
+        state = dl.LineBundleFlow(base, 0.0).initial_state(
             dl.bandlimited_noise(geom, 2, 0.05, 3))
         calls = []
 
@@ -240,7 +259,7 @@ class TestRecordsReuseFlowPhase:
         for module in (dl.diagnostics, dl.phase, dl.flow):
             monkeypatch.setattr(module, "frame_characteristic",
                                 lambda *a: calls.append("frame_characteristic"))
-        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=0.0, norms=norms)
+        traj = dl.Trajectory(flow=dl.LineBundleFlow(base, 0.0), norms=norms)
         traj.record(state)
         assert calls == []  # a full record's norms take the state's spectrum
         assert len(traj.records) == 1
@@ -256,7 +275,7 @@ class TestRecordsReuseFlowPhase:
                                 psi=0.1 * dl.bandlimited_noise(geom, 2, 1.0, 4))
         u0 = dl.bandlimited_noise(geom, 2, 0.02, 5)
         hat = dl.winding_hat_theta(geom, base.field())
-        traj = dl.run_flow(dl.FlowConfig(geometry=geom, base=base, u0=u0, hat_theta=hat,
+        traj = dl.run_flow(dl.FlowConfig(flow=dl.LineBundleFlow(base, hat), u0=u0,
                                          t_max=0.5, sample_every=4, keep_fields=None))
         flow = traj.final.flow
         assert len(traj.records) >= 5
@@ -276,7 +295,7 @@ class TestRecordsReuseFlowPhase:
 
 class TestRk4Step:
     def test_stationary_fixed(self, torus1, base1):
-        flow = dl.LineBundleFlow(torus1, base1, float(np.arctan(1.0)))
+        flow = dl.LineBundleFlow(base1, float(np.arctan(1.0)))
         state = flow.initial_state(np.zeros(torus1.shape))
         new = dl.rk4_step(state, 1e-2)
         assert np.abs(new.u).max() < 1e-15
@@ -287,7 +306,7 @@ class TestRk4Step:
         # step reproduces exp(-dt/8) to far below the dt^5 local error
         geom = dl.build_torus(1, 64, [1.0])
         base = dl.BaseCurvature.proportional(geom, 1.0)
-        flow = dl.LineBundleFlow(geom, base, float(np.arctan(1.0)))
+        flow = dl.LineBundleFlow(base, float(np.arctan(1.0)))
         delta, dt = 1e-4, 1e-3
         u0 = delta * cos_axis(geom, 0)
         state = flow.initial_state(u0)
@@ -300,7 +319,7 @@ class TestRk4Step:
         base = dl.BaseCurvature.proportional(geom, 1.0)
         u0 = dl.bandlimited_noise(geom, 2, 1.0, 7)
         u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
-        flow = dl.LineBundleFlow(geom, base, float(np.arctan(1.0)))
+        flow = dl.LineBundleFlow(base, float(np.arctan(1.0)))
         state = flow.initial_state(u0)
         dt = dl.stable_dt(geom, 1.0) * 100
         with pytest.raises(dl.FlowDiverged, match="step diverged"):
@@ -308,7 +327,7 @@ class TestRk4Step:
                 state = dl.rk4_step(state, dt)
 
     def test_refusal_of_nonpositive_dt(self, torus1, base1):
-        flow = dl.LineBundleFlow(torus1, base1, 0.0)
+        flow = dl.LineBundleFlow(base1, 0.0)
         state = flow.initial_state(np.zeros(torus1.shape))
         with pytest.raises(ValueError):
             dl.rk4_step(state, 0.0)
@@ -326,8 +345,8 @@ class TestStableDt:
 
 class TestRunFlow:
     def test_stationary_converges_immediately(self, torus1, base1):
-        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=np.zeros(torus1.shape),
-                            hat_theta=float(np.arctan(1.0)))
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))),
+                            u0=np.zeros(torus1.shape))
         traj = dl.run_flow(cfg)
         assert traj.status == "converged"
         assert traj.t_final == 0.0
@@ -336,9 +355,8 @@ class TestRunFlow:
 
     def test_single_mode_run_converges_at_linearized_rate(self, torus1, base1):
         u0 = 0.1 * cos_axis(torus1, 0)
-        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
-                            hat_theta=float(np.arctan(1.0)), dt_safety=1.0,
-                            t_max=400.0, residual_tol=1e-10, sample_every=64,
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
+                            dt_safety=1.0, t_max=400.0, residual_tol=1e-10, sample_every=64,
                             keep_fields=4)
         traj = dl.run_flow(cfg)
         assert traj.status == "converged"
@@ -353,7 +371,7 @@ class TestRunFlow:
     def test_override_times_out_with_mean_drift(self, torus1, base1):
         u0 = 0.05 * cos_axis(torus1, 0)
         hat = float(np.arctan(1.0)) + np.pi
-        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0, hat_theta=hat,
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, hat), u0=u0,
                             dt_safety=1.0, t_max=10.0, residual_tol=1e-10,
                             sample_every=128, keep_fields=4)
         traj = dl.run_flow(cfg)
@@ -365,9 +383,8 @@ class TestRunFlow:
 
     def test_on_record_gets_every_sample_past_the_ring(self, torus1, base1):
         u0 = 0.1 * cos_axis(torus1, 0)
-        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
-                            hat_theta=float(np.arctan(1.0)), t_max=0.1, sample_every=4,
-                            keep_fields=2)
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
+                            t_max=0.1, sample_every=4, keep_fields=2)
         seen = []
         traj = dl.run_flow(cfg, on_record=lambda k, sample: seen.append((k, sample)))
         assert len(traj.records) >= 5
@@ -381,7 +398,7 @@ class TestRunFlow:
         # d/dt integral(u) = integral(theta - hat_theta), via central
         # differences of stored samples
         u0 = 0.1 * cos_axis(torus1, 0) + 0.05 * cos_axis(torus1, 1)
-        traj = dl.run_fixed(torus1, base1, float(np.arctan(1.0)), u0,
+        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0,
                             dt=5e-4, n_steps=8, sample_every=1)
         s = list(traj.samples)
         for k in (2, 4):
@@ -392,9 +409,8 @@ class TestRunFlow:
     def test_z_conserved_along_run(self, torus1, base1):
         u0 = dl.bandlimited_noise(torus1, 2, 1.0, 3)
         u0 *= 0.05 / dl.tensor_norms(torus1, u0).hess_sup
-        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
-                            hat_theta=float(np.arctan(1.0)), dt_safety=1.0,
-                            t_max=5.0, residual_tol=1e-12, sample_every=64,
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
+                            dt_safety=1.0, t_max=5.0, residual_tol=1e-12, sample_every=64,
                             keep_fields=4)
         traj = dl.run_flow(cfg)
         Z0 = complex(traj.records[0].Z_re, traj.records[0].Z_im)
@@ -402,7 +418,7 @@ class TestRunFlow:
         assert drift < 1e-9
 
     def test_stationarity_drift_per_unit_time(self, torus1, base1):
-        traj = dl.run_fixed(torus1, base1, float(np.arctan(1.0)),
+        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
                             np.zeros(torus1.shape), dt=dl.stable_dt(torus1, 1.0),
                             n_steps=200, sample_every=10**9)
         drift = np.abs(traj.final.u).max() / traj.final.t
@@ -419,7 +435,7 @@ class TestRunFlow:
 
         def final(dt):
             n = int(round(T / dt))
-            return dl.run_fixed(geom, base, hat, u0, dt=dt, n_steps=n,
+            return dl.run_fixed(dl.LineBundleFlow(base, hat), u0, dt=dt, n_steps=n,
                                 sample_every=10**9).final.u
 
         ref = final(dt0 / 8)
@@ -435,8 +451,8 @@ class TestRunFlow:
 
         monkeypatch.setattr(flow_mod, "etdrk4_step", always_diverges)
         u0 = 0.1 * cos_axis(torus1, 0)
-        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
-                            hat_theta=float(np.arctan(1.0)), t_max=1.0)
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
+                            t_max=1.0)
         traj = flow_mod.run_flow(cfg)
         assert traj.status == "blowup"
         assert np.array_equal(traj.final.u, u0)  # last valid state reported
@@ -447,9 +463,8 @@ class TestRunFlow:
         step, calls = fails_on_call(flow_mod.etdrk4_step, 3)
         monkeypatch.setattr(flow_mod, "etdrk4_step", step)
         u0 = 0.1 * cos_axis(torus1, 0)
-        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
-                            hat_theta=float(np.arctan(1.0)), dt_safety=0.5,
-                            t_max=0.25, sample_every=4)
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
+                            dt_safety=0.5, t_max=0.25, sample_every=4)
         traj = flow_mod.run_flow(cfg)
         ds = 4 * dl.stable_dt(torus1, 0.5)
         assert traj.status == "timeout"
@@ -470,9 +485,7 @@ class TestRunFlow:
         base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5][:n]), psi=psi)
         u0 = dl.bandlimited_noise(geom, 2, 1.0, 5)
         u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
-        cfg = dl.FlowConfig(geometry=geom, base=base, u0=u0,
-                            hat_theta=dl.winding_hat_theta(geom, base.field()),
-                            t_max=0.5, sample_every=2)
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base), u0=u0, t_max=0.5, sample_every=2)
         outputs = []
         for threads in ("1", "4"):
             monkeypatch.setenv("DHYM_THREADS", threads)
@@ -484,21 +497,19 @@ class TestRunFlow:
 
     def test_config_validation(self, torus1, base1):
         with pytest.raises(ValueError, match="dt_safety"):
-            dl.FlowConfig(geometry=torus1, base=base1, u0=np.zeros(torus1.shape),
-                          hat_theta=0.0, dt_safety=1.5)
+            dl.FlowConfig(flow=dl.LineBundleFlow(base1, 0.0), u0=np.zeros(torus1.shape),
+                          dt_safety=1.5)
         with pytest.raises(ValueError, match="t_max"):
-            dl.FlowConfig(geometry=torus1, base=base1, u0=np.zeros(torus1.shape),
-                          hat_theta=0.0, t_max=-1.0)
+            dl.FlowConfig(flow=dl.LineBundleFlow(base1, 0.0), u0=np.zeros(torus1.shape),
+                          t_max=-1.0)
 
     @pytest.mark.parametrize("field,value", [
         ("t_max", np.nan), ("t_max", np.inf), ("residual_tol", np.nan),
         ("residual_tol", np.inf), ("sample_every", 2.5), ("sample_every", 0),
-        ("hat_theta", np.nan),
     ])
     def test_config_refuses_non_finite_or_fractional(self, torus1, base1, field, value):
         # constructing alone must refuse; t_max=nan used to run forever
-        kwargs = dict(geometry=torus1, base=base1, u0=np.zeros(torus1.shape),
-                      hat_theta=0.0)
+        kwargs = dict(flow=dl.LineBundleFlow(base1, 0.0), u0=np.zeros(torus1.shape))
         with pytest.raises(ValueError, match=field):
             dl.FlowConfig(**{**kwargs, field: value})
 
@@ -508,20 +519,19 @@ class TestRunFlow:
         dict(sample_every=0), dict(sample_every=2.5),
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_fixed_run_refuses_bad_arguments_up_front(self, torus1, base1, monkeypatch, kwargs):
-        import dhym_lab.flow as flow_mod
-
-        # refused before the flow is built: building it would raise TypeError
-        monkeypatch.setattr(flow_mod, "LineBundleFlow", None)
+        flow = dl.LineBundleFlow(base1, 0.0)
+        # refused before the run starts: its initial state would raise TypeError
+        monkeypatch.setattr(flow, "initial_state", None)
         args = {"dt": 1e-3, "n_steps": 4, "sample_every": 1, **kwargs}
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            flow_mod.run_fixed(torus1, base1, 0.0, np.zeros(torus1.shape), **args)
+            dl.run_fixed(flow, np.zeros(torus1.shape), **args)
 
     def test_fixed_run_halves_and_logs_a_rejected_rk4_step(self, torus1, base1, monkeypatch):
         import dhym_lab.flow as flow_mod
 
         monkeypatch.setattr(flow_mod, "rk4_step", fails_on_call(flow_mod.rk4_step, 3)[0])
         dt = dl.stable_dt(torus1, 0.5)
-        traj = flow_mod.run_fixed(torus1, base1, float(np.arctan(1.0)),
+        traj = flow_mod.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
                                   0.1 * cos_axis(torus1, 0), dt=dt, n_steps=8, sample_every=2)
         ds = 2 * dt
         assert traj.status == "timeout"
@@ -540,7 +550,7 @@ class TestRunFlow:
         # starts from it instead of transforming u again
         geom = dl.build_torus(n, 16 if n == 1 else 8, np.eye(n))
         base = dl.BaseCurvature.proportional(geom, 1.0)
-        flow = dl.LineBundleFlow(geom, base, n * float(np.arctan(1.0)))
+        flow = dl.LineBundleFlow(base, n * float(np.arctan(1.0)))
         state = flow.initial_state(dl.bandlimited_noise(geom, 2, 0.01, 3))
         seen = []
         spectrum = flow.spectrum
@@ -552,7 +562,7 @@ class TestRunFlow:
             assert s.theta.tobytes() == flow.phase(s.uh).tobytes()
 
     def test_phase_cache_matches_state(self, torus1, base1):
-        flow = dl.LineBundleFlow(torus1, base1, float(np.arctan(1.0)))
+        flow = dl.LineBundleFlow(base1, float(np.arctan(1.0)))
         state = flow.initial_state(0.05 * cos_axis(torus1, 0))
         state = dl.rk4_step(state, 1e-3)
         assert np.abs(state.theta - flow.theta(state.u)).max() == 0.0
@@ -593,7 +603,7 @@ class TestEtdrk4:
             "n2-16-diag", "n2-8-hermitian", "n3-8"])
     def test_coefficients_of_distinct_values_match_per_point_loop(self, n, N, g, F0, exact):
         geom = dl.build_torus(n, N, g)
-        flow = dl.LineBundleFlow(geom, dl.BaseCurvature(geometry=geom, F0=F0), 0.0)
+        flow = dl.LineBundleFlow(dl.BaseCurvature(geometry=geom, F0=F0), 0.0)
         for h in (4 * dl.stable_dt(geom, 0.5), 128 * dl.stable_dt(geom, 1.0)):
             got, expect = flow.etd_coefficients(h), per_point_coefficients(flow, h)
             for a, b in zip(got[:3], expect[:3]):
@@ -627,8 +637,8 @@ class TestEtdrk4:
         cfg = parse_config_data(doc).flow_config()
         traj = dl.run_flow(cfg)
         refine = 2  # RK4 at half the stable step, sampled at the same times
-        dt = dl.stable_dt(cfg.geometry, cfg.dt_safety) / refine
-        ref = dl.run_fixed(cfg.geometry, cfg.base, cfg.hat_theta, cfg.u0, dt=dt,
+        dt = dl.stable_dt(cfg.flow.geometry, cfg.dt_safety) / refine
+        ref = dl.run_fixed(cfg.flow, cfg.u0, dt=dt,
                            n_steps=int(round(cfg.t_max / dt)),
                            sample_every=cfg.sample_every * refine)
         etd, rk4 = list(traj.samples), list(ref.samples)
@@ -644,7 +654,7 @@ class TestEtdrk4:
         geom = dl.build_torus(1, 16, [1.0])
         base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=0.2 * cos_axis(geom, 0))
         hat = dl.winding_hat_theta(geom, base.field())
-        flow = dl.LineBundleFlow(geom, base, hat)
+        flow = dl.LineBundleFlow(base, hat)
         zero = np.zeros(geom.shape)
         # the psi background leaves a remainder the linear part does not absorb
         assert np.abs(flow.remainder(flow.spectrum(zero), flow.theta(zero))).max() > 1e-3
@@ -668,12 +678,10 @@ class TestEtdrk4:
         u0 *= 0.05 / dl.tensor_norms(torus1, u0).hess_sup
         dt = dl.stable_dt(torus1, 0.5)
         t_max = 131 * dt  # 16 sample intervals of 8 steps, then 3 steps to t_max
-        cfg = dl.FlowConfig(geometry=torus1, base=base1, u0=u0,
-                            hat_theta=float(np.arctan(1.0)), dt_safety=0.5,
-                            t_max=t_max, sample_every=8)
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
+                            dt_safety=0.5, t_max=t_max, sample_every=8)
         traj = dl.run_flow(cfg)
-        rk4 = dl.run_fixed(torus1, base1, cfg.hat_theta, u0, dt=dt, n_steps=131,
-                           sample_every=8)
+        rk4 = dl.run_fixed(cfg.flow, u0, dt=dt, n_steps=131, sample_every=8)
         ds = 8 * dt
         assert traj.status == "timeout"
         assert len(traj.records) == len(rk4.records) == 18
@@ -682,7 +690,7 @@ class TestEtdrk4:
         assert rk4.steps == 131 and rk4.steps_rejected == 0
 
     def test_step_refused_when_nonpositive(self, torus1, base1):
-        state = dl.LineBundleFlow(torus1, base1, 0.0).initial_state(np.zeros(torus1.shape))
+        state = dl.LineBundleFlow(base1, 0.0).initial_state(np.zeros(torus1.shape))
         with pytest.raises(ValueError):
             dl.etdrk4_step(state, 0.0)
 

@@ -198,7 +198,7 @@ class TestCoordinateOracles:
                             geom.to_frame(dl.complex_hessian(geom, u**2), "zZ")).real
             del ctx
             # the stationary-point reports, with the residual gate opened
-            reps = dl.dhym_point_identities(geom, base, u, hat_theta=hat, residual_tol=1e9)
+            reps = dl.dhym_point_identities(dl.LineBundleFlow(base, hat), u, residual_tol=1e9)
             octx = oracle_context(geom, base, u)
             for which, field in zip(names, rhs):
                 assert_rel(field, oracle_identity_rhs(geom, which, octx, hat, u), which)
@@ -224,7 +224,7 @@ class TestCoordinateOracles:
             err = np.abs((tp - tm) / (2 * eps) - analytic).max() / np.abs(analytic).max()
             assert abs(dl.verify_linearization(geom, base, u, phi, eps) - err) <= 1e-13
             # the linear symbol of the ETDRK4 stepper
-            flow = dl.LineBundleFlow(geom, base, hat)
+            flow = dl.LineBundleFlow(base, hat)
             assert_rel(flow.linear_symbol, oracle_linear_symbol(geom, base.F0, N), "symbol")
             for j in (0, N // 2):  # L(k) = L(-k) where both k and -k are on the half grid
                 plane = flow.linear_symbol[..., j]

@@ -372,9 +372,9 @@ class TestWordKernel:
         # n >= 2 the norms build each entry's symbols when they reach it
         geom = dl.build_torus(n, 8, random_metric(np.random.default_rng(1), n))
         base = dl.BaseCurvature(geometry=geom, F0=np.eye(n))
-        flow = dl.LineBundleFlow(geom, base, 0.0)
+        flow = dl.LineBundleFlow(base, 0.0)
         u = dl.bandlimited_noise(geom, 2, 0.05, 1)
-        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=0.0)
+        traj = dl.Trajectory(flow)
         traj.record(flow.state(u))
         dl.tensor_norms(geom, u)
         held = set(vars(geom)) - set(vars(dl.build_torus(n, 8, np.eye(n))))
@@ -451,10 +451,10 @@ class TestKernelEntry:
         geom = dl.build_torus(n, N, FRAMED_G if n == 2 else np.eye(n))
         psi = dl.bandlimited_noise(geom, 2, 0.05, 3)
         base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
-        flow = dl.LineBundleFlow(geom, base, n * np.pi / 4)
+        flow = dl.LineBundleFlow(base, n * np.pi / 4)
         u = dl.bandlimited_noise(geom, 2, 0.02, 4)
         state = dl.etdrk4_step(flow.initial_state(u), 4 * dl.stable_dt(geom, 0.5))
-        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=flow.hat_theta)
+        traj = dl.Trajectory(flow)
         traj.record(state)
         assert np.isfinite(traj.records[0].hess_sup)
         assert np.isfinite(dl.tensor_norms(geom, u).hess_sup)

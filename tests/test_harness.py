@@ -11,8 +11,8 @@ from dhym_lab.diagnostics import oscillation_decay
 class TestGenerateReference:
     def test_trivial_base_returns_zero_immediately(self, torus1):
         base = dl.BaseCurvature.proportional(torus1, 1.0)
-        cfg = dl.FlowConfig(geometry=torus1, base=base, u0=np.zeros(torus1.shape),
-                            hat_theta=float(np.arctan(1.0)), t_max=10.0)
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base, float(np.arctan(1.0))),
+                            u0=np.zeros(torus1.shape), t_max=10.0)
         ref = dl.generate_reference(cfg)
         assert np.abs(ref.u_hat).max() == 0.0
         assert ref.trajectory.t_final == 0.0
@@ -21,10 +21,8 @@ class TestGenerateReference:
     def test_oscillatory_base_reference(self, torus1):
         psi = 0.2 * cos_axis(torus1, 0)
         base = dl.BaseCurvature(geometry=torus1, F0=torus1.g, psi=psi)
-        hat = dl.winding_hat_theta(torus1, base.field())
-        cfg = dl.FlowConfig(geometry=torus1, base=base, u0=np.zeros(torus1.shape),
-                            hat_theta=hat, dt_safety=1.0, t_max=400.0,
-                            sample_every=1000)
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base), u0=np.zeros(torus1.shape),
+                            dt_safety=1.0, t_max=400.0, sample_every=1000)
         ref = dl.generate_reference(cfg)
         assert ref.residual_sup <= 1e-11
         # the endpoint realizes a spatially constant phase
@@ -38,17 +36,15 @@ class TestGenerateReference:
     def test_far_from_solution_reports_failure(self, torus1):
         psi = 50.0 * cos_axis(torus1, 0)
         base = dl.BaseCurvature(geometry=torus1, F0=torus1.g, psi=psi)
-        hat = dl.winding_hat_theta(torus1, base.field())
-        cfg = dl.FlowConfig(geometry=torus1, base=base, u0=np.zeros(torus1.shape),
-                            hat_theta=hat, dt_safety=1.0, t_max=2.0,
-                            sample_every=1000)
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base), u0=np.zeros(torus1.shape),
+                            dt_safety=1.0, t_max=2.0, sample_every=1000)
         with pytest.raises(RuntimeError, match="no reference obtained"):
             dl.generate_reference(cfg)
 
 
 def small_sweep(torus1, deltas, seeds=2):
     base = dl.BaseCurvature.proportional(torus1, 1.0)
-    cfg = dl.SweepConfig(geometry=torus1, base=base, delta_list=deltas,
+    cfg = dl.SweepConfig(flow=dl.LineBundleFlow(base), delta_list=deltas,
                          seeds=seeds, k_band=2, dt_safety=1.0, t_max=250.0,
                          residual_tol=1e-10, sample_every=128)
     return dl.stability_sweep(cfg)
@@ -111,8 +107,8 @@ class TestStabilitySweep:
         # at N = 32 the band may be 1 to 10; every error is raised at construction
         base = dl.BaseCurvature.proportional(torus1, 1.0)
         with pytest.raises(ValueError, match=match):
-            dl.SweepConfig(geometry=torus1, base=base, **{"delta_list": [0.1], "seeds": 1,
-                                                           field: value})
+            dl.SweepConfig(flow=dl.LineBundleFlow(base), **{"delta_list": [0.1], "seeds": 1,
+                                                            field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("t_max", np.nan), ("t_max", np.inf), ("t_max", 0.0), ("residual_tol", np.nan),
@@ -130,7 +126,7 @@ class TestStabilitySweep:
         monkeypatch.setattr(harness, "_one_cell", refuse)
         base = dl.BaseCurvature.proportional(torus1, 1.0)
         with pytest.raises(ValueError, match=field):
-            harness.stability_sweep(dl.SweepConfig(geometry=torus1, base=base,
+            harness.stability_sweep(dl.SweepConfig(flow=dl.LineBundleFlow(base),
                                                    delta_list=[0.05], seeds=1, **{field: value}))
 
     def test_rate_table_structure(self, torus1):
@@ -151,9 +147,9 @@ class TestSharedFlow:
 
         runs, run_flow = [], harness.run_flow
 
-        def spy(cfg, flow):
-            traj = run_flow(cfg, flow)
-            runs.append((cfg, flow, traj, flow._etd[0]))
+        def spy(cfg):
+            traj = run_flow(cfg)
+            runs.append((cfg, cfg.flow, traj, cfg.flow._etd[0]))
             return traj
 
         monkeypatch.setattr(harness, "run_flow", spy)
@@ -165,7 +161,7 @@ class TestSharedFlow:
         import dhym_lab.flow as flow_mod
 
         geom = dl.build_torus(1, 16, [1.0])
-        sweep = dl.SweepConfig(geometry=geom, base=dl.BaseCurvature.proportional(geom, 1.0),
+        sweep = dl.SweepConfig(flow=dl.LineBundleFlow(dl.BaseCurvature.proportional(geom, 1.0)),
                                delta_list=[0.01, 0.05], seeds=2, dt_safety=1.0, t_max=250.0,
                                residual_tol=1e-10, sample_every=128)
         _, plain = self.sweep_runs(sweep, monkeypatch)
@@ -205,15 +201,3 @@ class TestSharedFlow:
         report = small_sweep(torus1, [0.01, 0.05], seeds=1)
         assert [c.status for c in report.cells] == ["converged"] * 2
         assert len(built) == 1
-
-    def test_run_flow_refuses_a_flow_of_another_run(self, torus1):
-        base = dl.BaseCurvature.proportional(torus1, 1.0)
-        hat = float(np.arctan(1.0))
-        cfg = dl.FlowConfig(geometry=torus1, base=base, u0=np.zeros(torus1.shape), hat_theta=hat)
-        other_geom = dl.build_torus(1, 32, [1.0])
-        for flow in (dl.LineBundleFlow(other_geom, base, hat),
-                     dl.LineBundleFlow(torus1, dl.BaseCurvature.proportional(torus1, 1.0), hat),
-                     dl.LineBundleFlow(torus1, base, hat + 1e-3)):
-            with pytest.raises(ValueError, match="does not match"):
-                dl.run_flow(cfg, flow)
-        assert dl.run_flow(cfg, dl.LineBundleFlow(torus1, base, hat)).status == "converged"

@@ -4,7 +4,8 @@
 package inits of scipy and scipy.fft; the CLI must not pull them in another way,
 and scipy.fft, imported before or after, must run the same module object.
 `diagnostics` imports no module of the package but `geometry` and `phase`, so
-`flow`, which records through it, depends on it one way.
+`flow`, which records through it, depends on it one way.  The benchmark's frozen
+tracer must install on the package and restore it.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 
 
@@ -80,3 +82,27 @@ def test_diagnostics_imports_only_geometry_and_phase():
                 modules.add(base)
     package = {m.split(".")[1] for m in modules if m.startswith("dhym_lab.")}
     assert "dhym_lab" not in modules and package <= {"geometry", "phase"}, sorted(modules)
+
+
+def test_perfbench_tracer_installs_and_restores():
+    # perfbench/tracer.py, frozen between benchmark changes, wraps the package by name:
+    # every public function, LineBundleFlow.theta and rhs from the class __dict__, and
+    # flow.sfft; the suite does not collect perfbench's own tests, so this is their guard
+    run_python(f"""
+import sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+import dhym_lab, dhym_lab.cli
+from dhym_lab import flow
+from tracer import Tracer
+modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("dhym_lab")]
+before = [dict(vars(m)) for m in modules] + [dict(vars(flow.LineBundleFlow))]
+tracer = Tracer()
+tracer.install(dhym_lab)
+assert vars(flow.LineBundleFlow)["theta"] is not before[-1]["theta"]
+assert flow.run_flow is not before[modules.index(flow)]["run_flow"]
+assert type(flow.sfft).__name__ == "_SfftProxy"
+tracer.restore()
+after = [dict(vars(m)) for m in modules] + [dict(vars(flow.LineBundleFlow))]
+assert all(a.get(k) is v for a, b in zip(after, before) for k, v in b.items())
+assert flow.sfft is sys.modules["scipy.fft"]
+""")

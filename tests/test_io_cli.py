@@ -124,9 +124,17 @@ class TestParseConfig:
     def test_flow_config_construction(self):
         cfg = parse_config_data(minimal_config(hat_theta=0.7853981633974483))
         fc = cfg.flow_config()
-        assert fc.geometry.n == 1
-        assert fc.hat_theta == pytest.approx(np.arctan(1.0))
+        assert fc.flow.geometry.n == 1
+        assert fc.flow.hat_theta == pytest.approx(np.arctan(1.0))
         assert (fc.u0 == 0).all()
+
+    def test_flow_takes_the_winding_lift_without_hat_theta(self):
+        cfg = parse_config_data(minimal_config(base_curvature={
+            "constant": [[1.3]],
+            "potential": {"modes": [{"m": [1, 0], "amplitude": 0.2, "phase": 0.1}]}}))
+        flow = cfg.flow()
+        assert cfg.hat_theta is None
+        assert flow.hat_theta == dl.winding_hat_theta(flow.geometry, flow.base.field())
 
     def test_modes_initial_field(self, torus1):
         cfg = parse_config_data(minimal_config(
@@ -147,8 +155,8 @@ class TestParseConfig:
 class TestDiagnosticsCsv:
     def test_single_record_two_lines(self, tmp_path, torus1):
         base = dl.BaseCurvature.proportional(torus1, 1.0)
-        cfg = dl.FlowConfig(geometry=torus1, base=base, u0=np.zeros(torus1.shape),
-                            hat_theta=float(np.arctan(1.0)))
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base, float(np.arctan(1.0))),
+                            u0=np.zeros(torus1.shape))
         traj = dl.run_flow(cfg)
         path = tmp_path / "d.csv"
         dl.write_diagnostics(traj.records, path)
@@ -161,7 +169,7 @@ class TestDiagnosticsCsv:
 
     def test_phase_only_record_refused(self, tmp_path, torus1):
         base = dl.BaseCurvature.proportional(torus1, 1.0)
-        flow, u = dl.LineBundleFlow(torus1, base, 0.7), dl.bandlimited_noise(torus1, 2, 0.05, 3)
+        flow, u = dl.LineBundleFlow(base, 0.7), dl.bandlimited_noise(torus1, 2, 0.05, 3)
         full = diagnostics.build_record(flow.state(u, 0.25))
         phase_only = diagnostics.build_record(flow.state(u, 0.5), norms=False)
         path = tmp_path / "d.csv"
@@ -179,8 +187,8 @@ class TestDiagnosticsCsv:
 
     def test_byte_stable(self, tmp_path, torus1):
         base = dl.BaseCurvature.proportional(torus1, 1.0)
-        cfg = dl.FlowConfig(geometry=torus1, base=base, u0=np.zeros(torus1.shape),
-                            hat_theta=float(np.arctan(1.0)))
+        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base, float(np.arctan(1.0))),
+                            u0=np.zeros(torus1.shape))
         traj = dl.run_flow(cfg)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         dl.write_diagnostics(traj.records, p1)
@@ -444,7 +452,7 @@ class TestCli:
         oracle = tmp_path / "oracle"
         oracle.mkdir()
         for k, s in enumerate(traj.samples):
-            write_snapshot(s.u, "u", s.t, flow_cfg.geometry, oracle / f"u_{k:06d}.snap")
+            write_snapshot(s.u, "u", s.t, flow_cfg.flow.geometry, oracle / f"u_{k:06d}.snap")
         streamed = {p.name: p.read_bytes() for p in (tmp_path / "run").glob("u_*.snap")}
         assert len(streamed) == len(traj.records)
         assert streamed == {p.name: p.read_bytes() for p in oracle.iterdir()}
@@ -503,12 +511,8 @@ class TestCli:
     @staticmethod
     def load_every_sample(run_dir, norms=True):
         """The run-directory loader that holds every sample: the oracle of the bracket."""
-        cfg = parse_config(run_dir / "effective-config.json")
-        geom = cfg.geometry()
-        base = cfg.base(geom)
-        hat_theta = cfg.hat_theta_value(geom, base)
-        flow = dl.LineBundleFlow(geom, base, hat_theta)
-        traj = dl.Trajectory(geometry=geom, base=base, hat_theta=hat_theta, norms=norms)
+        flow = parse_config(run_dir / "effective-config.json").flow()
+        traj = dl.Trajectory(flow, norms=norms)
         for snap in sorted(run_dir.glob("u_[0-9]*.snap")):
             u, header = read_snapshot(snap)
             traj.record(flow.state(u, header["t"]))
@@ -544,9 +548,9 @@ class TestCli:
         monkeypatch.undo()
         assert len(traj.records) == 9 and len(held) >= 9 and max(held) == 0
         # the oracle: the same run with every sample held, whose middle `_cmd_verify` read
-        geom = cfg.geometry()
-        base = cfg.base(geom)
-        full = dl.run_fixed(geom, base, cfg.hat_theta_value(geom, base), cfg.initial_field(geom),
+        flow = cfg.flow()
+        geom = flow.geometry
+        full = dl.run_fixed(flow, cfg.initial_field(geom),
                             dt=min(1e-3, dl.stable_dt(geom, cfg.time["dt_safety"])), n_steps=8,
                             norms=False)
         samples = list(full.samples)
