@@ -485,10 +485,11 @@ class TestRunFlow:
         base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5][:n]), psi=psi)
         u0 = dl.bandlimited_noise(geom, 2, 1.0, 5)
         u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
-        cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base), u0=u0, t_max=0.5, sample_every=2)
         outputs = []
         for threads in ("1", "4"):
             monkeypatch.setenv("DHYM_THREADS", threads)
+            # each thread count builds its own flow, so no cached coefficients are shared
+            cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base), u0=u0, t_max=0.5, sample_every=2)
             traj = dl.run_flow(cfg)
             path = tmp_path / f"diagnostics-{threads}.csv"
             dl.write_diagnostics(traj.records, path)

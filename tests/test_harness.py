@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -173,13 +174,15 @@ class TestSharedFlow:
         report, runs = self.sweep_runs(sweep, monkeypatch)
         monkeypatch.setattr(flow_mod, "etdrk4_step", step)
         ds = 128 * dl.stable_dt(geom, 1.0)
-        assert len({id(flow) for _, flow, _, _ in runs}) == 1
+        assert all(flow is sweep.flow for _, flow, _, _ in runs)
         assert runs[0][2].steps_rejected == 1 and runs[0][3] == ds / 2
         assert [h for *_, h in runs[1:]] == [ds] * 3
         for k, (cell, (cfg, _, traj, _)) in enumerate(zip(report.cells, runs)):
             if k == 0:
                 monkeypatch.setattr(flow_mod, "etdrk4_step", fails_on_call(step, last)[0])
-            alone = dl.run_flow(cfg)
+            # the standalone run gets a fresh flow, so nothing it holds comes from the sweep
+            fresh = dl.LineBundleFlow(cfg.flow.base, cfg.flow.hat_theta)
+            alone = dl.run_flow(dataclasses.replace(cfg, flow=fresh))
             monkeypatch.setattr(flow_mod, "etdrk4_step", step)
             assert cell.status == alone.status == "converged"
             assert [r.csv_row() for r in cell.records] == [r.csv_row() for r in alone.records]
