@@ -40,8 +40,10 @@ norms=False it builds a phase-only record: the scalar columns of a full one
 and NaN TENSOR_COLUMNS.  `verify` records this way, because none of its
 checks reads a tensor column; `write_diagnostics` refuses such records.
 
-The checks read the geometry, base and hat_theta from `trajectory.flow` or
-a given flow by attribute, so this module imports no `flow`.
+The checks read the geometry, hat_theta, the base potential and the frame
+curvature planes (`curvature_planes`) from `trajectory.flow` or a given flow
+by attribute, so this module imports no `flow`, and no identity context
+copies a base curvature field.
 
 Time derivatives for identity checks use second-order central differences
 of stored trajectory samples, never integrator internals, so the verifier
@@ -266,35 +268,47 @@ class _SampleContext(SimpleNamespace):
         return dEta
 
 
-def _phase_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
+def _phase_context(flow, u: np.ndarray) -> _SampleContext:
     """The phase part of a sample's context: what `dhym_point_identities` reads.
 
     uh and psi_hat are the full spectra of u and of the base potential (None
-    without one), H = {(p, q): u_{p qbar}} the frame Hessian's entries from its
-    real planes (`TorusGeometry.frame_hessian`), and theta, eta and eta_inv
-    belong to the frame curvature F = Fhat + H.
+    without one); theta, eta and eta_inv belong to the frame curvature F from the
+    flow's own planes (`LineBundleFlow.curvature_planes`), so theta is the flow's
+    phase bit for bit.  F's entries are held index first, so `eta_pair` reads
+    each as a contiguous field, and no copy of the base curvature is made.
     """
+    geom, idx = flow.geometry, range(flow.geometry.n)
     u = np.asarray(u, dtype=np.float64)
-    T, idx = geom.frame_hessian(geom.rfft(u)), range(geom.n)
-    H = {(p, q): T[p][q] + 1j * T[q][p] if p < q else T[p][p] for p in idx for q in idx[p:]}
-    H.update({(q, p): H[p, q].conj() for p, q in list(H) if p < q})
-    F = geom.to_frame(base.field(), "zZ").copy()
-    for (p, q), h in H.items():
-        F[..., p, q] += h
-    eta, eta_inv = eta_pair(F)
-    return _SampleContext(geom=geom, uh=geom.fft(u), H=H, eta=eta, eta_inv=eta_inv,
-                          psi_hat=None if base.psi is None else geom.fft(base.psi),
-                          theta=PhaseFields(frame_characteristic(F)).theta)
+    T = flow.curvature_planes(geom.rfft(u))
+    F = np.empty((geom.n, geom.n) + geom.shape, dtype=np.complex128)
+    for p in idx:
+        F[p, p] = T[p][p]
+        for q in idx[p + 1:]:
+            F[p, q].real, F[p, q].imag = T[p][q], T[q][p]
+            np.conjugate(F[p, q], out=F[q, p])
+    theta = PhaseFields(frame_characteristic(T)).theta
+    del T  # before eta and its inverse
+    eta, eta_inv = eta_pair(np.moveaxis(F, (0, 1), (-2, -1)))
+    psi = flow.base.psi
+    return _SampleContext(geom=geom, uh=geom.fft(u), eta=eta, eta_inv=eta_inv,
+                          psi_hat=None if psi is None else geom.fft(psi), theta=theta)
 
 
-def _sample_context(geom: TorusGeometry, base, u: np.ndarray) -> _SampleContext:
+def _sample_context(flow, u: np.ndarray) -> _SampleContext:
     """What the identity right-hand sides read at one sample.
 
     The phase context (`_phase_context`) plus the frame tensors du = u_i,
-    S = u_{i p}, T = u_{i jbar k} and dF = d_i F_{p qbar} = (psi + u)_{i p qbar}
-    as tables (`_table`), one transform per orbit of commuting indices.
+    H = {(p, q): u_{p qbar}} from u's real Hessian planes
+    (`TorusGeometry.frame_hessian`), S = u_{i p}, T = u_{i jbar k} and
+    dF = d_i F_{p qbar} = (psi + u)_{i p qbar} as tables (`_table`), one
+    transform per orbit of commuting indices.
     """
-    ctx = _phase_context(geom, base, u)
+    ctx = _phase_context(flow, u)
+    geom, idx = ctx.geom, range(ctx.geom.n)
+    T = geom.frame_hessian(geom.rfft(u))
+    H = {(p, q): T[p][q] + 1j * T[q][p] if p < q else T[p][p] for p in idx for q in idx[p:]}
+    H.update({(q, p): H[p, q].conj() for p, q in list(H) if p < q})
+    ctx.H = H
     ctx.du, ctx.S, ctx.T = (_table(geom.entries(ctx.uh, word)) for word in ("z", "zz", "zZz"))
     pot_hat = ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat
     ctx.dF = _table(geom.entries(pot_hat, "zzZ"))
@@ -477,7 +491,7 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
     # the center's norms come from the context's own du, H, S and T
     quantities = [named(s.u, tensor_norms(geom, s.u, norm_names) if norm_names else None)
                   for s in (prev, nxt)]
-    ctx = _sample_context(geom, flow.base, mid.u)
+    ctx = _sample_context(flow, mid.u)
     quantities.insert(1, named(mid.u, SimpleNamespace(**{
         w: reduce(add, (x.real ** 2 + x.imag ** 2 for x in getattr(ctx, table).values()))
         for w, table in (("grad_sq", "du"), ("Theta", "H"), ("ThetaP", "S"))
@@ -515,7 +529,7 @@ def dhym_point_identities(flow, u_hat: np.ndarray, residual_tol: float = 1e-9):
     eta_{s tbar, i} F_{p qbar, jbar}.
     """
     geom = flow.geometry
-    ctx = _phase_context(geom, flow.base, u_hat)
+    ctx = _phase_context(flow, u_hat)
     residual = float(np.abs(ctx.theta - flow.hat_theta).max())
     if residual > residual_tol:
         raise ValueError(

@@ -2,8 +2,13 @@
 
 The state is the real potential u on the grid with its half spectrum
 (`TorusGeometry.rfft`); the velocity is theta(F_hat + complex_hessian(u)) -
-hat_theta, at every n from the real planes of `TorusGeometry.frame_hessian`
-plus those of F~_hat; a state keeps theta and Z = integral of zeta.
+hat_theta, at every n from the real planes of `TorusGeometry.frame_hessian`;
+a state keeps theta and Z = integral of zeta.  The base F_hat = F0 +
+complex_hessian(psi) enters only through F0 + complex_hessian(u + psi), so
+psi is a shift of u within F_hat's class (the flow of Jacob & Yau, Math.
+Ann. 369, 2017): the phase is that of the frame Hessian of the spectrum
+uh + rfft(psi) plus the n^2 constant planes of the frame F0, and no
+curvature field is held.
 
 A `LineBundleFlow` carries the problem: the base curvature F_hat (and its
 torus) and hat_theta, by default the winding lift of F_hat's class.
@@ -93,7 +98,9 @@ class BaseCurvature:
 
     F0 is the constant (harmonic) part, an n x n Hermitian matrix; psi is an
     optional real periodic potential whose Hessian carries the oscillatory
-    part, so the mean of F_hat - F0 vanishes entrywise by construction.
+    part, so the mean of F_hat - F0 vanishes entrywise by construction.  Both
+    must be finite.  The flow reads psi as a shift of u (`LineBundleFlow`), so
+    the field F_hat is built only when asked for, and held by nobody.
     """
 
     geometry: TorusGeometry
@@ -107,12 +114,14 @@ class BaseCurvature:
             F0 = F0 * np.eye(n)
         if F0.shape != (n, n):
             raise ValueError(f"constant curvature must be {n}x{n}, got {F0.shape}")
+        _check_finite("constant curvature F0", F0, "entry")
         check_hermitian_field(F0)
         self.F0 = F0
         if self.psi is not None:
             psi = np.asarray(self.psi, dtype=np.float64)
             if psi.shape != self.geometry.shape:
                 raise ValueError("potential shape does not match the grid")
+            _check_finite("potential psi", psi, "grid index")
             self.psi = psi
 
     @classmethod
@@ -120,17 +129,21 @@ class BaseCurvature:
         """The trivially stationary base F_hat = c * omega."""
         return cls(geometry=geometry, F0=c * geometry.g, psi=None)
 
-    @cached_property
-    def _field(self) -> np.ndarray:
+    def field(self) -> np.ndarray:
+        """Realized curvature field, shape grid + (n, n), built on each call."""
         geom = self.geometry
         out = np.broadcast_to(self.F0, geom.shape + self.F0.shape).copy()
         if self.psi is not None:
             out += complex_hessian(geom, self.psi)
         return out
 
-    def field(self) -> np.ndarray:
-        """Realized curvature field, shape grid + (n, n)."""
-        return self._field
+
+def _check_finite(name: str, a: np.ndarray, where: str) -> None:
+    """Refuse an array with a non-finite entry, naming the index of the first one."""
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        at = tuple(int(i) for i in np.unravel_index(bad[0], a.shape))
+        raise ValueError(f"{name} is not finite at {where} {at}")
 
 
 def stable_dt(geom: TorusGeometry, sigma: float) -> float:
@@ -147,7 +160,12 @@ class LineBundleFlow:
     to the winding lift of the base's class (`cohomology.winding_hat_theta`).
 
     Right-hand side, one path at every n: the phase of the half spectrum uh of
-    u is that of the frame curvature F~_hat + frame_hessian(uh), plane by plane."""
+    u is that of the frame curvature F~0 + frame_hessian(uh + psi_hat), plane by
+    plane.  The base enters only through the n^2 planes of F~0, held as scalars,
+    and psi_hat = rfft(psi) (None without a potential): psi is a shift of u within
+    F_hat's class, so the flow holds no curvature field, and at most two half
+    spectra.  The second is where uh + psi_hat is summed, so a flow with a
+    potential takes one phase at a time."""
 
     def __init__(self, base: BaseCurvature, hat_theta: float | None = None):
         self.base = base
@@ -158,20 +176,32 @@ class LineBundleFlow:
         if not np.isfinite(self.hat_theta):
             raise ValueError(f"hat_theta must be finite, got {hat_theta!r}")
         self._etd = None  # (h, ETDRK4 coefficients) of the last step size
-        # the planes of F~_hat as views, so at g = I nothing beside base.field() is held
-        self._fhat = hermitian_planes(geometry.to_frame(base.field(), "zZ"))
+        # F~0 through two rows, so the product takes the bits it takes for a field of
+        # them (one row takes a matrix-vector path, whose last bits differ)
+        F0 = geometry.to_frame(np.broadcast_to(base.F0, (2,) + base.F0.shape), "zZ")[0]
+        self._f0 = [[float(c) for c in row] for row in hermitian_planes(F0)]
+        self._psi_hat = None if base.psi is None else self.spectrum(base.psi)
+        self._wh = None if base.psi is None else np.empty_like(self._psi_hat)
 
     def spectrum(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of a real grid field."""
         return self.geometry.rfft(f)
 
+    def curvature_planes(self, uh: np.ndarray) -> list:
+        """The n x n real planes (`phase.hermitian_planes`) of the frame curvature
+        F~0 + frame_hessian(uh + psi_hat) of F_hat + complex_hessian(u), from the
+        spectrum of u; uh + psi_hat is summed into the held half spectrum."""
+        if self._psi_hat is not None:
+            uh = np.add(uh, self._psi_hat, out=self._wh)
+        T = self.geometry.frame_hessian(uh)
+        for row, base_row in zip(T, self._f0):
+            for plane, c in zip(row, base_row):
+                plane += c  # Hermitian by construction, so unchecked
+        return T
+
     def phase_fields(self, uh: np.ndarray) -> PhaseFields:
         """PhaseFields (theta and zeta) of F_hat + complex_hessian(u) from the spectrum of u."""
-        T = self.geometry.frame_hessian(uh)
-        for row, base_row in zip(T, self._fhat):
-            for plane, base_plane in zip(row, base_row):
-                plane += base_plane  # Hermitian by construction, so unchecked
-        return PhaseFields(frame_characteristic(T))
+        return PhaseFields(frame_characteristic(self.curvature_planes(uh)))
 
     def phase(self, uh: np.ndarray) -> np.ndarray:
         """Phase field theta(F_hat + complex_hessian(u)) from the spectrum of u."""

@@ -498,13 +498,12 @@ class TestDhymPointIdentities:
         # d_i F_{p qbar} and d_i d_jbar F_{p qbar} are read with every index in
         # coordinates, so a metric costs no transforms: at n = 3 d eta takes 27 complex
         # inverse transforms, dF 18 (not 27) and the second derivatives 36 (not 81), as
-        # at g = I; the Hessian's n^2 real planes take one irfft per entry on and above
-        # the diagonal
+        # at g = I; the n^2 real planes of the flow's curvature, the Hessian of u + psi,
+        # take one irfft per entry on and above the diagonal, and no base field is built
         rng = np.random.default_rng(n)
         B = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
         geom = dl.build_torus(n, 8, B @ B.conj().T + 0.5 * np.eye(n))
         base, u = psi_base(geom), dl.bandlimited_noise(geom, 2, 0.01, 3)
-        base.field()  # built before the count
         calls = {"ifft": [], "irfft": []}
         for name, calls_of in calls.items():
             method = getattr(dl.TorusGeometry, name)

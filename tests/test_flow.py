@@ -1,4 +1,7 @@
 import dataclasses
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from conftest import cos_axis, fails_on_call
 from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field
 from dhym_lab.flow import _CONTOUR_POINTS
-from dhym_lab.phase import eta_pair, frame_characteristic
+from dhym_lab.phase import eta_pair, frame_characteristic, hermitian_planes
 from spectral_oracle import deriv
 
 
@@ -35,6 +38,36 @@ class TestBaseCurvature:
         with pytest.raises(ValueError, match="non-Hermitian"):
             dl.BaseCurvature(geometry=torus2, F0=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_potential_refused_before_any_transform(self, torus2, bad, monkeypatch):
+        # a NaN in psi used to pass, and then collapse the step of every run of its flow
+        psi = dl.bandlimited_noise(torus2, 2, 0.1, 1)
+        psi[3, 1, 4, 2], psi[5, 0, 0, 0] = bad, np.nan
+        for name in ("fft", "rfft"):
+            monkeypatch.setattr(dl.TorusGeometry, name, fails_on_transform)
+        with pytest.raises(ValueError,
+                           match=r"^potential psi is not finite at grid index \(3, 1, 4, 2\)$"):
+            dl.BaseCurvature(geometry=torus2, F0=torus2.g, psi=psi)
+
+    @pytest.mark.parametrize("F0,at", [([[np.inf]], (0, 0)),
+                                       ([[1.0, np.nan], [np.nan, 2.0]], (0, 1))])
+    def test_non_finite_constant_refused_before_the_hermitian_check(self, F0, at):
+        geom = dl.build_torus(len(F0), 8, np.eye(len(F0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf - inf in the Hermitian check warned
+            with pytest.raises(ValueError, match=re.escape(
+                    f"constant curvature F0 is not finite at entry {at}")):
+                dl.BaseCurvature(geometry=geom, F0=np.array(F0))
+
+    def test_field_is_built_on_each_call(self, torus1):
+        base = dl.BaseCurvature(geometry=torus1, F0=torus1.g, psi=0.3 * cos_axis(torus1, 0))
+        first = base.field()
+        assert base.field() is not first and np.array_equal(base.field(), first)
+
+
+def fails_on_transform(geom, f):
+    raise AssertionError("a transform ran")
+
 
 class TestLineBundleFlow:
     @pytest.mark.parametrize("hat_theta", [np.nan, np.inf, -np.inf])
@@ -53,6 +86,31 @@ class TestLineBundleFlow:
         flow = dl.LineBundleFlow(base)
         assert flow.geometry is geom
         assert flow.hat_theta == dl.winding_hat_theta(geom, base.field())
+
+    @pytest.mark.parametrize("n,N", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("potential", [False, True], ids=["flat", "psi"])
+    @pytest.mark.parametrize("hat_theta", [None, 0.0], ids=["winding", "explicit"])
+    def test_holds_no_curvature_field(self, n, N, potential, hat_theta):
+        # the base enters through F~0's n^2 scalars and psi_hat: a flat base holds no
+        # grid-sized array, a potential two half spectra (psi_hat and the sum's buffer);
+        # at n = 3, N = 8 the flow held 36 MiB either way when it held the field
+        geom = dl.build_torus(n, N, np.eye(n))
+        psi = dl.bandlimited_noise(geom, 2, 0.1, 1) if potential else None
+        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5, 0.75][:n]), psi=psi)
+        uh = geom.rfft(dl.bandlimited_noise(geom, 2, 0.05, 2))
+        geom.plane_symbols  # held by the geometry, not the flow
+        half_bytes = uh.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            flow = dl.LineBundleFlow(base, hat_theta)
+            flow.phase(uh)  # a phase holds nothing more
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        slack = 16 * 1024  # a few small arrays; a real grid field is 512 KiB or more here
+        assert held <= slack + (2 * half_bytes if potential else 0)
+        assert slack < geom.num_points * 8
 
 
 class TestFlowRhs:
@@ -118,10 +176,18 @@ def scalar_multiplier(N):
     return -np.add.outer((sfft.fftfreq(N) * N) ** 2, (sfft.rfftfreq(N) * N) ** 2) / 4.0
 
 
-def scalar_theta(geom, base, u):
-    """Oracle: the n = 1 phase arctan((F_hat + irfft2(mult * uh)) / g)."""
-    lam = base.field()[..., 0, 0].real + sfft.irfft2(
-        scalar_multiplier(geom.N) * sfft.rfft2(u), s=geom.shape)
+def scalar_theta(geom, base, u, field=False):
+    """Oracle: the n = 1 phase arctan((irfft2(mult * (uh + psi_hat)) + F0) / g), the
+    potential psi a shift of u; with field=True the arithmetic of the base curvature
+    field, arctan((F_hat + irfft2(mult * uh)) / g)."""
+    uh = sfft.rfft2(u)
+    if field:
+        lam = base.field()[..., 0, 0].real + sfft.irfft2(scalar_multiplier(geom.N) * uh,
+                                                         s=geom.shape)
+    else:
+        if base.psi is not None:
+            uh += sfft.rfft2(base.psi)
+        lam = sfft.irfft2(scalar_multiplier(geom.N) * uh, s=geom.shape) + base.F0[0, 0].real
     inv_g = float(1.0 / geom.g[0, 0].real)
     if inv_g != 1.0:
         lam *= inv_g
@@ -152,16 +218,21 @@ class TestOnePhasePath:
         geom = dl.build_torus(1, N, [1.0])
         base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=0.2 * cos_axis(geom, 0))
         u = dl.bandlimited_noise(geom, 2, 0.3, 9)
-        assert np.array_equal(dl.LineBundleFlow(base, 0.0).theta(u),
-                              scalar_theta(geom, base, u))
+        theta = dl.LineBundleFlow(base, 0.0).theta(u)
+        assert np.array_equal(theta, scalar_theta(geom, base, u))
+        # the base field's arithmetic transforms psi apart: 2e-16 from it at N = 32 and
+        # 3.1e-14 at N = 256, where the transforms' rounding is larger
+        assert np.abs(theta - scalar_theta(geom, base, u, field=True)).max() <= 1e-13
 
     @pytest.mark.parametrize("g", [0.6, 1.7])
     def test_n1_metric_within_rounding(self, g):
         geom = dl.build_torus(1, 32, [g])
         base = dl.BaseCurvature(geometry=geom, F0=1.3 * geom.g, psi=0.2 * cos_axis(geom, 0))
         u = dl.bandlimited_noise(geom, 2, 0.3, 9)
-        theta, expect = dl.LineBundleFlow(base, 0.0).theta(u), scalar_theta(geom, base, u)
-        assert np.abs(theta - expect).max() <= 1e-14 * np.abs(expect).max()
+        theta = dl.LineBundleFlow(base, 0.0).theta(u)
+        for field in (False, True):
+            expect = scalar_theta(geom, base, u, field)
+            assert np.abs(theta - expect).max() <= 1e-14 * np.abs(expect).max()
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_n1_linear_symbol_bit_for_bit(self, c):
@@ -171,14 +242,17 @@ class TestOnePhasePath:
         assert np.array_equal(flow.linear_symbol, eta_inv[0, 0].real * 1.0 * scalar_multiplier(32))
 
 
-def complex_buffer_characteristic(geom, base, uh):
+def complex_buffer_characteristic(geom, base, uh, field=False):
     """Oracle: e_0..e_n of the flow's curvature the way the flow built it before
-    its real planes: the half-spectrum Hessian written entry by entry into a
-    complex (grid, n, n) buffer, taken to the frame, plus F~_hat, then
+    its real planes: the half-spectrum Hessian of uh + rfft(psi) written entry by
+    entry into a complex (grid, n, n) buffer, taken to the frame, plus F~0 (with
+    field=True, the Hessian of uh plus the frame base curvature field F~_hat), then
     `frame_characteristic` of that matrix field.  Its mixed symbols are not even
-    in k where k has a Nyquist wave number, so it is exact only for a spectrum
-    uh without Nyquist modes."""
+    in k where k has a Nyquist wave number, so it is exact only for a summed
+    spectrum without Nyquist modes."""
     n = geom.n
+    if not field and base.psi is not None:
+        uh = uh + geom.rfft(base.psi)
     mz, mZ = geom.half_symbols["z"], geom.half_symbols["Z"]
     H = np.empty(geom.shape + (n, n), dtype=np.complex128)
     for p in range(n):
@@ -189,8 +263,14 @@ def complex_buffer_characteristic(geom, base, uh):
                 H[..., p, q].imag = geom.irfft(s.imag.copy() * uh)
                 H[..., q, p] = H[..., p, q].conj()
     F = geom.to_frame(H, "zZ")
-    F += geom.to_frame(base.field(), "zZ")
+    F += geom.to_frame(base.field(), "zZ") if field else frame_F0(geom, base)
     return frame_characteristic(F)
+
+
+def frame_F0(geom, base):
+    """F~0 as the flow takes it: through two rows, as for a field of them."""
+    n = geom.n
+    return geom.to_frame(np.broadcast_to(base.F0, (2, n, n)), "zZ")[0]
 
 
 def without_nyquist(geom, uh):
@@ -215,27 +295,118 @@ class TestPlanePhase:
         base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5, 2.0][:n]),
                                 psi=modes_field(geom, modes))
         uh = geom.rfft(dl.bandlimited_noise(geom, 2, 0.3, 5))
-        if not nyquist:
-            uh = without_nyquist(geom, uh)
+        if not nyquist:  # (x - b) + b is 0 where x is, so the flow's sum uh + psi_hat is too
+            psi_hat = geom.rfft(base.psi)
+            uh = without_nyquist(geom, uh + psi_hat) - psi_hat
         flow = dl.LineBundleFlow(base, 0.0)
-        return flow.phase_fields(uh), dl.PhaseFields(complex_buffer_characteristic(geom, base, uh))
+        return flow.phase_fields(uh), *(dl.PhaseFields(complex_buffer_characteristic(
+            geom, base, uh, field)) for field in (False, True))
+
+    @staticmethod
+    def assert_within_rounding(new, old, n):
+        assert np.abs(new.theta - old.theta).max() <= 1e-14
+        for k in range(1, n + 1):
+            assert np.abs(new.e[k] - old.e[k]).max() <= 1e-14 * np.abs(old.e[k]).max(), k
 
     @pytest.mark.parametrize("n,N", [(1, 32), (2, 16)])
     def test_bit_for_bit_at_identity_metric(self, n, N):
         # rfft leaves rounding-sized Nyquist modes (5.7e-14 of 372 at n = 2), which
-        # the old path mishandled: without them it is exact, and so bit for bit
-        new, old = self.phases(n, N, np.eye(n), nyquist=False)
+        # the old path mishandled: without them it is exact, and so bit for bit; the
+        # base curvature field's arithmetic adds psi's Hessian apart, within rounding
+        new, old, field = self.phases(n, N, np.eye(n), nyquist=False)
         assert np.array_equal(new.theta, old.theta)
         for k in range(n + 1):
             assert np.array_equal(new.e[k], old.e[k]), k
+        self.assert_within_rounding(new, field, n)
 
     @pytest.mark.parametrize("n,N,g", [(3, 8, np.eye(3)), (1, 32, np.array([[1.7]])), (2, 16, G2)],
                              ids=["n3-N8-I", "n1-N32-g", "n2-N16-g"])
     def test_within_rounding(self, n, N, g):
-        new, old = self.phases(n, N, g)
-        assert np.abs(new.theta - old.theta).max() <= 1e-14
+        new, *oracles = self.phases(n, N, g)
+        for old in oracles:
+            self.assert_within_rounding(new, old, n)
+
+
+def field_phase(flow, uh):
+    """Oracle: the phase the way the flow took it while it held the base curvature
+    field: the frame Hessian's planes of uh plus those of F~_hat (`BaseCurvature.field`)."""
+    geom = flow.geometry
+    T = geom.frame_hessian(uh)
+    for row, base_row in zip(T, hermitian_planes(geom.to_frame(flow.base.field(), "zZ"))):
+        for plane, base_plane in zip(row, base_row):
+            plane += base_plane
+    return dl.PhaseFields(frame_characteristic(T))
+
+
+G3 = np.array([[2.0, 0.3j, 0.1], [-0.3j, 1.0, 0.2j], [0.1, -0.2j, 1.5]])
+METRICS = [(1, 32, np.eye(1)), (1, 32, np.array([[1.7]])), (2, 8, np.eye(2)),
+           (2, 8, TestPlanePhase.G2), (3, 8, np.eye(3)), (3, 8, G3)]
+METRIC_IDS = ["n1-I", "n1-g", "n2-I", "n2-g", "n3-I", "n3-g"]
+
+
+def constant_curvature(n):
+    """A constant F0 with a complex entry off the diagonal at n >= 2."""
+    F0 = np.diag([1.0, 0.5, 0.75][:n]).astype(complex)
+    if n > 1:
+        F0[0, 1], F0[1, 0] = 0.1 + 0.2j, 0.1 - 0.2j
+    return F0
+
+
+class TestPsiShift:
+    """The flow reads a potential psi as a shift of u within F_hat's class."""
+
+    @pytest.mark.parametrize("n,N,g", METRICS, ids=METRIC_IDS)
+    def test_flat_base_is_the_field_arithmetic_bit_for_bit(self, n, N, g):
+        # a constant added as n^2 scalars gives the bits of the planes of a field of it,
+        # at a non-diagonal metric too (F~0 takes the product a field takes)
+        geom = dl.build_torus(n, N, g)
+        flow = dl.LineBundleFlow(dl.BaseCurvature(geometry=geom, F0=constant_curvature(n)), 0.0)
+        uh = geom.rfft(dl.bandlimited_noise(geom, 2, 0.3, 5))
+        new, old = flow.phase_fields(uh), field_phase(flow, uh)
+        assert np.array_equal(new.theta, old.theta)
         for k in range(1, n + 1):
-            assert np.abs(new.e[k] - old.e[k]).max() <= 1e-14 * np.abs(old.e[k]).max(), k
+            assert np.array_equal(new.e[k], old.e[k]), k
+
+    @pytest.mark.parametrize("n,N,g", METRICS, ids=METRIC_IDS)
+    def test_run_fixed_from_u0_is_the_flat_run_from_u0_plus_psi(self, n, N, g):
+        # (F0, psi) from u0 against (F0, none) from u0 + psi, minus psi: exact in exact
+        # arithmetic, so within a few ulps of the fields' size (1.3 at most measured; theta
+        # 12 ulps of its size at n = 1, where the Hessian's rounding is largest against it)
+        geom = dl.build_torus(n, N, g)
+        psi = dl.bandlimited_noise(geom, 2, 0.3, 1)
+        u0 = dl.bandlimited_noise(geom, 2, 0.05, 2)
+        flat = dl.LineBundleFlow(dl.BaseCurvature(geometry=geom, F0=constant_curvature(n)))
+        shifted = dl.LineBundleFlow(
+            dl.BaseCurvature(geometry=geom, F0=constant_curvature(n), psi=psi), flat.hat_theta)
+        steps = 2 if n == 3 else 4  # an n = 3 RK4 step takes about 0.3 s
+        a, b = (dl.run_fixed(flow, start, dl.stable_dt(geom, 0.5), steps, sample_every=steps,
+                             norms=False)
+                for flow, start in ((shifted, u0), (flat, u0 + psi)))
+        eps = np.finfo(float).eps
+        scale = max(np.abs(a.final.u).max(), np.abs(b.final.u).max())
+        assert np.abs(a.final.u - (b.final.u - psi)).max() <= 4 * eps * scale
+        assert np.abs(a.final.theta - b.final.theta).max() <= 32 * eps * np.abs(b.final.theta).max()
+        assert len(a.records) == len(b.records) == 2
+
+    def test_run_flow_from_u0_is_the_flat_run_from_u0_plus_psi(self):
+        # four ETDRK4 steps of 64 stable steps each; at n = 1 the relation holds to 4.6
+        # ulps at most (over 3 seeds), and at n = 2, N = 8 to only about 300: there the
+        # phi-functions' contour means carry psi's share L psi of the remainder less exactly
+        geom = dl.build_torus(1, 32, [1.7])
+        psi = dl.bandlimited_noise(geom, 2, 0.3, 1)
+        u0 = dl.bandlimited_noise(geom, 2, 0.05, 2)
+        flat = dl.LineBundleFlow(dl.BaseCurvature(geometry=geom, F0=1.3 * geom.g))
+        shifted = dl.LineBundleFlow(dl.BaseCurvature(geometry=geom, F0=1.3 * geom.g, psi=psi),
+                                    flat.hat_theta)
+        t_max = 4 * 64 * dl.stable_dt(geom, 0.5)
+        a, b = (dl.run_flow(dl.FlowConfig(flow=flow, u0=start, t_max=t_max, sample_every=64))
+                for flow, start in ((shifted, u0), (flat, u0 + psi)))
+        assert a.status == b.status == "timeout" and a.steps == b.steps == 4
+        scale = max(np.abs(a.final.u).max(), np.abs(b.final.u).max())
+        assert np.abs(a.final.u - (b.final.u - psi)).max() <= 16 * np.finfo(float).eps * scale
+        for sa, sb in zip(a.samples, b.samples):
+            assert sa.t == sb.t
+            assert np.abs(sa.u - (sb.u - psi)).max() <= 16 * np.finfo(float).eps * scale
 
 
 class TestRecordsReuseFlowPhase:
@@ -246,8 +417,8 @@ class TestRecordsReuseFlowPhase:
         geom = dl.build_torus(2, 8, np.array([[2.0, 0.3j], [-0.3j, 1.0]]))
         base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5]),
                                 psi=0.05 * dl.bandlimited_noise(geom, 2, 1.0, 2))
-        state = dl.LineBundleFlow(base, 0.0).initial_state(
-            dl.bandlimited_noise(geom, 2, 0.05, 3))
+        flow = dl.LineBundleFlow(base, 0.0)  # its construction transforms psi
+        state = flow.initial_state(dl.bandlimited_noise(geom, 2, 0.05, 3))
         calls = []
 
         def spy(name):
@@ -259,7 +430,7 @@ class TestRecordsReuseFlowPhase:
         for module in (dl.diagnostics, dl.phase, dl.flow):
             monkeypatch.setattr(module, "frame_characteristic",
                                 lambda *a: calls.append("frame_characteristic"))
-        traj = dl.Trajectory(flow=dl.LineBundleFlow(base, 0.0), norms=norms)
+        traj = dl.Trajectory(flow=flow, norms=norms)
         traj.record(state)
         assert calls == []  # a full record's norms take the state's spectrum
         assert len(traj.records) == 1

@@ -191,7 +191,7 @@ class TestCoordinateOracles:
             del tn
             # the identities' right sides and the eta-Laplacian of their left sides,
             # one context at a time to bound the memory at n = 3
-            ctx = diagnostics._sample_context(geom, base, u)
+            ctx = diagnostics._sample_context(dl.LineBundleFlow(base, hat), u)
             names = ("u_sq", "grad_sq", "Theta", "ThetaP")
             rhs = [diagnostics._identity_rhs(geom, which, ctx, hat, u) for which in names]
             lap = np.einsum("...qp,...pq->...", ctx.eta_inv,

@@ -190,8 +190,8 @@ class TestDerivativeKernel:
     @pytest.mark.parametrize("metric", [False, True], ids=["I", "g"])
     @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
     def test_complex_hessian_is_the_full_tensor_oracle_bit_for_bit(self, n, N, metric):
-        # BaseCurvature, and through it every flow output, keeps the bits of the
-        # full-tensor Hessian it was built from
+        # BaseCurvature's field, and through it the winding hat_theta, keeps the bits
+        # of the full-tensor Hessian it was built from
         geom = dl.build_torus(n, N, random_metric(np.random.default_rng(n), n) if metric
                               else np.eye(n))
         psi = dl.bandlimited_noise(geom, 2, 0.1, n)
@@ -200,7 +200,8 @@ class TestDerivativeKernel:
         base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
         assert np.array_equal(base.field(), geom.g + expect)
         if n == 2:  # the identity context holds one array per orbit of commuting indices
-            ctx = diagnostics._sample_context(geom, base, dl.bandlimited_noise(geom, 2, 0.1, 5))
+            ctx = diagnostics._sample_context(dl.LineBundleFlow(base, 0.0),
+                                              dl.bandlimited_noise(geom, 2, 0.1, 5))
             assert ctx.T[0, 1, 1] is ctx.T[1, 1, 0] and ctx.S[0, 1] is ctx.S[1, 0]
             assert ctx.dF[0, 1, 1] is ctx.dF[1, 0, 1]
 
