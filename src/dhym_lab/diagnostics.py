@@ -271,11 +271,12 @@ class _SampleContext(SimpleNamespace):
 def _phase_context(flow, u: np.ndarray) -> _SampleContext:
     """The phase part of a sample's context: what `dhym_point_identities` reads.
 
-    uh and psi_hat are the full spectra of u and of the base potential (None
-    without one); theta, eta and eta_inv belong to the frame curvature F from the
-    flow's own planes (`LineBundleFlow.curvature_planes`), so theta is the flow's
-    phase bit for bit.  F's entries are held index first, so `eta_pair` reads
-    each as a contiguous field, and no copy of the base curvature is made.
+    theta, eta and eta_inv belong to the frame curvature F from the flow's own
+    planes (`LineBundleFlow.curvature_planes`), so theta is the flow's phase bit
+    for bit.  F's entries are held index first, so `eta_pair` reads each as a
+    contiguous field, and no copy of the base curvature is made.  psi is the base
+    potential (None without one); its spectrum, and u's, are taken where they are
+    read, so no context holds them through the right sides.
     """
     geom, idx = flow.geometry, range(flow.geometry.n)
     u = np.asarray(u, dtype=np.float64)
@@ -289,9 +290,7 @@ def _phase_context(flow, u: np.ndarray) -> _SampleContext:
     theta = PhaseFields(frame_characteristic(T)).theta
     del T  # before eta and its inverse
     eta, eta_inv = eta_pair(np.moveaxis(F, (0, 1), (-2, -1)))
-    psi = flow.base.psi
-    return _SampleContext(geom=geom, uh=geom.fft(u), eta=eta, eta_inv=eta_inv,
-                          psi_hat=None if psi is None else geom.fft(psi), theta=theta)
+    return _SampleContext(geom=geom, eta=eta, eta_inv=eta_inv, psi=flow.base.psi, theta=theta)
 
 
 def _sample_context(flow, u: np.ndarray) -> _SampleContext:
@@ -309,10 +308,15 @@ def _sample_context(flow, u: np.ndarray) -> _SampleContext:
     H = {(p, q): T[p][q] + 1j * T[q][p] if p < q else T[p][p] for p in idx for q in idx[p:]}
     H.update({(q, p): H[p, q].conj() for p, q in list(H) if p < q})
     ctx.H = H
-    ctx.du, ctx.S, ctx.T = (_table(geom.entries(ctx.uh, word)) for word in ("z", "zz", "zZz"))
-    pot_hat = ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat
-    ctx.dF = _table(geom.entries(pot_hat, "zzZ"))
+    uh = geom.fft(u)
+    ctx.du, ctx.S, ctx.T = (_table(geom.entries(uh, word)) for word in ("z", "zz", "zZz"))
+    ctx.dF = _table(geom.entries(_potential_spectrum(ctx, uh), "zzZ"))
     return ctx
+
+
+def _potential_spectrum(ctx: _SampleContext, uh: np.ndarray) -> np.ndarray:
+    """The full spectrum of u + psi, from u's: F = F0 + ddbar(u + psi)."""
+    return uh if ctx.psi is None else uh + ctx.geom.fft(ctx.psi)
 
 
 def _eta_trace(Hinv: np.ndarray, M, hermitian: bool = False) -> np.ndarray:
@@ -388,7 +392,7 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
         B = _eta_trace(Hinv, lambda p, q: reduce(add, (H[p, i] * H[i, q] for i in idx)),
                        hermitian=True)
         rhs = -(A + B)
-        if ctx.psi_hat is not None:
+        if ctx.psi is not None:
             # psi_{i p qbar} = dF[i, p, q] - u_{p qbar i}, one entry at a time
             dF, T = ctx.dF, ctx.T
             C = _eta_trace(Hinv, lambda p, q: reduce(add, ((dF[i, p, q] - T[p, q, i])
@@ -409,15 +413,15 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
                                 lambda x, y: reduce(add, (dF[i, x, y] * H[l, i] for i in idx)))
                            for l in idx))
         rhs = -2.0 * T1 - 2.0 * mix.real
-        if ctx.psi_hat is not None:
+        if ctx.psi is not None:
             # psi_{i lbar p qbar} H_{l ibar} against eta-inverse, one entry of psi at a time
-            hat = _entry_sum(geom, ctx.psi_hat, "zZzZ",
+            hat = _entry_sum(geom, geom.fft(ctx.psi), "zZzZ",
                              lambda t: Hinv[..., t[3], t[2]] * H[t[1], t[0]])
             rhs += 2.0 * hat.real
         return rhs
 
     # ThetaP; u_{i p k} is symmetric, so P holds each distinct entry once
-    P = _table(geom.entries(ctx.uh, "zzz"))
+    P = _table(geom.entries(geom.fft(u), "zzz"))
     e1 = _eta_trace(Hinv, lambda k, l: reduce(add, (P[i, p, k] * P[i, p, l].conj()
                                                     for i in idx for p in idx)), hermitian=True)
     del P  # bounds the peak memory
@@ -429,9 +433,9 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
                             lambda x, y: reduce(add, (dF[i, x, y] * Sc[i, p] for i in idx)))
                        for p in idx))
     rhs = -(e1 + e2) - 2.0 * mix.real
-    if ctx.psi_hat is not None:
+    if ctx.psi is not None:
         # psi_{i p k lbar} Sbar_{i p} against eta-inverse, one entry of psi at a time
-        hat = _entry_sum(geom, ctx.psi_hat, "zzzZ",
+        hat = _entry_sum(geom, geom.fft(ctx.psi), "zzzZ",
                          lambda t: Hinv[..., t[3], t[2]] * Sc[t[0], t[1]])
         rhs += 2.0 * hat.real
     return rhs
@@ -454,8 +458,8 @@ def _bracket(trajectory, t: float):
 
 _IDENTITY_NAMES = ("u_sq", "grad_sq", "Theta", "ThetaP")
 # the context tables each right side reads (`_identity_rhs`)
-_READS = {"u_sq": ("du", "H"), "grad_sq": ("du", "S", "H", "T", "dF"),
-          "Theta": ("H", "T", "dF", "dEta"), "ThetaP": ("uh", "S", "T", "dF", "dEta")}
+_READS = {"u_sq": ("theta", "du", "H"), "grad_sq": ("du", "S", "H", "T", "dF"),
+          "Theta": ("H", "T", "dF", "dEta"), "ThetaP": ("S", "T", "dF", "dEta")}
 
 
 def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> list:
@@ -541,7 +545,7 @@ def dhym_point_identities(flow, u_hat: np.ndarray, residual_tol: float = 1e-9):
     # contractions are in coordinates, with eta^{-1} = C = P^H Hinv P: equal letters
     # of d_i F_{p qbar} and d_i d_jbar F_{p qbar} commute (`entries`)
     C = geom.to_frame(Hinv, "zZ", P.conj().T)
-    pot_hat = ctx.uh if ctx.psi_hat is None else ctx.uh + ctx.psi_hat  # F = F0 + ddbar(psi + u)
+    pot_hat = _potential_spectrum(ctx, geom.fft(u_hat))
     dF = {t: field for orbit, field in geom.entries(pot_hat, "zzZ", coords=3) for t in orbit}
     # (i): the phase gradient contraction, one complex field per direction i
     first = np.stack([_eta_trace(C, lambda p, q: dF[i, p, q]) for i in idx], axis=-1)

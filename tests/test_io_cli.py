@@ -566,11 +566,12 @@ class TestCli:
 
     def test_verify_config_peak_memory(self, tmp_path):
         # verify --config holds three samples, drops eta once d eta is built and each
-        # context table after its last reader, and streams the mix terms, and its flow
-        # holds no base curvature field: 66.3 complex grid fields at its traced peak
-        # here (the bound is that + 10%), against 69.0 when the flow and the identity
-        # context held one each, and 87 when it held all nine samples, eta beside d eta,
-        # every table to the end and whole sandwiches
+        # context table after its last reader, and streams the mix terms; its flow
+        # holds no base curvature field, and its context takes the spectra of u and psi
+        # where they are read: 64.8 complex grid fields at its traced peak here (the
+        # bound is that + 10%), against 69.0 when the flow and the identity context held
+        # a base field each and the context held both spectra, and 87 when it held all
+        # nine samples, eta beside d eta, every table to the end and whole sandwiches
         path = self.write_config(tmp_path, self.VERIFY_N2)
         field_bytes = 8 ** 4 * 16
         tracemalloc.start()
@@ -579,7 +580,7 @@ class TestCli:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / field_bytes <= 73
+        assert peak / field_bytes <= 71
 
     def test_verify_records_phase_only_with_unchanged_report(self, tmp_path, monkeypatch):
         # both verify paths record phase-only, and their reports are byte-identical
