@@ -42,6 +42,7 @@ from .flow import (
     FlowSample,
     FlowState,
     LineBundleFlow,
+    Schedule,
     Trajectory,
     etdrk4_step,
     rk4_step,

@@ -27,6 +27,7 @@ from .config_io import (
     ConfigError,
     RunConfig,
     _entry,
+    _initial,
     parse_config,
     parse_sweep_config,
     read_snapshot,
@@ -36,7 +37,7 @@ from .config_io import (
 )
 from .flow import Trajectory, run_flow, run_fixed, stable_dt
 from .geometry import _workers
-from .harness import SweepConfig, generate_reference, stability_sweep
+from .harness import generate_reference, stability_sweep
 from .phase import pointwise_phase
 
 _STATUS_CODES = {"converged": 0, "timeout": 2, "blowup": 3}
@@ -54,7 +55,7 @@ def _apply_seed_override(cfg: RunConfig, seed: int | None) -> RunConfig:
         return cfg
     if cfg.initial.get("type") != "noise":
         raise ConfigError("$.initial", "--seed-override requires noise initial data")
-    cfg.initial = dict(cfg.initial, seed=int(seed))
+    cfg.initial = _initial(dict(cfg.initial, seed=seed), cfg.dimension, cfg.resolution, "$.initial")
     return cfg
 
 
@@ -202,11 +203,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_sweep_config(args.config)
-    run = spec.run
-    sweep = SweepConfig(flow=run.flow(), delta_list=spec.delta_list, seeds=spec.seeds,
-                        k_band=spec.k_band, seed_base=spec.seed_base, **run.time)
-    report = stability_sweep(sweep)
-    out_dir = _ensure_dir(args.out_dir or run.outputs["dir"])
+    report = stability_sweep(spec.sweep_config())
+    out_dir = _ensure_dir(args.out_dir or spec.run.outputs["dir"])
     out = args.out or (out_dir / "report.json")
     with open(out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from types import SimpleNamespace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS, TENSOR_COLUMNS, tensor_norms
-from .flow import BaseCurvature, FlowConfig, LineBundleFlow, _check_time
-from .geometry import TorusGeometry, bandlimited_noise, build_torus, check_hermitian_field
-from .harness import _sweep_error
+from .diagnostics import CSV_COLUMNS, TENSOR_COLUMNS
+from .flow import BaseCurvature, FlowConfig, LineBundleFlow, Schedule
+from .geometry import TorusGeometry, build_torus, check_hermitian_field
+from .harness import SweepConfig, _scaled_noise, _sweep_error
 
 __all__ = [
     "ConfigError",
@@ -39,12 +38,6 @@ __all__ = [
     "modes_field",
 ]
 
-_TIME_DEFAULTS = {
-    "t_max": 100.0,
-    "dt_safety": 0.5,
-    "residual_tol": 1e-10,
-    "sample_every": 100,
-}
 _OUTPUT_DEFAULTS = {"dir": ".", "snapshots": "none"}
 _SNAPSHOT_MODES = ("none", "final", "all-samples")
 _SNAPSHOT_DTYPES = {"f64le": np.dtype("<f8"), "c128le": np.dtype("<c16")}
@@ -141,12 +134,13 @@ def _initial(obj, n: int, N: int, path: str) -> dict:
         k_band = _integer(obj["k_band"], f"{path}.k_band")
         if k_band < 1 or k_band > N / 3:
             raise ConfigError(f"{path}.k_band", f"band exceeds dealiasing limit N/3 = {N / 3:g}")
-        return {
-            "type": "noise",
-            "k_band": k_band,
-            "seed": _integer(obj["seed"], f"{path}.seed"),
-            "target_hess_sup": _number(obj["target_hess_sup"], f"{path}.target_hess_sup"),
-        }
+        init = {"type": "noise", "k_band": k_band,
+                "seed": _integer(obj["seed"], f"{path}.seed"),
+                "target_hess_sup": _number(obj["target_hess_sup"], f"{path}.target_hess_sup")}
+        for key in ("seed", "target_hess_sup"):
+            if init[key] < 0:
+                raise ConfigError(f"{path}.{key}", f"{key} must be nonnegative")
+        return init
     if kind == "modes":
         _require_keys(obj, path, ("type", "modes"), ())
         return {"type": "modes", "modes": _modes(obj["modes"], n, N, f"{path}.modes")}
@@ -184,11 +178,7 @@ class RunConfig:
             return np.zeros(geom.shape)
         if init["type"] == "modes":
             return modes_field(geom, init["modes"])
-        u0 = bandlimited_noise(geom, init["k_band"], 1.0, init["seed"])
-        target = init["target_hess_sup"]
-        if target == 0.0:
-            return np.zeros(geom.shape)
-        return u0 * (target / tensor_norms(geom, u0, ("Theta", "ThetaP")).hess_sup)
+        return _scaled_noise(geom, init["k_band"], init["seed"], init["target_hess_sup"])
 
     def flow(self) -> LineBundleFlow:
         """The configured flow; hat_theta is the winding lift when the config gives none."""
@@ -259,14 +249,13 @@ def parse_config_data(data: dict, source: str = "$") -> RunConfig:
 
     initial = _initial(data.get("initial", {"type": "zero"}), n, N, f"{source}.initial")
 
-    time = dict(_TIME_DEFAULTS)
-    if "time" in data:
-        _require_keys(data["time"], f"{source}.time", (), tuple(_TIME_DEFAULTS))
-        for key, val in data["time"].items():
-            parse = _integer if key == "sample_every" else _number
-            time[key] = parse(val, f"{source}.time.{key}")
+    time = Schedule().schedule()  # the defaults, in the order of the keys
+    _require_keys(data.get("time", {}), f"{source}.time", (), tuple(time))
+    for key, val in data.get("time", {}).items():
+        parse = _integer if isinstance(time[key], int) else _number
+        time[key] = parse(val, f"{source}.time.{key}")
     try:
-        _check_time(SimpleNamespace(**time))  # the checks of FlowConfig and SweepConfig
+        Schedule(**time)  # the checks of FlowConfig and SweepConfig
     except ValueError as exc:
         raise ConfigError(f"{source}.time", str(exc)) from None
 
@@ -274,6 +263,9 @@ def parse_config_data(data: dict, source: str = "$") -> RunConfig:
     if "outputs" in data:
         _require_keys(data["outputs"], f"{source}.outputs", (), ("dir", "snapshots"))
         outputs.update(data["outputs"])
+    if not isinstance(outputs["dir"], str):
+        raise ConfigError(f"{source}.outputs.dir",
+                          f"expected a string, got {type(outputs['dir']).__name__}")
     if outputs["snapshots"] not in _SNAPSHOT_MODES:
         raise ConfigError(f"{source}.outputs.snapshots",
                           f"must be one of {_SNAPSHOT_MODES}")
@@ -309,13 +301,13 @@ def write_config(config: RunConfig, path) -> None:
 
 @dataclass
 class SweepSpec:
-    """Parsed sweep configuration: a run skeleton plus the sweep block."""
+    """Parsed sweep configuration: a run skeleton plus the sweep block (`SweepConfig`'s)."""
 
     run: RunConfig
-    delta_list: list
-    seeds: int
-    k_band: int
-    seed_base: int
+    sweep: dict
+
+    def sweep_config(self) -> SweepConfig:
+        return SweepConfig(flow=self.run.flow(), **self.sweep, **self.run.time)
 
 
 def parse_sweep_config(path) -> SweepSpec:
@@ -325,21 +317,24 @@ def parse_sweep_config(path) -> SweepSpec:
         ("dimension", "resolution", "metric", "base_curvature", "sweep"),
         ("hat_theta", "time", "outputs"),
     )
-    sweep = data.pop("sweep")
+    block = data.pop("sweep")
     run = parse_config_data(data)
-    _require_keys(sweep, "$.sweep", ("delta_list", "seeds"), ("k_band", "seed_base"))
-    deltas = sweep["delta_list"]
-    if not isinstance(deltas, list):
-        raise ConfigError("$.sweep.delta_list", "expected a list")
-    deltas = [_number(d, f"$.sweep.delta_list[{i}]") for i, d in enumerate(deltas)]
-    seeds = _integer(sweep["seeds"], "$.sweep.seeds")
-    k_band = _integer(sweep.get("k_band", 2), "$.sweep.k_band")
-    seed_base = _integer(sweep.get("seed_base", 0), "$.sweep.seed_base")
-    spec = SweepSpec(run=run, delta_list=deltas, seeds=seeds, k_band=k_band, seed_base=seed_base)
-    error = _sweep_error(spec, run.resolution)  # the checks of SweepConfig
+    # the keys are SweepConfig's fields but its flow and its schedule (run.time)
+    keys = [f for f in fields(SweepConfig) if f.name != "flow" and f.name not in run.time]
+    _require_keys(block, "$.sweep", tuple(f.name for f in keys if f.default is MISSING),
+                  tuple(f.name for f in keys if f.default is not MISSING))
+    sweep = {f.name: block.get(f.name, f.default) for f in keys}
+    for key, val in sweep.items():
+        if key != "delta_list":
+            sweep[key] = _integer(val, f"$.sweep.{key}")
+        elif not isinstance(val, list):
+            raise ConfigError("$.sweep.delta_list", "expected a list")
+        else:
+            sweep[key] = [_number(d, f"$.sweep.delta_list[{i}]") for i, d in enumerate(val)]
+    error = _sweep_error(sweep, run.resolution)  # the checks of SweepConfig
     if error is not None:
         raise ConfigError(f"$.sweep.{error[0]}", error[1])
-    return spec
+    return SweepSpec(run=run, sweep=sweep)
 
 
 # ---------------------------------------------------------------------------

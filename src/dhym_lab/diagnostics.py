@@ -667,8 +667,8 @@ class HarnackReport:
 def harnack_monitor(trajectory, m: int = 1) -> HarnackReport:
     """Harnack quotients of the positive caps/cups of du/dt over [m-1, m].
 
-    Builds xi(x, tau) = sup_y phi(y, m-1) - phi(x, m-1+tau) and
-    psi(x, tau) = phi(x, m-1+tau) - inf_y phi(y, m-1) from stored samples,
+    Builds xi(x, tau) = sup_y phi(y, m-1) - phi(x, m-1+tau) and psi(x, tau) =
+    phi(x, m-1+tau) - inf_y phi(y, m-1) from phi = theta - hat_theta of each sample's u,
     checks their positivity for tau > 0 and the maximum-principle
     monotonicity of their sup/inf, and reports the quotients
     sup(., 1/2) / inf(., 1).  The Harnack constants are least-squares
@@ -680,7 +680,7 @@ def harnack_monitor(trajectory, m: int = 1) -> HarnackReport:
     j0 = int(np.argmin(np.abs(times - t0)))
     if abs(times[j0] - t0) > 1e-9 * (1.0 + abs(t0)):
         raise ValueError("insufficient trajectory sampling")
-    phi0 = samples[j0].udot
+    phi0 = trajectory.flow.rhs(samples[j0].u)
     osc0 = float(phi0.max() - phi0.min())
     if osc0 < 1e-14 * (1.0 + float(np.abs(phi0).max())):
         raise ValueError("degenerate: flow already spatially constant")
@@ -693,8 +693,9 @@ def harnack_monitor(trajectory, m: int = 1) -> HarnackReport:
         tau = s.t - t0
         if tau > 1.0 + 1e-9:
             break
-        xi = sup0 - s.udot
-        psi = s.udot - inf0
+        phi = trajectory.flow.rhs(s.u)
+        xi = sup0 - phi
+        psi = phi - inf0
         taus.append(tau)
         sup_xi.append(float(xi.max()))
         inf_xi.append(float(xi.min()))

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numbers
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +64,7 @@ from .phase import PhaseFields, eta_pair, frame_characteristic, hermitian_planes
 __all__ = [
     "BaseCurvature",
     "FlowConfig",
+    "Schedule",
     "FlowState",
     "FlowSample",
     "Trajectory",
@@ -292,7 +293,6 @@ class FlowState:
 class FlowSample:
     t: float
     u: np.ndarray
-    udot: np.ndarray
 
 
 @dataclass
@@ -337,7 +337,7 @@ class Trajectory:
             return
         if self.u0_at_p is None:
             self.u0_at_p = float(state.u[(0,) * (2 * self.flow.geometry.n)])
-        sample = FlowSample(t=state.t, u=state.u.copy(), udot=state.theta - self.flow.hat_theta)
+        sample = FlowSample(t=state.t, u=state.u.copy())
         self.samples.append(sample)
         self.records.append(diagnostics.build_record(state, self.u0_at_p, norms=self.norms))
         if self.on_record is not None:
@@ -415,36 +415,42 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_time(cfg) -> None:
-    """Refuse the time parameters of a FlowConfig or a SweepConfig."""
-    if not 0.0 < cfg.dt_safety <= 1.0:
-        raise ValueError("dt_safety must lie in (0, 1]")
-    _check_positive("t_max", cfg.t_max)
-    _check_positive("residual_tol", cfg.residual_tol)
-    _check_count("sample_every", cfg.sample_every)
+@dataclass(kw_only=True)
+class Schedule:
+    """The time settings of a run, keyword-only, with the keys, defaults, types and checks
+    of `FlowConfig`, `harness.SweepConfig` and the JSON `time` block.  run_flow records a
+    sample (and takes an ETDRK4 step) every sample_every * stable_dt(geometry, dt_safety)
+    time units, and stops at residual_tol or t_max."""
+
+    t_max: float = 100.0
+    dt_safety: float = 0.5
+    residual_tol: float = 1e-10
+    sample_every: int = 100
+
+    def __post_init__(self):
+        if not 0.0 < self.dt_safety <= 1.0:
+            raise ValueError("dt_safety must lie in (0, 1]")
+        _check_positive("t_max", self.t_max)
+        _check_positive("residual_tol", self.residual_tol)
+        _check_count("sample_every", self.sample_every)
+
+    def schedule(self) -> dict:
+        """The time settings alone, as keywords of a `Schedule`, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(Schedule)}
 
 
 @dataclass
-class FlowConfig:
-    """Parameters of a run of a flow from u0.
+class FlowConfig(Schedule):
+    """A run of a flow from u0 on a `Schedule`.
 
-    run_flow records a sample every sample_every * stable_dt(flow.geometry,
-    dt_safety) time units, which is also its ETDRK4 step.  keep_fields is
-    the capacity of the trajectory's ring of field samples, None for all of
-    them; a caller that needs every sample but holds only a few takes each
-    from run_flow's on_record, so its memory does not grow with the records.
+    keep_fields is the capacity of the trajectory's ring of field samples, None
+    for all of them; a caller that needs every sample but holds only a few takes
+    each from run_flow's on_record, so its memory does not grow with the records.
     """
 
     flow: LineBundleFlow
     u0: np.ndarray
-    dt_safety: float = 0.5
-    t_max: float = 100.0
-    residual_tol: float = 1e-10
-    sample_every: int = 100
-    keep_fields: int | None = None  # ring capacity for full field samples
-
-    def __post_init__(self):
-        _check_time(self)
+    keep_fields: int | None = field(default=None, kw_only=True)
 
 
 def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .diagnostics import dhym_point_identities, oscillation_decay, tensor_norms
-from .flow import FlowConfig, LineBundleFlow, Trajectory, _check_time, run_flow
+from .flow import FlowConfig, LineBundleFlow, Schedule, Trajectory, run_flow
 from .geometry import bandlimited_noise
 
 __all__ = [
@@ -61,44 +61,50 @@ def generate_reference(config: FlowConfig, residual_tol: float = 1e-11) -> Refer
 
 
 @dataclass
-class SweepConfig:
-    """Perturbation sweep of a flow: noise seeds are shared across deltas so each
-    seed's initial shape is identical up to the normalizing factor."""
+class SweepConfig(Schedule):
+    """Perturbation sweep of a flow on a `Schedule`: noise seeds are shared across deltas
+    so each seed's initial shape is identical up to the normalizing factor.  The fields
+    but flow and the schedule's are the keys of a JSON `sweep` block."""
 
     flow: LineBundleFlow
     delta_list: list
     seeds: int
     k_band: int = 2
-    dt_safety: float = 0.5
-    t_max: float = 200.0
-    residual_tol: float = 1e-10
-    sample_every: int = 100
-    seed_base: int = 0
+    seed_base: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
-        _check_time(self)  # here, not in each cell after its noise is drawn
+        super().__post_init__()  # here, not in each cell after its noise is drawn
         self.delta_list = list(self.delta_list)
-        error = _sweep_error(self, self.flow.geometry.N)
+        error = _sweep_error(vars(self), self.flow.geometry.N)
         if error is not None:
             raise ValueError(error[1])
 
 
-def _sweep_error(sweep, N: int) -> tuple | None:
+def _sweep_error(sweep: dict, N: int) -> tuple | None:
     """(key, message) of the first sweep parameter out of range on an N grid, or None:
-    the checks of a SweepConfig and of a parsed sweep block (`config_io.SweepSpec`)."""
-    if not sweep.delta_list:
+    the checks of a SweepConfig and of a parsed sweep block (`config_io.parse_sweep_config`)."""
+    if not sweep["delta_list"]:
         return "delta_list", "expected a nonempty list"
-    if any(d < 0 for d in sweep.delta_list):
+    if any(d < 0 for d in sweep["delta_list"]):
         return "delta_list", "deltas must be nonnegative"
-    if sorted(sweep.delta_list) != sweep.delta_list:
+    if sorted(sweep["delta_list"]) != sweep["delta_list"]:
         return "delta_list", "deltas must be ascending"
-    if sweep.seeds < 1:
+    if sweep["seeds"] < 1:
         return "seeds", "need at least one seed per delta"
-    if not 1 <= sweep.k_band <= N / 3:
+    if not 1 <= sweep["k_band"] <= N / 3:
         return "k_band", f"band exceeds dealiasing limit N/3 = {N / 3:g}"
-    if sweep.seed_base < 0:
+    if sweep["seed_base"] < 0:
         return "seed_base", "seed_base must be nonnegative"
     return None
+
+
+def _scaled_noise(geom, k_band: int, seed: int, hess_sup: float) -> np.ndarray:
+    """Band-limited noise of a seed scaled to a Hessian size hess_sup (the sup of the
+    Theta and ThetaP tensors, the only ones it reads); zeros, undrawn, at size 0."""
+    if hess_sup == 0.0:
+        return np.zeros(geom.shape)
+    raw = bandlimited_noise(geom, k_band, 1.0, seed)
+    return raw * (hess_sup / tensor_norms(geom, raw, ("Theta", "ThetaP")).hess_sup)
 
 
 @dataclass(frozen=True)
@@ -138,17 +144,8 @@ class SweepReport:
 
 
 def _one_cell(sweep: SweepConfig, delta: float, seed: int) -> SweepCell:
-    geom = sweep.flow.geometry
-    if delta == 0.0:
-        u0 = np.zeros(geom.shape)
-    else:
-        raw = bandlimited_noise(geom, sweep.k_band, 1.0, sweep.seed_base + seed)
-        # hess_sup reads the Theta and ThetaP tensors only
-        u0 = raw * (delta / tensor_norms(geom, raw, ("Theta", "ThetaP")).hess_sup)
-    cfg = FlowConfig(flow=sweep.flow, u0=u0, dt_safety=sweep.dt_safety, t_max=sweep.t_max,
-                     residual_tol=sweep.residual_tol, sample_every=sweep.sample_every,
-                     keep_fields=4)
-    traj = run_flow(cfg)
+    u0 = _scaled_noise(sweep.flow.geometry, sweep.k_band, sweep.seed_base + seed, delta)
+    traj = run_flow(FlowConfig(flow=sweep.flow, u0=u0, keep_fields=4, **sweep.schedule()))
     outcome = {}
     if delta > 0.0:  # record 0 is the state at u0
         outcome.update(hess_ratio_t0=traj.records[0].hess_sup / delta,

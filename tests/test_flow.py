@@ -2,10 +2,13 @@ import dataclasses
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dhym_lab as dl
 from conftest import cos_axis, fails_on_call
@@ -409,6 +412,62 @@ class TestPsiShift:
             assert np.abs(sa.u - (sb.u - psi)).max() <= 16 * np.finfo(float).eps * scale
 
 
+class TestLatticeSymmetries:
+    """Two symmetries of the flow under run_fixed, exact in exact arithmetic: a constant
+    added to u0 is carried along (no Hessian sees it), and rolling u0 and psi by whole
+    grid points, a translation of the torus by lattice points, rolls the solution."""
+
+    @pytest.fixture(scope="class", params=METRICS, ids=METRIC_IDS)
+    def case(self, request):
+        # the run from (u0, psi) is shared by both relations; an n = 3 RK4 step takes
+        # about 0.3 s, so n = 3 takes one step and one drawn example
+        n, N, g = request.param
+        geom = dl.build_torus(n, N, g)
+        psi = dl.bandlimited_noise(geom, 2, 0.3, 1)
+        steps = 1 if n == 3 else 4
+
+        def run(psi, u0):
+            flow = dl.LineBundleFlow(dl.BaseCurvature(geometry=geom, F0=constant_curvature(n),
+                                                      psi=psi), 0.9)
+            return dl.run_fixed(flow, u0, dl.stable_dt(geom, 0.5), steps, sample_every=steps,
+                                norms=False).final
+
+        u0 = dl.bandlimited_noise(geom, 2, 0.05, 2)
+        return SimpleNamespace(n=n, N=N, psi=psi, u0=u0, run=run, examples=1 if n == 3 else 6,
+                               ref=run(psi, u0))
+
+    def test_constant_shift_is_carried_along(self, case):
+        # u0 + c rounds to ulps of |c|, which the Hessian scales by up to (N/2)^2: theta
+        # keeps 2.9 ulps of |theta| + (N/2)^2 |c| at most measured, u 2.6 ulps of its size
+        eps, a = np.finfo(float).eps, case.ref
+
+        @settings(max_examples=case.examples, deadline=None, database=None)
+        @given(st.floats(-100.0, 100.0))
+        def check(c):
+            b = case.run(case.psi, case.u0 + c)
+            scale = max(np.abs(a.u).max(), np.abs(b.u).max())
+            assert np.abs(b.u - (a.u + c)).max() <= 8 * eps * scale
+            theta_scale = np.abs(a.theta).max() + (case.N / 2) ** 2 * abs(c)
+            assert np.abs(b.theta - a.theta).max() <= 8 * eps * theta_scale
+
+        check()
+
+    def test_lattice_translation_rolls_the_solution(self, case):
+        # the transforms of a rolled field round differently: 4.4 ulps of u's size at
+        # most measured, and 9 of theta's
+        eps, a, axes = np.finfo(float).eps, case.ref, tuple(range(2 * case.n))
+
+        @settings(max_examples=case.examples, deadline=None, database=None)
+        @given(st.tuples(*[st.integers(1 - case.N, case.N - 1)] * (2 * case.n)))
+        def check(shift):
+            b = case.run(np.roll(case.psi, shift, axes), np.roll(case.u0, shift, axes))
+            assert np.abs(b.u - np.roll(a.u, shift, axes)).max() <= 8 * eps * np.abs(a.u).max()
+            assert (np.abs(b.theta - np.roll(a.theta, shift, axes)).max()
+                    <= 32 * eps * np.abs(a.theta).max())
+
+        check()
+
+
 class TestRecordsReuseFlowPhase:
     """A record of a flow state takes theta and Z from the state."""
 
@@ -574,7 +633,7 @@ class TestRunFlow:
         s = list(traj.samples)
         for k in (2, 4):
             lhs = (s[k + 1].u.mean() - s[k - 1].u.mean()) * torus1.vol / (s[k + 1].t - s[k - 1].t)
-            rhs = dl.volume_integral(torus1, s[k].udot)
+            rhs = dl.volume_integral(torus1, traj.flow.rhs(s[k].u))
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_z_conserved_along_run(self, torus1, base1):

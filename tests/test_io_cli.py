@@ -4,6 +4,7 @@ import shutil
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +121,26 @@ class TestParseConfig:
         dl.write_config(cfg, path)
         again = dl.parse_config(path)
         assert again == cfg
+
+    def test_readme_time_block_is_the_schedule(self):
+        # the README's "Run configuration" document parses, and its time keys are
+        # Schedule's, in order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Run configuration", 1)[1].split("```json\n", 1)[1]
+        doc = json.loads(block.split("```", 1)[0])
+        assert list(doc["time"]) == [f.name for f in dataclasses.fields(dl.Schedule)]
+        assert parse_config_data(doc).time == doc["time"]
+
+    def test_sweep_without_time_block_is_the_default_sweep(self, tmp_path):
+        # the JSON defaults of the sweep and time blocks are SweepConfig's
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(minimal_config(sweep=SWEEP)))
+        parsed = dl.parse_sweep_config(path).sweep_config()
+        built = dl.SweepConfig(parsed.flow, SWEEP["delta_list"], SWEEP["seeds"])
+        assert parsed.schedule() == built.schedule() == dl.Schedule().schedule()
+        for f in dataclasses.fields(dl.SweepConfig):
+            if f.name != "flow":
+                assert getattr(parsed, f.name) == getattr(built, f.name), f.name
 
     def test_flow_config_construction(self):
         cfg = parse_config_data(minimal_config(hat_theta=0.7853981633974483))
@@ -258,8 +279,16 @@ CONFIG_ERRORS = [
         "modes": [{"m": [1], "amplitude": 0.1}]}}), "$.base_curvature.potential.modes[0].m"),
     ("simulate", minimal_config(initial={"type": "noise", "k_band": 11, "seed": 1,
                                          "target_hess_sup": 0.05}), "$.initial.k_band"),
+    ("simulate", minimal_config(initial={"type": "noise", "k_band": 2, "seed": -1,
+                                         "target_hess_sup": 0.05}), "$.initial.seed"),
+    ("simulate", minimal_config(initial={"type": "noise", "k_band": 2, "seed": 1,
+                                         "target_hess_sup": -0.05}), "$.initial.target_hess_sup"),
     ("simulate", minimal_config(initial={"type": "spikes"}), "$.initial.type"),
+    ("simulate", minimal_config(time={"t_max": "5"}), "$.time.t_max"),
+    ("simulate", minimal_config(time={"sample_every": 2.5}), "$.time.sample_every"),
     ("simulate", minimal_config(outputs={"snapshots": "some"}), "$.outputs.snapshots"),
+    ("simulate", minimal_config(outputs={"dir": 3}), "$.outputs.dir"),
+    ("simulate", minimal_config(outputs={"dir": None}), "$.outputs.dir"),
     ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=0.01)), "$.sweep.delta_list"),
     ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=[])), "$.sweep.delta_list"),
     ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=[-0.01])), "$.sweep.delta_list"),
@@ -281,9 +310,10 @@ class TestCli:
                              ids=[f"{c}-{p}" for c, _, p in CONFIG_ERRORS])
     def test_config_error_named_before_any_output(self, tmp_path, capsys, command, doc, path):
         # the parser names the offending key; the command prints that one line and exits 1
-        # before it writes anything, and before any sweep cell runs
+        # before it writes anything, and before any sweep cell runs; a document's own
+        # outputs.dir is kept, so that a bad one is the error
         out_dir = tmp_path / "out"
-        doc = dict(doc, outputs={**doc.get("outputs", {}), "dir": str(out_dir)})
+        doc = dict(doc, outputs={"dir": str(out_dir), **doc.get("outputs", {})})
         cfg = self.write_config(tmp_path, doc)
         with pytest.raises(dl.ConfigError) as info:
             (dl.parse_sweep_config if command == "sweep" else dl.parse_config)(cfg)
@@ -324,6 +354,17 @@ class TestCli:
         cli_main(["simulate", "--config", cfg, "--seed-override", "9"])
         eff = json.loads((tmp_path / "run" / "effective-config.json").read_text())
         assert eff["initial"]["seed"] == 9
+
+    def test_negative_seed_override_refused_before_any_output(self, tmp_path, capsys):
+        # the override takes the parser's check of initial.seed
+        doc = minimal_config(
+            initial={"type": "noise", "k_band": 2, "seed": 1, "target_hess_sup": 0.02},
+            outputs={"dir": str(tmp_path / "run")})
+        cfg = self.write_config(tmp_path, doc)
+        assert cli_main(["simulate", "--config", cfg, "--seed-override", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config error at $.initial.seed: seed must be nonnegative"]
+        assert not (tmp_path / "run").exists()
 
     def test_simulate_bad_config_exit_one(self, tmp_path):
         cfg = self.write_config(tmp_path, minimal_config(metric=[[-1.0]]))
@@ -558,7 +599,7 @@ class TestCli:
         assert traj.samples[1].t == samples[len(samples) // 2].t
         for kept, s in zip(traj.samples, samples[3:6]):
             assert kept.t == s.t
-            assert np.array_equal(kept.u, s.u) and np.array_equal(kept.udot, s.udot)
+            assert np.array_equal(kept.u, s.u)
         assert [r.csv_row() for r in traj.records] == [r.csv_row() for r in full.records]
         gone = weakref.ref(traj)  # no reference cycle through the keeper
         del traj
