@@ -11,14 +11,14 @@ import dhym_lab as dl
 
 geom = dl.build_torus(1, 32, [1.0])
 base = dl.BaseCurvature.proportional(geom, 1.0)
-hat_theta = dl.winding_hat_theta(geom, base.field())
-print(f"target angle hat_theta = {hat_theta:.12f} (= arctan 1)")
+flow = dl.LineBundleFlow(base)  # at the winding lift of the base's class
+print(f"target angle hat_theta = {flow.hat_theta:.12f} (= arctan 1)")
 
 delta = 0.05
 u0 = dl.bandlimited_noise(geom, 2, 1.0, 7)
 u0 *= delta / dl.tensor_norms(geom, u0).hess_sup
 
-cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base, hat_theta), u0=u0,
+cfg = dl.FlowConfig(flow=flow, u0=u0,
                     dt_safety=1.0, t_max=300.0, residual_tol=1e-10,
                     sample_every=256, keep_fields=8)
 traj = dl.run_flow(cfg)

@@ -9,7 +9,7 @@ certifies its conserved and monotone quantities, and measures the
 exponential convergence produced by small-Hessian initial data.
 """
 
-from .cohomology import CohomologyInvariants, cohomology_invariants, compute_Z, winding_hat_theta
+from .cohomology import CohomologyInvariants, cohomology_invariants, winding_hat_theta
 from .config_io import (
     ConfigError,
     RunConfig,
@@ -54,7 +54,6 @@ from .geometry import (
     TorusGeometry,
     bandlimited_noise,
     build_torus,
-    complex_hessian,
     volume_integral,
 )
 from .harness import (
@@ -68,9 +67,7 @@ from .harness import (
 from .phase import (
     PhaseFields,
     PhasePointData,
-    characteristic_field,
     hypercritical_classify,
-    phase_fields,
     pointwise_phase,
 )
 

@@ -35,7 +35,7 @@ from .config_io import (
     write_diagnostics,
     write_snapshot,
 )
-from .flow import Trajectory, run_flow, run_fixed, stable_dt
+from .flow import LineBundleFlow, Trajectory, run_flow, run_fixed, stable_dt
 from .geometry import _workers
 from .harness import generate_reference, stability_sweep
 from .phase import pointwise_phase
@@ -154,6 +154,9 @@ def _load_run_trajectory(run_dir: Path, norms: bool = True):
     traj = Trajectory(flow, norms=norms, samples=deque(maxlen=0), on_record=keep)
     for snap in snaps:
         u, header = read_snapshot(snap)  # a fresh float64 array: astype keeps it
+        if u.shape != flow.geometry.shape:
+            raise ValueError(f"snapshot {snap}: shape {u.shape} is not the run's grid "
+                             f"{flow.geometry.shape}")
         traj.record(flow.state(u.real.astype(np.float64, copy=False), header["t"]))
     traj.samples = samples
     return traj
@@ -245,9 +248,11 @@ def _cmd_reference(args) -> int:
 
 def _cmd_hat_theta(args) -> int:
     cfg = parse_config(args.config)
-    geom = cfg.geometry()
-    base = cfg.base(geom)
-    inv = cohomology_invariants(geom, base.field())
+    # the lift of the base's class whatever hat_theta the config gives, so the flow
+    # takes 0.0 rather than a winding of its own: only its planes are read
+    flow = LineBundleFlow(cfg.base(cfg.geometry()), 0.0)
+    geom = flow.geometry
+    inv = cohomology_invariants(geom, flow.phase_fields(flow.spectrum(np.zeros(geom.shape))).e)
     doc = {
         "Z_re": inv.Z.real,
         "Z_im": inv.Z.imag,
@@ -257,6 +262,14 @@ def _cmd_hat_theta(args) -> int:
     }
     print(json.dumps(doc, indent=2))
     return 0
+
+
+def _json_value(text: str, where: str):
+    """The JSON value of a text, or a ConfigError at where."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(where, f"invalid JSON: {exc}") from None
 
 
 def _matrix_of(rows, where: str) -> np.ndarray:
@@ -277,7 +290,8 @@ def _cmd_phase_table(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            M = _matrix_of(json.loads(line), f"{args.input}:{lineno}")
+            where = f"{args.input}:{lineno}"
+            M = _matrix_of(_json_value(line, where), where)
             if matrices and M.shape != matrices[0].shape:
                 raise ValueError(f"line {lineno}: matrix size differs from the first line")
             matrices.append(M)
@@ -286,7 +300,7 @@ def _cmd_phase_table(args) -> int:
     n = matrices[0].shape[0]
     if args.metric:
         with open(args.metric) as fh:
-            g = _matrix_of(json.load(fh), args.metric)
+            g = _matrix_of(_json_value(fh.read(), args.metric), args.metric)
     else:
         g = np.eye(n)
     header = ",".join(

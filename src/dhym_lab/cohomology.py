@@ -7,10 +7,12 @@ hat_theta is the continuous argument of the curve
 
     t |-> integral of prod_j (t + i lambda_j(x)) = vol * sum_k i^k <e_k> t^(n-k),
 
-with <e_k> the grid means of the characteristic coefficients of the
-curvature (`phase.characteristic_field`, no eigenvalues).  It is tracked
-from t_start down to t = 1, where it coincides with an argument of
-Z.  The lift fixes the 2*pi branch that a principal argument cannot.
+with <e_k> the grid means of the characteristic coefficients e = [e_0, ..., e_n]
+of the curvature, which is all this module reads: a flow's come from its planes
+(`flow.LineBundleFlow.phase_fields(uh).e`, no eigenvalues), and those of its
+base's class from uh = rfft(0).  The curve is tracked from t_start down to
+t = 1, where it is Z.  The lift fixes the 2*pi branch that a principal
+argument cannot.
 
 The unwrap is anchored at the principal argument at t_start.  With
 Lambda = max_x sqrt(e_1^2 - 2 e_2) >= max |lambda_j|, every point's argument
@@ -25,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TorusGeometry, volume_integral
-from .phase import characteristic_field, phase_fields
+from .geometry import TorusGeometry
 
 __all__ = [
     "CohomologyInvariants",
-    "compute_Z",
     "winding_hat_theta",
     "cohomology_invariants",
 ]
@@ -43,14 +43,11 @@ class CohomologyInvariants:
     vol: float
 
 
-def compute_Z(geom: TorusGeometry, F: np.ndarray) -> complex:
-    """Z = integral of zeta(F) against the volume form."""
-    return complex(volume_integral(geom, phase_fields(geom, F).zeta))
-
-
-def _winding(geom: TorusGeometry, F: np.ndarray, t_start: float | None, n_steps: int) -> tuple:
-    """Z (the path at t = 1) and the lifted angle hat_theta."""
-    n, e = geom.n, characteristic_field(geom, F)
+def _winding(geom: TorusGeometry, e: list, t_start: float | None, n_steps: int) -> tuple:
+    """Z (the path at t = 1) and the lifted angle hat_theta of the coefficients e."""
+    n = geom.n
+    if len(e) != n + 1:
+        raise ValueError(f"expected the {n + 1} coefficients e_0..e_{n}, got {len(e)}")
     coeff = np.array([e[0]] + [geom.mean(ek) for ek in e[1:]]) * (1j ** np.arange(n + 1)) * geom.vol
     # sum_j lambda_j^2 = e_1^2 - 2 e_2 bounds every |lambda_j|
     sum_sq = e[1] ** 2 - 2.0 * (e[2] if n > 1 else 0.0)
@@ -77,24 +74,25 @@ def _winding(geom: TorusGeometry, F: np.ndarray, t_start: float | None, n_steps:
 
 def winding_hat_theta(
     geom: TorusGeometry,
-    F: np.ndarray,
+    e: list,
     t_start: float | None = None,
     n_steps: int = 4096,
 ) -> float:
-    """Lifted angle of Z obtained by tracking the winding from t_start to 1.
+    """Lifted angle of Z obtained by tracking the winding from t_start to 1, from the
+    characteristic coefficients e = [e_0, ..., e_n] of the curvature.
 
     t_start defaults to max(1e4, 4 n max|lambda|).  For F = c*omega this
     returns n*arctan(c) exactly (up to rounding).
     """
-    return _winding(geom, F, t_start, n_steps)[1]
+    return _winding(geom, e, t_start, n_steps)[1]
 
 
 def cohomology_invariants(
     geom: TorusGeometry,
-    F: np.ndarray,
+    e: list,
     t_start: float | None = None,
     n_steps: int = 4096,
 ) -> CohomologyInvariants:
-    """Z, lifted hat_theta and volume."""
-    Z, lift = _winding(geom, F, t_start, n_steps)
+    """Z, lifted hat_theta and volume from the characteristic coefficients e."""
+    Z, lift = _winding(geom, e, t_start, n_steps)
     return CohomologyInvariants(Z=Z, hat_theta=lift, vol=geom.vol)

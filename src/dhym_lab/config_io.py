@@ -41,6 +41,8 @@ __all__ = [
 _OUTPUT_DEFAULTS = {"dir": ".", "snapshots": "none"}
 _SNAPSHOT_MODES = ("none", "final", "all-samples")
 _SNAPSHOT_DTYPES = {"f64le": np.dtype("<f8"), "c128le": np.dtype("<c16")}
+# the header keys read_snapshot needs, with their JSON types
+_SNAPSHOT_KEYS = {"name": str, "t": (int, float), "dtype": str, "shape": list}
 
 
 class ConfigError(ValueError):
@@ -324,14 +326,11 @@ def parse_sweep_config(path) -> SweepSpec:
     _require_keys(block, "$.sweep", tuple(f.name for f in keys if f.default is MISSING),
                   tuple(f.name for f in keys if f.default is not MISSING))
     sweep = {f.name: block.get(f.name, f.default) for f in keys}
-    for key, val in sweep.items():
-        if key != "delta_list":
-            sweep[key] = _integer(val, f"$.sweep.{key}")
-        elif not isinstance(val, list):
-            raise ConfigError("$.sweep.delta_list", "expected a list")
-        else:
-            sweep[key] = [_number(d, f"$.sweep.delta_list[{i}]") for i, d in enumerate(val)]
-    error = _sweep_error(sweep, run.resolution)  # the checks of SweepConfig
+    if not isinstance(sweep["delta_list"], list):
+        raise ConfigError("$.sweep.delta_list", "expected a list")
+    sweep["delta_list"] = [_number(d, f"$.sweep.delta_list[{i}]")
+                           for i, d in enumerate(sweep["delta_list"])]
+    error = _sweep_error(sweep, run.resolution)  # the checks of SweepConfig, integers too
     if error is not None:
         raise ConfigError(f"$.sweep.{error[0]}", error[1])
     return SweepSpec(run=run, sweep=sweep)
@@ -380,16 +379,33 @@ def write_snapshot(values: np.ndarray, name: str, t: float,
 
 
 def read_snapshot(path):
-    """Inverse of write_snapshot: returns (values, header dict)."""
+    """Inverse of write_snapshot: returns (values, header dict).  A header that is not a
+    JSON object with name, t, dtype and shape of their JSON types is a ValueError naming
+    the file and the key."""
     try:
         with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
+            line = fh.readline()
             raw = fh.read()
     except OSError as exc:
         raise OSError(f"failed to read snapshot {path}: {exc}") from exc
-    np_dtype = _SNAPSHOT_DTYPES.get(header.get("dtype"))
+    try:
+        header = json.loads(line.decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"snapshot {path}: header is not a JSON line: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"snapshot {path}: header is not a JSON object")
+    for key, kind in _SNAPSHOT_KEYS.items():
+        if key not in header:
+            raise ValueError(f"snapshot {path}: header has no {key!r}")
+        if isinstance(header[key], bool) or not isinstance(header[key], kind):
+            raise ValueError(f"snapshot {path}: header {key!r} has the wrong type: "
+                             f"{header[key]!r}")
+    if not all(type(k) is int and k >= 0 for k in header["shape"]):
+        raise ValueError(f"snapshot {path}: header shape {header['shape']!r} is not a list "
+                         "of sizes")
+    np_dtype = _SNAPSHOT_DTYPES.get(header["dtype"])
     if np_dtype is None:
-        raise ValueError(f"snapshot {path}: unknown dtype {header.get('dtype')!r}")
+        raise ValueError(f"snapshot {path}: unknown dtype {header['dtype']!r}")
     expected = math.prod(header["shape"]) * np_dtype.itemsize
     if len(raw) != expected:
         raise ValueError(f"snapshot {path}: payload has {len(raw)} bytes, "

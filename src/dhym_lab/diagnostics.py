@@ -40,10 +40,11 @@ norms=False it builds a phase-only record: the scalar columns of a full one
 and NaN TENSOR_COLUMNS.  `verify` records this way, because none of its
 checks reads a tensor column; `write_diagnostics` refuses such records.
 
-The checks read the geometry, hat_theta, the base potential and the frame
-curvature planes (`curvature_planes`) from `trajectory.flow` or a given flow
-by attribute, so this module imports no `flow`, and no identity context
-copies a base curvature field.
+The checks read the geometry, hat_theta, the base potential, the phase and
+the frame curvature planes (`curvature_planes`) from `trajectory.flow` or a
+given flow by attribute, so this module imports no `flow`, and no check
+builds a coordinate curvature field: the linearization check too takes its
+phases and eta^{-1} from the flow's planes.
 
 Time derivatives for identity checks use second-order central differences
 of stored trajectory samples, never integrator internals, so the verifier
@@ -61,8 +62,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import NORM_WORDS, TorusGeometry, complex_hessian
-from .phase import PhaseFields, eta_pair, frame_characteristic, phase_fields
+from .geometry import NORM_WORDS, TorusGeometry
+from .phase import PhaseFields, eta_pair, frame_characteristic
 
 __all__ = [
     "DiagnosticsRecord",
@@ -216,23 +217,23 @@ def build_record(state, u0_at_p: float = 0.0, norms: bool = True) -> Diagnostics
 # linearization
 
 
-def verify_linearization(geom: TorusGeometry, base, u: np.ndarray,
-                         phi: np.ndarray, eps: float) -> float:
-    """Relative sup-norm error of the central-difference phase derivative.
+def verify_linearization(flow, u: np.ndarray, phi: np.ndarray, eps: float) -> float:
+    """Relative sup-norm error of the central-difference phase derivative of a flow.
 
-    Compares (theta(F_{u + eps*phi}) - theta(F_{u - eps*phi})) / (2 eps)
-    against the analytic directional derivative eta^{p qbar} phi_{p qbar}.
+    Compares (theta(F_{u + eps*phi}) - theta(F_{u - eps*phi})) / (2 eps), the flow's
+    phases (`LineBundleFlow.theta`), against the analytic directional derivative
+    eta^{p qbar} phi_{p qbar}, with eta^{-1} that of the flow's planes at u (`_phase_context`).
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps outside the supported range [1e-7, 1e-3]")
-    F_hat = base.field()
-    phi = np.asarray(phi, dtype=np.float64)
+    geom = flow.geometry
+    u, phi = (np.asarray(f, dtype=np.float64) for f in (u, phi))
     if not np.any(phi):
         return 0.0
-    tp, tm = (phase_fields(geom, F_hat + complex_hessian(geom, u + step * phi)).theta
-              for step in (eps, -eps))
-    _, eta_inv = eta_pair(geom.to_frame(F_hat + complex_hessian(geom, u), "zZ"))
+    tp, tm = (flow.theta(u + step * phi) for step in (eps, -eps))
     numeric = (tp - tm) / (2.0 * eps)
+    del tp, tm  # before the context's eta and its inverse
+    eta_inv = _phase_context(flow, u).eta_inv
     analytic = _eta_laplacian(eta_inv, geom.frame_hessian(geom.rfft(phi)))
     scale = np.abs(analytic).max()
     return float(np.abs(numeric - analytic).max() / scale)

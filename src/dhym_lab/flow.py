@@ -1,17 +1,18 @@
 """Time integration of the line bundle mean curvature flow.
 
 The state is the real potential u on the grid with its half spectrum
-(`TorusGeometry.rfft`); the velocity is theta(F_hat + complex_hessian(u)) -
-hat_theta, at every n from the real planes of `TorusGeometry.frame_hessian`;
-a state keeps theta and Z = integral of zeta.  The base F_hat = F0 +
-complex_hessian(psi) enters only through F0 + complex_hessian(u + psi), so
-psi is a shift of u within F_hat's class (the flow of Jacob & Yau, Math.
-Ann. 369, 2017): the phase is that of the frame Hessian of the spectrum
-uh + rfft(psi) plus the n^2 constant planes of the frame F0, and no
-curvature field is held.
+(`TorusGeometry.rfft`); the velocity is theta(F_hat + ddbar u) - hat_theta,
+at every n from the real planes of `TorusGeometry.frame_hessian`; a state
+keeps theta and Z = integral of zeta.  The base F_hat = F0 + ddbar psi
+enters only through F0 + ddbar(u + psi), so psi is a shift of u within
+F_hat's class (the flow of Jacob & Yau, Math. Ann. 369, 2017): the phase is
+that of the frame Hessian of the spectrum uh + rfft(psi) plus the n^2
+constant planes of the frame F0, and no curvature field is built, neither
+along the flow nor for its base.
 
 A `LineBundleFlow` carries the problem: the base curvature F_hat (and its
-torus) and hat_theta, by default the winding lift of F_hat's class.
+torus) and hat_theta, by default the winding lift of F_hat's class, from the
+characteristic coefficients of the flow's planes at u = 0.
 `FlowConfig`, `run_fixed`, `Trajectory` and `harness.SweepConfig` take a
 flow, not copies of the problem that could disagree.
 
@@ -19,7 +20,7 @@ flow, not copies of the problem that could disagree.
 The velocity splits into the linearization L of the flow at the constant
 background F0, whose Fourier symbol is sum_pq (eta0^{-1})_qp mz_p mZ_q with
 eta0 = g + F0 g^{-1} F0 (mz, mZ the d/dz and d/dzbar multipliers), and the
-remainder N(u) = theta(F_hat + complex_hessian(u)) - hat_theta - L u.  L is
+remainder N(u) = theta(F_hat + ddbar u) - hat_theta - L u.  L is
 integrated exactly, so the step is not bound by diffusion; without a
 potential psi the scheme is exact for the linearized flow.  The
 phi-function coefficients come from the contour-integral method of Kassam
@@ -58,7 +59,7 @@ import numpy as np
 
 from . import diagnostics
 from .cohomology import winding_hat_theta
-from .geometry import TorusGeometry, check_hermitian_field, complex_hessian, volume_integral
+from .geometry import TorusGeometry, check_hermitian_field, volume_integral
 from .phase import PhaseFields, eta_pair, frame_characteristic, hermitian_planes
 
 __all__ = [
@@ -95,13 +96,13 @@ class FlowDiverged(RuntimeError):
 
 @dataclass
 class BaseCurvature:
-    """Background curvature F_hat = F0 + complex_hessian(psi).
+    """Background curvature F_hat = F0 + ddbar psi.
 
     F0 is the constant (harmonic) part, an n x n Hermitian matrix; psi is an
     optional real periodic potential whose Hessian carries the oscillatory
     part, so the mean of F_hat - F0 vanishes entrywise by construction.  Both
     must be finite.  The flow reads psi as a shift of u (`LineBundleFlow`), so
-    the field F_hat is built only when asked for, and held by nobody.
+    the field F_hat is never built.
     """
 
     geometry: TorusGeometry
@@ -130,14 +131,6 @@ class BaseCurvature:
         """The trivially stationary base F_hat = c * omega."""
         return cls(geometry=geometry, F0=c * geometry.g, psi=None)
 
-    def field(self) -> np.ndarray:
-        """Realized curvature field, shape grid + (n, n), built on each call."""
-        geom = self.geometry
-        out = np.broadcast_to(self.F0, geom.shape + self.F0.shape).copy()
-        if self.psi is not None:
-            out += complex_hessian(geom, self.psi)
-        return out
-
 
 def _check_finite(name: str, a: np.ndarray, where: str) -> None:
     """Refuse an array with a non-finite entry, naming the index of the first one."""
@@ -158,7 +151,8 @@ _CONTOUR_POINTS = 32  # contour points of the ETDRK4 phi-functions
 
 class LineBundleFlow:
     """The flow of a base curvature on its torus at the phase hat_theta, which defaults
-    to the winding lift of the base's class (`cohomology.winding_hat_theta`).
+    to the winding lift of the base's class (`cohomology.winding_hat_theta` of the
+    characteristic coefficients `phase_fields(spectrum(0)).e`).
 
     Right-hand side, one path at every n: the phase of the half spectrum uh of
     u is that of the frame curvature F~0 + frame_hessian(uh + psi_hat), plane by
@@ -171,10 +165,7 @@ class LineBundleFlow:
     def __init__(self, base: BaseCurvature, hat_theta: float | None = None):
         self.base = base
         self.geometry = geometry = base.geometry
-        if hat_theta is None:
-            hat_theta = winding_hat_theta(geometry, base.field())
-        self.hat_theta = float(hat_theta)
-        if not np.isfinite(self.hat_theta):
+        if hat_theta is not None and not np.isfinite(float(hat_theta)):
             raise ValueError(f"hat_theta must be finite, got {hat_theta!r}")
         self._etd = None  # (h, ETDRK4 coefficients) of the last step size
         # F~0 through two rows, so the product takes the bits it takes for a field of
@@ -183,6 +174,10 @@ class LineBundleFlow:
         self._f0 = [[float(c) for c in row] for row in hermitian_planes(F0)]
         self._psi_hat = None if base.psi is None else self.spectrum(base.psi)
         self._wh = None if base.psi is None else np.empty_like(self._psi_hat)
+        if hat_theta is None:  # F_hat's class is that of the planes at u = 0
+            e = self.phase_fields(self.spectrum(np.zeros(geometry.shape))).e
+            hat_theta = winding_hat_theta(geometry, e)
+        self.hat_theta = float(hat_theta)
 
     def spectrum(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of a real grid field."""
@@ -190,7 +185,7 @@ class LineBundleFlow:
 
     def curvature_planes(self, uh: np.ndarray) -> list:
         """The n x n real planes (`phase.hermitian_planes`) of the frame curvature
-        F~0 + frame_hessian(uh + psi_hat) of F_hat + complex_hessian(u), from the
+        F~0 + frame_hessian(uh + psi_hat) of F_hat + ddbar u, from the
         spectrum of u; uh + psi_hat is summed into the held half spectrum."""
         if self._psi_hat is not None:
             uh = np.add(uh, self._psi_hat, out=self._wh)
@@ -201,11 +196,11 @@ class LineBundleFlow:
         return T
 
     def phase_fields(self, uh: np.ndarray) -> PhaseFields:
-        """PhaseFields (theta and zeta) of F_hat + complex_hessian(u) from the spectrum of u."""
+        """PhaseFields (e, theta and zeta) of F_hat + ddbar u from the spectrum of u."""
         return PhaseFields(frame_characteristic(self.curvature_planes(uh)))
 
     def phase(self, uh: np.ndarray) -> np.ndarray:
-        """Phase field theta(F_hat + complex_hessian(u)) from the spectrum of u."""
+        """Phase field theta(F_hat + ddbar u) from the spectrum of u."""
         return self.phase_fields(uh).theta
 
     def theta(self, u: np.ndarray) -> np.ndarray:

@@ -58,7 +58,6 @@ import numpy as np
 __all__ = [
     "TorusGeometry",
     "build_torus",
-    "complex_hessian",
     "volume_integral",
     "bandlimited_noise",
     "check_hermitian_field",
@@ -296,8 +295,8 @@ class TorusGeometry:
         symbol at -k (mod N, so -N/2 stays), as the full spectrum takes them; every
         index tuple of orbit has an entry of this modulus.  s is a product of frame
         multipliers, as in `entries`, but for the Hermitian "zZ": its entries are
-        F_pq, p <= q, of F = P H P^H for H = `complex_hessian` (mz_i mZ_j at k for
-        i <= j, at -k below), r is the symbol of F_qp, the orbit [(p, q), (q, p)]
+        F_pq, p <= q, of F = P H P^H for H the complex Hessian u_{i jbar} (mz_i mZ_j
+        at k for i <= j, at -k below), r is the symbol of F_qp, the orbit [(p, q), (q, p)]
         places the planes as `phase.hermitian_planes` does, and a real entry has one plane.
         """
         n, P, idx, half = self.n, self.frame, range(self.n), self.half_symbols
@@ -410,24 +409,6 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
     frame = None if np.array_equal(g, np.eye(n)) else np.linalg.inv(np.linalg.cholesky(g))
     return TorusGeometry(n=n, N=N, g=g, frame=frame, g_eig_min=float(eigs.min()),
                          det_g=det_g, vol=vol)
-
-
-def complex_hessian(geom: TorusGeometry, u: np.ndarray) -> np.ndarray:
-    """Complex Hessian u_{i jbar} = d/dz_i d/dzbar_j u of a real field.
-
-    Returns a Hermitian matrix field of shape grid + (n, n): one inverse transform
-    per entry on and above the diagonal, as `entries` takes it with coordinate
-    indices, and their conjugates below.  Diagonal entries equal one quarter of the
-    ordinary Laplacian in the (x_j, y_j) plane, so they are real for real input.
-    """
-    uh = geom.fft(np.asarray(u, dtype=np.float64))
-    mz, mZ = geom._letter_multipliers["z"], geom._letter_multipliers["Z"]
-    H = np.empty(geom.shape + (geom.n, geom.n), dtype=np.complex128)
-    for p, q in itertools.combinations_with_replacement(range(geom.n), 2):
-        H[..., p, q] = geom.ifft(mz[p] * mZ[q] * uh)
-        if p < q:
-            H[..., q, p] = H[..., p, q].conj()  # Hermitian bit for bit
-    return H
 
 
 def volume_integral(geom: TorusGeometry, f: np.ndarray):

@@ -14,6 +14,7 @@ sweep; identical configurations reproduce reports bit-for-bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -83,8 +84,14 @@ class SweepConfig(Schedule):
 def _sweep_error(sweep: dict, N: int) -> tuple | None:
     """(key, message) of the first sweep parameter out of range on an N grid, or None:
     the checks of a SweepConfig and of a parsed sweep block (`config_io.parse_sweep_config`)."""
+    for key in ("seeds", "k_band", "seed_base"):
+        if isinstance(sweep[key], bool) or not isinstance(sweep[key], numbers.Integral):
+            return key, f"{key} must be an integer, got {sweep[key]!r}"
     if not sweep["delta_list"]:
         return "delta_list", "expected a nonempty list"
+    if not all(isinstance(d, numbers.Real) and not isinstance(d, bool) and math.isfinite(d)
+               for d in sweep["delta_list"]):
+        return "delta_list", f"deltas must be finite numbers, got {sweep['delta_list']!r}"
     if any(d < 0 for d in sweep["delta_list"]):
         return "delta_list", "deltas must be nonnegative"
     if sorted(sweep["delta_list"]) != sweep["delta_list"]:

@@ -17,7 +17,10 @@ lambda_j, from the power sums tr(F~^k) of the n^2 real planes of F~
 (-3 pi/2, 3 pi/2) and Re zeta < 0 forces sign(theta) = sign(e_1), so
 theta = arctan(Im zeta / Re zeta) + pi sign(e_1) [Re zeta < 0], with
 Re zeta and Im zeta summed as real fields (at n = 1, arctan(e_1)).
-`pointwise_phase` keeps `eigvalsh` as the oracle.
+`PhaseFields` builds zeta and theta from e; the grid's frame curvature
+exists only as the planes of a flow (`flow.LineBundleFlow.curvature_planes`),
+so no grid of matrices is read here.  `pointwise_phase` keeps `eigvalsh` as
+the oracle.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of workers.  All operations broadcast over leading batch axes, so a
@@ -32,14 +35,12 @@ from operator import add
 
 import numpy as np
 
-from .geometry import TorusGeometry, check_hermitian_field
+from .geometry import check_hermitian_field
 
 __all__ = [
     "PhasePointData",
     "PhaseFields",
     "pointwise_phase",
-    "phase_fields",
-    "characteristic_field",
     "frame_characteristic",
     "hermitian_planes",
     "eta_pair",
@@ -204,24 +205,6 @@ def frame_characteristic(F: np.ndarray | list) -> list:
     for k in range(2, n + 1):
         e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
     return e
-
-
-def characteristic_field(geom: TorusGeometry, F: np.ndarray) -> list:
-    """[e_0, ..., e_n] of the eigenvalues of (F, g) for a coordinate curvature F:
-    those of its frame curvature (`frame_characteristic`)."""
-    return frame_characteristic(geom.to_frame(F, "zZ"))
-
-
-def phase_fields(geom: TorusGeometry, F: np.ndarray) -> PhaseFields:
-    """Apply the pointwise phase construction over the whole grid.
-
-    F has shape grid + (n, n) in coordinates and must be Hermitian at every
-    point; zeta and theta come from `characteristic_field` (see the module
-    docstring).
-    """
-    F = np.asarray(F, dtype=np.complex128)
-    check_hermitian_field(F)
-    return PhaseFields(characteristic_field(geom, F))
 
 
 def hypercritical_classify(theta, n: int) -> str:

@@ -16,6 +16,7 @@ import scipy.linalg
 
 import dhym_lab as dl
 from conftest import cos_axis
+from spectral_oracle import base_field, characteristic_field
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
@@ -86,13 +87,13 @@ def test_criterion_2_linearization():
         u = dl.bandlimited_noise(geom, 2, 1.0, 31)
         u *= 0.2 / dl.tensor_norms(geom, u).hess_sup
         phi = dl.bandlimited_noise(geom, 2, 1.0, 32)
-        errs[n] = dl.verify_linearization(geom, base, u, phi, 1e-5)
+        errs[n] = dl.verify_linearization(dl.LineBundleFlow(base), u, phi, 1e-5)
     geom = dl.build_torus(1, 64, [1.0])
     base = dl.BaseCurvature.proportional(geom, 1.0)
     u = dl.bandlimited_noise(geom, 2, 1.0, 41)
     u *= 0.3 / dl.tensor_norms(geom, u).hess_sup
     phi = dl.bandlimited_noise(geom, 2, 1.0, 42)
-    e_big = [dl.verify_linearization(geom, base, u, phi, eps) for eps in (8e-4, 4e-4)]
+    e_big = [dl.verify_linearization(dl.LineBundleFlow(base), u, phi, eps) for eps in (8e-4, 4e-4)]
     order = float(np.log2(e_big[0] / e_big[1]))
     ok = errs[1] <= 1e-6 and errs[2] <= 1e-6 and 1.6 <= order <= 2.4
     _criterion(2, "linearization",
@@ -111,7 +112,7 @@ def test_criterion_3_cohomological_invariance(sweep_report):
         geom = dl.build_torus(n, N, np.eye(n))
         for c in (0.5, 1.0, 2.0):
             F = c * np.broadcast_to(geom.g, geom.shape + (n, n)).copy()
-            lift = dl.winding_hat_theta(geom, F)
+            lift = dl.winding_hat_theta(geom, characteristic_field(geom, F))
             worst_wind = max(worst_wind, abs(lift - n * np.arctan(c)))
     ok = drift <= 1e-9 and worst_wind <= 1e-10
     _criterion(3, "cohomological invariance",
@@ -175,7 +176,7 @@ def test_criterion_6_stationary_point_identities():
     geom = dl.build_torus(1, 32, [1.0])
     psi = 0.2 * cos_axis(geom, 0)
     base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
-    hat = dl.winding_hat_theta(geom, base.field())
+    hat = dl.winding_hat_theta(geom, characteristic_field(geom, base_field(base)))
     cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base, hat), u0=np.zeros(geom.shape),
                         dt_safety=1.0, t_max=400.0, sample_every=1000)
     ref = dl.generate_reference(cfg)

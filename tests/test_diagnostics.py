@@ -15,6 +15,7 @@ from dhym_lab.config_io import modes_field, parse_config_data
 from dhym_lab.diagnostics import TENSOR_COLUMNS, build_record
 from dhym_lab.geometry import NORM_WORDS
 from dhym_lab.phase import eta_pair
+from spectral_oracle import base_field, complex_hessian, phase_fields
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +205,7 @@ class TestBuildRecord:
                                   tn.Gamma_sup, tn.hess_sup)
         assert (rec.Z_re, rec.Z_im) == (Z.real, Z.imag)
         assert (rec.theta_max, rec.theta_min) == (pf.theta.max(), pf.theta.min())
-        full = dl.phase_fields(geom, base.field() + dl.complex_hessian(geom, u))
+        full = phase_fields(geom, base_field(base) + complex_hessian(geom, u))
         assert abs(dl.volume_integral(geom, full.zeta) - Z) <= 1e-14 * abs(Z)
         assert np.abs(full.theta - pf.theta).max() <= 1e-14
 
@@ -261,12 +262,13 @@ class TestCsvRow:
 class TestVerifyLinearization:
     def test_zero_direction(self, torus1, base1):
         u = 0.1 * cos_axis(torus1, 0)
-        assert dl.verify_linearization(torus1, base1, u, np.zeros(torus1.shape), 1e-5) == 0.0
+        flow = dl.LineBundleFlow(base1)
+        assert dl.verify_linearization(flow, u, np.zeros(torus1.shape), 1e-5) == 0.0
 
     def test_analytic_at_flat_point(self, torus1, base1):
         # at u = 0 over F_hat = c omega the derivative is phi_hess/(1+c^2)
         phi = cos_axis(torus1, 0)
-        err = dl.verify_linearization(torus1, base1, np.zeros(torus1.shape), phi, 1e-5)
+        err = dl.verify_linearization(dl.LineBundleFlow(base1), np.zeros(torus1.shape), phi, 1e-5)
         assert err < 1e-9
 
     @pytest.mark.parametrize("n,N,tol", [(1, 64, 1e-6), (2, 32, 1e-6)])
@@ -276,21 +278,35 @@ class TestVerifyLinearization:
         u = dl.bandlimited_noise(geom, 2, 1.0, 31)
         u *= 0.2 / dl.tensor_norms(geom, u).hess_sup
         phi = dl.bandlimited_noise(geom, 2, 1.0, 32)
-        assert dl.verify_linearization(geom, base, u, phi, 1e-5) < tol
+        assert dl.verify_linearization(dl.LineBundleFlow(base), u, phi, 1e-5) < tol
 
     def test_eps_refinement_order_two(self, torus1, base1):
         u = dl.bandlimited_noise(torus1, 2, 1.0, 41)
         u *= 0.3 / dl.tensor_norms(torus1, u).hess_sup
         phi = dl.bandlimited_noise(torus1, 2, 1.0, 42)
-        errs = [dl.verify_linearization(torus1, base1, u, phi, eps)
+        errs = [dl.verify_linearization(dl.LineBundleFlow(base1), u, phi, eps)
                 for eps in (8e-4, 4e-4)]
         slope = np.log2(errs[0] / errs[1])
         assert 1.6 <= slope <= 2.4
 
+    def test_reads_the_flow_planes_only(self, monkeypatch):
+        # the phases and eta^{-1} come from the flow's half spectra: no full-spectrum
+        # transform, so no coordinate curvature field, under a potential and a metric
+        geom = dl.build_torus(2, 8, NON_DIAGONAL_G)
+        flow = dl.LineBundleFlow(psi_base(geom), 0.0)
+        u, phi = (dl.bandlimited_noise(geom, 2, a, s) for a, s in ((0.05, 3), (1.0, 4)))
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(dl.TorusGeometry, name, fails_on_full_spectrum)
+        assert dl.verify_linearization(flow, u, phi, 1e-5) < 1e-6
+
     def test_eps_range_enforced(self, torus1, base1):
         with pytest.raises(ValueError, match="eps"):
-            dl.verify_linearization(torus1, base1, np.zeros(torus1.shape),
+            dl.verify_linearization(dl.LineBundleFlow(base1), np.zeros(torus1.shape),
                                     cos_axis(torus1, 0), 1e-2)
+
+
+def fails_on_full_spectrum(geom, f):
+    raise AssertionError("a full-spectrum transform ran")
 
 
 def _identity_trajectory(geom, base, dt_s, delta=0.05, seed=11, n_steps=8):

@@ -16,7 +16,7 @@ from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field
 from dhym_lab.flow import _CONTOUR_POINTS
 from dhym_lab.phase import eta_pair, frame_characteristic, hermitian_planes
-from spectral_oracle import deriv
+from spectral_oracle import base_field, characteristic_field, complex_hessian, deriv
 
 
 @pytest.fixture(scope="module")
@@ -25,17 +25,11 @@ def base1(torus1):
 
 
 class TestBaseCurvature:
-    def test_field_is_hermitian(self, torus2):
-        psi = dl.bandlimited_noise(torus2, 2, 0.5, 1)
-        base = dl.BaseCurvature(geometry=torus2, F0=torus2.g, psi=psi)
-        F = base.field()
-        assert np.abs(F - F.conj().swapaxes(-1, -2)).max() < 1e-12
-
     def test_oscillatory_part_mean_free(self, torus1):
         psi = 0.3 * cos_axis(torus1, 0)
-        base = dl.BaseCurvature(geometry=torus1, F0=torus1.g, psi=psi)
-        dev = base.field() - torus1.g
-        assert abs(dev[..., 0, 0].mean()) < 1e-15
+        flow = dl.LineBundleFlow(dl.BaseCurvature(geometry=torus1, F0=torus1.g, psi=psi), 0.0)
+        dev = flow.curvature_planes(flow.spectrum(np.zeros(torus1.shape)))[0][0] - 1.0
+        assert abs(dev.mean()) < 1e-15
 
     def test_non_hermitian_constant_rejected(self, torus2):
         with pytest.raises(ValueError, match="non-Hermitian"):
@@ -62,11 +56,6 @@ class TestBaseCurvature:
                     f"constant curvature F0 is not finite at entry {at}")):
                 dl.BaseCurvature(geometry=geom, F0=np.array(F0))
 
-    def test_field_is_built_on_each_call(self, torus1):
-        base = dl.BaseCurvature(geometry=torus1, F0=torus1.g, psi=0.3 * cos_axis(torus1, 0))
-        first = base.field()
-        assert base.field() is not first and np.array_equal(base.field(), first)
-
 
 def fails_on_transform(geom, f):
     raise AssertionError("a transform ran")
@@ -81,14 +70,42 @@ class TestLineBundleFlow:
         with pytest.raises(ValueError, match="hat_theta must be finite"):
             dl.LineBundleFlow(base1, hat_theta)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_hat_theta_defaults_to_the_winding_lift(self, n):
-        geom = dl.build_torus(n, 8, np.eye(n))
-        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.3, 0.5][:n]),
-                                psi=0.2 * cos_axis(geom, 0))
+    @pytest.mark.parametrize("n,g", [(1, np.eye(1)), (2, np.eye(2)),
+                                     (2, [[2.0, 0.3j], [-0.3j, 1.0]]), (3, np.eye(3))],
+                             ids=["1", "2", "2-g", "3"])
+    def test_hat_theta_defaults_to_the_winding_lift(self, n, g):
+        # the lift of the planes' coefficients at u = 0 is bit for bit that of the
+        # coordinate field F0 + ddbar psi, and so is Z
+        geom = dl.build_torus(n, 8, g)
+        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.3, 0.5, 0.75][:n]),
+                                psi=0.2 * cos_axis(geom, 0) + dl.bandlimited_noise(geom, 2, 0.1, n))
         flow = dl.LineBundleFlow(base)
         assert flow.geometry is geom
-        assert flow.hat_theta == dl.winding_hat_theta(geom, base.field())
+        e = characteristic_field(geom, base_field(base))
+        assert flow.hat_theta == dl.winding_hat_theta(geom, e)
+        planes = flow.phase_fields(flow.spectrum(np.zeros(geom.shape))).e
+        assert dl.cohomology_invariants(geom, planes) == dl.cohomology_invariants(geom, e)
+
+    def test_construction_peak_is_about_one_phase(self):
+        # the default hat_theta reads the planes at u = 0, one phase's worth; the coordinate
+        # field F0 + ddbar psi it replaced took the peak to 2.1 phases (84 of 40 MiB)
+        geom = dl.build_torus(3, 8, np.eye(3))
+        base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5, 0.75]),
+                                psi=dl.bandlimited_noise(geom, 2, 0.1, 1))
+        uh = geom.rfft(dl.bandlimited_noise(geom, 2, 0.05, 2))
+        geom.plane_symbols  # held by the geometry, not the flow
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            flow = dl.LineBundleFlow(base)
+            build = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            flow.phase_fields(uh)
+            phase = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert build <= 1.25 * phase, (build, phase)
 
     @pytest.mark.parametrize("n,N", [(2, 16), (3, 8)])
     @pytest.mark.parametrize("potential", [False, True], ids=["flat", "psi"])
@@ -140,7 +157,7 @@ class TestFlowRhs:
         base = dl.BaseCurvature.proportional(torus2, 0.5)
         u = dl.bandlimited_noise(torus2, 2, 0.3, 5)
         rhs = dl.LineBundleFlow(base, 0.0).rhs(u)
-        F = base.field() + dl.complex_hessian(torus2, u)
+        F = base_field(base) + complex_hessian(torus2, u)
         lam = dl.pointwise_phase(F, torus2.g).lam
         assert np.abs(rhs - np.arctan(lam).sum(-1)).max() < 1e-13
 
@@ -159,14 +176,14 @@ class TestFlowRhs:
             monkeypatch.setattr(module, "check_hermitian_field", refuse, raising=False)
         theta = flow.phase(flow.spectrum(u))
         monkeypatch.undo()
-        lam = dl.pointwise_phase(base.field() + dl.complex_hessian(geom, u), geom.g).lam
+        lam = dl.pointwise_phase(base_field(base) + complex_hessian(geom, u), geom.g).lam
         assert np.abs(theta - np.arctan(lam).sum(-1)).max() < 1e-13
 
 
 def full_spectrum_theta(geom, base, u):
     """Oracle: the n >= 2 phase from the full complex spectrum, the Hessian from
     `deriv` and theta from the complex zeta."""
-    F = geom.to_frame(base.field(), "zZ") + geom.to_frame(deriv(geom, geom.fft(u), "zZ"), "zZ")
+    F = geom.to_frame(base_field(base), "zZ") + geom.to_frame(deriv(geom, geom.fft(u), "zZ"), "zZ")
     pf = dl.PhaseFields(frame_characteristic(F))
     with np.errstate(divide="ignore"):
         theta = np.arctan(pf.zeta.imag / pf.zeta.real)
@@ -185,7 +202,7 @@ def scalar_theta(geom, base, u, field=False):
     field, arctan((F_hat + irfft2(mult * uh)) / g)."""
     uh = sfft.rfft2(u)
     if field:
-        lam = base.field()[..., 0, 0].real + sfft.irfft2(scalar_multiplier(geom.N) * uh,
+        lam = base_field(base)[..., 0, 0].real + sfft.irfft2(scalar_multiplier(geom.N) * uh,
                                                          s=geom.shape)
     else:
         if base.psi is not None:
@@ -266,7 +283,7 @@ def complex_buffer_characteristic(geom, base, uh, field=False):
                 H[..., p, q].imag = geom.irfft(s.imag.copy() * uh)
                 H[..., q, p] = H[..., p, q].conj()
     F = geom.to_frame(H, "zZ")
-    F += geom.to_frame(base.field(), "zZ") if field else frame_F0(geom, base)
+    F += geom.to_frame(base_field(base), "zZ") if field else frame_F0(geom, base)
     return frame_characteristic(F)
 
 
@@ -332,10 +349,10 @@ class TestPlanePhase:
 
 def field_phase(flow, uh):
     """Oracle: the phase the way the flow took it while it held the base curvature
-    field: the frame Hessian's planes of uh plus those of F~_hat (`BaseCurvature.field`)."""
+    field: the frame Hessian's planes of uh plus those of F~_hat (`spectral_oracle.base_field`)."""
     geom = flow.geometry
     T = geom.frame_hessian(uh)
-    for row, base_row in zip(T, hermitian_planes(geom.to_frame(flow.base.field(), "zZ"))):
+    for row, base_row in zip(T, hermitian_planes(geom.to_frame(base_field(flow.base), "zZ"))):
         for plane, base_plane in zip(row, base_row):
             plane += base_plane
     return dl.PhaseFields(frame_characteristic(T))
@@ -504,8 +521,7 @@ class TestRecordsReuseFlowPhase:
         base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5][:n]),
                                 psi=0.1 * dl.bandlimited_noise(geom, 2, 1.0, 4))
         u0 = dl.bandlimited_noise(geom, 2, 0.02, 5)
-        hat = dl.winding_hat_theta(geom, base.field())
-        traj = dl.run_flow(dl.FlowConfig(flow=dl.LineBundleFlow(base, hat), u0=u0,
+        traj = dl.run_flow(dl.FlowConfig(flow=dl.LineBundleFlow(base), u0=u0,
                                          t_max=0.5, sample_every=4, keep_fields=None))
         flow = traj.final.flow
         assert len(traj.records) >= 5
@@ -884,8 +900,7 @@ class TestEtdrk4:
     def test_fourth_order_with_remainder(self):
         geom = dl.build_torus(1, 16, [1.0])
         base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=0.2 * cos_axis(geom, 0))
-        hat = dl.winding_hat_theta(geom, base.field())
-        flow = dl.LineBundleFlow(base, hat)
+        flow = dl.LineBundleFlow(base)
         zero = np.zeros(geom.shape)
         # the psi background leaves a remainder the linear part does not absorb
         assert np.abs(flow.remainder(flow.spectrum(zero), flow.theta(zero))).max() > 1e-3

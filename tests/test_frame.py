@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import dhym_lab as dl
 from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field
-from spectral_oracle import deriv
+from spectral_oracle import base_field, complex_hessian, deriv
 
 WORDS = ("z", "zZ", "zz", "zZz")
 
@@ -50,7 +50,7 @@ def oracle_context(geom, base, u):
     """Coordinate derivative tensors of one sample, as the identities read them."""
     uh = geom.fft(u)
     du, H, S, T = (deriv(geom, uh, word) for word in WORDS)
-    F = base.field() + H
+    F = base_field(base) + H
     eta = geom.g + F @ np.linalg.inv(geom.g) @ F
     psi_hat = geom.fft(base.psi) if base.psi is not None else None
     dFhat = (deriv(geom, psi_hat, "zzZ") if psi_hat is not None
@@ -195,7 +195,7 @@ class TestCoordinateOracles:
             names = ("u_sq", "grad_sq", "Theta", "ThetaP")
             rhs = [diagnostics._identity_rhs(geom, which, ctx, hat, u) for which in names]
             lap = np.einsum("...qp,...pq->...", ctx.eta_inv,
-                            geom.to_frame(dl.complex_hessian(geom, u**2), "zZ")).real
+                            geom.to_frame(complex_hessian(geom, u**2), "zZ")).real
             del ctx
             # the stationary-point reports, with the residual gate opened
             reps = dl.dhym_point_identities(dl.LineBundleFlow(base, hat), u, residual_tol=1e9)
@@ -203,7 +203,7 @@ class TestCoordinateOracles:
             for which, field in zip(names, rhs):
                 assert_rel(field, oracle_identity_rhs(geom, which, octx, hat, u), which)
             assert_rel(lap, einsum("...qp,...pq->...", octx.eta_inv,
-                                   dl.complex_hessian(geom, u**2)).real, "eta-Laplacian")
+                                   complex_hessian(geom, u**2)).real, "eta-Laplacian")
             first, lhs, rhs = oracle_point_identities(geom, octx)
             del octx
             rhs_norm = np.abs(rhs).max()
@@ -212,26 +212,24 @@ class TestCoordinateOracles:
             for rep, values in zip(reps, expect):
                 got = (rep.lhs_norm, rep.rhs_norm, rep.residual_rel)
                 assert got == pytest.approx(values, rel=1e-13, abs=1e-300), rep.identity
-            # the analytic term of verify_linearization, through its returned error
-            phi = dl.bandlimited_noise(geom, 2, 1.0, seed % 997)
-            F = base.field()
-            analytic = einsum("...qp,...pq->...",
-                              oracle_eta_inv(geom, F + dl.complex_hessian(geom, u)),
-                              dl.complex_hessian(geom, phi)).real
-            eps = 1e-5
-            tp, tm = (dl.phase_fields(geom, F + dl.complex_hessian(geom, u + s * phi)).theta
-                      for s in (eps, -eps))
-            err = np.abs((tp - tm) / (2 * eps) - analytic).max() / np.abs(analytic).max()
-            assert abs(dl.verify_linearization(geom, base, u, phi, eps) - err) <= 1e-13
-            # the linear symbol of the ETDRK4 stepper
+            # the analytic term of verify_linearization, through its returned error: the
+            # difference quotient is the flow's, whose phase the tests check elsewhere
             flow = dl.LineBundleFlow(base, hat)
+            phi = dl.bandlimited_noise(geom, 2, 1.0, seed % 997)
+            F = base_field(base) + complex_hessian(geom, u)
+            analytic = einsum("...qp,...pq->...", oracle_eta_inv(geom, F),
+                              complex_hessian(geom, phi)).real
+            eps = 1e-5
+            tp, tm = (flow.theta(u + s * phi) for s in (eps, -eps))
+            err = np.abs((tp - tm) / (2 * eps) - analytic).max() / np.abs(analytic).max()
+            assert abs(dl.verify_linearization(flow, u, phi, eps) - err) <= 1e-13
+            # the linear symbol of the ETDRK4 stepper
             assert_rel(flow.linear_symbol, oracle_linear_symbol(geom, base.F0, N), "symbol")
             for j in (0, N // 2):  # L(k) = L(-k) where both k and -k are on the half grid
                 plane = flow.linear_symbol[..., j]
                 assert_rel(plane, at_minus_k(plane), f"even symbol at last wave number {j}")
-            # the characteristic polynomial of (F, g), from g^{-1} F
-            F = F + dl.complex_hessian(geom, u)
-            for k, (a, b) in enumerate(zip(dl.characteristic_field(geom, F)[1:],
+            # the characteristic polynomial of (F, g) from the flow's planes, against g^{-1} F
+            for k, (a, b) in enumerate(zip(flow.phase_fields(geom.rfft(u)).e[1:],
                                            oracle_characteristic(geom, F)[1:]), 1):
                 assert_rel(a, b, f"e_{k}")
 

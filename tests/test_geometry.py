@@ -9,7 +9,8 @@ import scipy.fft as sfft
 import dhym_lab as dl
 from conftest import cos_axis
 from dhym_lab import diagnostics
-from spectral_oracle import deriv
+from dhym_lab.phase import hermitian_planes
+from spectral_oracle import complex_hessian, deriv
 
 
 class TestBuildTorus:
@@ -98,7 +99,7 @@ class TestDerivatives:
         m = torus1.wavevector(0)
         l = torus1.wavevector(1)
         lap = torus1.ifft(-(m**2 + l**2) * uh).real
-        hess = dl.complex_hessian(torus1, u)[..., 0, 0].real
+        hess = torus1.frame_hessian(torus1.rfft(u))[0][0]
         assert np.abs(hess - lap / 4).max() < 1e-12 * (1 + np.abs(lap).max())
 
 
@@ -113,37 +114,44 @@ class TestHermitianCheck:
 
 
 class TestComplexHessian:
+    """The package's complex Hessian u_{i jbar}: the real planes of `frame_hessian`, at
+    g = I those of the coordinate tensor (`phase.hermitian_planes`)."""
+
     def test_zero_field(self, torus1):
-        H = dl.complex_hessian(torus1, np.zeros(torus1.shape))
-        assert np.abs(H).max() == 0.0
+        T = torus1.frame_hessian(torus1.rfft(np.zeros(torus1.shape)))
+        assert np.abs(T[0][0]).max() == 0.0
 
     def test_cosine_n1(self, torus1):
         u = cos_axis(torus1, 0)
-        H = dl.complex_hessian(torus1, u)
-        assert np.abs(H[..., 0, 0] + 0.25 * u).max() < 1e-13
+        T = torus1.frame_hessian(torus1.rfft(u))
+        assert np.abs(T[0][0] + 0.25 * u).max() < 1e-13
 
     def test_diagonal_n2(self, torus2):
         # u = cos x_1 + cos y_2 has Hessian diag(-cos(x_1)/4, -cos(y_2)/4)
         u = cos_axis(torus2, 0) + cos_axis(torus2, 3)
-        H = dl.complex_hessian(torus2, u)
-        assert np.abs(H[..., 0, 0] + 0.25 * cos_axis(torus2, 0)).max() < 1e-13
-        assert np.abs(H[..., 1, 1] + 0.25 * cos_axis(torus2, 3)).max() < 1e-13
-        assert np.abs(H[..., 0, 1]).max() < 1e-13
+        T = torus2.frame_hessian(torus2.rfft(u))
+        assert np.abs(T[0][0] + 0.25 * cos_axis(torus2, 0)).max() < 1e-13
+        assert np.abs(T[1][1] + 0.25 * cos_axis(torus2, 3)).max() < 1e-13
+        assert max(np.abs(T[0][1]).max(), np.abs(T[1][0]).max()) < 1e-13
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_hermitian_pointwise(self, torus2, seed):
+        # the coordinate oracle is Hermitian, and its planes are the package's
         u = dl.bandlimited_noise(torus2, 4, 1.0, seed)
-        H = dl.complex_hessian(torus2, u)
-        dev = np.abs(H - H.conj().swapaxes(-1, -2)).max()
-        assert dev < 1e-12 * max(1.0, np.abs(H).max())
+        H = complex_hessian(torus2, u)
+        scale = max(1.0, np.abs(H).max())
+        assert np.abs(H - H.conj().swapaxes(-1, -2)).max() < 1e-12 * scale
+        for row, oracle_row in zip(torus2.frame_hessian(torus2.rfft(u)), hermitian_planes(H)):
+            for plane, expect in zip(row, oracle_row):
+                assert np.abs(plane - expect).max() < 1e-13 * scale
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_diagonal_integrates_to_zero(self, torus2, seed):
         # integration by parts on the torus: the trace entries are mean-free
         u = dl.bandlimited_noise(torus2, 4, 1.0, seed)
-        H = dl.complex_hessian(torus2, u)
+        T = torus2.frame_hessian(torus2.rfft(u))
         for j in range(torus2.n):
-            val = dl.volume_integral(torus2, H[..., j, j])
+            val = dl.volume_integral(torus2, T[j][j])
             assert abs(val) < 1e-11 * (1 + np.abs(u).max())
 
 
@@ -184,42 +192,18 @@ class TestDerivativeKernel:
 
     def test_hessian_word_is_hermitian(self, torus2):
         u = dl.bandlimited_noise(torus2, 3, 1.0, 8)
-        H = dl.complex_hessian(torus2, u)
+        H = complex_hessian(torus2, u)
         assert (H[..., 1, 0] == H[..., 0, 1].conj()).all()
 
     @pytest.mark.parametrize("metric", [False, True], ids=["I", "g"])
-    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8), (3, 8)])
-    def test_complex_hessian_is_the_full_tensor_oracle_bit_for_bit(self, n, N, metric):
-        # BaseCurvature's field, and through it the winding hat_theta, keeps the bits
-        # of the full-tensor Hessian it was built from
-        geom = dl.build_torus(n, N, random_metric(np.random.default_rng(n), n) if metric
-                              else np.eye(n))
-        psi = dl.bandlimited_noise(geom, 2, 0.1, n)
-        expect = deriv(geom, geom.fft(psi), "zZ")
-        assert np.array_equal(dl.complex_hessian(geom, psi), expect)
-        base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
-        assert np.array_equal(base.field(), geom.g + expect)
-        if n == 2:  # the identity context holds one array per orbit of commuting indices
-            ctx = diagnostics._sample_context(dl.LineBundleFlow(base, 0.0),
-                                              dl.bandlimited_noise(geom, 2, 0.1, 5))
-            assert ctx.T[0, 1, 1] is ctx.T[1, 1, 0] and ctx.S[0, 1] is ctx.S[1, 0]
-            assert ctx.dF[0, 1, 1] is ctx.dF[1, 0, 1]
-
-    @pytest.mark.parametrize("metric", [False, True], ids=["I", "g"])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_complex_hessian_transforms_the_upper_triangle_only(self, n, metric, monkeypatch):
-        # n(n+1)/2 inverse transforms, bit for bit the Hessian that transformed all n^2
-        # entries through `entries` and dropped those below the diagonal
-        geom = dl.build_torus(n, 8, random_metric(np.random.default_rng(n), n) if metric
-                              else np.eye(n))
-        psi = dl.bandlimited_noise(geom, 2, 0.1, n)
-        expect = np.empty(geom.shape + (n, n), dtype=complex)
-        for ((p, q),), field in geom.entries(geom.fft(psi), "zZ", 2):
-            expect[..., p, q] = field if p <= q else expect[..., q, p].conj()
-        calls, ifft = [], dl.TorusGeometry.ifft
-        monkeypatch.setattr(dl.TorusGeometry, "ifft", lambda g, fh: calls.append(1) or ifft(g, fh))
-        assert np.array_equal(dl.complex_hessian(geom, psi), expect)
-        assert len(calls) == n * (n + 1) // 2
+    def test_identity_context_holds_one_array_per_orbit(self, metric):
+        geom = dl.build_torus(2, 8, random_metric(np.random.default_rng(2), 2) if metric
+                              else np.eye(2))
+        base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=dl.bandlimited_noise(geom, 2, 0.1, 2))
+        ctx = diagnostics._sample_context(dl.LineBundleFlow(base, 0.0),
+                                          dl.bandlimited_noise(geom, 2, 0.1, 5))
+        assert ctx.T[0, 1, 1] is ctx.T[1, 1, 0] and ctx.S[0, 1] is ctx.S[1, 0]
+        assert ctx.dF[0, 1, 1] is ctx.dF[1, 0, 1]
 
     @pytest.mark.parametrize("coords", [0, 1, 2])
     def test_entries_give_the_frame_tensor_one_orbit_at_a_time(self, coords):
@@ -459,7 +443,7 @@ class TestKernelEntry:
         traj.record(state)
         assert np.isfinite(traj.records[0].hess_sup)
         assert np.isfinite(dl.tensor_norms(geom, u).hess_sup)
-        assert np.isfinite(dl.complex_hessian(geom, u)).all()
+        assert np.isfinite(dl.LineBundleFlow(base).hat_theta)
 
 
 class TestVolumeIntegral:
@@ -538,7 +522,7 @@ class TestWorkerCap:
         results = []
         for threads in ("1", "4"):
             monkeypatch.setenv("DHYM_THREADS", threads)
-            results.append([dl.complex_hessian(torus1, f)] + [
+            results.append([next(torus1.entries(torus1.fft(f), "zZ"))[1]] + [
                 getattr(dl.tensor_norms(geom, u), name)
                 for geom, u in ((torus1, f), (torus2, f2), (framed, f2)) for name in fields])
         for a, b in zip(*results):

@@ -7,6 +7,7 @@ import pytest
 import dhym_lab as dl
 from conftest import cos_axis, fails_on_call
 from dhym_lab.diagnostics import oscillation_decay
+from spectral_oracle import base_field, complex_hessian, phase_fields
 
 
 class TestGenerateReference:
@@ -27,8 +28,8 @@ class TestGenerateReference:
         ref = dl.generate_reference(cfg)
         assert ref.residual_sup <= 1e-11
         # the endpoint realizes a spatially constant phase
-        F = base.field() + dl.complex_hessian(torus1, ref.u_hat)
-        theta = dl.phase_fields(torus1, F).theta
+        F = base_field(base) + complex_hessian(torus1, ref.u_hat)
+        theta = phase_fields(torus1, F).theta
         assert theta.max() - theta.min() < 5e-11
         rep1, rep2 = ref.identities
         assert rep1.residual_rel < 1e-8
@@ -103,6 +104,13 @@ class TestStabilitySweep:
         ("delta_list", [-0.1], "nonnegative"),
         ("seeds", 0, "seed"), ("k_band", 0, "dealiasing"), ("k_band", 11, "dealiasing"),
         ("seed_base", -3, "seed_base"),
+        # a float seeds escaped the sweep as a TypeError, and a float band made each cell an error
+        ("seeds", 2.5, "^seeds must be an integer, got 2.5$"),
+        ("seeds", True, "^seeds must be an integer, got True$"),
+        ("k_band", 1.5, "^k_band must be an integer, got 1.5$"),
+        ("seed_base", 0.0, "^seed_base must be an integer, got 0.0$"),
+        # a string delta escaped as a TypeError, and a NaN one made each of its cells an error
+        ("delta_list", ["0.1"], "finite numbers"), ("delta_list", [np.nan], "finite numbers"),
     ])
     def test_validation(self, torus1, field, value, match):
         # at N = 32 the band may be 1 to 10; every error is raised at construction

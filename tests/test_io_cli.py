@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 import threading
 import tracemalloc
@@ -14,6 +15,7 @@ from dhym_lab import cli, diagnostics
 from dhym_lab.cli import main as cli_main
 from dhym_lab.config_io import parse_config, parse_config_data, read_snapshot, write_snapshot
 from conftest import fails_on_call
+from spectral_oracle import base_field, characteristic_field
 
 
 def minimal_config(**overrides):
@@ -155,7 +157,8 @@ class TestParseConfig:
             "potential": {"modes": [{"m": [1, 0], "amplitude": 0.2, "phase": 0.1}]}}))
         flow = cfg.flow()
         assert cfg.hat_theta is None
-        assert flow.hat_theta == dl.winding_hat_theta(flow.geometry, flow.base.field())
+        e = characteristic_field(flow.geometry, base_field(flow.base))
+        assert flow.hat_theta == dl.winding_hat_theta(flow.geometry, e)
 
     def test_modes_initial_field(self, torus1):
         cfg = parse_config_data(minimal_config(
@@ -254,6 +257,27 @@ class TestSnapshots:
                                              f"its header needs {need}"):
             dl.read_snapshot(path)
 
+    @pytest.mark.parametrize("header,message", [
+        (b'{"name": "u", "dtype": "f64le", "shape": [32, 32]}', "header has no 't'"),
+        (b'{"name": "u", "t": 0.0, "dtype": "f64le"}', "header has no 'shape'"),
+        (b'[1, 2]', "header is not a JSON object"),
+        (b'{"name": "u", "t": 0.0, "dtype"', "header is not a JSON line"),
+        (b'{"name": "u", "t": "0", "dtype": "f64le", "shape": [32, 32]}',
+         "header 't' has the wrong type: '0'"),
+        (b'{"name": "u", "t": 0.0, "dtype": ["f64le"], "shape": [32, 32]}',
+         "header 'dtype' has the wrong type"),
+        (b'{"name": "u", "t": 0.0, "dtype": "f64le", "shape": [32, 32.0]}',
+         r"header shape \[32, 32.0\] is not a list of sizes"),
+    ], ids=["no-t", "no-shape", "list", "not-json", "t-string", "dtype-list", "shape-float"])
+    def test_malformed_header_names_the_file(self, tmp_path, torus1, header, message):
+        # a KeyError, an AttributeError or a bare JSON error before the check
+        path = tmp_path / "f.snap"
+        dl.write_snapshot(np.zeros(torus1.shape), "u", 0.0, torus1, path)
+        payload = path.read_bytes().partition(b"\n")[2]
+        path.write_bytes(header + b"\n" + payload)
+        with pytest.raises(ValueError, match=f"^snapshot {re.escape(str(path))}: {message}"):
+            dl.read_snapshot(path)
+
     def test_write_then_write_is_bit_identical(self, tmp_path, torus1):
         f = dl.bandlimited_noise(torus1, 2, 1.0, 9)
         p1, p2 = tmp_path / "a.snap", tmp_path / "b.snap"
@@ -298,6 +322,12 @@ CONFIG_ERRORS = [
     ("sweep", minimal_config(sweep=dict(SWEEP, k_band=0)), "$.sweep.k_band"),
     ("sweep", minimal_config(sweep=dict(SWEEP, seed_base=-3)), "$.sweep.seed_base"),
 ]
+# the sweep counts of another type, which `harness._sweep_error` refuses for the parser too
+TYPE_ERRORS = [
+    ("sweep", minimal_config(sweep=dict(SWEEP, seeds=2.5)), "$.sweep.seeds"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, k_band=True)), "$.sweep.k_band"),
+    ("sweep", minimal_config(sweep=dict(SWEEP, seed_base="1")), "$.sweep.seed_base"),
+]
 
 
 class TestCli:
@@ -306,8 +336,9 @@ class TestCli:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    @pytest.mark.parametrize("command,doc,path", CONFIG_ERRORS,
-                             ids=[f"{c}-{p}" for c, _, p in CONFIG_ERRORS])
+    @pytest.mark.parametrize("command,doc,path", CONFIG_ERRORS + TYPE_ERRORS,
+                             ids=[f"{c}-{p}" for c, _, p in CONFIG_ERRORS]
+                             + [f"{c}-{p}-type" for c, _, p in TYPE_ERRORS])
     def test_config_error_named_before_any_output(self, tmp_path, capsys, command, doc, path):
         # the parser names the offending key; the command prints that one line and exits 1
         # before it writes anything, and before any sweep cell runs; a document's own
@@ -404,6 +435,31 @@ class TestCli:
         assert cli_main(["simulate", "--config", cfg]) == 2  # tiny horizon: timeout
         out = str(tmp_path / "verify.jsonl")
         assert cli_main(["verify", "--run-dir", str(tmp_path / "run"), "--out", out]) == 0
+
+    @pytest.mark.parametrize("fault", ["grid", "header"])
+    def test_verify_run_dir_refuses_a_bad_snapshot(self, tmp_path, capsys, fault):
+        # an N = 8 snapshot in an N = 32 run failed in a broadcast deep in the checks, and
+        # one without t in a KeyError traceback; both now name the file before any check
+        cfg = self.write_config(tmp_path, minimal_config(
+            hat_theta=float(np.arctan(1.0)),
+            initial={"type": "modes", "modes": [{"m": [1, 0], "amplitude": 0.05}]},
+            time={"t_max": 0.02, "sample_every": 1, "dt_safety": 0.128},
+            outputs={"dir": str(tmp_path / "run"), "snapshots": "all-samples"}))
+        assert cli_main(["simulate", "--config", cfg]) == 2
+        snap = sorted((tmp_path / "run").glob("u_*.snap"))[1]
+        if fault == "grid":
+            dl.write_snapshot(np.zeros((8, 8)), "u", 0.01, dl.build_torus(1, 8, [1.0]), snap)
+            message = f"snapshot {snap}: shape (8, 8) is not the run's grid (32, 32)"
+        else:
+            head, _, payload = snap.read_bytes().partition(b"\n")
+            header = {k: v for k, v in json.loads(head).items() if k != "t"}
+            snap.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+            message = f"snapshot {snap}: header has no 't'"
+        capsys.readouterr()
+        out = tmp_path / "verify.jsonl"
+        assert cli_main(["verify", "--run-dir", str(tmp_path / "run"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_outputs_independent_of_thread_count(self, tmp_path, monkeypatch):
         # the simulate run directory and both verify reports, byte for byte
@@ -747,6 +803,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert str(inp if where == "input" else metric) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["input", "metric"])
+    def test_phase_table_non_json_named_at_its_line(self, tmp_path, capsys, where):
+        # a bare JSONDecodeError named neither the file nor the line before
+        inp = tmp_path / "mats.jsonl"
+        inp.write_text("[[1.0]]\n\n[[2.0], oops]\n" if where == "input" else "[[1.0]]\n")
+        metric = tmp_path / "g.json"
+        metric.write_text("[[1.0]" if where == "metric" else "[[1.0]]")
+        out = tmp_path / "t.csv"
+        assert cli_main(["phase-table", "--input", str(inp), "--output", str(out),
+                         "--metric", str(metric)]) == 1
+        at = f"{inp}:3" if where == "input" else str(metric)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config error at {at}: invalid JSON: "), err
         assert not out.exists()
 
     def test_phase_table_size_mismatch_rejected(self, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import dhym_lab as dl
 from conftest import cos_axis
 from dhym_lab.phase import eta_pair, frame_characteristic
+from spectral_oracle import characteristic_field, complex_hessian, phase_fields
 
 
 def random_hermitian(rng, count, n, scale=3.0):
@@ -147,32 +148,38 @@ class TestPointwisePhase:
         assert complex(d.zeta) == pytest.approx(mod * np.exp(1j * float(d.theta)), rel=1e-10)
 
 
+def proportional_phase(geom, c, u):
+    """PhaseFields of c omega + ddbar u, the flow's."""
+    flow = dl.LineBundleFlow(dl.BaseCurvature.proportional(geom, c), 0.0)
+    return flow.phase_fields(flow.spectrum(u))
+
+
 class TestPhaseFields:
+    """The flow's PhaseFields (`LineBundleFlow.phase_fields`); the coordinate path of
+    `spectral_oracle.phase_fields` for batches of matrices that are not a flow's."""
+
     def test_constant_proportional(self, torus1):
-        F = np.broadcast_to(torus1.g, torus1.shape + (1, 1)).copy()
-        pf = dl.phase_fields(torus1, F)
+        pf = proportional_phase(torus1, 1.0, np.zeros(torus1.shape))
         assert np.abs(pf.theta - np.pi / 4).max() < 1e-15
         assert np.abs(pf.zeta - (1 + 1j)).max() < 1e-15
 
     def test_zero_field(self, torus1):
-        pf = dl.phase_fields(torus1, np.zeros(torus1.shape + (1, 1)))
+        pf = proportional_phase(torus1, 0.0, np.zeros(torus1.shape))
         assert np.abs(pf.theta).max() == 0.0
         assert np.abs(pf.zeta - 1.0).max() == 0.0
 
     @pytest.mark.parametrize("c,delta", [(1.0, 0.1), (0.5, 0.05)])
     def test_perturbation_phase_bound(self, torus1, c, delta):
         # eigenvalue perturbation plus the 1-Lipschitz arctan bound
-        u = delta * cos_axis(torus1, 0)
-        F = c * np.broadcast_to(torus1.g, torus1.shape + (1, 1)) + dl.complex_hessian(torus1, u)
-        pf = dl.phase_fields(torus1, F)
+        pf = proportional_phase(torus1, c, delta * cos_axis(torus1, 0))
         n = torus1.n
         assert np.abs(pf.theta - n * np.arctan(c)).max() <= n * delta / 4 * (1 + 1e-12)
 
     def test_matches_pointwise_brute_force(self):
         geom = dl.build_torus(2, 8, np.array([[2.0, 0.3j], [-0.3j, 1.0]]))
         u = dl.bandlimited_noise(geom, 2, 1.0, 17)
-        F = np.broadcast_to(geom.g, geom.shape + (2, 2)) + dl.complex_hessian(geom, u)
-        pf = dl.phase_fields(geom, F)
+        F = np.broadcast_to(geom.g, geom.shape + (2, 2)) + complex_hessian(geom, u)
+        pf = proportional_phase(geom, 1.0, u)
         flatF = F.reshape(-1, 2, 2)
         flat_theta = pf.theta.reshape(-1)
         for k in range(0, flatF.shape[0], 257):
@@ -188,7 +195,7 @@ class TestPhaseFields:
         rng = np.random.default_rng(seed)
         g = random_metric(rng, 1, n)[0]
         F = random_hermitian(rng, 32, n, scale) + shift * g
-        pf = dl.phase_fields(dl.build_torus(n, 8, g), F)
+        pf = phase_fields(dl.build_torus(n, 8, g), F)
         d = dl.pointwise_phase(F, g)
         tol = 1e-14 * (1.0 + scale) ** 2
         assert np.abs(pf.theta - d.theta).max() <= tol
@@ -200,7 +207,7 @@ class TestPhaseFields:
         F = random_hermitian(rng, 64, 3, 3.0)
         for sign in (1.0, -1.0):
             Fs = F + sign * 20.0 * g
-            theta = dl.phase_fields(dl.build_torus(3, 8, g), Fs).theta
+            theta = phase_fields(dl.build_torus(3, 8, g), Fs).theta
             expect = dl.pointwise_phase(Fs, g).theta
             assert (sign * expect > np.pi).all()
             assert np.abs(theta - expect).max() < 1e-13
@@ -210,7 +217,7 @@ class TestPhaseFields:
         g = np.array([[2.0, 0.3j], [-0.3j, 1.0]])
         geom = dl.build_torus(2, 8, g)
         F = random_hermitian(np.random.default_rng(5), 16, 2)
-        e = dl.characteristic_field(geom, F)
+        e = characteristic_field(geom, F)
         A = np.linalg.inv(g) @ F
         assert e[0] == 1.0
         assert np.abs(e[1] - np.trace(A, axis1=-2, axis2=-1).real).max() < 1e-13
@@ -256,7 +263,7 @@ class TestPhaseFields:
         F = np.broadcast_to(torus2.g, torus2.shape + (2, 2)).copy()
         F[3, 1, 4, 2, 0, 1] += 1.0  # break Hermitian symmetry at one point
         with pytest.raises(ValueError, match=r"grid point \(3, 1, 4, 2\)"):
-            dl.phase_fields(torus2, F)
+            dl.pointwise_phase(F, torus2.g)
 
 
 class TestEtaPair:
