@@ -32,7 +32,6 @@ from .diagnostics import (
     q_functional,
     tensor_norms,
     verify_evolution_identities,
-    verify_evolution_identity,
     verify_linearization,
 )
 from .flow import (

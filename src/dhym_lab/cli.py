@@ -24,6 +24,7 @@ import numpy as np
 from . import diagnostics
 from .cohomology import cohomology_invariants
 from .config_io import (
+    _SNAPSHOT_MODES,
     ConfigError,
     RunConfig,
     _entry,
@@ -173,7 +174,7 @@ def _cmd_verify(args) -> int:
     all_pass = True
 
     tolerances = {"u_sq": 1e-4, "grad_sq": 1e-4, "Theta": 1e-4, "ThetaP": 1e-3}
-    for rep in diagnostics.verify_evolution_identities(traj, mid_t, tuple(tolerances)):
+    for rep in diagnostics.verify_evolution_identities(traj, mid_t):
         tol = tolerances[rep.identity]
         ok = rep.residual_rel <= tol
         all_pass &= ok
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("simulate", help="run one flow and write diagnostics")
     p.add_argument("--config", required=True, help="run configuration JSON")
     p.add_argument("--out-dir", default=None, help="output directory (default: config outputs.dir)")
-    p.add_argument("--snapshots", choices=("none", "final", "all-samples"), default=None,
+    p.add_argument("--snapshots", choices=_SNAPSHOT_MODES, default=None,
                    help="field snapshot policy (default: config outputs.snapshots)")
     p.add_argument("--seed-override", type=int, default=None,
                    help="replace the noise seed of the initial data")

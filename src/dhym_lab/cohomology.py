@@ -14,11 +14,13 @@ base's class from uh = rfft(0).  The curve is tracked from t_start down to
 t = 1, where it is Z.  The lift fixes the 2*pi branch that a principal
 argument cannot.
 
-The unwrap is anchored at the principal argument at t_start.  With
-Lambda = max_x sqrt(e_1^2 - 2 e_2) >= max |lambda_j|, every point's argument
-for t >= t_start lies within n arctan(Lambda / t_start) < pi/2 of zero, and
-so does the mean's: the anchor is the lift.  The default start is
-max(1e4, 4 n Lambda); an explicit t_start that breaks the bound raises.
+The path starts at t_start = max(1e4, 4 n Lambda), with
+Lambda = max_x sqrt(e_1^2 - 2 e_2) >= max |lambda_j|, and has 4096
+geometrically spaced points; the unwrap is anchored at the principal
+argument there.
+Every point's argument for t >= t_start lies within
+n arctan(Lambda / t_start) <= n arctan(1 / (4 n)) < pi/2 of zero, and so
+does the mean's: the anchor is the lift.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ __all__ = [
     "cohomology_invariants",
 ]
 
+_T_START_MIN = 1e4  # the path runs from max(_T_START_MIN, 4 n Lambda) down to t = 1
+_N_POINTS = 4096  # geometrically spaced
+
 
 @dataclass(frozen=True)
 class CohomologyInvariants:
@@ -43,7 +48,7 @@ class CohomologyInvariants:
     vol: float
 
 
-def _winding(geom: TorusGeometry, e: list, t_start: float | None, n_steps: int) -> tuple:
+def _winding(geom: TorusGeometry, e: list) -> tuple:
     """Z (the path at t = 1) and the lifted angle hat_theta of the coefficients e."""
     n = geom.n
     if len(e) != n + 1:
@@ -52,9 +57,7 @@ def _winding(geom: TorusGeometry, e: list, t_start: float | None, n_steps: int) 
     # sum_j lambda_j^2 = e_1^2 - 2 e_2 bounds every |lambda_j|
     sum_sq = e[1] ** 2 - 2.0 * (e[2] if n > 1 else 0.0)
     lam_bound = float(np.sqrt(np.maximum(sum_sq, 0.0)).max())
-    if t_start is None:
-        t_start = max(1e4, 4.0 * n * lam_bound)
-    ts = np.geomspace(t_start, 1.0, n_steps)
+    ts = np.geomspace(max(_T_START_MIN, 4.0 * n * lam_bound), 1.0, _N_POINTS)
     powers = ts[:, None] ** (n - np.arange(n + 1))[None, :]
     # a sum, not a matmul, which wakes BLAS worker threads whatever DHYM_THREADS is
     Zs = (powers * coeff).sum(axis=1)
@@ -64,35 +67,22 @@ def _winding(geom: TorusGeometry, e: list, t_start: float | None, n_steps: int) 
     args = np.angle(Zs)
     jumps = np.abs(np.diff(args))
     jumps = np.minimum(jumps, 2 * np.pi - jumps)  # wrapped increment size
-    if jumps.size and jumps.max() > np.pi / 2:
-        raise RuntimeError("winding under-resolved, increase n_steps")
-    if n * np.arctan(lam_bound / t_start) >= np.pi / 2:
-        raise RuntimeError(f"winding start t_start={t_start:g} too small for max|lambda| "
-                           f"<= {lam_bound:.6g}; use t_start >= {4.0 * n * lam_bound:.6g}")
+    if jumps.max() > np.pi / 2:
+        raise RuntimeError("winding under-resolved: the path turns by more than pi/2 "
+                           "between two of its points")
     return complex(Zs[-1]), float(np.unwrap(args)[-1])
 
 
-def winding_hat_theta(
-    geom: TorusGeometry,
-    e: list,
-    t_start: float | None = None,
-    n_steps: int = 4096,
-) -> float:
+def winding_hat_theta(geom: TorusGeometry, e: list) -> float:
     """Lifted angle of Z obtained by tracking the winding from t_start to 1, from the
     characteristic coefficients e = [e_0, ..., e_n] of the curvature.
 
-    t_start defaults to max(1e4, 4 n max|lambda|).  For F = c*omega this
-    returns n*arctan(c) exactly (up to rounding).
+    For F = c*omega this returns n*arctan(c) exactly (up to rounding).
     """
-    return _winding(geom, e, t_start, n_steps)[1]
+    return _winding(geom, e)[1]
 
 
-def cohomology_invariants(
-    geom: TorusGeometry,
-    e: list,
-    t_start: float | None = None,
-    n_steps: int = 4096,
-) -> CohomologyInvariants:
+def cohomology_invariants(geom: TorusGeometry, e: list) -> CohomologyInvariants:
     """Z, lifted hat_theta and volume from the characteristic coefficients e."""
-    Z, lift = _winding(geom, e, t_start, n_steps)
+    Z, lift = _winding(geom, e)
     return CohomologyInvariants(Z=Z, hat_theta=lift, vol=geom.vol)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import CSV_COLUMNS, TENSOR_COLUMNS
 from .flow import BaseCurvature, FlowConfig, LineBundleFlow, Schedule
-from .geometry import TorusGeometry, build_torus, check_hermitian_field
+from .geometry import TorusGeometry, _band_error, _grid_error, build_torus, check_hermitian_field
 from .harness import SweepConfig, _scaled_noise, _sweep_error
 
 __all__ = [
@@ -134,8 +134,9 @@ def _initial(obj, n: int, N: int, path: str) -> dict:
     if kind == "noise":
         _require_keys(obj, path, ("type", "k_band", "seed", "target_hess_sup"), ())
         k_band = _integer(obj["k_band"], f"{path}.k_band")
-        if k_band < 1 or k_band > N / 3:
-            raise ConfigError(f"{path}.k_band", f"band exceeds dealiasing limit N/3 = {N / 3:g}")
+        error = _band_error(k_band, N)
+        if error is not None:
+            raise ConfigError(f"{path}.k_band", error)
         init = {"type": "noise", "k_band": k_band,
                 "seed": _integer(obj["seed"], f"{path}.seed"),
                 "target_hess_sup": _number(obj["target_hess_sup"], f"{path}.target_hess_sup")}
@@ -227,11 +228,10 @@ def parse_config_data(data: dict, source: str = "$") -> RunConfig:
         ("hat_theta", "initial", "time", "outputs"),
     )
     n = _integer(data["dimension"], f"{source}.dimension")
-    if n not in (1, 2, 3):
-        raise ConfigError(f"{source}.dimension", "must be 1, 2 or 3")
     N = _integer(data["resolution"], f"{source}.resolution")
-    if N < 8 or (N & (N - 1)) != 0:
-        raise ConfigError(f"{source}.resolution", "must be a power of two >= 8")
+    error = _grid_error(n, N)
+    if error is not None:
+        raise ConfigError(f"{source}.{error[0]}", error[1])
     metric = _matrix(data["metric"], n, f"{source}.metric", "metric")
     if np.linalg.eigvalsh(_as_complex(metric)).min() <= 0:
         raise ConfigError(f"{source}.metric", "metric not positive definite")

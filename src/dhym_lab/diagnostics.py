@@ -75,7 +75,6 @@ __all__ = [
     "q_functional",
     "build_record",
     "verify_linearization",
-    "verify_evolution_identity",
     "verify_evolution_identities",
     "dhym_point_identities",
     "maximum_principle_monitor",
@@ -89,6 +88,7 @@ CSV_COLUMNS = (
 )
 # the columns built from the tensor norms: NaN in a phase-only record
 TENSOR_COLUMNS = ("grad_sq_sup", "Theta_sup", "ThetaP_sup", "Gamma_sup", "Q_sup", "hess_sup")
+_TAIL_FRACTION = 0.5  # the share of the records, the last ones, that `oscillation_decay` fits
 
 
 @dataclass(frozen=True)
@@ -457,55 +457,47 @@ def _bracket(trajectory, t: float):
     return samples[j - 1], samples[j], samples[j + 1], float(dt_p)
 
 
-_IDENTITY_NAMES = ("u_sq", "grad_sq", "Theta", "ThetaP")
-# the context tables each right side reads (`_identity_rhs`)
-_READS = {"u_sq": ("theta", "du", "H"), "grad_sq": ("du", "S", "H", "T", "dF"),
-          "Theta": ("H", "T", "dF", "dEta"), "ThetaP": ("S", "T", "dF", "dEta")}
+# the evolution identities in the order they are checked, each with the context tables
+# no later right side reads (`_identity_rhs`), dropped once its own is built
+_DROPS = {"u_sq": ("theta",), "grad_sq": ("du",), "Theta": ("H",),
+          "ThetaP": ("S", "T", "dF", "dEta")}
 
 
-def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> list:
-    """Check flat-case evolution identities at trajectory time t.
+def verify_evolution_identities(trajectory, t: float) -> list:
+    """Check the flat-case evolution identities of u^2, |grad u|^2, Theta and Theta'
+    at trajectory time t.
 
-    Returns one IdentityReport per name, in order.  The left side is the
-    central time difference of the quantity minus its spectral
-    eta-Laplacian at the bracketing center; the right side is assembled
-    from the stored sample there.  The bracket, the tensor norms of its
-    three samples and the center's derived fields are built once for all
-    names; the center's derivative tensors serve both its norms and its
-    right sides, and each is dropped after the last right side that reads
-    it (`_READS`).  The discrepancy shrinks as O(dt^2) under sample-spacing
+    Returns one IdentityReport for each, in that order (u_sq, grad_sq, Theta,
+    ThetaP).  The left side is the central time difference of the quantity
+    minus its spectral eta-Laplacian at the bracketing center; the right side
+    is assembled from the stored sample there.  The bracket, the tensor norms
+    of its three samples and the center's derived fields are built once for
+    all four; the center's derivative tensors serve both its norms and its
+    right sides, and each is dropped after the last right side that reads it
+    (`_DROPS`).  The discrepancy shrinks as O(dt^2) under sample-spacing
     refinement.
     """
-    names = tuple(names)
-    for which in names:
-        if which not in _IDENTITY_NAMES:
-            raise ValueError(f"unknown evolution identity {which!r}")
-    if len(set(names)) < len(names):
-        raise ValueError(f"repeated evolution identity in {names!r}")
     flow = trajectory.flow
     geom = flow.geometry
     prev, mid, nxt, dt_s = _bracket(trajectory, t)
-    # the outer samples build only the norms the names read: the Gamma tensor u_{i jbar k} never
-    norm_names = tuple(w for w in names if w != "u_sq")
+    # the outer samples build the three norms the identities read, never the Gamma tensor
+    norm_names = ("grad_sq", "Theta", "ThetaP")
 
     def named(u, tn):
-        # only the named fields, not the whole TensorNorms: it bounds the peak memory
-        return {w: np.asarray(u) ** 2 if w == "u_sq" else getattr(tn, w) for w in names}
+        # only these fields, not the whole TensorNorms: it bounds the peak memory
+        return {"u_sq": np.asarray(u) ** 2, **{w: getattr(tn, w) for w in norm_names}}
 
     # prev and nxt before the context, so their derivative tensors are freed by then;
-    # the center's norms come from the context's own du, H, S and T
-    quantities = [named(s.u, tensor_norms(geom, s.u, norm_names) if norm_names else None)
-                  for s in (prev, nxt)]
+    # the center's norms come from the context's own du, H and S
+    quantities = [named(s.u, tensor_norms(geom, s.u, norm_names)) for s in (prev, nxt)]
     ctx = _sample_context(flow, mid.u)
     quantities.insert(1, named(mid.u, SimpleNamespace(**{
         w: reduce(add, (x.real ** 2 + x.imag ** 2 for x in getattr(ctx, table).values()))
-        for w, table in (("grad_sq", "du"), ("Theta", "H"), ("ThetaP", "S"))
-        if w in norm_names})))
+        for w, table in zip(norm_names, ("du", "H", "S"))})))
     reports = []
-    for j, which in enumerate(names):
+    for which, drops in _DROPS.items():
         rhs = _identity_rhs(geom, which, ctx, flow.hat_theta, mid.u)
-        # a table no later right side reads is dropped before the next one
-        for table in set(_READS[which]).difference(*(_READS[w] for w in names[j + 1:])):
+        for table in drops:  # before the next right side
             delattr(ctx, table)
         q_prev, q_mid, q_next = (q.pop(which) for q in quantities)
         lap = _eta_laplacian(ctx.eta_inv, geom.frame_hessian(geom.rfft(q_mid)))
@@ -513,11 +505,6 @@ def verify_evolution_identities(trajectory, t: float, names=_IDENTITY_NAMES) -> 
         reports.append(_report(which, lhs, rhs, float(mid.t), dt_s, geom.N))
         del rhs, q_prev, q_mid, q_next, lap, lhs  # before the next right side
     return reports
-
-
-def verify_evolution_identity(which: str, trajectory, t: float) -> IdentityReport:
-    """Check one flat-case evolution identity; see verify_evolution_identities."""
-    return verify_evolution_identities(trajectory, t, (which,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,16 +599,17 @@ class OscillationFit:
     max_consecutive_ratio: float
 
 
-def oscillation_decay(trajectory, tail_fraction: float = 0.5) -> OscillationFit:
+def oscillation_decay(trajectory) -> OscillationFit:
     """Fit the exponential decay rate of the oscillation of du/dt.
 
     chi(t) = sup - inf of the velocity field at each sample; the rate is the
-    negative slope of a least-squares line through log chi over the tail.
+    negative slope of a least-squares line through log chi over the tail, the
+    last half of the records.
     """
     records = trajectory.records
     times = np.array([r.t for r in records])
     chi = np.array([r.osc_udot for r in records])
-    k0 = int(math.floor(len(records) * (1.0 - tail_fraction)))
+    k0 = int(math.floor(len(records) * (1.0 - _TAIL_FRACTION)))
     tail_t, tail_chi = times[k0:], chi[k0:]
     keep = tail_chi > 1e-14
     if keep.sum() < 8:

@@ -385,11 +385,10 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
     g : n x n Hermitian positive-definite matrix (scalars and length-n
         sequences are promoted to diagonal form)
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"complex dimension must be 1, 2 or 3, got {n}")
     N = int(N)
-    if N < 8 or (N & (N - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 8, got {N}")
+    error = _grid_error(n, N)
+    if error is not None:
+        raise ValueError(error[1])
     g = np.asarray(g)
     if g.ndim == 0:
         g = g * np.eye(n)
@@ -400,7 +399,7 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
     g = g.astype(np.complex128)
     if g.shape != (n, n):
         raise ValueError(f"metric must be {n}x{n}, got {g.shape}")
-    check_hermitian_field(g, tol=1e-14, label="metric")
+    check_hermitian_field(g, label="metric")
     eigs = np.linalg.eigvalsh(g)
     if eigs.min() <= 0.0:
         raise ValueError("metric not positive definite")
@@ -409,6 +408,24 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
     frame = None if np.array_equal(g, np.eye(n)) else np.linalg.inv(np.linalg.cholesky(g))
     return TorusGeometry(n=n, N=N, g=g, frame=frame, g_eig_min=float(eigs.min()),
                          det_g=det_g, vol=vol)
+
+
+def _grid_error(n: int, N: int) -> tuple | None:
+    """(key, message) of a complex dimension n outside {1, 2, 3} or a grid size N that is
+    not a power of two >= 8, or None: the grid rule of `build_torus` and the parser."""
+    if n not in (1, 2, 3):
+        return "dimension", f"complex dimension must be 1, 2 or 3, got {n}"
+    if N < 8 or N & (N - 1):
+        return "resolution", f"grid size must be a power of two >= 8, got {N}"
+    return None
+
+
+def _band_error(k_band: int, N: int) -> str | None:
+    """The message for a noise band k_band outside 1..N/3, an N grid's dealiasing limit,
+    or None: the band rule of `bandlimited_noise`, `SweepConfig` and the parser."""
+    if not 1 <= k_band <= N / 3:
+        return f"k_band must be in 1..N/3 = {N / 3:g} (the dealiasing limit), got {k_band}"
+    return None
 
 
 def volume_integral(geom: TorusGeometry, f: np.ndarray):
@@ -430,12 +447,9 @@ def bandlimited_noise(geom: TorusGeometry, k_band: int, amplitude: float, seed: 
     normalize further (e.g. to a target Hessian size).  Identical arguments
     produce bit-identical fields.
     """
-    if k_band < 1:
-        raise ValueError("k_band must be >= 1")
-    if k_band > geom.N / 3:
-        raise ValueError(
-            f"band exceeds dealiasing limit: k_band={k_band} > N/3={geom.N / 3:g}"
-        )
+    error = _band_error(k_band, geom.N)
+    if error is not None:
+        raise ValueError(error)
     rng = np.random.default_rng(seed)
     d = 2 * geom.n
     w = 2 * k_band + 1
@@ -454,16 +468,16 @@ def bandlimited_noise(geom: TorusGeometry, k_band: int, amplitude: float, seed: 
     return f * (amplitude / peak)
 
 
-def check_hermitian_field(M: np.ndarray, tol: float = 1e-12,
-                          label: str = "curvature input") -> None:
-    """Raise if a matrix (field) is not pointwise Hermitian to relative tol.
+def check_hermitian_field(M: np.ndarray, label: str = "curvature input") -> None:
+    """Raise if a matrix (field) is not pointwise Hermitian to relative 1e-12.
 
-    A non-finite entry fails the check.  The message names the checked
+    One tolerance for every input, so a configuration that parses builds.  A
+    non-finite entry fails the check.  The message names the checked
     quantity and, for a field of matrices, the grid point of the largest
     deviation.
     """
     dev = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-1, -2))
-    if not dev.max() <= tol * max(1.0, float(np.abs(M).max())):
+    if not dev.max() <= 1e-12 * max(1.0, float(np.abs(M).max())):
         where = ""
         if dev.ndim:
             point = np.unravel_index(int(np.argmax(dev)), dev.shape)

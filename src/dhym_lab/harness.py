@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import dhym_point_identities, oscillation_decay, tensor_norms
 from .flow import FlowConfig, LineBundleFlow, Schedule, Trajectory, run_flow
-from .geometry import bandlimited_noise
+from .geometry import _band_error, bandlimited_noise
 
 __all__ = [
     "Reference",
@@ -32,6 +32,8 @@ __all__ = [
     "stability_sweep",
 ]
 
+_REFERENCE_TOL = 1e-11  # the largest residual a reference run stops at
+
 
 @dataclass(frozen=True, eq=False)
 class Reference:
@@ -41,13 +43,14 @@ class Reference:
     trajectory: Trajectory
 
 
-def generate_reference(config: FlowConfig, residual_tol: float = 1e-11) -> Reference:
-    """Drive the flow to a tightly converged stationary metric.
+def generate_reference(config: FlowConfig) -> Reference:
+    """Drive the flow to a tightly converged stationary metric, at the config's
+    residual_tol or 1e-11, whichever is smaller.
 
     Raises RuntimeError("no reference obtained") when the run times out or
     blows up instead of converging.
     """
-    cfg = replace(config, residual_tol=min(config.residual_tol, residual_tol), keep_fields=4)
+    cfg = replace(config, residual_tol=min(config.residual_tol, _REFERENCE_TOL), keep_fields=4)
     traj = run_flow(cfg)
     if traj.status != "converged":
         raise RuntimeError(f"no reference obtained: flow status {traj.status!r}")
@@ -98,8 +101,9 @@ def _sweep_error(sweep: dict, N: int) -> tuple | None:
         return "delta_list", "deltas must be ascending"
     if sweep["seeds"] < 1:
         return "seeds", "need at least one seed per delta"
-    if not 1 <= sweep["k_band"] <= N / 3:
-        return "k_band", f"band exceeds dealiasing limit N/3 = {N / 3:g}"
+    band = _band_error(sweep["k_band"], N)
+    if band is not None:
+        return "k_band", band
     if sweep["seed_base"] < 0:
         return "seed_base", "seed_base must be nonnegative"
     return None

@@ -178,17 +178,16 @@ def hermitian_planes(F: np.ndarray) -> list:
     return [[F[..., p, q].real if p <= q else F[..., q, p].imag for q in idx] for p in idx]
 
 
-def frame_characteristic(F: np.ndarray | list) -> list:
+def frame_characteristic(T: list) -> list:
     """Elementary symmetric functions [e_0, ..., e_n] of the eigenvalues of a
-    Hermitian frame curvature (`TorusGeometry.to_frame`), unchecked: a matrix
-    field F, or its planes (`hermitian_planes`), which is all this reads.
+    Hermitian frame curvature F (`TorusGeometry.to_frame`), unchecked, from the
+    n x n table T of its real planes (`hermitian_planes`).
 
     e_0 is the scalar 1.0, e_k for k >= 1 a real field, from the power sums
     p_k = tr(F^k) by Newton's identities k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i.
     """
     # each product streams over whole real fields instead of looping over tiny
     # matrices: the diagonal d, and the real and imaginary parts above it
-    T = hermitian_planes(F) if isinstance(F, np.ndarray) else F
     n, idx = len(T), range(len(T))
     d = [T[i][i] for i in idx]
     p = [reduce(add, d)]

@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from dhym_lab.geometry import _orbits, check_hermitian_field, volume_integral
-from dhym_lab.phase import PhaseFields, frame_characteristic
+from dhym_lab.phase import PhaseFields, frame_characteristic, hermitian_planes
 
 
 def _entry(geom, f_hat: np.ndarray, symbols: list, idx: tuple) -> np.ndarray:
@@ -77,7 +77,7 @@ def base_field(base) -> np.ndarray:
 
 def characteristic_field(geom, F: np.ndarray) -> list:
     """[e_0, ..., e_n] of the eigenvalues of (F, g) for a coordinate curvature field F."""
-    return frame_characteristic(geom.to_frame(F, "zZ"))
+    return frame_characteristic(hermitian_planes(geom.to_frame(F, "zZ")))
 
 
 def phase_fields(geom, F: np.ndarray) -> PhaseFields:

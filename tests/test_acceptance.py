@@ -145,8 +145,8 @@ def test_criterion_5_evolution_identities():
     def residuals(dt_s):
         traj = dl.run_fixed(dl.LineBundleFlow(base, hat), u0, dt=dt_s, n_steps=8, sample_every=1)
         t_mid = list(traj.samples)[4].t
-        return {w: dl.verify_evolution_identity(w, traj, t_mid).residual_rel
-                for w in ("u_sq", "grad_sq", "Theta", "ThetaP")}
+        reports = dl.verify_evolution_identities(traj, t_mid)
+        return {rep.identity: rep.residual_rel for rep in reports}
 
     r1 = residuals(1e-3)
     r2 = residuals(5e-4)

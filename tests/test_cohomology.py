@@ -3,6 +3,7 @@ import pytest
 
 import dhym_lab as dl
 from conftest import cos_axis
+from dhym_lab import cohomology
 from spectral_oracle import base_field, characteristic_field, complex_hessian, compute_Z
 
 
@@ -23,6 +24,21 @@ def class_coefficients(base):
 
 def proportional_coefficients(geom, c):
     return class_coefficients(dl.BaseCurvature.proportional(geom, c))
+
+
+def winding_path_near_sqrt2():
+    """The point of the winding path nearest sqrt(2) and the next one, for a curvature
+    with 4 n Lambda below the least start: the module's constants fix the path then."""
+    ts = np.geomspace(cohomology._T_START_MIN, 1.0, cohomology._N_POINTS)
+    k = int(np.argmin(np.abs(ts - np.sqrt(2.0))))
+    return ts[k], ts[k + 1]
+
+
+def doubled_cosine_coefficients(geom, a):
+    """[e_0, e_1, e_2] of lambda = (s, s), s = a cos(x_1), at n = 2."""
+    s = a * cos_axis(geom, 0)
+    F = s[..., np.newaxis, np.newaxis] * np.broadcast_to(np.eye(2), geom.shape + (2, 2))
+    return characteristic_field(geom, F)
 
 
 class TestComputeZ:
@@ -111,28 +127,25 @@ class TestWinding:
         geom = dl.build_torus(3, 8, np.eye(3))
         e = proportional_coefficients(geom, 1e5)
         assert dl.winding_hat_theta(geom, e) == pytest.approx(3 * np.arctan(1e5), abs=1e-9)
-        inv = dl.cohomology_invariants(geom, e, n_steps=64)
+        inv = dl.cohomology_invariants(geom, e)
         assert inv.hat_theta == pytest.approx(3 * np.arctan(1e5), abs=1e-9)
 
-    def test_explicit_start_below_branch_bound_raises(self):
-        geom = dl.build_torus(3, 8, np.eye(3))
-        with pytest.raises(RuntimeError, match="t_start=10000 too small"):
-            dl.winding_hat_theta(geom, proportional_coefficients(geom, 1e5), t_start=1e4)
-
     def test_path_crossing_zero_raises(self):
-        # eigenvalue pattern lambda = (s(x), s(x)) with mean-zero s gives the
-        # real-valued path Z(t) = (t^2 - mean(s^2)) vol, which vanishes at
-        # t = sqrt(2) here; sampling down from t_start = 2 lands on the zero
+        # eigenvalue pattern lambda = (s(x), s(x)) with s = a cos(x_1) gives the
+        # real-valued path Z(t) = (t^2 - a^2 / 2) vol, which vanishes at the path
+        # point nearest sqrt(2) for a = sqrt(2) times that point
         geom = dl.build_torus(2, 8, np.eye(2))
-        s = 2.0 * cos_axis(geom, 0)
-        F = s[..., np.newaxis, np.newaxis] * np.broadcast_to(np.eye(2), geom.shape + (2, 2))
+        t, _ = winding_path_near_sqrt2()
         with pytest.raises(RuntimeError, match="crosses zero"):
-            dl.winding_hat_theta(geom, characteristic_field(geom, F), t_start=2.0, n_steps=3)
+            dl.winding_hat_theta(geom, doubled_cosine_coefficients(geom, np.sqrt(2.0) * t))
 
     def test_under_resolved_raises(self):
+        # the same path vanishing halfway (geometrically) between two of its points:
+        # Z changes sign there, so its argument turns by pi in one step
         geom = dl.build_torus(2, 8, np.eye(2))
+        t, t_next = winding_path_near_sqrt2()
         with pytest.raises(RuntimeError, match="under-resolved"):
-            dl.winding_hat_theta(geom, proportional_coefficients(geom, 100.0), n_steps=4)
+            dl.winding_hat_theta(geom, doubled_cosine_coefficients(geom, np.sqrt(2.0 * t * t_next)))
 
     def test_curvature_field_refused(self, torus2):
         # the winding takes e_0..e_n, not a grid + (n, n) field of the curvature
@@ -144,10 +157,10 @@ class TestWinding:
         base = dl.BaseCurvature(geometry=torus2, F0=np.diag([1.0, 3.0]),
                                 psi=0.3 * cos_axis(torus2, 0))
         e = class_coefficients(base)
-        inv = dl.cohomology_invariants(torus2, e, n_steps=64)
+        inv = dl.cohomology_invariants(torus2, e)
         assert inv.Z == pytest.approx(zero_flow(base).state(np.zeros(torus2.shape)).Z, rel=1e-12)
         assert inv.Z == pytest.approx(compute_Z(torus2, base_field(base)), rel=1e-12)
-        assert inv.hat_theta == dl.winding_hat_theta(torus2, e, n_steps=64)
+        assert inv.hat_theta == dl.winding_hat_theta(torus2, e)
         assert inv.vol == torus2.vol
         assert not hasattr(inv, "winding_samples")
 

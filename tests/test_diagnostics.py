@@ -315,6 +315,11 @@ def _identity_trajectory(geom, base, dt_s, delta=0.05, seed=11, n_steps=8):
     return dl.run_fixed(dl.LineBundleFlow(base), u0, dt=dt_s, n_steps=n_steps, sample_every=1)
 
 
+def _identity_reports(traj, t) -> dict:
+    """The four evolution identity reports at t, by name."""
+    return {rep.identity: rep for rep in dl.verify_evolution_identities(traj, t)}
+
+
 class TestEvolutionIdentities:
     def test_spatially_constant_exact(self, torus1, base1):
         # constant-in-space potential: only the mean drifts, central
@@ -322,7 +327,7 @@ class TestEvolutionIdentities:
         hat = float(np.arctan(1.0)) + 0.3
         traj = dl.run_fixed(dl.LineBundleFlow(base1, hat), np.full(torus1.shape, 0.2),
                             dt=1e-3, n_steps=4, sample_every=1)
-        rep = dl.verify_evolution_identity("u_sq", traj, list(traj.samples)[2].t)
+        rep = _identity_reports(traj, list(traj.samples)[2].t)["u_sq"]
         assert rep.residual_rel < 1e-12
 
     @pytest.mark.parametrize("which,tol", [("u_sq", 1e-4), ("grad_sq", 1e-4),
@@ -333,7 +338,7 @@ class TestEvolutionIdentities:
         res = []
         for dt_s in (1e-3, 5e-4):
             traj = _identity_trajectory(geom, base, dt_s)
-            rep = dl.verify_evolution_identity(which, traj, list(traj.samples)[4].t)
+            rep = _identity_reports(traj, list(traj.samples)[4].t)[which]
             res.append(rep.residual_rel)
         assert res[0] <= tol
         slope = np.log2(res[0] / res[1])
@@ -346,17 +351,14 @@ class TestEvolutionIdentities:
         res = []
         for dt_s in (1e-3, 5e-4):
             traj = _identity_trajectory(torus2, base, dt_s, seed=1, n_steps=2)
-            rep = dl.verify_evolution_identity("Theta", traj, list(traj.samples)[1].t)
+            rep = _identity_reports(traj, list(traj.samples)[1].t)["Theta"]
             res.append(rep.residual_rel)
         assert res[0] < 1e-7
         assert res[0] / res[1] >= 3.0
 
-    @pytest.mark.parametrize("names,read", [
-        (("u_sq",), []), (("grad_sq",), ["z"]), (("Theta",), ["zZ"]), (("ThetaP",), ["zz"]),
-        (("u_sq", "grad_sq", "Theta", "ThetaP"), ["z", "zZ", "zz"])])
-    def test_outer_samples_transform_only_read_words(self, names, read, monkeypatch):
-        # the bracket's outer samples build the tensors of the named norms only:
-        # never the Gamma tensor u_{i jbar k} ("zZz")
+    def test_outer_samples_transform_only_read_words(self, monkeypatch):
+        # the bracket's outer samples build the tensors of the three norms the
+        # identities read: never the Gamma tensor u_{i jbar k} ("zZz")
         geom = dl.build_torus(2, 8, NON_DIAGONAL_G)
         traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
         tensor_norms, word_planes = diagnostics.tensor_norms, dl.TorusGeometry.word_planes
@@ -377,8 +379,8 @@ class TestEvolutionIdentities:
 
         monkeypatch.setattr(diagnostics, "tensor_norms", spy_norms)
         monkeypatch.setattr(dl.TorusGeometry, "word_planes", spy_planes)
-        dl.verify_evolution_identities(traj, list(traj.samples)[1].t, names)
-        assert built == ([read, read] if read else [])
+        dl.verify_evolution_identities(traj, list(traj.samples)[1].t)
+        assert built == [["z", "zZ", "zz"]] * 2
 
     def test_theta_refinement_n2_non_diagonal_metric(self):
         # a conjugated frame index shows only under a metric that is not diagonal
@@ -387,7 +389,7 @@ class TestEvolutionIdentities:
         res = []
         for dt_s in (1e-3, 5e-4):
             traj = _identity_trajectory(geom, base, dt_s, seed=1, n_steps=2)
-            rep = dl.verify_evolution_identity("Theta", traj, list(traj.samples)[1].t)
+            rep = _identity_reports(traj, list(traj.samples)[1].t)["Theta"]
             res.append(rep.residual_rel)
         assert res[0] < 1e-7
         assert res[0] / res[1] >= 3.0
@@ -406,48 +408,58 @@ class TestEvolutionIdentities:
         geom = dl.build_torus(1, 64, [1.0])
         psi = 0.2 * cos_axis(geom, 0)
         base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
+        traj = _identity_trajectory(geom, base, 1e-3)
+        reports = _identity_reports(traj, list(traj.samples)[4].t)
         for which in ("grad_sq", "Theta", "ThetaP"):
-            traj = _identity_trajectory(geom, base, 1e-3)
-            rep = dl.verify_evolution_identity(which, traj, list(traj.samples)[4].t)
-            assert rep.residual_rel < 1e-4, which
+            assert reports[which].residual_rel < 1e-4, which
 
     def test_shared_bracket_matches_single_identities(self):
+        # each report is the one its identity gets alone, from a fresh context of the
+        # centre: the shared bracket and the drop schedule change no bit
         geom = dl.build_torus(2, 8, np.eye(2))
         traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
         t = list(traj.samples)[1].t
         together = dl.verify_evolution_identities(traj, t)
         assert [r.identity for r in together] == ["u_sq", "grad_sq", "Theta", "ThetaP"]
+        flow = traj.flow
+        prev, mid, nxt, dt_s = diagnostics._bracket(traj, t)
+        outer = [dl.tensor_norms(geom, s.u) for s in (prev, nxt)]
         for rep in together:
-            alone = dl.verify_evolution_identities(traj, t, (rep.identity,))[0]
-            assert rep.to_dict() == alone.to_dict()
-            assert dl.verify_evolution_identity(rep.identity, traj, t) == alone
-        # each context table is dropped after its last reader in any order of the names
-        reordered = dl.verify_evolution_identities(traj, t, ("ThetaP", "u_sq", "Theta", "grad_sq"))
-        assert sorted(reordered, key=lambda r: r.identity) == sorted(together,
-                                                                     key=lambda r: r.identity)
+            ctx = diagnostics._sample_context(flow, mid.u)
+            if rep.identity == "u_sq":
+                q_prev, q_mid, q_next = (np.asarray(s.u) ** 2 for s in (prev, mid, nxt))
+            else:
+                table = {"grad_sq": ctx.du, "Theta": ctx.H, "ThetaP": ctx.S}[rep.identity]
+                q_mid = sum(x.real ** 2 + x.imag ** 2 for x in table.values())
+                q_prev, q_next = (getattr(tn, rep.identity) for tn in outer)
+            rhs = diagnostics._identity_rhs(geom, rep.identity, ctx, flow.hat_theta, mid.u)
+            lap = diagnostics._eta_laplacian(ctx.eta_inv, geom.frame_hessian(geom.rfft(q_mid)))
+            lhs = (q_next - q_prev) / (2.0 * dt_s) - lap
+            assert rep == diagnostics._report(rep.identity, lhs, rhs, float(mid.t), dt_s, geom.N)
 
-    def test_unknown_identity_rejected_before_any_transform(self, torus1, base1,
-                                                            monkeypatch):
-        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
-                            0.05 * cos_axis(torus1, 0), dt=1e-3, n_steps=2,
-                            sample_every=1)
+    def test_each_table_dropped_after_its_last_reader(self, monkeypatch):
+        # theta goes after u_sq, du after grad_sq and H after Theta: each right side
+        # finds only the context tables it and the later ones read
+        geom = dl.build_torus(2, 8, np.eye(2))
+        traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
+        identity_rhs, held = diagnostics._identity_rhs, {}
+        tables = ("theta", "du", "H", "S", "T", "dF")
 
-        def no_transform(self, f):
-            raise AssertionError("transform before the names were checked")
+        def spy(geom, which, ctx, *args):
+            held[which] = {k for k in tables if hasattr(ctx, k)}
+            return identity_rhs(geom, which, ctx, *args)
 
-        monkeypatch.setattr(dl.TorusGeometry, "fft", no_transform)
-        t = list(traj.samples)[1].t
-        with pytest.raises(ValueError, match="unknown evolution identity 'Gamma'"):
-            dl.verify_evolution_identities(traj, t, ("u_sq", "Gamma"))
-        with pytest.raises(ValueError, match="repeated evolution identity"):
-            dl.verify_evolution_identities(traj, t, ("Theta", "Theta"))
+        monkeypatch.setattr(diagnostics, "_identity_rhs", spy)
+        dl.verify_evolution_identities(traj, list(traj.samples)[1].t)
+        assert held == {"u_sq": set(tables), "grad_sq": set(tables) - {"theta"},
+                        "Theta": {"H", "S", "T", "dF"}, "ThetaP": {"S", "T", "dF"}}
 
     def test_insufficient_sampling(self, torus1, base1):
         traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
                             0.05 * cos_axis(torus1, 0), dt=1e-3, n_steps=2,
                             sample_every=1)
         with pytest.raises(ValueError, match="insufficient trajectory sampling"):
-            dl.verify_evolution_identity("u_sq", traj, 0.0)
+            dl.verify_evolution_identities(traj, 0.0)
 
 
 def sandwich(Hinv, Y):

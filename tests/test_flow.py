@@ -184,7 +184,7 @@ def full_spectrum_theta(geom, base, u):
     """Oracle: the n >= 2 phase from the full complex spectrum, the Hessian from
     `deriv` and theta from the complex zeta."""
     F = geom.to_frame(base_field(base), "zZ") + geom.to_frame(deriv(geom, geom.fft(u), "zZ"), "zZ")
-    pf = dl.PhaseFields(frame_characteristic(F))
+    pf = dl.PhaseFields(frame_characteristic(hermitian_planes(F)))
     with np.errstate(divide="ignore"):
         theta = np.arctan(pf.zeta.imag / pf.zeta.real)
     np.add(theta, np.copysign(np.pi, pf.e[1]), out=theta, where=pf.zeta.real < 0)
@@ -284,7 +284,7 @@ def complex_buffer_characteristic(geom, base, uh, field=False):
                 H[..., q, p] = H[..., p, q].conj()
     F = geom.to_frame(H, "zZ")
     F += geom.to_frame(base_field(base), "zZ") if field else frame_F0(geom, base)
-    return frame_characteristic(F)
+    return frame_characteristic(hermitian_planes(F))
 
 
 def frame_F0(geom, base):

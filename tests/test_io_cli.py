@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dhym_lab as dl
 from dhym_lab import cli, diagnostics
@@ -100,6 +102,32 @@ class TestParseConfig:
         path.write_text('{"dimension": 1,')
         with pytest.raises(dl.ConfigError, match=r"at \$: invalid JSON"):
             dl.parse_sweep_config(path)
+
+    def test_metric_within_the_hermitian_tolerance_builds(self):
+        # the parser and build_torus share one Hermitian tolerance, so a metric 1e-13 off
+        # Hermitian that the parser takes also builds
+        doc = minimal_config(dimension=2, resolution=8, metric=[[1.0, [0.5, 1e-13]], [0.5, 1.0]],
+                             base_curvature={"constant": [[1.0, 0.0], [0.0, 0.5]]})
+        cfg = parse_config_data(doc)
+        assert cfg.flow().geometry.g[0, 1] == 0.5 + 1e-13j
+
+    @pytest.mark.parametrize("k_band", [0, 11])
+    def test_noise_band_named_with_its_range(self, tmp_path, torus1, k_band):
+        # one rule: both parsers, SweepConfig and bandlimited_noise (N = 32) say the same
+        expect = re.escape(f"k_band must be in 1..N/3 = 10.6667 (the dealiasing limit), "
+                           f"got {k_band}")
+        with pytest.raises(dl.ConfigError, match=expect):
+            parse_config_data(minimal_config(initial={"type": "noise", "k_band": k_band,
+                                                      "seed": 1, "target_hess_sup": 0.05}))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(minimal_config(sweep=dict(SWEEP, k_band=k_band))))
+        with pytest.raises(dl.ConfigError, match=expect):
+            dl.parse_sweep_config(path)
+        with pytest.raises(ValueError, match=expect):
+            dl.SweepConfig(flow=dl.LineBundleFlow(dl.BaseCurvature.proportional(torus1, 1.0)),
+                           delta_list=[0.1], seeds=1, k_band=k_band)
+        with pytest.raises(ValueError, match=expect):
+            dl.bandlimited_noise(torus1, k_band, 1.0, 1)
 
     def test_mode_band_limit(self):
         doc = minimal_config(initial={"type": "modes",
@@ -286,6 +314,43 @@ class TestSnapshots:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def near_hermitian(diagonal, off, deviation):
+    """A 1x1 or 2x2 matrix document: Hermitian with this diagonal and upper entry
+    off = [re, im], then `deviation` added to the imaginary part of its last upper entry."""
+    if len(diagonal) == 1:
+        return [[[diagonal[0], deviation]]]
+    return [[diagonal[0], [off[0], off[1] + deviation]], [[off[0], -off[1]], diagonal[1]]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2]), N=st.sampled_from([4, 8, 12, 16]),
+       g_diag=st.lists(st.floats(1.0, 2.0), min_size=2, max_size=2),
+       g_off=st.lists(st.floats(-0.4, 0.4), min_size=2, max_size=2),
+       g_dev=st.sampled_from([0.0, 1e-13, 1e-11]),
+       f_diag=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+       f_off=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       f_dev=st.sampled_from([0.0, 1e-13, 1e-11]),
+       k_band=st.integers(0, 6))
+@example(n=2, N=8, g_diag=[1.0, 1.0], g_off=[0.5, 0.0], g_dev=1e-13, f_diag=[1.0, 0.5],
+         f_off=[0.0, 0.0], f_dev=0.0, k_band=2)
+def test_a_parsed_config_builds(n, N, g_diag, g_off, g_dev, f_diag, f_off, f_dev, k_band):
+    # every document the parser takes builds its geometry, base and initial field, and
+    # every one it refuses is refused with a ConfigError at a key's path
+    doc = minimal_config(dimension=n, resolution=N,
+                         metric=near_hermitian(g_diag[:n], g_off, g_dev),
+                         base_curvature={"constant": near_hermitian(f_diag[:n], f_off, f_dev)},
+                         initial={"type": "noise", "k_band": k_band, "seed": 5,
+                                  "target_hess_sup": 0.05})
+    try:
+        cfg = parse_config_data(doc)
+    except dl.ConfigError as exc:
+        assert exc.path.startswith("$."), exc
+        return
+    geom = cfg.geometry()
+    cfg.base(geom)
+    assert cfg.initial_field(geom).shape == geom.shape
+
+
 SWEEP = {"delta_list": [0.01], "seeds": 1}
 # (command, document, path of its ConfigError), covering every raise site of the parsers
 CONFIG_ERRORS = [
@@ -322,6 +387,16 @@ CONFIG_ERRORS = [
     ("sweep", minimal_config(sweep=dict(SWEEP, k_band=0)), "$.sweep.k_band"),
     ("sweep", minimal_config(sweep=dict(SWEEP, seed_base=-3)), "$.sweep.seed_base"),
 ]
+# a metric 1e-11 off Hermitian (one 1e-13 off builds) and the band's lower end, whose
+# paths rows above already name
+EDGE_ERRORS = [
+    ("simulate", minimal_config(dimension=2, resolution=8,
+                                metric=[[1.0, [0.5, 1e-11]], [0.5, 1.0]],
+                                base_curvature={"constant": [[1.0, 0.0], [0.0, 0.5]]}),
+     "$.metric"),
+    ("simulate", minimal_config(initial={"type": "noise", "k_band": 0, "seed": 1,
+                                         "target_hess_sup": 0.05}), "$.initial.k_band"),
+]
 # the sweep counts of another type, which `harness._sweep_error` refuses for the parser too
 TYPE_ERRORS = [
     ("sweep", minimal_config(sweep=dict(SWEEP, seeds=2.5)), "$.sweep.seeds"),
@@ -336,9 +411,10 @@ class TestCli:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    @pytest.mark.parametrize("command,doc,path", CONFIG_ERRORS + TYPE_ERRORS,
+    @pytest.mark.parametrize("command,doc,path", CONFIG_ERRORS + TYPE_ERRORS + EDGE_ERRORS,
                              ids=[f"{c}-{p}" for c, _, p in CONFIG_ERRORS]
-                             + [f"{c}-{p}-type" for c, _, p in TYPE_ERRORS])
+                             + [f"{c}-{p}-type" for c, _, p in TYPE_ERRORS]
+                             + [f"{c}-{p}-edge" for c, _, p in EDGE_ERRORS])
     def test_config_error_named_before_any_output(self, tmp_path, capsys, command, doc, path):
         # the parser names the offending key; the command prints that one line and exits 1
         # before it writes anything, and before any sweep cell runs; a document's own

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dhym_lab as dl
 from conftest import cos_axis
-from dhym_lab.phase import eta_pair, frame_characteristic
+from dhym_lab.phase import eta_pair, frame_characteristic, hermitian_planes
 from spectral_oracle import characteristic_field, complex_hessian, phase_fields
 
 
@@ -227,7 +227,7 @@ class TestPhaseFields:
     def test_first_power_sum_is_the_trace(self, n):
         # e_1 = p_1 is summed from the diagonal fields, bit for bit the trace
         F = random_hermitian(np.random.default_rng(n), 512, n).reshape(8, 8, 8, n, n)
-        e = frame_characteristic(F)
+        e = frame_characteristic(hermitian_planes(F))
         assert np.array_equal(e[1], np.trace(F, axis1=-2, axis2=-1).real)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -236,7 +236,7 @@ class TestPhaseFields:
         # on the complex zeta; a shift of +-20 takes Re zeta < 0 at n >= 2
         rng = np.random.default_rng(40 + n)
         F = random_hermitian(rng, 512, n) + rng.choice([-20.0, 0.0, 20.0], (512, 1, 1)) * np.eye(n)
-        pf = dl.PhaseFields(frame_characteristic(F))
+        pf = dl.PhaseFields(frame_characteristic(hermitian_planes(F)))
         zeta = pf.zeta
         with np.errstate(divide="ignore"):
             expect = np.arctan(zeta.imag / zeta.real)
@@ -251,7 +251,7 @@ class TestPhaseFields:
         # p_2 and p_3 from the diagonal and the entries above it: theta bit for bit
         # at n = 1, within 1e-14 at n >= 2
         F = random_hermitian(np.random.default_rng(60 + n), 4096, n).reshape(8, 8, 8, 8, n, n)
-        new, old = frame_characteristic(F), full_product_characteristic(F)
+        new, old = frame_characteristic(hermitian_planes(F)), full_product_characteristic(F)
         theta, expect = dl.PhaseFields(new).theta, dl.PhaseFields(old).theta
         if n == 1:
             assert np.array_equal(theta, expect)
