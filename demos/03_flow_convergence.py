@@ -20,7 +20,7 @@ u0 *= delta / dl.tensor_norms(geom, u0).hess_sup
 
 cfg = dl.FlowConfig(flow=flow, u0=u0,
                     dt_safety=1.0, t_max=300.0, residual_tol=1e-10,
-                    sample_every=256, keep_fields=8)
+                    sample_every=256)
 traj = dl.run_flow(cfg)
 print(f"status = {traj.status} after {traj.steps} steps, t = {traj.t_final:.2f}")
 

@@ -5,7 +5,7 @@ exits 0 when every check passes and 1 otherwise.  Worker count for FFTs is
 capped by the DHYM_THREADS environment variable (default: all cores);
 results do not depend on it, and a bad value fails before any command runs.
 `simulate --snapshots all-samples` writes each snapshot on one background
-thread during the run and holds only the last few samples; both `verify`
+thread during the run, with at most four samples in flight; both `verify`
 paths hold only the three samples their identities read.
 """
 
@@ -37,7 +37,7 @@ from .config_io import (
     write_snapshot,
 )
 from .flow import LineBundleFlow, Trajectory, run_flow, run_fixed, stable_dt
-from .geometry import _workers
+from .geometry import _workers, check_hermitian_field
 from .harness import generate_reference, stability_sweep
 from .phase import pointwise_phase
 
@@ -87,7 +87,7 @@ def _cmd_simulate(args) -> int:
     cfg = _apply_seed_override(parse_config(args.config), args.seed_override)
     out_dir = _ensure_dir(args.out_dir or cfg.outputs["dir"])
     snapshots = args.snapshots or cfg.outputs["snapshots"]
-    flow_cfg = cfg.flow_config(keep_fields=4)
+    flow_cfg = cfg.flow_config()
     write_config(cfg, out_dir / "effective-config.json")
 
     geom = flow_cfg.flow.geometry
@@ -119,15 +119,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _bracket_keeper(m: int):
-    """(samples, on_record): an on_record that keeps in samples only the samples k of
-    |k - m| <= 1, the bracket `_cmd_verify` reads; the trajectory's own ring holds none."""
-    samples = deque()
+    """(bracket, on_record): an on_record that keeps in bracket only the samples k of
+    |k - m| <= 1, the three `_cmd_verify` checks."""
+    bracket = []
 
     def keep(k, sample):  # it holds the samples, not the trajectory: no reference cycle
         if abs(k - m) <= 1:
-            samples.append(sample)
+            bracket.append(sample)
 
-    return samples, keep
+    return bracket, keep
 
 
 def _verify_config_trajectory(cfg: RunConfig):
@@ -135,14 +135,12 @@ def _verify_config_trajectory(cfg: RunConfig):
     geom = flow.geometry
     u0 = cfg.initial_field(geom)
     dt = min(1e-3, stable_dt(geom, cfg.time["dt_safety"]))
-    samples, keep = _bracket_keeper(4)  # the middle of samples 0..8
-    traj = run_fixed(flow, u0, dt=dt, n_steps=8, sample_every=1,
-                     keep_fields=0, norms=False, on_record=keep)
+    bracket, keep = _bracket_keeper(4)  # the middle of samples 0..8
+    traj = run_fixed(flow, u0, dt=dt, n_steps=8, sample_every=1, norms=False, on_record=keep)
     if traj.steps_rejected:  # the identities need the fixed RK4 step
         t, h, _, reason = traj.dt_changes[0]
         raise RuntimeError(f"RK4 step of {h:g} rejected at t={t:g}: {reason}")
-    traj.samples = samples
-    return traj
+    return traj, bracket
 
 
 def _load_run_trajectory(run_dir: Path, norms: bool = True):
@@ -151,30 +149,28 @@ def _load_run_trajectory(run_dir: Path, norms: bool = True):
     if len(snaps) < 3:
         raise ValueError("insufficient trajectory sampling: need all-samples snapshots")
     flow = cfg.flow()
-    samples, keep = _bracket_keeper(len(snaps) // 2)
-    traj = Trajectory(flow, norms=norms, samples=deque(maxlen=0), on_record=keep)
+    bracket, keep = _bracket_keeper(len(snaps) // 2)
+    traj = Trajectory(flow, norms=norms, on_record=keep)
     for snap in snaps:
         u, header = read_snapshot(snap)  # a fresh float64 array: astype keeps it
         if u.shape != flow.geometry.shape:
             raise ValueError(f"snapshot {snap}: shape {u.shape} is not the run's grid "
                              f"{flow.geometry.shape}")
         traj.record(flow.state(u.real.astype(np.float64, copy=False), header["t"]))
-    traj.samples = samples
-    return traj
+    return traj, bracket
 
 
 def _cmd_verify(args) -> int:
     # the checks read no tensor column, so both paths record phase-only
     if args.run_dir:
-        traj = _load_run_trajectory(Path(args.run_dir), norms=False)
+        traj, bracket = _load_run_trajectory(Path(args.run_dir), norms=False)
     else:
-        traj = _verify_config_trajectory(parse_config(args.config))
-    mid_t = traj.samples[len(traj.samples) // 2].t
+        traj, bracket = _verify_config_trajectory(parse_config(args.config))
     lines = []
     all_pass = True
 
     tolerances = {"u_sq": 1e-4, "grad_sq": 1e-4, "Theta": 1e-4, "ThetaP": 1e-3}
-    for rep in diagnostics.verify_evolution_identities(traj, mid_t):
+    for rep in diagnostics.verify_evolution_identities(traj.flow, bracket):
         tol = tolerances[rep.identity]
         ok = rep.residual_rel <= tol
         all_pass &= ok
@@ -227,7 +223,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_reference(args) -> int:
     cfg = parse_config(args.config)
     out_dir = _ensure_dir(args.out_dir or cfg.outputs["dir"])
-    flow_cfg = cfg.flow_config(keep_fields=4)
+    flow_cfg = cfg.flow_config()
     try:
         ref = generate_reference(flow_cfg)
     except RuntimeError as exc:
@@ -273,15 +269,20 @@ def _json_value(text: str, where: str):
         raise ConfigError(where, f"invalid JSON: {exc}") from None
 
 
-def _matrix_of(rows, where: str) -> np.ndarray:
-    """A square matrix from a JSON list of rows of numbers or [re, im] pairs."""
+def _matrix_of(rows, where: str, label: str) -> np.ndarray:
+    """A Hermitian matrix from a JSON list of rows of numbers or [re, im] pairs."""
     if not isinstance(rows, list) or not rows:
         raise ConfigError(where, "expected a square matrix as a nonempty list of rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(rows):
             raise ConfigError(f"{where}[{i}]", f"expected a row of {len(rows)} entries")
-    return np.array([[complex(*_entry(e, f"{where}[{i}][{j}]")) for j, e in enumerate(row)]
-                     for i, row in enumerate(rows)])
+    M = np.array([[complex(*_entry(e, f"{where}[{i}][{j}]")) for j, e in enumerate(row)]
+                  for i, row in enumerate(rows)])
+    try:
+        check_hermitian_field(M, label=label)
+    except ValueError as exc:
+        raise ConfigError(where, str(exc)) from None
+    return M
 
 
 def _cmd_phase_table(args) -> int:
@@ -292,16 +293,19 @@ def _cmd_phase_table(args) -> int:
             if not line:
                 continue
             where = f"{args.input}:{lineno}"
-            M = _matrix_of(_json_value(line, where), where)
+            M = _matrix_of(_json_value(line, where), where, "curvature input")
             if matrices and M.shape != matrices[0].shape:
-                raise ValueError(f"line {lineno}: matrix size differs from the first line")
+                raise ConfigError(where, "matrix size differs from the first line")
             matrices.append(M)
     if not matrices:
         raise ValueError("nothing to write: no matrices in input")
     n = matrices[0].shape[0]
     if args.metric:
         with open(args.metric) as fh:
-            g = _matrix_of(_json_value(fh.read(), args.metric), args.metric)
+            g = _matrix_of(_json_value(fh.read(), args.metric), args.metric, "metric")
+        if g.shape != (n, n):
+            raise ConfigError(args.metric, f"the metric is {len(g)}x{len(g)} but the input "
+                                           f"matrices are {n}x{n}")
     else:
         g = np.eye(n)
     header = ",".join(

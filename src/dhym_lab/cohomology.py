@@ -17,8 +17,8 @@ argument cannot.
 The path starts at t_start = max(1e4, 4 n Lambda), with
 Lambda = max_x sqrt(e_1^2 - 2 e_2) >= max |lambda_j|, and has 4096
 geometrically spaced points; the unwrap is anchored at the principal
-argument there.
-Every point's argument for t >= t_start lies within
+argument there; a curvature so large that the bound or the path is not finite
+is refused.  Every point's argument for t >= t_start lies within
 n arctan(Lambda / t_start) <= n arctan(1 / (4 n)) < pi/2 of zero, and so
 does the mean's: the anchor is the lift.
 """
@@ -53,14 +53,21 @@ def _winding(geom: TorusGeometry, e: list) -> tuple:
     n = geom.n
     if len(e) != n + 1:
         raise ValueError(f"expected the {n + 1} coefficients e_0..e_{n}, got {len(e)}")
-    coeff = np.array([e[0]] + [geom.mean(ek) for ek in e[1:]]) * (1j ** np.arange(n + 1)) * geom.vol
-    # sum_j lambda_j^2 = e_1^2 - 2 e_2 bounds every |lambda_j|
-    sum_sq = e[1] ** 2 - 2.0 * (e[2] if n > 1 else 0.0)
-    lam_bound = float(np.sqrt(np.maximum(sum_sq, 0.0)).max())
-    ts = np.geomspace(max(_T_START_MIN, 4.0 * n * lam_bound), 1.0, _N_POINTS)
-    powers = ts[:, None] ** (n - np.arange(n + 1))[None, :]
-    # a sum, not a matmul, which wakes BLAS worker threads whatever DHYM_THREADS is
-    Zs = (powers * coeff).sum(axis=1)
+    # the coefficients, the bound and the path overflow for a curvature too large to
+    # wind, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = (np.array([e[0]] + [geom.mean(ek) for ek in e[1:]])
+                 * (1j ** np.arange(n + 1)) * geom.vol)
+        # sum_j lambda_j^2 = e_1^2 - 2 e_2 bounds every |lambda_j|
+        sum_sq = e[1] ** 2 - 2.0 * (e[2] if n > 1 else 0.0)
+        lam_bound = float(np.sqrt(np.maximum(sum_sq, 0.0)).max())
+        ts = np.geomspace(max(_T_START_MIN, 4.0 * n * lam_bound), 1.0, _N_POINTS)
+        powers = ts[:, None] ** (n - np.arange(n + 1))[None, :]
+        # a sum, not a matmul, which wakes BLAS worker threads whatever DHYM_THREADS is
+        Zs = (powers * coeff).sum(axis=1)
+    if not (np.isfinite(lam_bound) and np.isfinite(Zs).all()):
+        raise RuntimeError("curvature too large for the winding: its eigenvalue bound "
+                           "or winding path is not finite")
     floor = 1e-8 * ts ** geom.n * geom.vol
     if (np.abs(Zs) < floor).any():
         raise RuntimeError("winding path crosses zero; hat_theta ill-defined")

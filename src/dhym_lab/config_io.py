@@ -187,10 +187,9 @@ class RunConfig:
         """The configured flow; hat_theta is the winding lift when the config gives none."""
         return LineBundleFlow(self.base(self.geometry()), self.hat_theta)
 
-    def flow_config(self, keep_fields: int | None = None) -> FlowConfig:
+    def flow_config(self) -> FlowConfig:
         flow = self.flow()
-        return FlowConfig(flow=flow, u0=self.initial_field(flow.geometry),
-                          keep_fields=keep_fields, **self.time)
+        return FlowConfig(flow=flow, u0=self.initial_field(flow.geometry), **self.time)
 
     def to_json_dict(self) -> dict:
         doc = {

@@ -41,14 +41,14 @@ and NaN TENSOR_COLUMNS.  `verify` records this way, because none of its
 checks reads a tensor column; `write_diagnostics` refuses such records.
 
 The checks read the geometry, hat_theta, the base potential, the phase and
-the frame curvature planes (`curvature_planes`) from `trajectory.flow` or a
-given flow by attribute, so this module imports no `flow`, and no check
-builds a coordinate curvature field: the linearization check too takes its
-phases and eta^{-1} from the flow's planes.
+the frame curvature planes (`curvature_planes`) from the flow they are
+given (a trajectory's own for its records) by attribute, so this module
+imports no `flow`, and no check builds a coordinate curvature field: the
+linearization check too takes its phases and eta^{-1} from the flow's planes.
 
 Time derivatives for identity checks use second-order central differences
-of stored trajectory samples, never integrator internals, so the verifier
-is independent of the time stepper.
+of the field samples they are handed (a run's on_record gives them), never
+integrator internals, so the verifier is independent of the time stepper.
 """
 
 from __future__ import annotations
@@ -442,19 +442,15 @@ def _identity_rhs(geom: TorusGeometry, which: str, ctx: _SampleContext,
     return rhs
 
 
-def _bracket(trajectory, t: float):
-    samples = list(trajectory.samples)
-    if len(samples) < 3:
+def _bracket(bracket):
+    """(prev, mid, next, spacing) of three samples at two positive, equal spacings."""
+    if len(bracket) != 3:
         raise ValueError("insufficient trajectory sampling")
-    times = np.array([s.t for s in samples])
-    j = int(np.argmin(np.abs(times - t)))
-    if j == 0 or j == len(samples) - 1:
+    prev, mid, nxt = bracket
+    dt_m, dt_p = mid.t - prev.t, nxt.t - mid.t
+    if not (dt_m > 0 and dt_p > 0) or abs(dt_p - dt_m) > 1e-9 * max(dt_p, dt_m):
         raise ValueError("insufficient trajectory sampling")
-    dt_m = times[j] - times[j - 1]
-    dt_p = times[j + 1] - times[j]
-    if abs(dt_p - dt_m) > 1e-9 * max(dt_p, dt_m):
-        raise ValueError("insufficient trajectory sampling")
-    return samples[j - 1], samples[j], samples[j + 1], float(dt_p)
+    return prev, mid, nxt, float(dt_p)
 
 
 # the evolution identities in the order they are checked, each with the context tables
@@ -463,23 +459,22 @@ _DROPS = {"u_sq": ("theta",), "grad_sq": ("du",), "Theta": ("H",),
           "ThetaP": ("S", "T", "dF", "dEta")}
 
 
-def verify_evolution_identities(trajectory, t: float) -> list:
+def verify_evolution_identities(flow, bracket) -> list:
     """Check the flat-case evolution identities of u^2, |grad u|^2, Theta and Theta'
-    at trajectory time t.
+    of a flow on a bracket of three samples (prev, mid, next) at equal spacings.
 
     Returns one IdentityReport for each, in that order (u_sq, grad_sq, Theta,
     ThetaP).  The left side is the central time difference of the quantity
-    minus its spectral eta-Laplacian at the bracketing center; the right side
-    is assembled from the stored sample there.  The bracket, the tensor norms
+    minus its spectral eta-Laplacian at the center; the right side is
+    assembled from the center's sample.  The tensor norms
     of its three samples and the center's derived fields are built once for
     all four; the center's derivative tensors serve both its norms and its
     right sides, and each is dropped after the last right side that reads it
     (`_DROPS`).  The discrepancy shrinks as O(dt^2) under sample-spacing
     refinement.
     """
-    flow = trajectory.flow
     geom = flow.geometry
-    prev, mid, nxt, dt_s = _bracket(trajectory, t)
+    prev, mid, nxt, dt_s = _bracket(bracket)
     # the outer samples build the three norms the identities read, never the Gamma tensor
     norm_names = ("grad_sq", "Theta", "ThetaP")
 
@@ -653,8 +648,9 @@ class HarnackReport:
     fitted_constants: tuple  # (C1, C2, C3), reported only, never asserted
 
 
-def harnack_monitor(trajectory, m: int = 1) -> HarnackReport:
-    """Harnack quotients of the positive caps/cups of du/dt over [m-1, m].
+def harnack_monitor(flow, samples, m: int = 1) -> HarnackReport:
+    """Harnack quotients of the positive caps/cups of du/dt over [m-1, m] of a flow's
+    samples, in time order.
 
     Builds xi(x, tau) = sup_y phi(y, m-1) - phi(x, m-1+tau) and psi(x, tau) =
     phi(x, m-1+tau) - inf_y phi(y, m-1) from phi = theta - hat_theta of each sample's u,
@@ -663,13 +659,12 @@ def harnack_monitor(trajectory, m: int = 1) -> HarnackReport:
     sup(., 1/2) / inf(., 1).  The Harnack constants are least-squares
     metadata only.
     """
-    samples = list(trajectory.samples)
     times = np.array([s.t for s in samples])
     t0 = float(m - 1)
     j0 = int(np.argmin(np.abs(times - t0)))
     if abs(times[j0] - t0) > 1e-9 * (1.0 + abs(t0)):
         raise ValueError("insufficient trajectory sampling")
-    phi0 = trajectory.flow.rhs(samples[j0].u)
+    phi0 = flow.rhs(samples[j0].u)
     osc0 = float(phi0.max() - phi0.min())
     if osc0 < 1e-14 * (1.0 + float(np.abs(phi0).max())):
         raise ValueError("degenerate: flow already spatially constant")
@@ -682,7 +677,7 @@ def harnack_monitor(trajectory, m: int = 1) -> HarnackReport:
         tau = s.t - t0
         if tau > 1.0 + 1e-9:
             break
-        phi = trajectory.flow.rhs(s.u)
+        phi = flow.rhs(s.u)
         xi = sup0 - phi
         psi = phi - inf0
         taus.append(tau)

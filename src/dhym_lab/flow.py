@@ -50,7 +50,6 @@ of the linearization: the eta-Laplacian has coefficients dominated by g^{-1}
 from __future__ import annotations
 
 import numbers
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -120,11 +119,7 @@ class BaseCurvature:
         check_hermitian_field(F0)
         self.F0 = F0
         if self.psi is not None:
-            psi = np.asarray(self.psi, dtype=np.float64)
-            if psi.shape != self.geometry.shape:
-                raise ValueError("potential shape does not match the grid")
-            _check_finite("potential psi", psi, "grid index")
-            self.psi = psi
+            self.psi = _grid_field("potential psi", self.psi, self.geometry)
 
     @classmethod
     def proportional(cls, geometry: TorusGeometry, c: float) -> "BaseCurvature":
@@ -138,6 +133,17 @@ def _check_finite(name: str, a: np.ndarray, where: str) -> None:
     if bad.size:
         at = tuple(int(i) for i in np.unravel_index(bad[0], a.shape))
         raise ValueError(f"{name} is not finite at {where} {at}")
+
+
+def _grid_field(name: str, f, geom: TorusGeometry) -> np.ndarray:
+    """f as a float64 grid field; a complex, misshapen or non-finite one is refused."""
+    if np.iscomplexobj(f):
+        raise ValueError(f"{name} must be real, got a complex field")
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != geom.shape:
+        raise ValueError(f"{name} shape does not match the grid")
+    _check_finite(name, f, "grid index")
+    return f
 
 
 def stable_dt(geom: TorusGeometry, sigma: float) -> float:
@@ -263,12 +269,7 @@ class LineBundleFlow:
                          residual_sup=float(np.abs(phase.theta - self.hat_theta).max()))
 
     def initial_state(self, u0: np.ndarray) -> "FlowState":
-        u0 = np.asarray(u0, dtype=np.float64)
-        if u0.shape != self.geometry.shape:
-            raise ValueError("initial potential shape does not match the grid")
-        if not np.isfinite(u0).all():
-            raise ValueError("initial potential contains non-finite entries")
-        return self.state(u0)
+        return self.state(_grid_field("initial potential u0", u0, self.geometry))
 
 
 @dataclass(eq=False)
@@ -292,23 +293,21 @@ class FlowSample:
 
 @dataclass
 class Trajectory:
-    """Diagnostics records plus a ring of full field samples.
+    """Diagnostics records and the final state of a run; it keeps no field samples.
 
-    `record` keeps every record, but only the last samples a bounded
-    `samples` ring holds (`FlowConfig.keep_fields`).  A caller that needs
-    every sample, such as `simulate` writing all-samples snapshots, takes
-    each one from on_record(k, sample) as it is recorded, with k the index
-    of its record; the sample's u is its own copy.
+    A caller that needs field samples, such as `simulate` writing all-samples
+    snapshots or `verify` keeping its bracket, takes each one from
+    on_record(k, sample) as it is recorded, with k the index of its record;
+    the sample's u is its own copy, built only when on_record is set.
 
     Each record is `diagnostics.build_record` of the recorded `FlowState`.
     With norms=False every record is phase-only: its tensor columns are NaN
     and `write_diagnostics` refuses it.  `verify` records this way, because
-    its checks read only t, theta, Z and the samples.
+    its checks read only t, theta, Z and the samples they are handed.
     """
 
     flow: LineBundleFlow
     records: list = field(default_factory=list)
-    samples: deque = field(default_factory=deque)
     status: str = "running"
     steps: int = 0
     steps_rejected: int = 0
@@ -326,17 +325,15 @@ class Trajectory:
         return self.final.t if self.final is not None else 0.0
 
     def record(self, state: FlowState) -> None:
-        """Store a flow state's field sample and record, and hand the sample to
-        on_record; a repeated t is skipped."""
+        """Store a flow state's record, and hand its field sample to on_record;
+        a repeated t is skipped."""
         if self.records and self.records[-1].t == state.t:
             return
         if self.u0_at_p is None:
             self.u0_at_p = float(state.u[(0,) * (2 * self.flow.geometry.n)])
-        sample = FlowSample(t=state.t, u=state.u.copy())
-        self.samples.append(sample)
         self.records.append(diagnostics.build_record(state, self.u0_at_p, norms=self.norms))
         if self.on_record is not None:
-            self.on_record(len(self.records) - 1, sample)
+            self.on_record(len(self.records) - 1, FlowSample(t=state.t, u=state.u.copy()))
 
 
 def _accept(state: FlowState, h: float, u_new: np.ndarray) -> FlowState:
@@ -436,16 +433,10 @@ class Schedule:
 
 @dataclass
 class FlowConfig(Schedule):
-    """A run of a flow from u0 on a `Schedule`.
-
-    keep_fields is the capacity of the trajectory's ring of field samples, None
-    for all of them; a caller that needs every sample but holds only a few takes
-    each from run_flow's on_record, so its memory does not grow with the records.
-    """
+    """A run of a flow from u0 on a `Schedule`."""
 
     flow: LineBundleFlow
     u0: np.ndarray
-    keep_fields: int | None = field(default=None, kw_only=True)
 
 
 def _integrate(state: FlowState, traj: Trajectory, step_fn, h0: float, ds: float,
@@ -508,13 +499,13 @@ def run_flow(config: FlowConfig,
     recorded sample (see `Trajectory`)."""
     flow = config.flow
     state = flow.initial_state(config.u0)
-    traj = Trajectory(flow, samples=deque(maxlen=config.keep_fields), on_record=on_record)
+    traj = Trajectory(flow, on_record=on_record)
     ds = config.sample_every * stable_dt(flow.geometry, config.dt_safety)
     return _integrate(state, traj, etdrk4_step, ds, ds, config.t_max, config.residual_tol)
 
 
 def run_fixed(flow: LineBundleFlow, u0: np.ndarray, dt: float, n_steps: int,
-              sample_every: int = 1, keep_fields: int | None = None, norms: bool = True,
+              sample_every: int = 1, norms: bool = True,
               on_record: Callable[[int, FlowSample], None] | None = None) -> Trajectory:
     """n_steps classical RK4 steps of size dt, recorded every sample_every
     steps; never stops on convergence, so a full run is 'timeout'.
@@ -524,5 +515,5 @@ def run_fixed(flow: LineBundleFlow, u0: np.ndarray, dt: float, n_steps: int,
     _check_count("n_steps", n_steps)
     _check_count("sample_every", sample_every)
     state = flow.initial_state(u0)
-    traj = Trajectory(flow, samples=deque(maxlen=keep_fields), norms=norms, on_record=on_record)
+    traj = Trajectory(flow, norms=norms, on_record=on_record)
     return _integrate(state, traj, rk4_step, dt, sample_every * dt, n_steps * dt, 0.0)

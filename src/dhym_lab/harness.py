@@ -50,7 +50,7 @@ def generate_reference(config: FlowConfig) -> Reference:
     Raises RuntimeError("no reference obtained") when the run times out or
     blows up instead of converging.
     """
-    cfg = replace(config, residual_tol=min(config.residual_tol, _REFERENCE_TOL), keep_fields=4)
+    cfg = replace(config, residual_tol=min(config.residual_tol, _REFERENCE_TOL))
     traj = run_flow(cfg)
     if traj.status != "converged":
         raise RuntimeError(f"no reference obtained: flow status {traj.status!r}")
@@ -156,7 +156,7 @@ class SweepReport:
 
 def _one_cell(sweep: SweepConfig, delta: float, seed: int) -> SweepCell:
     u0 = _scaled_noise(sweep.flow.geometry, sweep.k_band, sweep.seed_base + seed, delta)
-    traj = run_flow(FlowConfig(flow=sweep.flow, u0=u0, keep_fields=4, **sweep.schedule()))
+    traj = run_flow(FlowConfig(flow=sweep.flow, u0=u0, **sweep.schedule()))
     outcome = {}
     if delta > 0.0:  # record 0 is the state at u0
         outcome.update(hess_ratio_t0=traj.records[0].hess_sup / delta,

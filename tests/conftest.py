@@ -38,9 +38,18 @@ def cos_axis(geom, axis, amplitude=1.0, k=1):
     return amplitude * np.broadcast_to(np.cos(k * c), geom.shape).copy()
 
 
+def run_sampled(run, *args, **kwargs):
+    """(trajectory, samples): run(*args, **kwargs), a run_flow or run_fixed call, with
+    every recorded sample collected through its on_record."""
+    samples = []
+    traj = run(*args, on_record=lambda k, sample: samples.append(sample), **kwargs)
+    return traj, samples
+
+
 @pytest.fixture(scope="session")
 def small_flow_run(torus1_fine):
-    """delta=0.05 perturbation of F_hat = omega at N=64, run over [0, 2].
+    """(trajectory, samples) of a delta=0.05 perturbation of F_hat = omega at N=64,
+    run over [0, 2].
 
     Fixed step 1/512 with samples every 1/16 time unit; reused by the
     monitor tests.
@@ -50,8 +59,8 @@ def small_flow_run(torus1_fine):
     hat = float(np.arctan(1.0))
     u0 = dl.bandlimited_noise(geom, 2, 1.0, 7)
     u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
-    return dl.run_fixed(dl.LineBundleFlow(base, hat), u0, dt=1.0 / 512, n_steps=2 * 512,
-                        sample_every=32)
+    return run_sampled(dl.run_fixed, dl.LineBundleFlow(base, hat), u0, dt=1.0 / 512,
+                       n_steps=2 * 512, sample_every=32)
 
 
 def fails_on_call(step, k):

@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 
 import dhym_lab as dl
-from conftest import cos_axis
+from conftest import cos_axis, run_sampled
 from spectral_oracle import base_field, characteristic_field
 
 
@@ -40,13 +40,13 @@ def sweep_report():
 
 @pytest.fixture(scope="module")
 def harnack_run():
-    """delta = 0.05 run at N = 64 sampled densely over [0, 2]."""
+    """(trajectory, samples) of a delta = 0.05 run at N = 64 sampled densely over [0, 2]."""
     geom = dl.build_torus(1, 64, [1.0])
     base = dl.BaseCurvature.proportional(geom, 1.0)
     u0 = dl.bandlimited_noise(geom, 2, 1.0, 7)
     u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
-    return dl.run_fixed(dl.LineBundleFlow(base, float(np.arctan(1.0))), u0,
-                        dt=1.0 / 512, n_steps=1024, sample_every=32)
+    return run_sampled(dl.run_fixed, dl.LineBundleFlow(base, float(np.arctan(1.0))), u0,
+                       dt=1.0 / 512, n_steps=1024, sample_every=32)
 
 
 def test_criterion_1_phase_algebra_suite():
@@ -128,7 +128,7 @@ def test_criterion_4_maximum_principle(sweep_report, harnack_run):
                                flow=SimpleNamespace(hat_theta=np.arctan(1.0)))
         res = dl.maximum_principle_monitor(traj)
         worst = max(worst, res.worst_violation)
-    res = dl.maximum_principle_monitor(harnack_run)
+    res = dl.maximum_principle_monitor(harnack_run[0])
     worst = max(worst, res.worst_violation)
     ok = worst <= 0.0
     _criterion(4, "maximum principle", ok, f"worst violation {worst:.2e} over 10 trajectories")
@@ -143,9 +143,9 @@ def test_criterion_5_evolution_identities():
     u0 *= 0.05 / dl.tensor_norms(geom, u0).hess_sup
 
     def residuals(dt_s):
-        traj = dl.run_fixed(dl.LineBundleFlow(base, hat), u0, dt=dt_s, n_steps=8, sample_every=1)
-        t_mid = list(traj.samples)[4].t
-        reports = dl.verify_evolution_identities(traj, t_mid)
+        flow = dl.LineBundleFlow(base, hat)
+        _, samples = run_sampled(dl.run_fixed, flow, u0, dt=dt_s, n_steps=8, sample_every=1)
+        reports = dl.verify_evolution_identities(flow, samples[3:6])  # centred on sample 4
         return {rep.identity: rep.residual_rel for rep in reports}
 
     r1 = residuals(1e-3)
@@ -218,7 +218,8 @@ def test_criterion_8_harnack_and_oscillation(sweep_report, harnack_run):
         for (t0, a), (t1, b) in zip(zip(ts, chis), zip(ts[1:], chis[1:])):
             if a > 1e-14:
                 worst_ratio = max(worst_ratio, b / a)
-    rep = dl.harnack_monitor(harnack_run, m=1)
+    traj, samples = harnack_run
+    rep = dl.harnack_monitor(traj.flow, samples, m=1)
     finite = np.isfinite(rep.quotient_xi) and np.isfinite(rep.quotient_psi)
     ok = worst_ratio <= 1.0 + 1e-9 and rep.positive and rep.monotone and finite
     _criterion(8, "Harnack / oscillation",

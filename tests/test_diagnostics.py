@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dhym_lab as dl
-from conftest import cos_axis
+from conftest import cos_axis, run_sampled
 from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field, parse_config_data
 from dhym_lab.diagnostics import TENSOR_COLUMNS, build_record
@@ -179,10 +179,10 @@ class TestBuildRecord:
             "initial": {"type": "noise", "k_band": 2, "seed": 1, "target_hess_sup": 0.05},
             "time": {"t_max": 2.0, "dt_safety": 0.5, "residual_tol": 1e-10, "sample_every": 32},
             "outputs": {"dir": "run", "snapshots": "all-samples"}})
-        traj = dl.run_flow(cfg.flow_config(keep_fields=None))
+        traj, samples = run_sampled(dl.run_flow, cfg.flow_config())
         bound = {"grad_sq_sup": 2e-14, "Theta_sup": 5e-13, "ThetaP_sup": 5e-13,
                  "Gamma_sup": 5e-12, "hess_sup": 2e-13}
-        for rec, sample in zip(traj.records, traj.samples):
+        for rec, sample in zip(traj.records, samples):
             exact = _sups_at_n1(traj.flow.geometry, sample.u, np.longdouble)
             full = _sups_at_n1(traj.flow.geometry, sample.u, np.float64)
             for name, tol in bound.items():
@@ -309,15 +309,19 @@ def fails_on_full_spectrum(geom, f):
     raise AssertionError("a full-spectrum transform ran")
 
 
-def _identity_trajectory(geom, base, dt_s, delta=0.05, seed=11, n_steps=8):
+def _identity_samples(geom, base, dt_s, delta=0.05, seed=11, n_steps=8):
+    """(flow, samples) of a fixed-step run that records every step."""
     u0 = dl.bandlimited_noise(geom, 2, 1.0, seed)
     u0 *= delta / dl.tensor_norms(geom, u0).hess_sup
-    return dl.run_fixed(dl.LineBundleFlow(base), u0, dt=dt_s, n_steps=n_steps, sample_every=1)
+    flow = dl.LineBundleFlow(base)
+    return flow, run_sampled(dl.run_fixed, flow, u0, dt=dt_s, n_steps=n_steps,
+                             sample_every=1)[1]
 
 
-def _identity_reports(traj, t) -> dict:
-    """The four evolution identity reports at t, by name."""
-    return {rep.identity: rep for rep in dl.verify_evolution_identities(traj, t)}
+def _identity_reports(flow, samples, j) -> dict:
+    """The four evolution identity reports on the bracket centred on sample j, by name."""
+    return {rep.identity: rep
+            for rep in dl.verify_evolution_identities(flow, samples[j - 1:j + 2])}
 
 
 class TestEvolutionIdentities:
@@ -325,9 +329,10 @@ class TestEvolutionIdentities:
         # constant-in-space potential: only the mean drifts, central
         # differencing of u^2 is exact for the resulting quadratic-in-time
         hat = float(np.arctan(1.0)) + 0.3
-        traj = dl.run_fixed(dl.LineBundleFlow(base1, hat), np.full(torus1.shape, 0.2),
-                            dt=1e-3, n_steps=4, sample_every=1)
-        rep = _identity_reports(traj, list(traj.samples)[2].t)["u_sq"]
+        flow = dl.LineBundleFlow(base1, hat)
+        _, samples = run_sampled(dl.run_fixed, flow, np.full(torus1.shape, 0.2),
+                                 dt=1e-3, n_steps=4, sample_every=1)
+        rep = _identity_reports(flow, samples, 2)["u_sq"]
         assert rep.residual_rel < 1e-12
 
     @pytest.mark.parametrize("which,tol", [("u_sq", 1e-4), ("grad_sq", 1e-4),
@@ -337,8 +342,7 @@ class TestEvolutionIdentities:
         base = dl.BaseCurvature.proportional(geom, 1.0)
         res = []
         for dt_s in (1e-3, 5e-4):
-            traj = _identity_trajectory(geom, base, dt_s)
-            rep = _identity_reports(traj, list(traj.samples)[4].t)[which]
+            rep = _identity_reports(*_identity_samples(geom, base, dt_s), 4)[which]
             res.append(rep.residual_rel)
         assert res[0] <= tol
         slope = np.log2(res[0] / res[1])
@@ -350,8 +354,8 @@ class TestEvolutionIdentities:
         base = dl.BaseCurvature.proportional(torus2, 1.0)
         res = []
         for dt_s in (1e-3, 5e-4):
-            traj = _identity_trajectory(torus2, base, dt_s, seed=1, n_steps=2)
-            rep = _identity_reports(traj, list(traj.samples)[1].t)["Theta"]
+            flow, samples = _identity_samples(torus2, base, dt_s, seed=1, n_steps=2)
+            rep = _identity_reports(flow, samples, 1)["Theta"]
             res.append(rep.residual_rel)
         assert res[0] < 1e-7
         assert res[0] / res[1] >= 3.0
@@ -360,7 +364,7 @@ class TestEvolutionIdentities:
         # the bracket's outer samples build the tensors of the three norms the
         # identities read: never the Gamma tensor u_{i jbar k} ("zZz")
         geom = dl.build_torus(2, 8, NON_DIAGONAL_G)
-        traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
+        flow, samples = _identity_samples(geom, psi_base(geom), 1e-3, n_steps=2)
         tensor_norms, word_planes = diagnostics.tensor_norms, dl.TorusGeometry.word_planes
         built, active = [], []  # the words of each tensor_norms call
 
@@ -379,7 +383,7 @@ class TestEvolutionIdentities:
 
         monkeypatch.setattr(diagnostics, "tensor_norms", spy_norms)
         monkeypatch.setattr(dl.TorusGeometry, "word_planes", spy_planes)
-        dl.verify_evolution_identities(traj, list(traj.samples)[1].t)
+        dl.verify_evolution_identities(flow, samples)
         assert built == [["z", "zZ", "zz"]] * 2
 
     def test_theta_refinement_n2_non_diagonal_metric(self):
@@ -388,8 +392,8 @@ class TestEvolutionIdentities:
         base = dl.BaseCurvature.proportional(geom, 1.0)
         res = []
         for dt_s in (1e-3, 5e-4):
-            traj = _identity_trajectory(geom, base, dt_s, seed=1, n_steps=2)
-            rep = _identity_reports(traj, list(traj.samples)[1].t)["Theta"]
+            flow, samples = _identity_samples(geom, base, dt_s, seed=1, n_steps=2)
+            rep = _identity_reports(flow, samples, 1)["Theta"]
             res.append(rep.residual_rel)
         assert res[0] < 1e-7
         assert res[0] / res[1] >= 3.0
@@ -397,9 +401,9 @@ class TestEvolutionIdentities:
     def test_all_identities_non_diagonal_metric_n2(self):
         # the CLI's tolerances, on a base with a mixing potential
         geom = dl.build_torus(2, 16, NON_DIAGONAL_G)
-        traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
+        flow, samples = _identity_samples(geom, psi_base(geom), 1e-3, n_steps=2)
         tolerances = {"u_sq": 1e-4, "grad_sq": 1e-4, "Theta": 1e-4, "ThetaP": 1e-3}
-        for rep in dl.verify_evolution_identities(traj, list(traj.samples)[1].t):
+        for rep in dl.verify_evolution_identities(flow, samples):
             assert rep.residual_rel <= tolerances[rep.identity], rep.to_dict()
 
     def test_nonconstant_base_terms_retained(self):
@@ -408,8 +412,7 @@ class TestEvolutionIdentities:
         geom = dl.build_torus(1, 64, [1.0])
         psi = 0.2 * cos_axis(geom, 0)
         base = dl.BaseCurvature(geometry=geom, F0=geom.g, psi=psi)
-        traj = _identity_trajectory(geom, base, 1e-3)
-        reports = _identity_reports(traj, list(traj.samples)[4].t)
+        reports = _identity_reports(*_identity_samples(geom, base, 1e-3), 4)
         for which in ("grad_sq", "Theta", "ThetaP"):
             assert reports[which].residual_rel < 1e-4, which
 
@@ -417,12 +420,10 @@ class TestEvolutionIdentities:
         # each report is the one its identity gets alone, from a fresh context of the
         # centre: the shared bracket and the drop schedule change no bit
         geom = dl.build_torus(2, 8, np.eye(2))
-        traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
-        t = list(traj.samples)[1].t
-        together = dl.verify_evolution_identities(traj, t)
+        flow, samples = _identity_samples(geom, psi_base(geom), 1e-3, n_steps=2)
+        together = dl.verify_evolution_identities(flow, samples)
         assert [r.identity for r in together] == ["u_sq", "grad_sq", "Theta", "ThetaP"]
-        flow = traj.flow
-        prev, mid, nxt, dt_s = diagnostics._bracket(traj, t)
+        prev, mid, nxt, dt_s = diagnostics._bracket(samples)
         outer = [dl.tensor_norms(geom, s.u) for s in (prev, nxt)]
         for rep in together:
             ctx = diagnostics._sample_context(flow, mid.u)
@@ -441,7 +442,7 @@ class TestEvolutionIdentities:
         # theta goes after u_sq, du after grad_sq and H after Theta: each right side
         # finds only the context tables it and the later ones read
         geom = dl.build_torus(2, 8, np.eye(2))
-        traj = _identity_trajectory(geom, psi_base(geom), 1e-3, n_steps=2)
+        flow, samples = _identity_samples(geom, psi_base(geom), 1e-3, n_steps=2)
         identity_rhs, held = diagnostics._identity_rhs, {}
         tables = ("theta", "du", "H", "S", "T", "dF")
 
@@ -450,16 +451,18 @@ class TestEvolutionIdentities:
             return identity_rhs(geom, which, ctx, *args)
 
         monkeypatch.setattr(diagnostics, "_identity_rhs", spy)
-        dl.verify_evolution_identities(traj, list(traj.samples)[1].t)
+        dl.verify_evolution_identities(flow, samples)
         assert held == {"u_sq": set(tables), "grad_sq": set(tables) - {"theta"},
                         "Theta": {"H", "S", "T", "dF"}, "ThetaP": {"S", "T", "dF"}}
 
     def test_insufficient_sampling(self, torus1, base1):
-        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
-                            0.05 * cos_axis(torus1, 0), dt=1e-3, n_steps=2,
-                            sample_every=1)
-        with pytest.raises(ValueError, match="insufficient trajectory sampling"):
-            dl.verify_evolution_identities(traj, 0.0)
+        # a bracket is three samples at two positive, equal spacings
+        flow = dl.LineBundleFlow(base1, float(np.arctan(1.0)))
+        _, s = run_sampled(dl.run_fixed, flow, 0.05 * cos_axis(torus1, 0), dt=1e-3,
+                           n_steps=3, sample_every=1)
+        for bracket in (s[:2], s, [s[0], s[1], s[3]], s[2::-1], [s[1], s[1], s[1]]):
+            with pytest.raises(ValueError, match="insufficient trajectory sampling"):
+                dl.verify_evolution_identities(flow, bracket)
 
 
 def sandwich(Hinv, Y):
@@ -511,8 +514,7 @@ class TestDhymPointIdentities:
         psi = 0.2 * cos_axis(torus1, 0)
         base = dl.BaseCurvature(geometry=torus1, F0=torus1.g, psi=psi)
         cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base), u0=np.zeros(torus1.shape),
-                            dt_safety=1.0, t_max=400.0, residual_tol=1e-11, sample_every=1000,
-                            keep_fields=2)
+                            dt_safety=1.0, t_max=400.0, residual_tol=1e-11, sample_every=1000)
         traj = dl.run_flow(cfg)
         assert traj.status == "converged"
         r1, r2 = dl.dhym_point_identities(cfg.flow, traj.final.u, residual_tol=1e-9)
@@ -555,13 +557,14 @@ class TestMaximumPrinciple:
         assert res.worst_violation <= 0.0
 
     def test_small_data_run_passes(self, small_flow_run):
-        assert dl.maximum_principle_monitor(small_flow_run).passed
+        assert dl.maximum_principle_monitor(small_flow_run[0]).passed
 
     def test_constructed_violation_fails(self, small_flow_run):
-        records = list(small_flow_run.records)
+        traj, _ = small_flow_run
+        records = list(traj.records)
         bad = dataclasses.replace(records[3], theta_max=records[3].theta_max + 1e-3)
         records[3] = bad
-        fake = SimpleNamespace(records=records, flow=small_flow_run.flow)
+        fake = SimpleNamespace(records=records, flow=traj.flow)
         res = dl.maximum_principle_monitor(fake)
         assert not res.passed
         assert res.location == pytest.approx(records[3].t)
@@ -587,28 +590,28 @@ class TestOscillationDecay:
     def test_linearized_rate_recovered(self, torus1, base1):
         u0 = 0.01 * cos_axis(torus1, 0)
         cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
-                            dt_safety=1.0, t_max=60.0, residual_tol=1e-13, sample_every=64,
-                            keep_fields=4)
+                            dt_safety=1.0, t_max=60.0, residual_tol=1e-13, sample_every=64)
         traj = dl.run_flow(cfg)
         fit = dl.oscillation_decay(traj)
         assert fit.rate == pytest.approx(0.125, rel=0.10)
         assert fit.r_squared > 0.99
 
     def test_monotone_contraction(self, small_flow_run):
-        fit = dl.oscillation_decay(small_flow_run)
+        fit = dl.oscillation_decay(small_flow_run[0])
         assert fit.max_consecutive_ratio <= 1.0 + 1e-9
 
 
 class TestHarnackMonitor:
     def test_stationary_degenerate(self, torus1, base1):
-        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))),
-                            np.zeros(torus1.shape), dt=1.0 / 128, n_steps=256,
-                            sample_every=16)
+        flow = dl.LineBundleFlow(base1, float(np.arctan(1.0)))
+        _, samples = run_sampled(dl.run_fixed, flow, np.zeros(torus1.shape), dt=1.0 / 128,
+                                 n_steps=256, sample_every=16)
         with pytest.raises(ValueError, match="degenerate"):
-            dl.harnack_monitor(traj, m=1)
+            dl.harnack_monitor(flow, samples, m=1)
 
     def test_small_data_quotients(self, small_flow_run):
-        rep = dl.harnack_monitor(small_flow_run, m=1)
+        traj, samples = small_flow_run
+        rep = dl.harnack_monitor(traj.flow, samples, m=1)
         assert rep.positive
         assert rep.monotone
         assert np.isfinite(rep.quotient_xi) and rep.quotient_xi >= 1.0
@@ -616,14 +619,13 @@ class TestHarnackMonitor:
         assert all(np.isfinite(c) for c in rep.fitted_constants)
 
     def test_corrupted_sample_flagged(self, small_flow_run):
-        samples = list(small_flow_run.samples)
+        traj, samples = small_flow_run
+        samples = list(samples)
         k = len(samples) // 2
         # a unit cosine swings the phase of u past its range at t = 0: xi goes negative
-        bad_u = samples[k].u + cos_axis(small_flow_run.flow.geometry, 0)
+        bad_u = samples[k].u + cos_axis(traj.flow.geometry, 0)
         samples[k] = dl.FlowSample(t=samples[k].t, u=bad_u)
-        fake = SimpleNamespace(samples=samples, records=small_flow_run.records,
-                               flow=small_flow_run.flow)
-        rep = dl.harnack_monitor(fake, m=1)
+        rep = dl.harnack_monitor(traj.flow, samples, m=1)
         assert not rep.positive
         assert rep.fail_location is not None
         assert rep.fail_location == (pytest.approx(samples[k].t), "xi")

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dhym_lab as dl
-from conftest import cos_axis, fails_on_call
+from conftest import cos_axis, fails_on_call, run_sampled
 from dhym_lab import diagnostics
 from dhym_lab.config_io import modes_field
 from dhym_lab.flow import _CONTOUR_POINTS
@@ -46,6 +47,14 @@ class TestBaseCurvature:
                            match=r"^potential psi is not finite at grid index \(3, 1, 4, 2\)$"):
             dl.BaseCurvature(geometry=torus2, F0=torus2.g, psi=psi)
 
+    def test_complex_potential_refused(self, torus2):
+        # numpy dropped the imaginary part with a ComplexWarning and the run went on
+        psi = dl.bandlimited_noise(torus2, 2, 0.1, 1) * (1.0 + 0.5j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^potential psi must be real"):
+                dl.BaseCurvature(geometry=torus2, F0=torus2.g, psi=psi)
+
     @pytest.mark.parametrize("F0,at", [([[np.inf]], (0, 0)),
                                        ([[1.0, np.nan], [np.nan, 2.0]], (0, 1))])
     def test_non_finite_constant_refused_before_the_hermitian_check(self, F0, at):
@@ -62,6 +71,21 @@ def fails_on_transform(geom, f):
 
 
 class TestLineBundleFlow:
+    def test_initial_potential_checked_as_psi_is(self, torus1, base1, monkeypatch):
+        # a complex u0 lost its imaginary part with a ComplexWarning, and a non-finite
+        # one was refused with a message that named no index
+        flow = dl.LineBundleFlow(base1, 0.0)
+        monkeypatch.setattr(dl.TorusGeometry, "rfft", fails_on_transform)
+        u0 = np.zeros(torus1.shape)
+        u0[3, 1], u0[5, 0] = np.inf, np.nan
+        with pytest.raises(ValueError,
+                           match=r"^initial potential u0 is not finite at grid index \(3, 1\)$"):
+            flow.initial_state(u0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^initial potential u0 must be real"):
+                flow.initial_state(np.zeros(torus1.shape, dtype=complex))
+
     @pytest.mark.parametrize("hat_theta", [np.nan, np.inf, -np.inf])
     def test_non_finite_hat_theta_refused_before_any_phase(self, base1, hat_theta,
                                                            monkeypatch):
@@ -419,12 +443,14 @@ class TestPsiShift:
         shifted = dl.LineBundleFlow(dl.BaseCurvature(geometry=geom, F0=1.3 * geom.g, psi=psi),
                                     flat.hat_theta)
         t_max = 4 * 64 * dl.stable_dt(geom, 0.5)
-        a, b = (dl.run_flow(dl.FlowConfig(flow=flow, u0=start, t_max=t_max, sample_every=64))
-                for flow, start in ((shifted, u0), (flat, u0 + psi)))
+        (a, a_samples), (b, b_samples) = (
+            run_sampled(dl.run_flow, dl.FlowConfig(flow=flow, u0=start, t_max=t_max,
+                                                   sample_every=64))
+            for flow, start in ((shifted, u0), (flat, u0 + psi)))
         assert a.status == b.status == "timeout" and a.steps == b.steps == 4
         scale = max(np.abs(a.final.u).max(), np.abs(b.final.u).max())
         assert np.abs(a.final.u - (b.final.u - psi)).max() <= 16 * np.finfo(float).eps * scale
-        for sa, sb in zip(a.samples, b.samples):
+        for sa, sb in zip(a_samples, b_samples):
             assert sa.t == sb.t
             assert np.abs(sa.u - (sb.u - psi)).max() <= 16 * np.finfo(float).eps * scale
 
@@ -521,11 +547,11 @@ class TestRecordsReuseFlowPhase:
         base = dl.BaseCurvature(geometry=geom, F0=np.diag([1.0, 0.5][:n]),
                                 psi=0.1 * dl.bandlimited_noise(geom, 2, 1.0, 4))
         u0 = dl.bandlimited_noise(geom, 2, 0.02, 5)
-        traj = dl.run_flow(dl.FlowConfig(flow=dl.LineBundleFlow(base), u0=u0,
-                                         t_max=0.5, sample_every=4, keep_fields=None))
+        traj, samples = run_sampled(dl.run_flow, dl.FlowConfig(
+            flow=dl.LineBundleFlow(base), u0=u0, t_max=0.5, sample_every=4))
         flow = traj.final.flow
         assert len(traj.records) >= 5
-        for record, sample in zip(traj.records, traj.samples):
+        for record, sample in zip(traj.records, samples):
             # the oracle: the record of the state rebuilt from u, whose phase and Z take
             # the Hessian again
             oracle = diagnostics.build_record(flow.state(sample.u, sample.t), traj.u0_at_p)
@@ -602,8 +628,7 @@ class TestRunFlow:
     def test_single_mode_run_converges_at_linearized_rate(self, torus1, base1):
         u0 = 0.1 * cos_axis(torus1, 0)
         cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
-                            dt_safety=1.0, t_max=400.0, residual_tol=1e-10, sample_every=64,
-                            keep_fields=4)
+                            dt_safety=1.0, t_max=400.0, residual_tol=1e-10, sample_every=64)
         traj = dl.run_flow(cfg)
         assert traj.status == "converged"
         assert traj.final.residual_sup < 1e-10
@@ -619,7 +644,7 @@ class TestRunFlow:
         hat = float(np.arctan(1.0)) + np.pi
         cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, hat), u0=u0,
                             dt_safety=1.0, t_max=10.0, residual_tol=1e-10,
-                            sample_every=128, keep_fields=4)
+                            sample_every=128)
         traj = dl.run_flow(cfg)
         assert traj.status == "timeout"
         # the constant -pi velocity accumulates into the mean while the
@@ -627,26 +652,31 @@ class TestRunFlow:
         assert traj.records[-1].mean_u == pytest.approx(-np.pi * traj.t_final, rel=2e-3)
         assert traj.records[-1].osc_udot < 0.05
 
-    def test_on_record_gets_every_sample_past_the_ring(self, torus1, base1):
+    def test_on_record_gets_every_sample_and_the_trajectory_holds_no_field(self, torus1,
+                                                                              base1):
         u0 = 0.1 * cos_axis(torus1, 0)
         cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
-                            t_max=0.1, sample_every=4, keep_fields=2)
+                            t_max=0.1, sample_every=4)
         seen = []
         traj = dl.run_flow(cfg, on_record=lambda k, sample: seen.append((k, sample)))
         assert len(traj.records) >= 5
         assert [k for k, _ in seen] == list(range(len(traj.records)))
         assert [s.t for _, s in seen] == [r.t for r in traj.records]
-        assert [s for _, s in seen[-2:]] == list(traj.samples)
-        # each sample owns its u: the final state's field is a different array
-        assert not np.shares_memory(seen[-1][1].u, traj.final.u)
+        # each sample owns its u: no two share memory, nor the last with the final state's
+        fields = [s.u for _, s in seen] + [traj.final.u]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(fields)
+                       for b in fields[i + 1:])
+        # the trajectory holds none of them: each sample on_record drops is freed at once
+        refs = []
+        kept = dl.run_flow(cfg, on_record=lambda k, sample: refs.append(weakref.ref(sample.u)))
+        assert len(refs) == len(kept.records) and all(r() is None for r in refs)
 
     def test_mean_drift_identity(self, torus1, base1):
         # d/dt integral(u) = integral(theta - hat_theta), via central
         # differences of stored samples
         u0 = 0.1 * cos_axis(torus1, 0) + 0.05 * cos_axis(torus1, 1)
-        traj = dl.run_fixed(dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0,
-                            dt=5e-4, n_steps=8, sample_every=1)
-        s = list(traj.samples)
+        traj, s = run_sampled(dl.run_fixed, dl.LineBundleFlow(base1, float(np.arctan(1.0))),
+                              u0, dt=5e-4, n_steps=8, sample_every=1)
         for k in (2, 4):
             lhs = (s[k + 1].u.mean() - s[k - 1].u.mean()) * torus1.vol / (s[k + 1].t - s[k - 1].t)
             rhs = dl.volume_integral(torus1, traj.flow.rhs(s[k].u))
@@ -656,8 +686,7 @@ class TestRunFlow:
         u0 = dl.bandlimited_noise(torus1, 2, 1.0, 3)
         u0 *= 0.05 / dl.tensor_norms(torus1, u0).hess_sup
         cfg = dl.FlowConfig(flow=dl.LineBundleFlow(base1, float(np.arctan(1.0))), u0=u0,
-                            dt_safety=1.0, t_max=5.0, residual_tol=1e-12, sample_every=64,
-                            keep_fields=4)
+                            dt_safety=1.0, t_max=5.0, residual_tol=1e-12, sample_every=64)
         traj = dl.run_flow(cfg)
         Z0 = complex(traj.records[0].Z_re, traj.records[0].Z_im)
         drift = max(abs(complex(r.Z_re, r.Z_im) - Z0) for r in traj.records) / abs(Z0)
@@ -882,13 +911,12 @@ class TestEtdrk4:
         from dhym_lab.config_io import parse_config_data
 
         cfg = parse_config_data(doc).flow_config()
-        traj = dl.run_flow(cfg)
+        traj, etd = run_sampled(dl.run_flow, cfg)
         refine = 2  # RK4 at half the stable step, sampled at the same times
         dt = dl.stable_dt(cfg.flow.geometry, cfg.dt_safety) / refine
-        ref = dl.run_fixed(cfg.flow, cfg.u0, dt=dt,
-                           n_steps=int(round(cfg.t_max / dt)),
-                           sample_every=cfg.sample_every * refine)
-        etd, rk4 = list(traj.samples), list(ref.samples)
+        ref, rk4 = run_sampled(dl.run_fixed, cfg.flow, cfg.u0, dt=dt,
+                               n_steps=int(round(cfg.t_max / dt)),
+                               sample_every=cfg.sample_every * refine)
         assert traj.status == "timeout"
         assert ref.steps_rejected == 0  # a halved RK4 run is no fixed-step oracle
         assert len(etd) == len(rk4) >= 9

@@ -16,7 +16,7 @@ import dhym_lab as dl
 from dhym_lab import cli, diagnostics
 from dhym_lab.cli import main as cli_main
 from dhym_lab.config_io import parse_config, parse_config_data, read_snapshot, write_snapshot
-from conftest import fails_on_call
+from conftest import fails_on_call, run_sampled
 from spectral_oracle import base_field, characteristic_field
 
 
@@ -351,6 +351,56 @@ def test_a_parsed_config_builds(n, N, g_diag, g_off, g_dev, f_diag, f_off, f_dev
     assert cfg.initial_field(geom).shape == geom.shape
 
 
+# a sweep document with every optional block, the start of the parser's contract test
+FULL_SWEEP = minimal_config(
+    dimension=2, resolution=8, metric=[[1.0, [0.1, 0.2]], [[0.1, -0.2], 2.0]],
+    base_curvature={"constant": [[1.0, 0.0], [0.0, 0.5]], "potential": {
+        "modes": [{"m": [1, 0, 0, 0], "amplitude": 0.2, "phase": 0.3}]}},
+    hat_theta=0.9, time={"t_max": 5.0, "dt_safety": 0.5, "residual_tol": 1e-10,
+                         "sample_every": 4},
+    outputs={"dir": "runs/sweep", "snapshots": "none"},
+    sweep={"delta_list": [0.01, 0.05], "seeds": 2, "k_band": 2, "seed_base": 3})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _json_paths(doc, at=()):
+    """The path of every key and list element of a JSON document, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from _json_paths(value, at + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_sweep_parser_takes_a_document_or_names_a_path(data, tmp_path_factory):
+    # drop keys and replace values of a valid sweep document: the parser either takes
+    # it or refuses it with a ConfigError at a path; it never raises anything else
+    doc = json.loads(json.dumps(FULL_SWEEP))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        if not paths:
+            break
+        *parent, key = data.draw(st.sampled_from(paths))
+        target = doc
+        for k in parent:
+            target = target[k]
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(JSON_VALUES)
+    path = tmp_path_factory.mktemp("sweep") / "sweep.json"
+    path.write_text(json.dumps(doc))
+    try:
+        dl.parse_sweep_config(path)
+    except dl.ConfigError as exc:
+        assert exc.path.startswith("$"), exc
+
+
 SWEEP = {"delta_list": [0.01], "seeds": 1}
 # (command, document, path of its ConfigError), covering every raise site of the parsers
 CONFIG_ERRORS = [
@@ -575,7 +625,7 @@ class TestCli:
         assert cli_main(["simulate", "--config", cfg]) == 2
         run = tmp_path / "run"
         rows = (run / "diagnostics.csv").read_text().splitlines()[1:]
-        traj = _load_run_trajectory(run)
+        traj, _ = _load_run_trajectory(run)
         assert len(rows) >= 3
         assert [r.csv_row() for r in traj.records] == rows
 
@@ -595,36 +645,43 @@ class TestCli:
     }
 
     @staticmethod
-    def held_samples(monkeypatch, module):
-        """Make module's Trajectory count the samples it holds after each record."""
-        held = []
+    def held_samples(monkeypatch):
+        """Count, after each record, the sample fields a run hands out that are still held."""
+        import dhym_lab.flow as flow_mod
 
-        class Counted(dl.Trajectory):
-            def record(self, state):
-                super().record(state)
-                held.append(len(self.samples))
+        held, fields = [], []
+        record = dl.Trajectory.record
 
-        monkeypatch.setattr(module, "Trajectory", Counted)
+        class Counted(dl.FlowSample):
+            def __init__(self, t, u):
+                super().__init__(t, u)
+                fields.append(weakref.ref(u))
+
+        def counted(self, state):
+            record(self, state)
+            held.append(sum(f() is not None for f in fields))
+
+        monkeypatch.setattr(flow_mod, "FlowSample", Counted)
+        monkeypatch.setattr(dl.Trajectory, "record", counted)
         return held
 
     @pytest.mark.parametrize("name", sorted(STREAMED_RUNS))
     def test_streamed_snapshots_equal_the_post_run_writer(self, tmp_path, monkeypatch, name):
-        import dhym_lab.flow as flow_mod
-
         doc = dict(self.STREAMED_RUNS[name],
                    outputs={"dir": str(tmp_path / "run"), "snapshots": "all-samples"})
         path = self.write_config(tmp_path, doc)
-        held = self.held_samples(monkeypatch, flow_mod)
+        held = self.held_samples(monkeypatch)
         assert cli_main(["simulate", "--config", path]) == 2
-        assert len(held) >= 5 and max(held) <= 4  # keep_fields=4, not every sample
+        # the writes in flight, and at most one the writer has ended but not yet let go
+        assert len(held) >= 5 and max(held) <= cli._PENDING_WRITES + 1  # not every sample
         monkeypatch.undo()
         # the oracle: every sample held to the end of the run, then written one by one
         cfg = parse_config(path)
-        flow_cfg = cfg.flow_config(keep_fields=None)
-        traj = dl.run_flow(flow_cfg)
+        flow_cfg = cfg.flow_config()
+        traj, samples = run_sampled(dl.run_flow, flow_cfg)
         oracle = tmp_path / "oracle"
         oracle.mkdir()
-        for k, s in enumerate(traj.samples):
+        for k, s in enumerate(samples):
             write_snapshot(s.u, "u", s.t, flow_cfg.flow.geometry, oracle / f"u_{k:06d}.snap")
         streamed = {p.name: p.read_bytes() for p in (tmp_path / "run").glob("u_*.snap")}
         assert len(streamed) == len(traj.records)
@@ -662,12 +719,13 @@ class TestCli:
         run = tmp_path / "run"
         snaps = sorted(run.glob("u_*.snap"))
         m = len(snaps) // 2
-        held = self.held_samples(monkeypatch, cli)
-        traj = cli._load_run_trajectory(run, norms=False)
+        held = self.held_samples(monkeypatch)
+        traj, bracket = cli._load_run_trajectory(run, norms=False)
+        monkeypatch.undo()
         assert len(traj.records) == len(snaps) >= 5
         assert max(held) <= 3
-        assert [s.t for s in traj.samples] == [read_snapshot(snaps[k])[1]["t"]
-                                               for k in (m - 1, m, m + 1)]
+        assert [s.t for s in bracket] == [read_snapshot(snaps[k])[1]["t"]
+                                          for k in (m - 1, m, m + 1)]
         # no reference cycle: the trajectory is freed with its last reference, not at
         # a later garbage collection, so repeated loads do not pile up
         gone = weakref.ref(traj)
@@ -685,11 +743,13 @@ class TestCli:
     def load_every_sample(run_dir, norms=True):
         """The run-directory loader that holds every sample: the oracle of the bracket."""
         flow = parse_config(run_dir / "effective-config.json").flow()
-        traj = dl.Trajectory(flow, norms=norms)
+        samples = []
+        traj = dl.Trajectory(flow, norms=norms, on_record=lambda k, s: samples.append(s))
         for snap in sorted(run_dir.glob("u_[0-9]*.snap")):
             u, header = read_snapshot(snap)
             traj.record(flow.state(u, header["t"]))
-        return traj
+        m = len(samples) // 2
+        return traj, samples[m - 1:m + 2]
 
     @staticmethod
     def spy_records(monkeypatch, force_full):
@@ -713,23 +773,20 @@ class TestCli:
         initial={"type": "noise", "k_band": 2, "seed": 1, "target_hess_sup": 0.05})
 
     def test_verify_config_holds_its_bracket(self, tmp_path, monkeypatch):
-        import dhym_lab.flow as flow_mod
-
         cfg = parse_config(self.write_config(tmp_path, self.VERIFY_N2))
-        held = self.held_samples(monkeypatch, flow_mod)
-        traj = cli._verify_config_trajectory(cfg)
+        held = self.held_samples(monkeypatch)
+        traj, bracket = cli._verify_config_trajectory(cfg)
         monkeypatch.undo()
-        assert len(traj.records) == 9 and len(held) >= 9 and max(held) == 0
+        assert len(traj.records) == 9 and len(held) >= 9 and max(held) <= 3
         # the oracle: the same run with every sample held, whose middle `_cmd_verify` read
         flow = cfg.flow()
         geom = flow.geometry
-        full = dl.run_fixed(flow, cfg.initial_field(geom),
-                            dt=min(1e-3, dl.stable_dt(geom, cfg.time["dt_safety"])), n_steps=8,
-                            norms=False)
-        samples = list(full.samples)
-        assert len(traj.samples) == 3
-        assert traj.samples[1].t == samples[len(samples) // 2].t
-        for kept, s in zip(traj.samples, samples[3:6]):
+        full, samples = run_sampled(
+            dl.run_fixed, flow, cfg.initial_field(geom),
+            dt=min(1e-3, dl.stable_dt(geom, cfg.time["dt_safety"])), n_steps=8, norms=False)
+        assert len(bracket) == 3
+        assert bracket[1].t == samples[len(samples) // 2].t
+        for kept, s in zip(bracket, samples[3:6]):
             assert kept.t == s.t
             assert np.array_equal(kept.u, s.u)
         assert [r.csv_row() for r in traj.records] == [r.csv_row() for r in full.records]
@@ -896,8 +953,68 @@ class TestCli:
         assert err.startswith(f"error: config error at {at}: invalid JSON: "), err
         assert not out.exists()
 
-    def test_phase_table_size_mismatch_rejected(self, tmp_path):
+    def test_phase_table_metric_of_another_size_named(self, tmp_path, capsys):
+        # it ended in a bare matmul error before
+        inp = tmp_path / "mats.jsonl"
+        inp.write_text("[[1.0, 0.0], [0.0, 2.0]]\n[[0.5, 0.0], [0.0, 1.0]]\n")
+        metric = tmp_path / "g.json"
+        metric.write_text("[[1]]")
+        out = tmp_path / "t.csv"
+        assert cli_main(["phase-table", "--input", str(inp), "--output", str(out),
+                         "--metric", str(metric)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config error at {metric}: the metric is 1x1 but the input matrices "
+            "are 2x2"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["input", "metric"])
+    def test_phase_table_non_hermitian_named_at_its_line(self, tmp_path, capsys, where):
+        # a non-Hermitian input line was named by no file or line before
+        inp = tmp_path / "mats.jsonl"
+        bad = "[[1.0, 2.0], [0.0, 1.0]]"
+        inp.write_text(f"[[1.0, 0.0], [0.0, 2.0]]\n{bad}\n" if where == "input"
+                       else "[[1.0, 0.0], [0.0, 2.0]]\n")
+        metric = tmp_path / "g.json"
+        metric.write_text(bad if where == "metric" else "[[1.0, 0.0], [0.0, 1.0]]")
+        out = tmp_path / "t.csv"
+        assert cli_main(["phase-table", "--input", str(inp), "--output", str(out),
+                         "--metric", str(metric)]) == 1
+        at, label = (f"{inp}:2", "curvature input") if where == "input" else (metric, "metric")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config error at {at}: non-Hermitian {label}"]
+        assert not out.exists()
+
+    # the three huge bases of one 8 x 8 torus whose e_1^2 - 2 e_2 overflows
+    HUGE_BASES = {"constant-1e200": {"constant": [[1e200]]},
+                  "constant-1e308": {"constant": [[1e308]]},
+                  "psi-1e300": {"constant": [[1.0]], "potential": {
+                      "modes": [{"m": [1, 0], "amplitude": 1e300}]}}}
+
+    @pytest.mark.parametrize("command", ["hat-theta", "simulate"])
+    @pytest.mark.parametrize("base", sorted(HUGE_BASES))
+    def test_curvature_too_large_for_the_winding_refused(self, tmp_path, capsys, monkeypatch,
+                                                         command, base):
+        # hat-theta printed a NaN hat_theta and exited 0, and simulate halved its step
+        # 11 times and ended as "blowup"; now both end with one error line before any step
+        import dhym_lab.flow as flow_mod
+
+        monkeypatch.setattr(flow_mod, "_integrate", None)
+        run = tmp_path / "run"
+        cfg = self.write_config(tmp_path, minimal_config(
+            resolution=8, base_curvature=self.HUGE_BASES[base], outputs={"dir": str(run)}))
+        assert cli_main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: curvature too large for the winding: its eigenvalue bound or winding "
+            "path is not finite"]
+        assert not run.exists() or not any(run.iterdir())
+
+    def test_phase_table_size_mismatch_rejected(self, tmp_path, capsys):
         inp = tmp_path / "mats.jsonl"
         inp.write_text("[[1.0]]\n[[1.0, 0.0], [0.0, 1.0]]\n")
         out = tmp_path / "t.csv"
         assert cli_main(["phase-table", "--input", str(inp), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config error at {inp}:2: matrix size differs from the first line"]
+        assert not out.exists()
