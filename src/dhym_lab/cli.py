@@ -27,17 +27,19 @@ from .config_io import (
     _SNAPSHOT_MODES,
     ConfigError,
     RunConfig,
-    _entry,
-    _initial,
+    _as_complex,
+    _json_value,
+    _matrix,
     parse_config,
     parse_sweep_config,
     read_snapshot,
     write_config,
     write_diagnostics,
+    write_json,
     write_snapshot,
 )
 from .flow import LineBundleFlow, Trajectory, run_flow, run_fixed, stable_dt
-from .geometry import _workers, check_hermitian_field
+from .geometry import _workers
 from .harness import generate_reference, stability_sweep
 from .phase import pointwise_phase
 
@@ -49,15 +51,6 @@ def _ensure_dir(path: str) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     return p
-
-
-def _apply_seed_override(cfg: RunConfig, seed: int | None) -> RunConfig:
-    if seed is None:
-        return cfg
-    if cfg.initial.get("type") != "noise":
-        raise ConfigError("$.initial", "--seed-override requires noise initial data")
-    cfg.initial = _initial(dict(cfg.initial, seed=seed), cfg.dimension, cfg.resolution, "$.initial")
-    return cfg
 
 
 @contextmanager
@@ -84,10 +77,10 @@ def _snapshot_writer(geom, out_dir: Path):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _apply_seed_override(parse_config(args.config), args.seed_override)
+    cfg = parse_config(args.config)
+    flow_cfg = cfg.flow_config()  # a refused flow leaves no output directory
     out_dir = _ensure_dir(args.out_dir or cfg.outputs["dir"])
     snapshots = args.snapshots or cfg.outputs["snapshots"]
-    flow_cfg = cfg.flow_config()
     write_config(cfg, out_dir / "effective-config.json")
 
     geom = flow_cfg.flow.geometry
@@ -98,7 +91,7 @@ def _cmd_simulate(args) -> int:
     if snapshots == "final":
         write_snapshot(traj.final.u, "u_final", traj.final.t, geom, out_dir / "u_final.snap")
     first, last = traj.records[0], traj.records[-1]
-    report = {
+    write_json({
         "status": traj.status,
         "t_final": traj.final.t,
         "steps": traj.steps,
@@ -110,10 +103,7 @@ def _cmd_simulate(args) -> int:
         "Z_initial": [first.Z_re, first.Z_im],
         "Z_final": [last.Z_re, last.Z_im],
         "records": len(traj.records),
-    }
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    }, out_dir / "report.json")
     print(f"status: {traj.status}  t={traj.final.t:g}  residual={traj.final.residual_sup:.3e}")
     return _STATUS_CODES.get(traj.status, 1)
 
@@ -205,10 +195,7 @@ def _cmd_sweep(args) -> int:
     spec = parse_sweep_config(args.config)
     report = stability_sweep(spec.sweep_config())
     out_dir = _ensure_dir(args.out_dir or spec.run.outputs["dir"])
-    out = args.out or (out_dir / "report.json")
-    with open(out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(report.to_dict(), out_dir / "report.json")
     for cell in report.cells:
         if cell.records:
             name = f"cell_d{cell.delta:g}_s{cell.seed}.csv"
@@ -222,8 +209,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_reference(args) -> int:
     cfg = parse_config(args.config)
+    flow_cfg = cfg.flow_config()  # a refused flow leaves no output directory
     out_dir = _ensure_dir(args.out_dir or cfg.outputs["dir"])
-    flow_cfg = cfg.flow_config()
     try:
         ref = generate_reference(flow_cfg)
     except RuntimeError as exc:
@@ -231,14 +218,11 @@ def _cmd_reference(args) -> int:
         return 1
     write_snapshot(ref.u_hat, "u_hat", ref.trajectory.t_final,
                    flow_cfg.flow.geometry, out_dir / "u_hat.snap")
-    report = {
+    write_json({
         "hat_theta": flow_cfg.flow.hat_theta,
         "residual_sup": ref.residual_sup,
         "identities": [rep.to_dict() for rep in ref.identities],
-    }
-    with open(out_dir / "reference-report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    }, out_dir / "reference-report.json")
     print(f"reference: residual={ref.residual_sup:.3e}")
     return 0
 
@@ -248,8 +232,7 @@ def _cmd_hat_theta(args) -> int:
     # the lift of the base's class whatever hat_theta the config gives, so the flow
     # takes 0.0 rather than a winding of its own: only its planes are read
     flow = LineBundleFlow(cfg.base(cfg.geometry()), 0.0)
-    geom = flow.geometry
-    inv = cohomology_invariants(geom, flow.phase_fields(flow.spectrum(np.zeros(geom.shape))).e)
+    inv = cohomology_invariants(flow.geometry, flow.class_coefficients())
     doc = {
         "Z_re": inv.Z.real,
         "Z_im": inv.Z.imag,
@@ -261,30 +244,6 @@ def _cmd_hat_theta(args) -> int:
     return 0
 
 
-def _json_value(text: str, where: str):
-    """The JSON value of a text, or a ConfigError at where."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(where, f"invalid JSON: {exc}") from None
-
-
-def _matrix_of(rows, where: str, label: str) -> np.ndarray:
-    """A Hermitian matrix from a JSON list of rows of numbers or [re, im] pairs."""
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError(where, "expected a square matrix as a nonempty list of rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(rows):
-            raise ConfigError(f"{where}[{i}]", f"expected a row of {len(rows)} entries")
-    M = np.array([[complex(*_entry(e, f"{where}[{i}][{j}]")) for j, e in enumerate(row)]
-                  for i, row in enumerate(rows)])
-    try:
-        check_hermitian_field(M, label=label)
-    except ValueError as exc:
-        raise ConfigError(where, str(exc)) from None
-    return M
-
-
 def _cmd_phase_table(args) -> int:
     with open(args.input) as fh:
         matrices = []
@@ -293,7 +252,7 @@ def _cmd_phase_table(args) -> int:
             if not line:
                 continue
             where = f"{args.input}:{lineno}"
-            M = _matrix_of(_json_value(line, where), where, "curvature input")
+            M = _as_complex(_matrix(_json_value(line, where), where, "curvature input"))
             if matrices and M.shape != matrices[0].shape:
                 raise ConfigError(where, "matrix size differs from the first line")
             matrices.append(M)
@@ -302,7 +261,7 @@ def _cmd_phase_table(args) -> int:
     n = matrices[0].shape[0]
     if args.metric:
         with open(args.metric) as fh:
-            g = _matrix_of(_json_value(fh.read(), args.metric), args.metric, "metric")
+            g = _as_complex(_matrix(_json_value(fh.read(), args.metric), args.metric, "metric"))
         if g.shape != (n, n):
             raise ConfigError(args.metric, f"the metric is {len(g)}x{len(g)} but the input "
                                            f"matrices are {n}x{n}")
@@ -337,8 +296,6 @@ def main(argv=None) -> int:
     p.add_argument("--out-dir", default=None, help="output directory (default: config outputs.dir)")
     p.add_argument("--snapshots", choices=_SNAPSHOT_MODES, default=None,
                    help="field snapshot policy (default: config outputs.snapshots)")
-    p.add_argument("--seed-override", type=int, default=None,
-                   help="replace the noise seed of the initial data")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the identity/invariant suite")
@@ -350,8 +307,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="perturbation stability sweep")
     p.add_argument("--config", required=True, help="sweep configuration JSON")
-    p.add_argument("--out", default=None, help="report JSON path (default: out-dir/report.json)")
-    p.add_argument("--out-dir", default=None, help="directory for per-cell CSVs")
+    p.add_argument("--out-dir", default=None,
+                   help="directory for report.json and the per-cell CSVs "
+                        "(default: config outputs.dir)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("reference", help="generate a converged reference metric")

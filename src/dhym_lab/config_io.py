@@ -1,11 +1,12 @@
-"""Run-configuration schema, snapshot files, and diagnostics CSV.
+"""The CLI's file formats: run configurations and the matrices of `phase-table` in,
+the effective config, JSON reports, snapshot files and diagnostics CSV out.
 
 Configurations are JSON documents validated strictly: unknown keys are
 rejected with the JSON path of the offender, matrices are Hermitian-checked
 on load, and every parsed configuration is normalized so that
 parse(write(config)) round-trips exactly.  Complex matrix entries are
 written as [re, im] pairs; bare numbers are accepted on input and
-normalized.
+normalized.  `phase-table` reads its matrices with the same reader.
 
 Field snapshots are a single JSON header line followed by raw little-endian
 bytes; time series go to CSV with full round-trip float formatting.
@@ -32,6 +33,7 @@ __all__ = [
     "parse_config_data",
     "parse_sweep_config",
     "write_config",
+    "write_json",
     "write_diagnostics",
     "write_snapshot",
     "read_snapshot",
@@ -55,8 +57,8 @@ def _require_keys(obj: dict, path: str, required: tuple, optional: tuple) -> Non
     if not isinstance(obj, dict):
         raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
     for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}.{key}", "unknown key")
+        if key not in required and key not in optional:  # repr keeps the message one line
+            raise ConfigError(f"{path}.{key if key.isprintable() else repr(key)}", "unknown key")
     for key in required:
         if key not in obj:
             raise ConfigError(path, f"missing required key {key!r}")
@@ -85,18 +87,27 @@ def _entry(obj, path: str) -> list:
     raise ConfigError(path, "matrix entry must be a number or an [re, im] pair")
 
 
-def _matrix(obj, n: int, path: str, hermitian_name: str) -> list:
-    if not isinstance(obj, list) or len(obj) != n:
+def _matrix(obj, path: str, label: str, n: int | None = None) -> list:
+    """A Hermitian matrix as rows of [re, im] pairs (`_entry`): n rows of n entries, or
+    rows of any one square size when n is None.  A non-Hermitian one is refused with
+    `check_hermitian_field`'s message for label."""
+    if n is None:
+        if not isinstance(obj, list) or not obj:
+            raise ConfigError(path, "expected a square matrix as a nonempty list of rows")
+        n, row_error = len(obj), f"expected a row of {len(obj)} entries"
+    elif not isinstance(obj, list) or len(obj) != n:
         raise ConfigError(path, f"expected {n} rows")
+    else:
+        row_error = f"expected {n} entries"
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
-            raise ConfigError(f"{path}[{i}]", f"expected {n} entries")
-        rows.append([_entry(row[j], f"{path}[{i}][{j}]") for j in range(n)])
+            raise ConfigError(f"{path}[{i}]", row_error)
+        rows.append([_entry(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
     try:
-        check_hermitian_field(_as_complex(rows))
-    except ValueError:
-        raise ConfigError(path, f"{hermitian_name} matrix is not Hermitian") from None
+        check_hermitian_field(_as_complex(rows), label=label)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
     return rows
 
 
@@ -231,13 +242,14 @@ def parse_config_data(data: dict, source: str = "$") -> RunConfig:
     error = _grid_error(n, N)
     if error is not None:
         raise ConfigError(f"{source}.{error[0]}", error[1])
-    metric = _matrix(data["metric"], n, f"{source}.metric", "metric")
+    metric = _matrix(data["metric"], f"{source}.metric", "metric", n)
     if np.linalg.eigvalsh(_as_complex(metric)).min() <= 0:
         raise ConfigError(f"{source}.metric", "metric not positive definite")
 
     bc = data["base_curvature"]
     _require_keys(bc, f"{source}.base_curvature", ("constant",), ("potential",))
-    constant = _matrix(bc["constant"], n, f"{source}.base_curvature.constant", "constant curvature")
+    constant = _matrix(bc["constant"], f"{source}.base_curvature.constant",
+                       "constant curvature", n)
     potential_modes = None
     if "potential" in bc:
         pot = bc["potential"]
@@ -278,22 +290,33 @@ def parse_config_data(data: dict, source: str = "$") -> RunConfig:
     )
 
 
+def _json_value(text: str, where: str):
+    """The JSON value of a text, or a ConfigError at where."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(where, f"invalid JSON: {exc}") from None
+
+
 def _load_json(path):
     with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("$", f"invalid JSON: {exc}") from exc
+        return _json_value(fh.read(), "$")
 
 
 def parse_config(path) -> RunConfig:
     return parse_config_data(_load_json(path))
 
 
-def write_config(config: RunConfig, path) -> None:
+def write_json(doc, path) -> None:
+    """A JSON document indented by 2, with a final newline: the effective config and the
+    reports."""
     with open(path, "w") as fh:
-        json.dump(config.to_json_dict(), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def write_config(config: RunConfig, path) -> None:
+    write_json(config.to_json_dict(), path)
 
 
 # ---------------------------------------------------------------------------

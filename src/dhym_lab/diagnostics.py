@@ -82,10 +82,6 @@ __all__ = [
     "harnack_monitor",
 ]
 
-CSV_COLUMNS = (
-    "t,residual_sup,theta_max,theta_min,grad_sq_sup,Theta_sup,ThetaP_sup,"
-    "Gamma_sup,Q_sup,hess_sup,Z_re,Z_im,osc_udot,mean_u"
-)
 # the columns built from the tensor norms: NaN in a phase-only record
 TENSOR_COLUMNS = ("grad_sq_sup", "Theta_sup", "ThetaP_sup", "Gamma_sup", "Q_sup", "hess_sup")
 _TAIL_FRACTION = 0.5  # the share of the records, the last ones, that `oscillation_decay` fits
@@ -110,6 +106,9 @@ class DiagnosticsRecord:
 
     def csv_row(self) -> str:  # not dataclasses.astuple, which deep-copies every field
         return ",".join(repr(float(getattr(self, f.name))) for f in dataclasses.fields(self))
+
+
+CSV_COLUMNS = ",".join(f.name for f in dataclasses.fields(DiagnosticsRecord))
 
 
 @dataclass(frozen=True, eq=False)

@@ -180,10 +180,16 @@ class LineBundleFlow:
         self._f0 = [[float(c) for c in row] for row in hermitian_planes(F0)]
         self._psi_hat = None if base.psi is None else self.spectrum(base.psi)
         self._wh = None if base.psi is None else np.empty_like(self._psi_hat)
-        if hat_theta is None:  # F_hat's class is that of the planes at u = 0
-            e = self.phase_fields(self.spectrum(np.zeros(geometry.shape))).e
-            hat_theta = winding_hat_theta(geometry, e)
+        if hat_theta is None:
+            hat_theta = winding_hat_theta(geometry, self.class_coefficients())
         self.hat_theta = float(hat_theta)
+
+    def class_coefficients(self) -> list:
+        """The characteristic coefficients e_0..e_n of F_hat's class: those of the planes
+        at u = 0.  They overflow for a curvature too large for the winding, which
+        `cohomology` refuses, so they are taken under its np.errstate."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.phase_fields(self.spectrum(np.zeros(self.geometry.shape))).e
 
     def spectrum(self, f: np.ndarray) -> np.ndarray:
         """Half spectrum of a real grid field."""

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import shutil
@@ -6,6 +8,7 @@ import threading
 import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dhym_lab as dl
+import dhym_lab.flow as flow_mod
 from dhym_lab import cli, diagnostics
 from dhym_lab.cli import main as cli_main
 from dhym_lab.config_io import parse_config, parse_config_data, read_snapshot, write_snapshot
@@ -60,7 +64,7 @@ class TestParseConfig:
         with pytest.raises(dl.ConfigError) as info:
             parse_config_data(doc)
         assert info.value.path == f"$.{key}"
-        assert str(info.value) == f"config error at $.{key}: {name} matrix is not Hermitian"
+        assert str(info.value) == f"config error at $.{key}: non-Hermitian {name}"
 
     def test_non_pd_metric(self):
         with pytest.raises(dl.ConfigError, match="metric not positive definite"):
@@ -214,7 +218,9 @@ class TestDiagnosticsCsv:
         dl.write_diagnostics(traj.records, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2
-        assert lines[0] == dl.CSV_COLUMNS
+        assert lines[0] == dl.CSV_COLUMNS == (  # the header is a file format: spelled out
+            "t,residual_sup,theta_max,theta_min,grad_sq_sup,Theta_sup,ThetaP_sup,"
+            "Gamma_sup,Q_sup,hess_sup,Z_re,Z_im,osc_udot,mean_u")
         row = lines[1].split(",")
         assert len(row) == len(dl.CSV_COLUMNS.split(","))
         assert float(row[0]) == 0.0
@@ -375,30 +381,86 @@ def _json_paths(doc, at=()):
         yield from _json_paths(value, at + (key,))
 
 
+def _mutated(data, doc, values):
+    """doc after one to three edits, each dropping a key or list element or replacing it,
+    or the whole document, with a draw of values."""
+    box = [json.loads(json.dumps(doc))]  # the document is box[0], so it can be replaced too
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parent, key = data.draw(st.sampled_from(list(_json_paths(box))))
+        target = box
+        for k in parent:
+            target = target[k]
+        if parent and data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(values)
+    return box[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_the_sweep_parser_takes_a_document_or_names_a_path(data, tmp_path_factory):
     # drop keys and replace values of a valid sweep document: the parser either takes
     # it or refuses it with a ConfigError at a path; it never raises anything else
-    doc = json.loads(json.dumps(FULL_SWEEP))
-    for _ in range(data.draw(st.integers(1, 3))):
-        paths = list(_json_paths(doc))
-        if not paths:
-            break
-        *parent, key = data.draw(st.sampled_from(paths))
-        target = doc
-        for k in parent:
-            target = target[k]
-        if data.draw(st.booleans()):
-            del target[key]
-        else:
-            target[key] = data.draw(JSON_VALUES)
     path = tmp_path_factory.mktemp("sweep") / "sweep.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_mutated(data, FULL_SWEEP, JSON_VALUES)))
     try:
         dl.parse_sweep_config(path)
     except dl.ConfigError as exc:
         assert exc.path.startswith("$"), exc
+
+
+class _Ran(BaseException):
+    """Raised in place of a run's integration: the command took its input.  Not an
+    Exception, so that a sweep does not record it as a failed cell."""
+
+
+# JSON values whose numbers keep a document the CLI takes at n <= 2 and N <= 16, so no
+# grid costs time or memory, and away from magnitudes below 1e-6, where a metric's
+# frame overflows (CHANGES.md FOUND)
+CLI_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 16) | st.text(max_size=4)
+    | st.just(0.0) | st.floats(1e-6, 4.0) | st.floats(-4.0, -1e-6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+FULL_RUN = dict({k: v for k, v in FULL_SWEEP.items() if k != "sweep"},
+                initial={"type": "noise", "k_band": 2, "seed": 1, "target_hess_sup": 0.05})
+MATRIX = [[1.0, [0.0, -0.5]], [[0.0, 0.5], 2.0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       command=st.sampled_from(["simulate", "verify", "sweep", "reference", "phase-table"]))
+def test_the_cli_refuses_a_document_in_one_line_or_runs(data, command, tmp_path_factory):
+    # a run document with keys dropped or values replaced, or a phase-table line or
+    # metric file so edited: the command exits 1 with one error line and no traceback,
+    # or it takes the input and runs, here up to its flow's integration, patched out
+    tmp = tmp_path_factory.mktemp("cli")
+    if command == "phase-table":
+        text = json.dumps(_mutated(data, MATRIX, CLI_VALUES))
+        edited = data.draw(st.sampled_from(["input", "metric"]))
+        (tmp / "in.jsonl").write_text((text if edited == "input" else json.dumps(MATRIX)) + "\n")
+        (tmp / "g.json").write_text(text if edited == "metric" else "[[1.0, 0.0], [0.0, 1.0]]")
+        argv = [command, "--input", str(tmp / "in.jsonl"), "--output", str(tmp / "t.csv"),
+                "--metric", str(tmp / "g.json")]
+    else:
+        doc = _mutated(data, FULL_SWEEP if command == "sweep" else FULL_RUN, CLI_VALUES)
+        (tmp / "c.json").write_text(json.dumps(doc))
+        argv = [command, "--config", str(tmp / "c.json"),
+                "--out" if command == "verify" else "--out-dir", str(tmp / "out")]
+    err = io.StringIO()
+    with mock.patch.object(flow_mod, "_integrate", side_effect=_Ran), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except _Ran:
+            return
+    lines = err.getvalue().splitlines()
+    if command == "phase-table" and code == 0:
+        assert lines == []
+        return
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
 
 
 SWEEP = {"delta_list": [0.01], "seeds": 1}
@@ -428,6 +490,8 @@ CONFIG_ERRORS = [
     ("simulate", minimal_config(outputs={"snapshots": "some"}), "$.outputs.snapshots"),
     ("simulate", minimal_config(outputs={"dir": 3}), "$.outputs.dir"),
     ("simulate", minimal_config(outputs={"dir": None}), "$.outputs.dir"),
+    # a key that would break the error line is named by its repr
+    ("simulate", minimal_config(**{"x\ny": 1}), "$.'x\\ny'"),
     ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=0.01)), "$.sweep.delta_list"),
     ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=[])), "$.sweep.delta_list"),
     ("sweep", minimal_config(sweep=dict(SWEEP, delta_list=[-0.01])), "$.sweep.delta_list"),
@@ -500,28 +564,6 @@ class TestCli:
             time={"t_max": 0.5},
             outputs={"dir": str(tmp_path / "run")}))
         assert cli_main(["simulate", "--config", cfg]) == 2
-
-    def test_simulate_seed_override(self, tmp_path):
-        doc = minimal_config(
-            hat_theta=float(np.arctan(1.0)),
-            initial={"type": "noise", "k_band": 2, "seed": 1, "target_hess_sup": 0.02},
-            time={"t_max": 0.2},
-            outputs={"dir": str(tmp_path / "run")})
-        cfg = self.write_config(tmp_path, doc)
-        cli_main(["simulate", "--config", cfg, "--seed-override", "9"])
-        eff = json.loads((tmp_path / "run" / "effective-config.json").read_text())
-        assert eff["initial"]["seed"] == 9
-
-    def test_negative_seed_override_refused_before_any_output(self, tmp_path, capsys):
-        # the override takes the parser's check of initial.seed
-        doc = minimal_config(
-            initial={"type": "noise", "k_band": 2, "seed": 1, "target_hess_sup": 0.02},
-            outputs={"dir": str(tmp_path / "run")})
-        cfg = self.write_config(tmp_path, doc)
-        assert cli_main(["simulate", "--config", cfg, "--seed-override", "-1"]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: config error at $.initial.seed: seed must be nonnegative"]
-        assert not (tmp_path / "run").exists()
 
     def test_simulate_bad_config_exit_one(self, tmp_path):
         cfg = self.write_config(tmp_path, minimal_config(metric=[[-1.0]]))
@@ -984,31 +1026,34 @@ class TestCli:
             f"error: config error at {at}: non-Hermitian {label}"]
         assert not out.exists()
 
-    # the three huge bases of one 8 x 8 torus whose e_1^2 - 2 e_2 overflows
-    HUGE_BASES = {"constant-1e200": {"constant": [[1e200]]},
-                  "constant-1e308": {"constant": [[1e308]]},
-                  "psi-1e300": {"constant": [[1.0]], "potential": {
-                      "modes": [{"m": [1, 0], "amplitude": 1e300}]}}}
+    # the huge bases of one 8 x 8 torus, as config keys, whose e_1^2 - 2 e_2 overflows
+    HUGE_BASES = {"constant-1e200": {"base_curvature": {"constant": [[1e200]]}},
+                  "constant-1e308": {"base_curvature": {"constant": [[1e308]]}},
+                  "psi-1e300": {"base_curvature": {"constant": [[1.0]], "potential": {
+                      "modes": [{"m": [1, 0], "amplitude": 1e300}]}}},
+                  "n2-constant-1e200": {"dimension": 2, "metric": [[1.0, 0.0], [0.0, 1.0]],
+                                        "base_curvature": {"constant": [[1e200, 0.0],
+                                                                        [0.0, 1e200]]}}}
 
-    @pytest.mark.parametrize("command", ["hat-theta", "simulate"])
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings came before the error
+    @pytest.mark.parametrize("command", ["hat-theta", "simulate", "reference"])
     @pytest.mark.parametrize("base", sorted(HUGE_BASES))
     def test_curvature_too_large_for_the_winding_refused(self, tmp_path, capsys, monkeypatch,
                                                          command, base):
         # hat-theta printed a NaN hat_theta and exited 0, and simulate halved its step
-        # 11 times and ended as "blowup"; now both end with one error line before any step
-        import dhym_lab.flow as flow_mod
-
+        # 11 times and ended as "blowup"; now each ends with one error line before any
+        # step and before its output directory is made
         monkeypatch.setattr(flow_mod, "_integrate", None)
         run = tmp_path / "run"
         cfg = self.write_config(tmp_path, minimal_config(
-            resolution=8, base_curvature=self.HUGE_BASES[base], outputs={"dir": str(run)}))
+            resolution=8, outputs={"dir": str(run)}, **self.HUGE_BASES[base]))
         assert cli_main([command, "--config", cfg]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: curvature too large for the winding: its eigenvalue bound or winding "
             "path is not finite"]
-        assert not run.exists() or not any(run.iterdir())
+        assert not run.exists()
 
     def test_phase_table_size_mismatch_rejected(self, tmp_path, capsys):
         inp = tmp_path / "mats.jsonl"
