@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .cohomology import cohomology_invariants
 from .config_io import (
     _SNAPSHOT_MODES,
     ConfigError,
@@ -30,6 +29,7 @@ from .config_io import (
     _as_complex,
     _json_value,
     _matrix,
+    _metric,
     parse_config,
     parse_sweep_config,
     read_snapshot,
@@ -229,10 +229,9 @@ def _cmd_reference(args) -> int:
 
 def _cmd_hat_theta(args) -> int:
     cfg = parse_config(args.config)
-    # the lift of the base's class whatever hat_theta the config gives, so the flow
-    # takes 0.0 rather than a winding of its own: only its planes are read
-    flow = LineBundleFlow(cfg.base(cfg.geometry()), 0.0)
-    inv = cohomology_invariants(flow.geometry, flow.class_coefficients())
+    # the lift of the base's class whatever hat_theta the config gives: the flow built
+    # without one winds its class once
+    inv = LineBundleFlow(cfg.base(cfg.geometry())).class_invariants
     doc = {
         "Z_re": inv.Z.real,
         "Z_im": inv.Z.imag,
@@ -261,7 +260,7 @@ def _cmd_phase_table(args) -> int:
     n = matrices[0].shape[0]
     if args.metric:
         with open(args.metric) as fh:
-            g = _as_complex(_matrix(_json_value(fh.read(), args.metric), args.metric, "metric"))
+            g = _as_complex(_metric(_json_value(fh.read(), args.metric), args.metric))
         if g.shape != (n, n):
             raise ConfigError(args.metric, f"the metric is {len(g)}x{len(g)} but the input "
                                            f"matrices are {n}x{n}")

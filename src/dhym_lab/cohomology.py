@@ -39,13 +39,14 @@ __all__ = [
 
 _T_START_MIN = 1e4  # the path runs from max(_T_START_MIN, 4 n Lambda) down to t = 1
 _N_POINTS = 4096  # geometrically spaced
+_TOO_LARGE = ("curvature too large for the winding: its eigenvalue bound or winding path is "
+              "not finite")
 
 
 @dataclass(frozen=True)
 class CohomologyInvariants:
     Z: complex
     hat_theta: float
-    vol: float
 
 
 def _winding(geom: TorusGeometry, e: list) -> tuple:
@@ -66,8 +67,7 @@ def _winding(geom: TorusGeometry, e: list) -> tuple:
         # a sum, not a matmul, which wakes BLAS worker threads whatever DHYM_THREADS is
         Zs = (powers * coeff).sum(axis=1)
     if not (np.isfinite(lam_bound) and np.isfinite(Zs).all()):
-        raise RuntimeError("curvature too large for the winding: its eigenvalue bound "
-                           "or winding path is not finite")
+        raise RuntimeError(_TOO_LARGE)
     floor = 1e-8 * ts ** geom.n * geom.vol
     if (np.abs(Zs) < floor).any():
         raise RuntimeError("winding path crosses zero; hat_theta ill-defined")
@@ -90,6 +90,6 @@ def winding_hat_theta(geom: TorusGeometry, e: list) -> float:
 
 
 def cohomology_invariants(geom: TorusGeometry, e: list) -> CohomologyInvariants:
-    """Z, lifted hat_theta and volume from the characteristic coefficients e."""
+    """Z and the lifted hat_theta from the characteristic coefficients e."""
     Z, lift = _winding(geom, e)
-    return CohomologyInvariants(Z=Z, hat_theta=lift, vol=geom.vol)
+    return CohomologyInvariants(Z=Z, hat_theta=lift)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .diagnostics import CSV_COLUMNS, TENSOR_COLUMNS
 from .flow import BaseCurvature, FlowConfig, LineBundleFlow, Schedule
-from .geometry import TorusGeometry, _band_error, _grid_error, build_torus, check_hermitian_field
+from .geometry import (TorusGeometry, _band_error, _grid_error, _metric_error, build_torus,
+                       check_hermitian_field)
 from .harness import SweepConfig, _scaled_noise, _sweep_error
 
 __all__ = [
@@ -108,6 +109,15 @@ def _matrix(obj, path: str, label: str, n: int | None = None) -> list:
         check_hermitian_field(_as_complex(rows), label=label)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
+    return rows
+
+
+def _metric(obj, path: str, n: int | None = None) -> list:
+    """A metric matrix (`_matrix`) that the metric rule (`geometry._metric_error`) takes."""
+    rows = _matrix(obj, path, "metric", n)
+    error = _metric_error(_as_complex(rows))
+    if error is not None:
+        raise ConfigError(path, error)
     return rows
 
 
@@ -242,9 +252,7 @@ def parse_config_data(data: dict, source: str = "$") -> RunConfig:
     error = _grid_error(n, N)
     if error is not None:
         raise ConfigError(f"{source}.{error[0]}", error[1])
-    metric = _matrix(data["metric"], f"{source}.metric", "metric", n)
-    if np.linalg.eigvalsh(_as_complex(metric)).min() <= 0:
-        raise ConfigError(f"{source}.metric", "metric not positive definite")
+    metric = _metric(data["metric"], f"{source}.metric", n)
 
     bc = data["base_curvature"]
     _require_keys(bc, f"{source}.base_curvature", ("constant",), ("potential",))

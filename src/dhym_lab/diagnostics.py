@@ -583,13 +583,10 @@ def maximum_principle_monitor(trajectory) -> MonitorResult:
     return MonitorResult(passed=worst <= 0.0, worst_violation=float(worst), location=where)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OscillationFit:
-    times: np.ndarray
-    chi: np.ndarray
     rate: float
     r_squared: float
-    contraction: list  # (t, per-unit-time ratio) pairs over consecutive samples
     max_consecutive_ratio: float
 
 
@@ -598,7 +595,9 @@ def oscillation_decay(trajectory) -> OscillationFit:
 
     chi(t) = sup - inf of the velocity field at each sample; the rate is the
     negative slope of a least-squares line through log chi over the tail, the
-    last half of the records.
+    last half of the records, and r_squared is that line's.  max_consecutive_ratio
+    is the largest chi(t_{k+1}) / chi(t_k) over the records (0 when no chi exceeds
+    the 1e-14 floor).
     """
     records = trajectory.records
     times = np.array([r.t for r in records])
@@ -614,54 +613,38 @@ def oscillation_decay(trajectory) -> OscillationFit:
     ss_res = float(((cc - pred) ** 2).sum())
     ss_tot = float(((cc - cc.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    ratios = []
     max_ratio = 0.0
     for a_t, a_c, b_t, b_c in zip(times[:-1], chi[:-1], times[1:], chi[1:]):
         if a_c > 1e-14 and b_c > 0 and b_t > a_t:
-            r = (b_c / a_c) ** (1.0 / (b_t - a_t))
-            ratios.append((float(a_t), float(r)))
             max_ratio = max(max_ratio, b_c / a_c)
-    return OscillationFit(
-        times=tail_t[keep],
-        chi=tail_chi[keep],
-        rate=float(-slope),
-        r_squared=float(r2),
-        contraction=ratios,
-        max_consecutive_ratio=float(max_ratio),
-    )
+    return OscillationFit(rate=float(-slope), r_squared=float(r2),
+                          max_consecutive_ratio=float(max_ratio))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HarnackReport:
-    m: int
-    taus: np.ndarray
-    sup_xi: np.ndarray
-    inf_xi: np.ndarray
-    sup_psi: np.ndarray
-    inf_psi: np.ndarray
     quotient_xi: float
     quotient_psi: float
     positive: bool
     monotone: bool
-    fail_location: tuple | None
-    fitted_constants: tuple  # (C1, C2, C3), reported only, never asserted
+    fail_location: tuple | None  # (t, "xi" or "psi") of the first non-positive sample
 
 
-def harnack_monitor(flow, samples, m: int = 1) -> HarnackReport:
-    """Harnack quotients of the positive caps/cups of du/dt over [m-1, m] of a flow's
+def harnack_monitor(flow, samples) -> HarnackReport:
+    """Harnack quotients of the positive caps/cups of du/dt over [0, 1] of a flow's
     samples, in time order.
 
-    Builds xi(x, tau) = sup_y phi(y, m-1) - phi(x, m-1+tau) and psi(x, tau) =
-    phi(x, m-1+tau) - inf_y phi(y, m-1) from phi = theta - hat_theta of each sample's u,
-    checks their positivity for tau > 0 and the maximum-principle
+    Builds xi(x, tau) = sup_y phi(y, 0) - phi(x, tau) and psi(x, tau) =
+    phi(x, tau) - inf_y phi(y, 0) from phi = theta - hat_theta of each sample's u,
+    checks their positivity for tau in (0, 1] and the maximum-principle
     monotonicity of their sup/inf, and reports the quotients
-    sup(., 1/2) / inf(., 1).  The Harnack constants are least-squares
-    metadata only.
+    sup(., 1/2) / inf(., 1).  Samples at t = 0, 1/2 and 1 and one in (0, 1] are
+    needed ("insufficient trajectory sampling"), and a spatially constant phi at
+    t = 0 is refused ("degenerate").
     """
     times = np.array([s.t for s in samples])
-    t0 = float(m - 1)
-    j0 = int(np.argmin(np.abs(times - t0)))
-    if abs(times[j0] - t0) > 1e-9 * (1.0 + abs(t0)):
+    j0 = int(np.argmin(np.abs(times)))
+    if abs(times[j0]) > 1e-9:
         raise ValueError("insufficient trajectory sampling")
     phi0 = flow.rhs(samples[j0].u)
     osc0 = float(phi0.max() - phi0.min())
@@ -673,13 +656,12 @@ def harnack_monitor(flow, samples, m: int = 1) -> HarnackReport:
     positive = True
     fail = None
     for s in samples[j0 + 1:]:
-        tau = s.t - t0
-        if tau > 1.0 + 1e-9:
+        if s.t > 1.0 + 1e-9:
             break
         phi = flow.rhs(s.u)
         xi = sup0 - phi
         psi = phi - inf0
-        taus.append(tau)
+        taus.append(s.t)
         sup_xi.append(float(xi.max()))
         inf_xi.append(float(xi.min()))
         sup_psi.append(float(psi.max()))
@@ -690,8 +672,6 @@ def harnack_monitor(flow, samples, m: int = 1) -> HarnackReport:
     if not taus:
         raise ValueError("insufficient trajectory sampling")
     taus = np.array(taus)
-    sup_xi, inf_xi = np.array(sup_xi), np.array(inf_xi)
-    sup_psi, inf_psi = np.array(sup_psi), np.array(inf_psi)
 
     slack = 1e-9 * (1.0 + osc0)
     monotone = bool(
@@ -699,39 +679,14 @@ def harnack_monitor(flow, samples, m: int = 1) -> HarnackReport:
         and (np.diff(sup_psi) <= slack).all() and (np.diff(inf_psi) >= -slack).all()
     )
 
-    def _at(arr, tau):
+    def _at(values, tau):
         j = int(np.argmin(np.abs(taus - tau)))
         if abs(taus[j] - tau) > 1e-9:
             raise ValueError("insufficient trajectory sampling")
-        return float(arr[j])
-
-    q_xi = _at(sup_xi, 0.5) / _at(inf_xi, 1.0)
-    q_psi = _at(sup_psi, 0.5) / _at(inf_psi, 1.0)
-
-    # Least-squares fit of log sup v(t1) - log inf v(t2) against the Harnack
-    # form C1 (t2-t1) + C2 log(t2/t1) + C3/(t2-t1), over available pairs.
-    rows, obs = [], []
-    grid = [tau for tau in (0.25, 0.5, 0.75, 1.0)
-            if np.abs(taus - tau).min() < 1e-9]
-    for a in grid:
-        for b in grid:
-            if b <= a:
-                continue
-            for sup_arr, inf_arr in ((sup_xi, inf_xi), (sup_psi, inf_psi)):
-                s_v, i_v = _at(sup_arr, a), _at(inf_arr, b)
-                if s_v > 0 and i_v > 0:
-                    rows.append([b - a, math.log(b / a), 1.0 / (b - a)])
-                    obs.append(math.log(s_v / i_v))
-    if rows:
-        sol, *_ = np.linalg.lstsq(np.array(rows), np.array(obs), rcond=None)
-        constants = tuple(float(c) for c in sol)
-    else:
-        constants = (math.nan, math.nan, math.nan)
+        return values[j]
 
     return HarnackReport(
-        m=m, taus=taus, sup_xi=sup_xi, inf_xi=inf_xi,
-        sup_psi=sup_psi, inf_psi=inf_psi,
-        quotient_xi=float(q_xi), quotient_psi=float(q_psi),
+        quotient_xi=_at(sup_xi, 0.5) / _at(inf_xi, 1.0),
+        quotient_psi=_at(sup_psi, 0.5) / _at(inf_psi, 1.0),
         positive=positive, monotone=monotone, fail_location=fail,
-        fitted_constants=constants,
     )

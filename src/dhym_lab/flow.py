@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from . import diagnostics
-from .cohomology import winding_hat_theta
+from .cohomology import _TOO_LARGE, cohomology_invariants
 from .geometry import TorusGeometry, check_hermitian_field, volume_integral
 from .phase import PhaseFields, eta_pair, frame_characteristic, hermitian_planes
 
@@ -157,8 +157,10 @@ _CONTOUR_POINTS = 32  # contour points of the ETDRK4 phi-functions
 
 class LineBundleFlow:
     """The flow of a base curvature on its torus at the phase hat_theta, which defaults
-    to the winding lift of the base's class (`cohomology.winding_hat_theta` of the
-    characteristic coefficients `phase_fields(spectrum(0)).e`).
+    to the winding lift of the base's class (`cohomology.cohomology_invariants` of the
+    characteristic coefficients `class_coefficients()`, kept as `class_invariants`).
+    A base whose coefficients or frame eta~0 = I + F~0 F~0 are not finite is refused
+    with the winding's RuntimeError, whether or not hat_theta is given.
 
     Right-hand side, one path at every n: the phase of the half spectrum uh of
     u is that of the frame curvature F~0 + frame_hessian(uh + psi_hat), plane by
@@ -175,19 +177,27 @@ class LineBundleFlow:
             raise ValueError(f"hat_theta must be finite, got {hat_theta!r}")
         self._etd = None  # (h, ETDRK4 coefficients) of the last step size
         # F~0 through two rows, so the product takes the bits it takes for a field of
-        # them (one row takes a matrix-vector path, whose last bits differ)
-        F0 = geometry.to_frame(np.broadcast_to(base.F0, (2,) + base.F0.shape), "zZ")[0]
+        # them (one row takes a matrix-vector path, whose last bits differ); it and
+        # eta~0 = I + F~0 F~0 overflow for a curvature too large for the winding
+        with np.errstate(over="ignore", invalid="ignore"):
+            F0 = geometry.to_frame(np.broadcast_to(base.F0, (2,) + base.F0.shape), "zZ")[0]
+            eta0 = eta_pair(F0)
         self._f0 = [[float(c) for c in row] for row in hermitian_planes(F0)]
         self._psi_hat = None if base.psi is None else self.spectrum(base.psi)
         self._wh = None if base.psi is None else np.empty_like(self._psi_hat)
+        e = self.class_coefficients()
+        if not all(np.isfinite(a).all() for a in (*eta0, *e)):
+            raise RuntimeError(_TOO_LARGE)
+        self.class_invariants = None  # Z and lift of F_hat's class when hat_theta is the lift
         if hat_theta is None:
-            hat_theta = winding_hat_theta(geometry, self.class_coefficients())
+            self.class_invariants = cohomology_invariants(geometry, e)
+            hat_theta = self.class_invariants.hat_theta
         self.hat_theta = float(hat_theta)
 
     def class_coefficients(self) -> list:
         """The characteristic coefficients e_0..e_n of F_hat's class: those of the planes
-        at u = 0.  They overflow for a curvature too large for the winding, which
-        `cohomology` refuses, so they are taken under its np.errstate."""
+        at u = 0.  They overflow for a curvature too large for the winding, which the
+        flow's build refuses, so they are taken under the winding's np.errstate."""
         with np.errstate(over="ignore", invalid="ignore"):
             return self.phase_fields(self.spectrum(np.zeros(self.geometry.shape))).e
 

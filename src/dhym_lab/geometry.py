@@ -400,9 +400,10 @@ def build_torus(n: int, N: int, g) -> TorusGeometry:
     if g.shape != (n, n):
         raise ValueError(f"metric must be {n}x{n}, got {g.shape}")
     check_hermitian_field(g, label="metric")
+    error = _metric_error(g)
+    if error is not None:
+        raise ValueError(error)
     eigs = np.linalg.eigvalsh(g)
-    if eigs.min() <= 0.0:
-        raise ValueError("metric not positive definite")
     det_g = float(np.linalg.det(g).real)
     vol = det_g * (2.0 * np.pi) ** (2 * n)
     frame = None if np.array_equal(g, np.eye(n)) else np.linalg.inv(np.linalg.cholesky(g))
@@ -417,6 +418,20 @@ def _grid_error(n: int, N: int) -> tuple | None:
         return "dimension", f"complex dimension must be 1, 2 or 3, got {n}"
     if N < 8 or N & (N - 1):
         return "resolution", f"grid size must be a power of two >= 8, got {N}"
+    return None
+
+
+def _metric_error(g: np.ndarray) -> str | None:
+    """The message for a Hermitian metric g that is not positive definite, or whose
+    inverse is not finite, or None: the metric rule of `build_torus`, the parser and
+    `phase-table --metric`.  The inverse's norm is 1/lambda_min(g), which also bounds the
+    frame L^{-1} (g = L L^H, |L^{-1}|^2 = |g^{-1}|)."""
+    with np.errstate(over="ignore"):
+        lam_min = np.linalg.eigvalsh(g).min()
+        if lam_min <= 0.0:
+            return "metric not positive definite"
+        if not np.isfinite(1.0 / lam_min):
+            return "metric too close to singular: its inverse is not finite"
     return None
 
 

@@ -219,7 +219,7 @@ def test_criterion_8_harnack_and_oscillation(sweep_report, harnack_run):
             if a > 1e-14:
                 worst_ratio = max(worst_ratio, b / a)
     traj, samples = harnack_run
-    rep = dl.harnack_monitor(traj.flow, samples, m=1)
+    rep = dl.harnack_monitor(traj.flow, samples)
     finite = np.isfinite(rep.quotient_xi) and np.isfinite(rep.quotient_psi)
     ok = worst_ratio <= 1.0 + 1e-9 and rep.positive and rep.monotone and finite
     _criterion(8, "Harnack / oscillation",

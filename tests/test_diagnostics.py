@@ -529,7 +529,9 @@ class TestDhymPointIdentities:
         # coordinates, so a metric costs no transforms: at n = 3 d eta takes 27 complex
         # inverse transforms, dF 18 (not 27) and the second derivatives 36 (not 81), as
         # at g = I; the n^2 real planes of the flow's curvature, the Hessian of u + psi,
-        # take one irfft per entry on and above the diagonal, and no base field is built
+        # take one irfft per entry on and above the diagonal, at u and once more in the
+        # flow's build, whose check of the class's coefficients reads them at u = 0; no
+        # base field is built
         rng = np.random.default_rng(n)
         B = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
         geom = dl.build_torus(n, 8, B @ B.conj().T + 0.5 * np.eye(n))
@@ -540,7 +542,7 @@ class TestDhymPointIdentities:
             monkeypatch.setattr(dl.TorusGeometry, name,
                                 lambda g, f, m=method, c=calls_of: c.append(1) or m(g, f))
         dl.dhym_point_identities(dl.LineBundleFlow(base, 0.0), u, residual_tol=1e9)
-        assert (len(calls["ifft"]), len(calls["irfft"])) == (transforms, planes)
+        assert (len(calls["ifft"]), len(calls["irfft"])) == (transforms, 2 * planes)
 
     def test_nonconverged_state_rejected(self, torus1, base1):
         u = 0.5 * cos_axis(torus1, 0)  # residual around 1e-2
@@ -607,16 +609,15 @@ class TestHarnackMonitor:
         _, samples = run_sampled(dl.run_fixed, flow, np.zeros(torus1.shape), dt=1.0 / 128,
                                  n_steps=256, sample_every=16)
         with pytest.raises(ValueError, match="degenerate"):
-            dl.harnack_monitor(flow, samples, m=1)
+            dl.harnack_monitor(flow, samples)
 
     def test_small_data_quotients(self, small_flow_run):
         traj, samples = small_flow_run
-        rep = dl.harnack_monitor(traj.flow, samples, m=1)
+        rep = dl.harnack_monitor(traj.flow, samples)
         assert rep.positive
         assert rep.monotone
         assert np.isfinite(rep.quotient_xi) and rep.quotient_xi >= 1.0
         assert np.isfinite(rep.quotient_psi) and rep.quotient_psi >= 1.0
-        assert all(np.isfinite(c) for c in rep.fitted_constants)
 
     def test_corrupted_sample_flagged(self, small_flow_run):
         traj, samples = small_flow_run
@@ -625,7 +626,33 @@ class TestHarnackMonitor:
         # a unit cosine swings the phase of u past its range at t = 0: xi goes negative
         bad_u = samples[k].u + cos_axis(traj.flow.geometry, 0)
         samples[k] = dl.FlowSample(t=samples[k].t, u=bad_u)
-        rep = dl.harnack_monitor(traj.flow, samples, m=1)
+        rep = dl.harnack_monitor(traj.flow, samples)
         assert not rep.positive
         assert rep.fail_location is not None
         assert rep.fail_location == (pytest.approx(samples[k].t), "xi")
+
+    def test_psi_side_flagged(self, small_flow_run):
+        # the unit cosine of either sign takes both xi and psi below zero, and xi is
+        # named first; a tenth of it at t = 1/4 takes the phase below its infimum at
+        # t = 0 (psi = -0.005) and keeps it below its supremum (xi = 0.0035)
+        traj, samples = small_flow_run
+        samples = list(samples)
+        k = len(samples) // 8
+        assert samples[k].t == 0.25
+        bad_u = samples[k].u + 0.1 * cos_axis(traj.flow.geometry, 0)
+        samples[k] = dl.FlowSample(t=samples[k].t, u=bad_u)
+        rep = dl.harnack_monitor(traj.flow, samples)
+        assert not rep.positive
+        assert rep.fail_location == (0.25, "psi")
+
+    @pytest.mark.parametrize("drop", ["t=0", "(0, 1]", "tau=1/2", "tau=1"])
+    def test_insufficient_sampling_refused(self, small_flow_run, drop):
+        traj, samples = small_flow_run
+        keep = {"t=0": lambda t: t > 0.0,
+                "(0, 1]": lambda t: t == 0.0 or t > 1.0,
+                "tau=1/2": lambda t: t != 0.5,
+                "tau=1": lambda t: t != 1.0}[drop]
+        kept = [s for s in samples if keep(s.t)]
+        assert len(kept) < len(samples)
+        with pytest.raises(ValueError, match="insufficient trajectory sampling"):
+            dl.harnack_monitor(traj.flow, kept)

@@ -109,6 +109,18 @@ class TestLineBundleFlow:
         assert flow.hat_theta == dl.winding_hat_theta(geom, e)
         planes = flow.phase_fields(flow.spectrum(np.zeros(geom.shape))).e
         assert dl.cohomology_invariants(geom, planes) == dl.cohomology_invariants(geom, e)
+        assert flow.class_invariants == dl.cohomology_invariants(geom, e)
+        assert dl.LineBundleFlow(base, flow.hat_theta).class_invariants is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hat_theta", [None, 0.5])
+    def test_curvature_too_large_refused_whether_or_not_hat_theta_is_given(self, torus1,
+                                                                         hat_theta):
+        # with a given hat_theta, eta~0 = I + F~0 F~0 overflowed in linear_symbol and the
+        # run went on to a timeout
+        base = dl.BaseCurvature(geometry=torus1, F0=[[1e200]])
+        with pytest.raises(RuntimeError, match="^curvature too large for the winding"):
+            dl.LineBundleFlow(base, hat_theta)
 
     def test_construction_peak_is_about_one_phase(self):
         # the default hat_theta reads the planes at u = 0, one phase's worth; the coordinate

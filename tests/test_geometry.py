@@ -30,6 +30,12 @@ class TestBuildTorus:
         with pytest.raises(ValueError, match="not positive definite"):
             dl.build_torus(2, 8, np.diag([1.0, -2.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_metric_whose_inverse_overflows_rejected(self):
+        # eigvalsh passes a subnormal eigenvalue; its inverse overflowed in the flow's frame
+        with pytest.raises(ValueError, match="its inverse is not finite"):
+            dl.build_torus(1, 8, [[5e-324]])
+
     def test_non_hermitian_metric_rejected(self):
         with pytest.raises(ValueError, match="non-Hermitian metric"):
             dl.build_torus(2, 8, np.array([[1.0, 0.1j], [0.1j, 1.0]]))

@@ -416,11 +416,10 @@ class _Ran(BaseException):
 
 
 # JSON values whose numbers keep a document the CLI takes at n <= 2 and N <= 16, so no
-# grid costs time or memory, and away from magnitudes below 1e-6, where a metric's
-# frame overflows (CHANGES.md FOUND)
+# grid costs time or memory
 CLI_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 16) | st.text(max_size=4)
-    | st.just(0.0) | st.floats(1e-6, 4.0) | st.floats(-4.0, -1e-6),
+    | st.just(0.0) | st.floats(5e-324, 4.0) | st.floats(-4.0, -5e-324),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=6)
@@ -501,13 +500,15 @@ CONFIG_ERRORS = [
     ("sweep", minimal_config(sweep=dict(SWEEP, k_band=0)), "$.sweep.k_band"),
     ("sweep", minimal_config(sweep=dict(SWEEP, seed_base=-3)), "$.sweep.seed_base"),
 ]
-# a metric 1e-11 off Hermitian (one 1e-13 off builds) and the band's lower end, whose
-# paths rows above already name
+# a metric 1e-11 off Hermitian (one 1e-13 off builds), one whose inverse overflows (it
+# passed the parser and hat-theta warned before its error), and the band's lower end,
+# whose paths rows above already name
 EDGE_ERRORS = [
     ("simulate", minimal_config(dimension=2, resolution=8,
                                 metric=[[1.0, [0.5, 1e-11]], [0.5, 1.0]],
                                 base_curvature={"constant": [[1.0, 0.0], [0.0, 0.5]]}),
      "$.metric"),
+    ("hat-theta", minimal_config(resolution=8, metric=[[5e-324]]), "$.metric"),
     ("simulate", minimal_config(initial={"type": "noise", "k_band": 0, "seed": 1,
                                          "target_hess_sup": 0.05}), "$.initial.k_band"),
 ]
@@ -1026,34 +1027,60 @@ class TestCli:
             f"error: config error at {at}: non-Hermitian {label}"]
         assert not out.exists()
 
-    # the huge bases of one 8 x 8 torus, as config keys, whose e_1^2 - 2 e_2 overflows
+    # the huge bases of one 8 x 8 torus, as config keys, whose e_1^2 - 2 e_2 overflows;
+    # with a given hat_theta, which skips the winding, eta~0 = I + F~0 F~0 overflows at
+    # n=1 and the class's coefficients at n=2
     HUGE_BASES = {"constant-1e200": {"base_curvature": {"constant": [[1e200]]}},
                   "constant-1e308": {"base_curvature": {"constant": [[1e308]]}},
                   "psi-1e300": {"base_curvature": {"constant": [[1.0]], "potential": {
                       "modes": [{"m": [1, 0], "amplitude": 1e300}]}}},
                   "n2-constant-1e200": {"dimension": 2, "metric": [[1.0, 0.0], [0.0, 1.0]],
                                         "base_curvature": {"constant": [[1e200, 0.0],
-                                                                        [0.0, 1e200]]}}}
+                                                                        [0.0, 1e200]]}},
+                  "given-theta-constant-1e200": {"base_curvature": {"constant": [[1e200]]},
+                                                 "hat_theta": 0.5},
+                  "given-theta-n2-psi-1e300": {
+                      "dimension": 2, "metric": [[1.0, 0.0], [0.0, 1.0]], "hat_theta": 0.5,
+                      "base_curvature": {"constant": [[1.0, 0.0], [0.0, 1.0]], "potential": {
+                          "modes": [{"m": [1, 0, 0, 0], "amplitude": 1e300}]}}}}
 
     @pytest.mark.filterwarnings("error")  # numpy's overflow warnings came before the error
-    @pytest.mark.parametrize("command", ["hat-theta", "simulate", "reference"])
+    @pytest.mark.parametrize("command", ["hat-theta", "simulate", "reference", "verify"])
     @pytest.mark.parametrize("base", sorted(HUGE_BASES))
     def test_curvature_too_large_for_the_winding_refused(self, tmp_path, capsys, monkeypatch,
                                                          command, base):
-        # hat-theta printed a NaN hat_theta and exited 0, and simulate halved its step
-        # 11 times and ended as "blowup"; now each ends with one error line before any
-        # step and before its output directory is made
+        # hat-theta printed a NaN hat_theta and exited 0, simulate halved its step 11
+        # times and ended as "blowup", and with a given hat_theta it warned and ran to a
+        # timeout; now each ends with one error line before any step and before its
+        # output directory or report is made
         monkeypatch.setattr(flow_mod, "_integrate", None)
-        run = tmp_path / "run"
+        run, report = tmp_path / "run", tmp_path / "verify.jsonl"
         cfg = self.write_config(tmp_path, minimal_config(
             resolution=8, outputs={"dir": str(run)}, **self.HUGE_BASES[base]))
-        assert cli_main([command, "--config", cfg]) == 1
+        out = ["--out", str(report)] if command == "verify" else []
+        assert cli_main([command, "--config", cfg] + out) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: curvature too large for the winding: its eigenvalue bound or winding "
             "path is not finite"]
-        assert not run.exists()
+        assert not run.exists() and not report.exists()
+
+    @pytest.mark.filterwarnings("error")  # [[5e-324]] warned and wrote a row of inf and nan
+    @pytest.mark.parametrize("metric,message", [
+        ("[[0]]", "metric not positive definite"),
+        ("[[-1]]", "metric not positive definite"),
+        ("[[5e-324]]", "metric too close to singular: its inverse is not finite")])
+    def test_phase_table_metric_refused_at_its_file(self, tmp_path, capsys, metric, message):
+        inp = tmp_path / "mats.jsonl"
+        inp.write_text("[[1.0]]\n")
+        g = tmp_path / "g.json"
+        g.write_text(metric)
+        out = tmp_path / "t.csv"
+        assert cli_main(["phase-table", "--input", str(inp), "--output", str(out),
+                         "--metric", str(g)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config error at {g}: {message}"]
+        assert not out.exists()
 
     def test_phase_table_size_mismatch_rejected(self, tmp_path, capsys):
         inp = tmp_path / "mats.jsonl"
